@@ -14,8 +14,17 @@ bench pins the new story on a saved-and-reloaded bundle at scale:
   the denominator of the **speedup gate** (>= 10x on the smoke scale,
   >= 100x on the 50k full scale) and of the **RSS gate** (the overlay
   stream must stay within a fraction of the thaw copy's footprint);
+* **read after write** — on a second mapping with the workload's words
+  boxed, a search follows each of the first mutations (and every edge):
+  the **count gate** allows it to box no more query-column paths than
+  the overlay holds (``store.query_paths_boxed``), whatever the index
+  size; its latency goes into the report ungated (``read_after_write_ms``
+  — timing only the write is how a 130 ms read after a 1 ms write once
+  passed the speedup gate);
 * **compaction** — the overlay folded into a generation-1 v3 file,
-  atomically re-mapped in place: overlay drained, timed;
+  atomically re-mapped in place: overlay drained, timed, and the first
+  searches afterwards must box **zero** paths (the query columns
+  survive the re-map);
 * **parity gate** — a heap twin of the bundle receives the identical
   mutation sequence; all four algorithms must answer bit-identically on
   (a) the live re-mapped bundle, (b) a cold reload of the compacted
@@ -67,6 +76,10 @@ PROFILES = {
 #: indexes every new bounded path, not one singleton).
 RELATIONSHIP_MUTATIONS = 8
 
+#: Entity mutations replayed, each followed by a search, in the
+#: read-after-write phase (the edges are all replayed as well).
+READ_AFTER_WRITE_STEPS = 16
+
 #: The overlay stream's RSS growth must stay within this fraction of the
 #: thaw copy's, with an absolute floor for allocator noise at small
 #: scales.
@@ -113,6 +126,47 @@ def apply_plan(indexes, plan, timings=None):
         if timings is not None:
             timings[step[0]].append(time.perf_counter() - started)
     return first_node
+
+
+def warm(engine, queries, k):
+    """Search every workload query once (boxes its words' paths)."""
+    for query in queries:
+        engine.search(list(query), k=k, algorithm="pattern_enum")
+
+
+def read_after_write(index_path, plan, queries, k):
+    """One search after each mutation on a fresh, warmed mapping.
+
+    Returns ``(latencies_ms, violations)``.  The queries' words are
+    boxed before the first write, so whatever a later search still has
+    to box was written since: more than ``overlay_paths`` of it means
+    boxed query columns were thrown away.
+    """
+    bundle = load_indexes(index_path)
+    engine = TableAnswerEngine(bundle.graph, indexes=bundle)
+    store = bundle.store
+    warm(engine, queries, k)
+    steps = plan[:READ_AFTER_WRITE_STEPS] + plan[-RELATIONSHIP_MUTATIONS:]
+    latencies_ms = []
+    violations = []
+    for index, step in enumerate(steps):
+        apply_plan(bundle, [step])
+        query = queries[index % len(queries)]
+        boxed = store.query_paths_boxed
+        started = time.perf_counter()
+        engine.search(list(query), k=k, algorithm="pattern_enum")
+        latencies_ms.append((time.perf_counter() - started) * 1000.0)
+        boxed = store.query_paths_boxed - boxed
+        if boxed > store.overlay_paths:
+            violations.append(
+                {
+                    "step": index,
+                    "query": " ".join(query),
+                    "boxed": boxed,
+                    "overlay_paths": store.overlay_paths,
+                }
+            )
+    return latencies_ms, violations
 
 
 def parity_divergences(stage, oracle_engine, engine, queries, k):
@@ -203,23 +257,39 @@ def run(profile_name, k, out_path, keep_dir=None):
     )
     del thaw_bundle
 
+    # ---- read after write: what the first search after a write boxes -
+    raw_ms, raw_violations = read_after_write(index_path, plan, queries, k)
+    read_after_write_ms = statistics.median(raw_ms)
+    print(
+        f"read after write: {len(raw_ms)} searches p50 "
+        f"{read_after_write_ms:.3f} ms max {max(raw_ms):.3f} ms, "
+        f"{len(raw_violations)} boxed more than the overlay holds"
+    )
+
     # ---- compaction: fold the overlay into generation 1 --------------
+    live_engine = TableAnswerEngine(
+        overlay_bundle.graph, indexes=overlay_bundle
+    )
+    warm(live_engine, queries, k)
     started = time.perf_counter()
     outcome = compact_indexes(overlay_bundle, index_path)
     compact_seconds = time.perf_counter() - started
     overlay_after = overlay_bundle.store.overlay_postings
+    boxed_before = overlay_bundle.store.query_paths_boxed
+    warm(live_engine, queries, k)
+    boxed_after_compaction = (
+        overlay_bundle.store.query_paths_boxed - boxed_before
+    )
     print(
         f"compaction: {outcome['bytes'] >> 20} MB re-mapped as generation "
         f"{outcome['generation']} in {compact_seconds:.2f}s, overlay "
-        f"{overlay_postings} -> {overlay_after} postings"
+        f"{overlay_postings} -> {overlay_after} postings, "
+        f"{boxed_after_compaction} paths boxed by the next searches"
     )
 
     # ---- parity: heap twin with the identical mutation sequence ------
     apply_plan(indexes, plan)
     oracle_engine = TableAnswerEngine(indexes.graph, indexes=indexes)
-    live_engine = TableAnswerEngine(
-        overlay_bundle.graph, indexes=overlay_bundle
-    )
     divergences = parity_divergences(
         "live-remapped", oracle_engine, live_engine, queries, k
     )
@@ -251,11 +321,13 @@ def run(profile_name, k, out_path, keep_dir=None):
         "speedup_met": speedup >= profile["speedup"],
         "no_thaw_met": overlay_thawed == 0 and total_thawed == thaw_count,
         "rss_bounded_met": overlay_rss_delta <= rss_budget_kb,
+        "read_after_write_boxes_delta_met": not raw_violations,
         "compacted_met": (
             outcome["generation"] == 1
             and overlay_after == 0
             and reload_generation == 1
         ),
+        "compaction_keeps_query_columns_met": boxed_after_compaction == 0,
         "bit_identical_met": not divergences,
     }
     report = {
@@ -275,6 +347,9 @@ def run(profile_name, k, out_path, keep_dir=None):
             "thaw_first_mutation_ms": thaw_seconds * 1000.0,
             "speedup_vs_thaw": speedup,
             "required_speedup": profile["speedup"],
+            "read_after_write_ms": read_after_write_ms,
+            "read_after_write_max_ms": max(raw_ms),
+            "read_after_write_violations": raw_violations,
         },
         "rss": {
             "overlay_delta_kb": overlay_rss_delta,
@@ -287,6 +362,7 @@ def run(profile_name, k, out_path, keep_dir=None):
             "generation": outcome["generation"],
             "overlay_postings_before": overlay_postings,
             "overlay_postings_after": overlay_after,
+            "paths_boxed_after": boxed_after_compaction,
         },
         "parity": {
             "algorithms": list(ALGORITHMS),

@@ -80,7 +80,8 @@ def _format_store_line(indexes) -> str:
         f"store: {store.num_postings()} postings over "
         f"{store.num_paths} unique paths "
         f"({store.dedup_ratio():.2f}x dedup), "
-        f"{store.nbytes() / 1e6:.1f} MB columnar"
+        f"{store.nbytes() / 1e6:.1f} MB columnar, "
+        f"{store.query_paths_boxed} query paths boxed"
     )
 
 

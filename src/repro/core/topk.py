@@ -42,6 +42,25 @@ class _InvertedKey:
         return isinstance(other, _InvertedKey) and self.key == other.key
 
 
+def largest_with_ties(k: int, scored: List[Tuple]) -> List[Tuple]:
+    """The ``k`` largest ``(score, key)`` pairs, best first, followed by
+    every other pair whose score equals the k-th's.
+
+    For a pre-selection that feeds a :class:`TopKQueue` with tie keys:
+    cutting at exactly ``k`` would settle a tie at the cut by the pairs'
+    own ``key`` order, before the queue's tie key ever saw the losers.
+
+    >>> largest_with_ties(2, [(1.0, "a"), (2.0, "b"), (1.0, "c"), (0.5, "d")])
+    [(2.0, 'b'), (1.0, 'c'), (1.0, 'a')]
+    """
+    best = heapq.nlargest(k, scored)
+    if len(scored) > k:
+        cut = best[-1][0]
+        tied = [pair for pair in scored if pair[0] == cut and pair < best[-1]]
+        best.extend(sorted(tied, reverse=True))
+    return best
+
+
 class TopKQueue(Generic[T]):
     """Keep the ``k`` highest-scoring items seen so far.
 

@@ -424,7 +424,6 @@ class MappedPostingStore(PostingStore):
         self._path_ids = None
         self._overlay: Optional[DeltaOverlay] = None
         self._backed = True
-        self._query_cache = None
 
     def _install_generation(self, gen_views: Optional[Dict[str, tuple]]) -> None:
         """(Re)build the lazy finalized-view dicts for the current version.
@@ -620,14 +619,12 @@ class MappedPostingStore(PostingStore):
         return self._lazy_bounds
 
     def release_query_columns(self) -> None:
-        self._query_cache = None
+        PostingStore.release_query_columns(self)
         if self._backed and self._finalized_version == self.version:
             # The lazy bound dicts are the backed store's "cold" state
             # already — re-seed the slot instead of forcing the next
             # pruning query through a full eager rebuild.
             self._bound_cache = (self.version, self._lazy_bounds)
-        else:
-            self._bound_cache = None
 
     # --------------------------------------------------- re-map & escape
 
@@ -643,7 +640,10 @@ class MappedPostingStore(PostingStore):
         as long as pinned snapshot views reference them.  Path ids are
         stable across generations (the compacted file preserves column
         order), so old-generation leaves materializing entries through
-        the live store remain exact.
+        the live store remain exact — and the query-column memo is kept
+        for the same reason: every boxed slot describes the same path
+        in the new generation, so the first read after a compaction
+        boxes nothing.
 
         The version advances monotonically — never reset to the new
         file's word count, which could collide with a historical tag and
@@ -715,7 +715,6 @@ class MappedPostingStore(PostingStore):
         }
         self._backed = False
         self._overlay = None
-        self._query_cache = None
         self._bound_cache = None
         MappedPostingStore.backed_stores_thawed += 1
 
@@ -787,12 +786,14 @@ class MappedPatternInterner(PatternInterner):
     def _ensure_full(self) -> None:
         if self._full:
             return
-        self._full = True
         for pid in range(self._count):
             pattern = self._cache.get(pid)
             if pattern is None:
                 pattern = self._decode(pid)
-            PatternInterner.intern_pattern(self, pattern)
+            PatternInterner.intern(self, pattern.labels, pattern.ends_at_edge)
+        # Only now: a reader racing a writer's first intern() must keep
+        # decoding on demand until the full table is there to answer.
+        self._full = True
         self._cache.clear()
 
     def pattern(self, pid: PatternId) -> PathPattern:

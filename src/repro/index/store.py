@@ -44,6 +44,56 @@ OFFSET_TYPECODE = "q"
 FLAG_TYPECODE = "b"
 FLOAT_TYPECODE = "d"
 
+
+class _Unfilled:
+    """Placeholder of a ``self_invalid`` slot whose path is not boxed yet.
+
+    Truth-testing it raises, so a hot loop that reaches a path its
+    fill-by-word pass did not cover fails loudly — ``not None`` would
+    read an unfilled slot as "valid" in the single-pair shortcut of
+    :meth:`PostingStore.pairs_checker`.
+    """
+
+    __slots__ = ()
+
+    def __bool__(self) -> bool:
+        raise PathIndexError(
+            "query columns read for a path that was never boxed"
+        )
+
+
+_UNFILLED = _Unfilled()
+
+
+class QueryColumnMemo:
+    """The append-only, path-keyed memo behind the enumeration hot loops.
+
+    ``columns`` is the 5-tuple of parallel lists ``(roots, sizes, prs,
+    edges, self_invalid)`` indexed by path id (see
+    :meth:`PostingStore._query_columns`).  An entry is a pure function
+    of its path id and the path columns are append-only, so a slot once
+    boxed is never stale: a store mutation only means the lists may be
+    too short or hold placeholders where the new paths go.  The live
+    store and every :class:`StoreSnapshot` share one memo — the same
+    list objects — and fill it under :attr:`lock`.
+
+    * ``dense`` — every slot below it is boxed (raised by a full fill);
+    * ``word_counts`` — word -> the posting count up to which that
+      word's paths are boxed (fill by queried word).  Postings are only
+      ever added, so a reader pinned at a smaller count is covered too.
+    """
+
+    __slots__ = ("columns", "dense", "word_counts", "lock")
+
+    def __init__(self) -> None:
+        self.columns: Tuple[list, list, list, list, list] = (
+            [], [], [], [], []
+        )
+        self.dense = 0
+        self.word_counts: Dict[str, int] = {}
+        self.lock = threading.Lock()
+
+
 class PostingList(Sequence[PathEntry]):
     """A flyweight, lazily-materialized sequence of :class:`PathEntry`.
 
@@ -227,13 +277,18 @@ class PostingStore:
         #: stored posting.  Benchmarks and the zero-materialization
         #: regression tests read deltas of this.
         self.entries_materialized = 0
-        # Query-time acceleration columns (see _query_columns) and
-        # aggregate bound columns for score pruning (see bound_columns).
-        # Each slot holds ``(version, cache)`` as ONE tuple swapped
+        # Query-time acceleration columns (see _query_columns): one
+        # append-only memo, shared by reference with every snapshot.
+        self._query_memo = QueryColumnMemo()
+        #: Paths boxed into the query columns since this store was
+        #: opened (snapshots count here too) — what a slow first read
+        #: after a write or a cold open spent its time on.
+        self.query_paths_boxed = 0
+        # Aggregate bound columns for score pruning (see bound_columns).
+        # The slot holds ``(version, cache)`` as ONE tuple swapped
         # atomically: readers load the slot once and compare its version
-        # tag, so a concurrent donation (StoreSnapshot._build_and_donate)
+        # tag, so a concurrent donation (StoreSnapshot.bound_columns)
         # can never pair an old cache object with a new version tag.
-        self._query_cache: Optional[tuple] = None
         self._bound_cache: Optional[tuple] = None
         #: Mutation lock for the snapshot protocol: writers that mutate a
         #: *served* store (incremental maintenance) and readers taking a
@@ -249,11 +304,13 @@ class PostingStore:
         # that pickle a whole bundle (e.g. legacy/diagnostic envelopes).
         state = self.__dict__.copy()
         state["lock"] = None
+        state["_query_memo"] = None  # holds a lock; re-boxed on demand
         return state
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
         self.lock = threading.Lock()
+        self._query_memo = QueryColumnMemo()
 
     @classmethod
     def scratch(cls, interner: Optional[PatternInterner] = None) -> "PostingStore":
@@ -588,14 +645,14 @@ class PostingStore:
 
     # --------------------------------------------- store-native hot variants
 
-    def _query_columns(self) -> tuple:
+    def _query_columns(self, words: Optional[Sequence[str]] = None) -> tuple:
         """Boxed, pre-shaped path columns for the enumeration hot loops.
 
         The ``array`` columns keep the resident footprint compact but box
         a fresh Python int on every subscript, and the query loops revisit
-        the same paths thousands of times per cross product.  This cache
-        re-shapes each *distinct* path once per store version into plain
-        lists/tuples::
+        the same paths thousands of times per cross product.  The
+        :class:`QueryColumnMemo` re-shapes each *distinct* path once into
+        plain lists/tuples::
 
             (roots, sizes, prs, edges, self_invalid)
 
@@ -606,78 +663,127 @@ class PostingStore:
         the tree check — it revisits its own root, or assigns a node two
         distinct parent edges (never true for builder-enumerated simple
         paths, but hand-constructed stores are checked identically to
-        :func:`~repro.index.entry.entries_form_tree`).  Built lazily on
-        the first query after a mutation; size is bounded by the number
-        of distinct paths, not postings.
+        :func:`~repro.index.entry.entries_form_tree`).
+
+        The memo is extended, never rebuilt: a call boxes only what is
+        still missing below ``num_paths`` (the pinned count on a
+        snapshot, so a row a writer is half-way through appending is
+        never read).  With ``words`` only the paths in those words'
+        posting columns are boxed — all a query over ``words`` can
+        touch, and O(touched postings) on a cold mapping or after a
+        write; the other slots keep placeholders that fail loudly when
+        read.  With ``None`` every path is boxed.  Size is bounded by
+        the number of distinct paths, not postings.
         """
-        slot = self._query_cache
-        version = self.version
-        if slot is not None and slot[0] == version:
-            return slot[1]
+        memo = self._query_memo
+        limit = self.num_paths
+        if memo.dense >= limit:
+            return memo.columns
+        if words is None:
+            with memo.lock:
+                # From the watermark as it is *now*: a racing full fill
+                # may have raised it while this one waited for the lock.
+                if memo.dense < limit:
+                    self._box_paths(memo, limit, range(memo.dense, limit))
+                    memo.dense = limit
+            return memo.columns
+        filled = memo.word_counts
+        for word in words:
+            ids = self._posting_ids.get(word)
+            if ids is None:
+                continue
+            count = self.num_postings(word)
+            if filled.get(word, -1) >= count:
+                continue
+            with memo.lock:
+                if filled.get(word, -1) < count:
+                    self._box_paths(memo, limit, ids[:count])
+                    filled[word] = count
+        return memo.columns
+
+    def _box_paths(
+        self, memo: QueryColumnMemo, limit: int, path_ids: Iterable[int]
+    ) -> None:
+        """Box the still-unfilled slots among ``path_ids`` (all below
+        ``limit``).  Caller holds ``memo.lock``, which is what keeps the
+        five lists the same length when snapshots race an extension."""
+        roots, sizes, prs, edges, self_invalid = memo.columns
+        # Grow from the lists' real length, never from a remembered one.
+        grow = limit - len(edges)
+        if grow > 0:
+            for column in (roots, sizes, prs, edges):
+                column.extend([None] * grow)
+            self_invalid.extend([_UNFILLED] * grow)
         offsets = self._node_offsets
         nodes = self._nodes
         attrs = self._attrs
-        num_paths = self.num_paths
-        # list() boxes each array element once; scratch stores (already
-        # list-backed) just take a cheap pointer copy.
-        roots = list(self._roots)
-        prs = list(self._prs)
-        sizes: List[int] = [0] * num_paths
-        edges: List[tuple] = [()] * num_paths
-        self_invalid: List[bool] = [False] * num_paths
-        for path_id in range(num_paths):
+        path_roots = self._roots
+        path_prs = self._prs
+        boxed = 0
+        for path_id in path_ids:
+            if edges[path_id] is not None:
+                continue
             start = offsets[path_id]
             end = offsets[path_id + 1]
             attr_start = start - path_id
             sizes[path_id] = end - start
-            root = roots[path_id]
+            root = roots[path_id] = path_roots[path_id]
+            prs[path_id] = path_prs[path_id]
+            invalid = False
             path_edges = []
             parent: Dict[NodeId, Tuple[NodeId, AttrId]] = {}
             for i in range(end - start - 1):
                 child = nodes[start + i + 1]
                 edge = (nodes[start + i], attrs[attr_start + i])
                 if child == root or parent.setdefault(child, edge) != edge:
-                    self_invalid[path_id] = True
+                    invalid = True
                 path_edges.append((child, edge))
-            edges[path_id] = tuple(path_edges)
-        cache = (roots, sizes, prs, edges, self_invalid)
-        # Tag with the version captured *before* the build: if a writer
-        # bumped mid-build the slot is immediately stale and rebuilt.
-        self._query_cache = (version, cache)
-        return cache
+            self_invalid[path_id] = invalid
+            edges[path_id] = tuple(path_edges)  # last: marks the slot boxed
+            boxed += 1
+        self._count_boxed(boxed)
+
+    def _count_boxed(self, paths: int) -> None:
+        self.query_paths_boxed += paths
 
     def release_query_columns(self) -> None:
-        """Drop the query-acceleration columns (rebuilt lazily on demand).
+        """Drop the query-acceleration columns (re-boxed on demand).
 
-        The cache trades resident memory for query speed and persists
-        after the first query; long-lived processes that query rarely can
-        call this to reclaim it — the next query pays one rebuild.  The
+        The memo trades resident memory for query speed and only ever
+        grows; long-lived processes that query rarely can call this to
+        reclaim it — the store starts an empty memo and later queries
+        box what they touch again.  Readers and snapshots already
+        holding the old lists keep them until they go away.  The
         aggregate bound columns (:meth:`bound_columns`) are dropped with
         it: they are derived from the same boxed path columns.
         """
-        self._query_cache = None
+        self._query_memo = QueryColumnMemo()
         self._bound_cache = None
 
     def warm_query_caches(self) -> None:
-        """Build the query-acceleration and bound columns now.
+        """Box every path and build the bound columns now.
 
-        Live-store twin of :meth:`StoreSnapshot.warm_query_caches`: shard
-        worker processes call it once at pool start so every later query
-        finds the one-time per-version builds already done.
+        Worker pools call it before forking (and shard workers at pool
+        start), batch drivers before fanning out threads, so the fills
+        are neither raced by every thread nor repeated inside every
+        child.  The memo survives writes and compaction, so on a
+        rebuild after a version bump this boxes only the new paths.
         """
         self.finalize()
         self._query_columns()
         self.bound_columns()
 
-    def path_columns(self) -> Tuple[List[int], List[float]]:
+    def path_columns(
+        self, words: Optional[Sequence[str]] = None
+    ) -> Tuple[List[int], List[float]]:
         """``(sizes, prs)`` boxed per-path columns for bound arithmetic.
 
-        The same lists the query-acceleration cache holds (built lazily,
-        version-guarded); exposed so the bound-driven enumeration loops
-        can accumulate partial subtree sums without re-boxing array
-        elements per access.
+        The same lists the query-column memo holds, filled for ``words``
+        like :meth:`pairs_checker`; exposed so the bound-driven
+        enumeration loops can accumulate partial subtree sums without
+        re-boxing array elements per access.
         """
-        _roots, sizes, prs, _edges, _self_invalid = self._query_columns()
+        _roots, sizes, prs, _edges, _self_invalid = self._query_columns(words)
         return sizes, prs
 
     def bound_columns(self) -> tuple:
@@ -695,11 +801,12 @@ class PostingStore:
         these into admissible upper bounds on subtree and pattern scores
         (see ``docs/pruning.md``).
 
-        Cached like the query-acceleration columns: built lazily on the
-        first pruning query, version-guarded, so any mutation
-        (:meth:`append_path` / :meth:`add_posting`) invalidates it.  Cost
-        is one pass over the posting columns; size is one tuple per index
-        leaf plus one per ``(word, root)`` group.
+        Built lazily on the first pruning query and version-guarded, so
+        any mutation (:meth:`append_path` / :meth:`add_posting`)
+        invalidates it (unlike the query-column memo it aggregates over
+        postings, which a mutation re-sorts).  Cost is one pass over the
+        posting columns; size is one tuple per index leaf plus one per
+        ``(word, root)`` group.
         """
         slot = self._bound_cache
         version = self.version
@@ -762,7 +869,9 @@ class PostingStore:
             root_bounds[word] = word_root
             pattern_bounds[word] = word_pat
         cache = (root_bounds, pattern_bounds)
-        self._bound_cache = (version, cache)  # see _query_columns tagging
+        # Tag with the version captured *before* the build: if a writer
+        # bumped mid-build the slot is immediately stale and rebuilt.
+        self._bound_cache = (version, cache)
         return cache
 
     def form_tree(self, path_ids: Sequence[int]) -> bool:
@@ -777,17 +886,19 @@ class PostingStore:
         """
         return self.pairs_checker()([(path_id, 0.0) for path_id in path_ids])
 
-    def pairs_checker(self):
+    def pairs_checker(self, words: Optional[Sequence[str]] = None):
         """A tree-validity predicate over ``(path_id, sim)`` pair combos.
 
         Same rule as :meth:`form_tree`, specialized for the enumeration
         loop's native shape: the cross product yields pair combinations,
         so no id tuple is built per combination, and the returned closure
         is bound to the query-acceleration columns so the loop pays no
-        per-call column lookup.  Fetch once per enumeration run; the
-        closure is valid until the store's next mutation.
+        per-call column lookup.  Fetch once per enumeration run, passing
+        the query's ``words``: the closure then covers exactly the paths
+        those words' postings held at the call (every path with
+        ``None``), and reading any other raises.
         """
-        roots, _sizes, _prs, edges, self_invalid = self._query_columns()
+        roots, _sizes, _prs, edges, self_invalid = self._query_columns(words)
 
         def form_tree_pairs(pairs: Sequence[Tuple[int, float]]) -> bool:
             first = pairs[0][0]
@@ -823,14 +934,14 @@ class PostingStore:
         """
         return self.pairs_scorer()(list(zip(path_ids, sims)))
 
-    def pairs_scorer(self):
+    def pairs_scorer(self, words: Optional[Sequence[str]] = None):
         """``pairs -> (size, pr, sim)`` bound to the query columns.
 
         The pair-combo companion of :meth:`score_terms` (identical sums
-        and float order); fetch once per enumeration run like
-        :meth:`pairs_checker`.
+        and float order); fetch once per enumeration run, for the
+        query's ``words``, like :meth:`pairs_checker`.
         """
-        _roots, sizes, prs, _edges, _self_invalid = self._query_columns()
+        _roots, sizes, prs, _edges, _self_invalid = self._query_columns(words)
 
         def score_pairs(
             pairs: Sequence[Tuple[int, float]]
@@ -874,9 +985,11 @@ class PostingStore:
         current generation under :attr:`lock` (so it cannot observe a
         half-applied incremental update); it costs a few dict copies, not
         a data copy.  Writers proceed normally afterwards — they bump
-        :attr:`version`, and version-guarded caches (query columns, bound
-        columns, and every service-level cache keyed by ``version``)
-        invalidate, while existing snapshots stay coherent.
+        :attr:`version`, and version-guarded caches (bound columns and
+        every service-level cache keyed by ``version``) invalidate,
+        while existing snapshots stay coherent.  The query-column memo
+        is not among them: its slots are keyed by path id, so the
+        snapshot shares it and a write only leaves new slots to box.
         """
         with self.lock:
             self.finalize()
@@ -1055,9 +1168,11 @@ class StoreSnapshot:
     :class:`PostingStore`'s own code bound to state captured at snapshot
     time — pinned ``version``/``num_paths``, the finalized view dicts,
     shallow copies of the posting-column dicts — so the two code paths
-    cannot drift.  The query-acceleration and bound columns are carried
-    over when already built for the pinned version, or built lazily over
-    the pinned state (never the live store's moving columns).
+    cannot drift.  The query-column memo is the live store's own (same
+    list objects; this view fills it at most up to its pinned
+    ``num_paths``); the bound columns are carried over when already
+    built for the pinned version, or built lazily over the pinned state
+    (never the live store's moving columns).
 
     Mutators raise :class:`~repro.core.errors.PathIndexError`; anything
     else (entry materialization, the counters it feeds) delegates to the
@@ -1091,12 +1206,10 @@ class StoreSnapshot:
         self._pattern_view = store._pattern_view
         self._root_view = store._root_view
         self._root_counts = store._root_counts
-        # Derived caches: adopt when fresh, else rebuild over pinned
-        # state.  Each slot is a (version, cache) tuple read atomically.
-        slot = store._query_cache
-        self._query_cache = (
-            slot if slot is not None and slot[0] == store.version else None
-        )
+        # Path-keyed, so never stale: share the live store's memo.
+        self._query_memo = store._query_memo
+        # Bound columns: adopt when fresh, else rebuild over pinned
+        # state.  The slot is a (version, cache) tuple read atomically.
         slot = store._bound_cache
         self._bound_cache = (
             slot if slot is not None and slot[0] == store.version else None
@@ -1121,6 +1234,10 @@ class StoreSnapshot:
     path_sort_key = PostingStore.path_sort_key
     matched_node = PostingStore.matched_node
     path_columns = PostingStore.path_columns
+    _query_columns = PostingStore._query_columns
+    _box_paths = PostingStore._box_paths
+    release_query_columns = PostingStore.release_query_columns
+    warm_query_caches = PostingStore.warm_query_caches
     pairs_checker = PostingStore.pairs_checker
     pairs_scorer = PostingStore.pairs_scorer
     form_tree = PostingStore.form_tree
@@ -1151,54 +1268,33 @@ class StoreSnapshot:
     def finalize(self) -> None:
         """No-op: a snapshot is finalized by construction."""
 
-    def _build_and_donate(self, builder, cache_attr: str) -> tuple:
-        """Build a derived cache over pinned state, donating it back.
+    def _count_boxed(self, paths: int) -> None:
+        self._store._count_boxed(paths)
 
-        Runs the borrowed ``builder`` (a :class:`PostingStore` method)
-        over the snapshot's pinned state; if this was a fresh build and
-        the live store has not moved past the pinned version, the
-        ``(version, cache)`` slot is written back in one atomic
-        assignment so the *next* snapshot (and forked batch workers,
-        which inherit the parent's heap) adopt it instead of rebuilding.
-        Because version tag and cache object travel in one tuple, a
-        live-store reader racing the donation either sees the whole
-        donated slot or the previous one — never a mixed pair.
+    def bound_columns(self) -> tuple:
+        """Pinned aggregate bound columns, donated back on first build.
+
+        Runs the borrowed builder over the snapshot's pinned state; if
+        this was a fresh build and the live store has not moved past the
+        pinned version, the ``(version, cache)`` slot is written back in
+        one atomic assignment so the *next* snapshot (and forked batch
+        workers, which inherit the parent's heap) adopt it instead of
+        rebuilding.  Because version tag and cache object travel in one
+        tuple, a live-store reader racing the donation either sees the
+        whole donated slot or the previous one — never a mixed pair.
         """
-        had = getattr(self, cache_attr)
+        had = self._bound_cache
         fresh = had is not None and had[0] == self.version
-        cache = builder(self)
+        cache = PostingStore.bound_columns(self)
         if not fresh:
             store = self._store
-            live = getattr(store, cache_attr)
+            live = store._bound_cache
             if (
                 (live is None or live[0] != store.version)
                 and store.version == self.version
             ):
-                setattr(store, cache_attr, (self.version, cache))
+                store._bound_cache = (self.version, cache)
         return cache
-
-    def _query_columns(self) -> tuple:
-        """Pinned query-acceleration columns, donated back on first build."""
-        return self._build_and_donate(
-            PostingStore._query_columns, "_query_cache"
-        )
-
-    def bound_columns(self) -> tuple:
-        """Pinned aggregate bound columns, donated back on first build."""
-        return self._build_and_donate(
-            PostingStore.bound_columns, "_bound_cache"
-        )
-
-    def warm_query_caches(self) -> None:
-        """Build the query-acceleration and bound columns now.
-
-        Batch drivers call this once before fanning out workers so the
-        one-time per-snapshot builds are not raced by every thread (a
-        benign but wasteful duplication) or repeated inside every forked
-        worker (a real serial cost per child).
-        """
-        self._query_columns()
-        self.bound_columns()
 
     def num_postings(self, word: Optional[str] = None) -> int:
         """Postings *at snapshot time* (live appends are not counted)."""
@@ -1211,10 +1307,6 @@ class StoreSnapshot:
         materialization counters keep counting (the regression tests and
         benchmarks read them there)."""
         return self._store.make_entry(path_id, sim)
-
-    def release_query_columns(self) -> None:
-        self._query_cache = None
-        self._bound_cache = None
 
     def snapshot(self) -> "StoreSnapshot":
         """Snapshotting a snapshot is the identity (already pinned)."""

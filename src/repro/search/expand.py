@@ -45,16 +45,19 @@ def combo_score(
 
 
 def pair_scorer(
-    store: PostingStore, scoring: ScoringFunction
+    store: PostingStore,
+    scoring: ScoringFunction,
+    words: Optional[Sequence[str]] = None,
 ) -> Callable[[Sequence[Tuple[int, float]]], float]:
     """``pairs -> score(T, q)`` bound to store columns + scoring weights.
 
     The hot-loop scorer the algorithms hoist before their sinks: one
     closure call per valid combination, no component object and no id/sim
     tuples.  Bit-identical to :func:`combo_score` over the materialized
-    entries.
+    entries.  ``words`` are the query's keywords (see
+    :meth:`~repro.index.store.PostingStore.pairs_checker`).
     """
-    score_pairs = store.pairs_scorer()
+    score_pairs = store.pairs_scorer(words)
     subtree_score_terms = scoring.subtree_score_terms
 
     def score(pairs: Sequence[Tuple[int, float]]) -> float:
@@ -106,9 +109,9 @@ def expand_root(
     emitted combination is a tree (the check that the paper's pseudo-code
     leaves implicit); rejected combinations are counted in
     ``stats.tree_check_rejections``.  Callers looping over many roots
-    should hoist ``form_tree = store.pairs_checker()`` once per query and
-    pass it in (like they hoist :func:`pair_scorer`); it defaults to a
-    fresh fetch for one-off calls.
+    should hoist ``form_tree = store.pairs_checker(words)`` once per
+    query and pass it in (like they hoist :func:`pair_scorer`); it
+    defaults to a fresh fetch over every path for one-off calls.
 
     ``pattern_filter`` and ``key_filter`` are the bound-driven pruning
     hooks.  ``key_filter(word_index, key)`` returning ``False`` removes
@@ -185,6 +188,7 @@ def join_pattern_roots(
     scoring: ScoringFunction,
     keep_subtrees: bool,
     stats: SearchStats,
+    words: Optional[Sequence[str]] = None,
 ):
     """Evaluate one candidate tree pattern by joining paths at shared roots.
 
@@ -194,7 +198,8 @@ def join_pattern_roots(
     ``aggregate`` is ``None`` when the pattern is empty and ``trees``
     holds lazy :class:`~repro.search.result.ComboRef` subtrees.  This is
     the inner join of Algorithm 2 (lines 5-8), also reused by
-    LINEARENUM-TOPK's exact re-scoring step.
+    LINEARENUM-TOPK's exact re-scoring step.  ``words`` are the query's
+    keywords, in ``root_maps`` order (``None``: box every path).
     """
     smallest = min(root_maps, key=len)
     roots = [
@@ -207,8 +212,8 @@ def join_pattern_roots(
         return None, [], []
     aggregate = scoring.running()
     trees: List[ComboRef] = []
-    form_tree = store.pairs_checker()
-    score = pair_scorer(store, scoring)
+    form_tree = store.pairs_checker(words)
+    score = pair_scorer(store, scoring, words)
     for root in sorted(roots):
         pair_lists = [pair_rows(root_map[root]) for root_map in root_maps]
         for pair_combo in product(*pair_lists):
@@ -235,6 +240,7 @@ def expand_root_topk(
     stats: SearchStats,
     form_tree: Callable,
     sorted_pairs_memo: dict,
+    words: Optional[Sequence[str]] = None,
 ) -> None:
     """Bound-driven EXPANDROOT for *individual-subtree* top-k ranking.
 
@@ -260,13 +266,15 @@ def expand_root_topk(
     While the queue is not yet full nothing can be pruned, and the plain
     product loop runs with zero bound overhead.  ``bounds`` is the
     query's :class:`~repro.search.bounds.QueryBounds`; ``pattern_maps``
-    must be index-backed (keys are interned pattern ids).
+    must be index-backed (keys are interned pattern ids); ``words`` are
+    the query's keywords, as given to ``form_tree``'s
+    :meth:`~repro.index.store.PostingStore.pairs_checker`.
     """
     if any(not pattern_map for pattern_map in pattern_maps):
         return
     m = len(pattern_maps)
     last = m - 1
-    sizes, prs = store.path_columns()
+    sizes, prs = store.path_columns(words)
     score_upper = bounds.score_upper
     admits = threshold.admits
     key_lists = [list(pattern_map.keys()) for pattern_map in pattern_maps]

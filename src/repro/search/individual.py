@@ -94,7 +94,7 @@ def individual_topk(
     queue: TopKQueue = TopKQueue(k)
     threshold = TopKThreshold(queue)
     bounds = context.query_bounds(scoring) if prune else None
-    score = pair_scorer(store, scoring)
+    score = pair_scorer(store, scoring, context.words)
 
     def sink(key_combo, pairs) -> None:
         # Raw pairs into the queue; only the k survivors get wrapped in
@@ -103,7 +103,7 @@ def individual_topk(
         # reorders roots and posting runs).
         queue.push(score(pairs), (key_combo, pairs), tie_key=(key_combo, pairs))
 
-    form_tree = store.pairs_checker()
+    form_tree = store.pairs_checker(context.words)
     if bounds is None:
         for root in candidates:
             stats.roots_expanded += 1
@@ -135,6 +135,7 @@ def individual_topk(
                 stats,
                 form_tree,
                 sorted_pairs_memo,
+                context.words,
             )
         threshold.write_stats(stats)
 

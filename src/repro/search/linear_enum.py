@@ -84,7 +84,7 @@ def linear_enum(
 
     trees_by_pattern: Dict[PatternKey, List[EntryCombo]] = {}
     aggregates: Dict[PatternKey, RunningAggregate] = {}
-    score = pair_scorer(store, scoring)
+    score = pair_scorer(store, scoring, context.words)
 
     def sink(key_combo, pairs) -> None:
         aggregate = aggregates.get(key_combo)
@@ -95,7 +95,7 @@ def linear_enum(
         if keep_subtrees:
             trees_by_pattern[key_combo].append(ComboRef(store, pairs))
 
-    form_tree = store.pairs_checker()
+    form_tree = store.pairs_checker(context.words)
     for root in candidates:
         stats.roots_expanded += 1
         expand_root(store, context.pattern_maps(root), sink, stats, form_tree)

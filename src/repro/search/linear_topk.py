@@ -30,7 +30,7 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import SearchError
-from repro.core.topk import TopKQueue, TopKThreshold
+from repro.core.topk import TopKQueue, TopKThreshold, largest_with_ties
 from repro.core.types import PatternId
 from repro.index.builder import PathIndexes
 from repro.scoring.aggregate import AVG, RunningAggregate
@@ -112,8 +112,8 @@ def linear_topk_search(
 
     stats.candidate_roots = len(context.candidate_roots)
     by_type = context.roots_by_type(graph)
-    score = pair_scorer(store, scoring)
-    form_tree = store.pairs_checker()
+    score = pair_scorer(store, scoring, words)
+    form_tree = store.pairs_checker(words)
 
     queue: TopKQueue = TopKQueue(k)
     threshold = TopKThreshold(queue)
@@ -297,10 +297,12 @@ def linear_topk_search(
             continue
         stats.nonempty_patterns += len(aggregates)
 
-        estimated = heapq.nlargest(
-            min(k, len(aggregates)),
-            ((agg.estimate(rate), key) for key, agg in aggregates.items()),
-        )
+        # Patterns tied with this type's k-th estimate all go on: which
+        # of them is kept is the queue's call (canonical tie key), as in
+        # LINEARENUM's full ranking.
+        estimated = largest_with_ties(k, [
+            (agg.estimate(rate), key) for key, agg in aggregates.items()
+        ])
         for estimate, key in estimated:
             if rate >= 1.0:
                 aggregate = aggregates[key]
@@ -318,7 +320,8 @@ def linear_topk_search(
                     for word, pid in zip(words, key)
                 ]
                 aggregate, trees, _roots = join_pattern_roots(
-                    store, pattern_roots, scoring, keep_subtrees, stats
+                    store, pattern_roots, scoring, keep_subtrees, stats,
+                    words,
                 )
                 if aggregate is None:  # pragma: no cover - see comment above
                     continue

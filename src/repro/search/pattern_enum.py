@@ -84,8 +84,8 @@ def pattern_enum_search(
     words = context.words
     store = context.store
     pattern_first = indexes.pattern_first
-    form_tree = store.pairs_checker()
-    score = pair_scorer(store, scoring)
+    form_tree = store.pairs_checker(words)
+    score = pair_scorer(store, scoring, words)
     m = len(words)
 
     # Root types viable for *all* keywords; equivalent to the paper's loop

@@ -18,14 +18,13 @@ control flow and accounting must stay frozen in the entry-based shape.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from itertools import product
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.errors import SearchError
-from repro.core.topk import TopKQueue
+from repro.core.topk import TopKQueue, largest_with_ties
 from repro.index.builder import PathIndexes
 from repro.index.entry import PathEntry, entries_form_tree
 from repro.index.path_enum import interleaved_labels, iter_reverse_paths_to
@@ -372,10 +371,12 @@ def reference_linear_topk_search(
             continue
         stats.nonempty_patterns += len(aggregates)
 
-        estimated = heapq.nlargest(
-            min(k, len(aggregates)),
-            ((agg.estimate(rate), key) for key, agg in aggregates.items()),
-        )
+        # Patterns tied with this type's k-th estimate all go on: which
+        # of them is kept is the queue's call (canonical tie key), as in
+        # LINEARENUM's full ranking.
+        estimated = largest_with_ties(k, [
+            (agg.estimate(rate), key) for key, agg in aggregates.items()
+        ])
         for estimate, key in estimated:
             if rate >= 1.0:
                 aggregate = aggregates[key]

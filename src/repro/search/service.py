@@ -115,6 +115,11 @@ class ServiceStats:
     #: :meth:`SearchService.compact` calls + ratio-triggered
     #: auto-compacts).
     compactions: int = 0
+    #: Paths the served store has boxed into its query columns since it
+    #: was opened (mirrored from ``store.query_paths_boxed`` after each
+    #: in-process execution and pre-fork warm): what cold opens and
+    #: first reads after a write spend their time on.
+    query_paths_boxed: int = 0
     #: Guards counter increments (see class docstring); excluded from
     #: equality so two stats blocks with equal counters compare equal.
     lock: threading.Lock = field(
@@ -166,7 +171,8 @@ class ServiceStats:
             f"({self.context_hit_rate():.0%}), "
             f"resolution cache {self.resolution_hit_rate():.0%}, "
             f"{self.snapshots_taken} snapshots "
-            f"({self.invalidations} invalidations{compactions})"
+            f"({self.invalidations} invalidations{compactions}), "
+            f"{self.query_paths_boxed} query paths boxed"
         )
 
 
@@ -271,6 +277,11 @@ class SearchService:
         if snap is not None and snap.store.version == live_version:
             return snap
         with self._lock:
+            # Re-read under the lock: against the version read above, a
+            # snapshot another thread took of a *later* write would look
+            # stale, and a second snapshot of one version would be served
+            # contexts cached for the first.
+            live_version = self.indexes.store.version
             snap = self._snapshot
             if snap is not None and snap.store.version == live_version:
                 return snap  # another thread refreshed while we waited
@@ -460,7 +471,13 @@ TableAnswerEngine.search>`; on a result-cache hit the returned object
         context = self._context_for(snap, plan)
         result = execute_plan(snap, plan, context=context)
         self._remember_candidates(plan, context)
+        self._mirror_paths_boxed()
         return result
+
+    def _mirror_paths_boxed(self) -> None:
+        # An absolute, monotonic read: racing executions can at worst
+        # leave the mirror one update behind.
+        self.stats.query_paths_boxed = self.indexes.store.query_paths_boxed
 
     def search_many(
         self,

@@ -544,6 +544,10 @@ class HttpSearchServer:
             "repro_store_overlay_postings", "gauge",
             "Heap overlay postings awaiting compaction.",
         ).add({}, getattr(store, "overlay_postings", 0)))
+        families.append(MetricFamily(
+            "repro_store_query_paths_boxed_total", "counter",
+            "Paths boxed into the store's query columns since open.",
+        ).add({}, store.query_paths_boxed))
 
         # Execution backend: which spine runs cache-miss executions and
         # how wide it is.  A plain service executes on this server's

@@ -569,10 +569,13 @@ ShardedSearchService.from_file>`)."""
                 if sharded is None or sharded.store_version != version:
                     sharded = partition_indexes(snap, self.num_shards)
             # Warm in the parent, once, before the fork: every worker
-            # inherits the built query/bound columns copy-on-write
-            # (mapped stores stay lazy — columns build per queried word
-            # and are never thawed by warming).
+            # inherits the boxed query columns and the bound columns
+            # copy-on-write (a mapped store's bound columns stay lazy
+            # per queried word; warming never thaws it).  The query
+            # memo outlives the version bump that forced this rebuild,
+            # so only the paths written since the last one are boxed.
             snap.store.warm_query_caches()
+            self._mirror_paths_boxed()
             if sharded is not None:
                 for shard in sharded.shards:
                     shard.store.warm_query_caches()

@@ -48,6 +48,44 @@ class TestExactMode:
             )
 
 
+class TestTieAtTheCut:
+    """Two patterns of one root type score exactly alike at rank k: the
+    per-type pre-selection must leave the choice to the queue's
+    canonical tie key, as the full ranking does."""
+
+    QUERY = "mizoza dudoc fetibi mucufa ricili lulugo"
+
+    @pytest.fixture(scope="class")
+    def indexes(self):
+        from repro.datasets.wiki import WikiConfig, generate_wiki_graph
+
+        graph = generate_wiki_graph(WikiConfig(
+            num_entities=120, num_types=8, num_attrs=12,
+            vocabulary_size=60, seed=5,
+        ))
+        return build_indexes(graph, d=3)
+
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_rank_k_pattern_matches_full_enumeration(self, indexes, prune):
+        from repro.search.linear_enum import linear_enum_search
+        from repro.search.reference import reference_linear_topk_search
+
+        full = linear_enum_search(
+            indexes, self.QUERY, k=100, keep_subtrees=False
+        )
+        assert len(full.answers) == 100
+        assert full.scores()[98] > full.scores()[99]  # rank 100 stands alone
+        top = linear_topk_search(
+            indexes, self.QUERY, k=100, keep_subtrees=False, prune=prune
+        )
+        assert top.scores() == full.scores()
+        assert top.pattern_keys() == full.pattern_keys()
+        reference = reference_linear_topk_search(
+            indexes, self.QUERY, k=100, keep_subtrees=False
+        )
+        assert reference.pattern_keys() == full.pattern_keys()
+
+
 class TestSampling:
     @pytest.fixture(scope="class")
     def star_indexes(self):

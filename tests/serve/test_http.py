@@ -162,6 +162,7 @@ class TestRouting:
         assert (
             'repro_search_counter_total{counter="patterns_checked"}' in text
         )
+        assert "repro_store_query_paths_boxed_total" in text
 
 
 class TestCoalescing:

@@ -146,6 +146,27 @@ class TestLaziness:
         built = MappedPostingStore.words_materialized - words
         assert 0 < built <= 4 * len(query)
 
+    def test_cold_query_boxes_only_its_words_paths(
+        self, wiki_indexes, tmp_path
+    ):
+        """The first query after ``from_file`` boxes query columns for
+        the paths its words post, not for the store; warming boxes the
+        rest, each path once."""
+        path = tmp_path / "wiki.idx"
+        save_indexes(wiki_indexes, path, version=3)
+        loaded = load_indexes(path)
+        store = loaded.store
+        assert store.query_paths_boxed == 0
+        query = _query_for(wiki_indexes, num_words=3)
+        assert _all_algorithms(loaded, query) == _all_algorithms(
+            wiki_indexes, query
+        )
+        boxed = store.query_paths_boxed
+        assert 0 < boxed <= sum(store.num_postings(word) for word in query)
+        assert boxed < store.num_paths
+        store.warm_query_caches()
+        assert store.query_paths_boxed == store.num_paths
+
     def test_posting_columns_are_views(self, wiki_indexes, tmp_path):
         path = tmp_path / "wiki.idx"
         save_indexes(wiki_indexes, path, version=3)
@@ -335,6 +356,34 @@ class TestCompaction:
         _apply_updates(mapped)
         compact_indexes(mapped, path)
         assert _all_algorithms(snapshot, query) == expected
+
+    def test_query_columns_survive_compaction(self, wiki_indexes, tmp_path):
+        """Path ids and path columns are the same in the re-mapped
+        generation, so the boxed query columns are kept: the first
+        reads after ``compact`` box nothing, and a snapshot pinned
+        before it reads the same lists."""
+        path = tmp_path / "wiki.idx"
+        save_indexes(wiki_indexes, path, version=3)
+        mapped = load_indexes(path)
+        oracle = load_indexes(path)
+        oracle.store.thaw()
+        assert _apply_updates(mapped) == _apply_updates(oracle)
+        queries = (
+            _query_for(wiki_indexes),
+            ResolvedQuery(("overlayton", "riverbed")),
+        )
+        expected = [_all_algorithms(oracle, query) for query in queries]
+        pinned = mapped.snapshot()
+        assert [_all_algorithms(pinned, q) for q in queries] == expected
+        store = mapped.store
+        lists = store._query_memo.columns
+        boxed = store.query_paths_boxed
+        compact_indexes(mapped, path)
+        assert store.overlay_words == 0
+        assert [_all_algorithms(mapped, q) for q in queries] == expected
+        assert [_all_algorithms(pinned, q) for q in queries] == expected
+        assert store.query_paths_boxed == boxed
+        assert store._query_memo.columns is lists
 
     @pytest.mark.parametrize("num_shards", [2, 4])
     def test_sharded_compaction_identical(
