@@ -43,8 +43,10 @@ bundle (save → load, so workers inherit shard pages copy-free):
 * **fork-pool flood** — the identical request set through
   ``PooledSearchService`` at W processes: QPS plus a per-response
   fingerprint check against the cold engine *and* an ``include_rows``
-  body comparison against the threaded server (portable PathEntry rows
-  cross the pipe bit-identically);
+  body comparison against the threaded server (kept subtrees cross the
+  pipe as ``(path_id, sim)`` pairs, bit-identically, and serving them
+  materializes no path entry in the parent — a count gate; the rows per
+  reply are recorded ungated);
 * **fault injection** — ``arm_exit`` (deterministic mid-request death)
   + SIGKILL against live HTTP traffic: every response still 200 and
   bit-identical via inline failover, ``worker_failovers`` counted,
@@ -558,6 +560,7 @@ def run_fork(profile_name: str, k: int, out_path: str) -> int:
 
     from repro.index.mmapstore import MappedPostingStore
     from repro.index.serialize import load_indexes, save_indexes
+    from repro.index.store import PostingStore
     from repro.search.sharding import ShardedSearchService
     from repro.serve.pool import PooledSearchService
 
@@ -645,21 +648,36 @@ def run_fork(profile_name: str, k: int, out_path: str) -> int:
         f"({ratio:.2f}x threaded, {fork_checked} responses checked)"
     )
 
-    # ---- include_rows across the pipe: portable PathEntry rows -------
+    # ---- include_rows across the pipe: (path_id, sim) pairs ----------
+    # Count gate: a worker ships pairs, the parent re-binds them to its
+    # own store and renders from the path columns — serving rows must
+    # not rebuild one PathEntry in this process.
     rows_divergences = 0
+    rows_materialized = 0
+    reply_rows = []
     rows_path_template = "/search?q={q}&k=3&include_rows=1&max_rows=8"
     for text in query_texts:
         path = rows_path_template.format(q=text.replace(" ", "+"))
         status_a, body_a = _http_get(threaded_server.address, path)
+        materialized_before = PostingStore.total_entries_materialized
         status_b, body_b = _http_get(pooled_server.address, path)
+        rows_materialized += (
+            PostingStore.total_entries_materialized - materialized_before
+        )
         if (status_a, status_b) != (200, 200) or (
             _body_minus_timing(body_a) != _body_minus_timing(body_b)
         ):
             rows_divergences += 1
             divergences.append({"stage": "rows", "query": text, "k": 3})
+        if status_b == 200:
+            reply_rows.append(sum(
+                len(answer["rows"])
+                for answer in json.loads(body_b)["answers"]
+            ))
     print(
         f"include_rows: {len(query_texts)} bodies compared across "
-        f"backends, {rows_divergences} diverged"
+        f"backends, {rows_divergences} diverged, {rows_materialized} "
+        f"entries materialized in the parent, rows per reply {reply_rows}"
     )
 
     # ---- fault injection against live HTTP traffic -------------------
@@ -847,6 +865,7 @@ def run_fork(profile_name: str, k: int, out_path: str) -> int:
         "bit_identical_met": not divergences,
         "speedup_met": speedup_met,
         "rows_across_pipe_met": rows_divergences == 0,
+        "rows_entry_free_met": rows_materialized == 0,
         "failover_met": (
             fault_all_200 and failovers >= 1 and healed
             and drained_with_dead_worker
@@ -893,6 +912,8 @@ def run_fork(profile_name: str, k: int, out_path: str) -> int:
         "rows": {
             "compared": len(query_texts),
             "diverged": rows_divergences,
+            "parent_entries_materialized": rows_materialized,
+            "rows_per_reply": reply_rows,
         },
         "failover": {
             "responses_checked": fault_checked,

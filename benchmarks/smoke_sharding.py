@@ -16,7 +16,11 @@ at ``k=1`` (tight thresholds are where skipping bites):
 * **shards skipped / dispatched** — totals from ``SearchStats``;
 * **postings work avoided** — for each skipped shard, the posting-list
   entries under its candidate roots that were never scanned, as a
-  fraction of the query's total posting work.
+  fraction of the query's total posting work;
+* **count gate** — answering a request with its kept subtree rows and
+  rendering ten rows per table rebuilds no ``PathEntry`` in the
+  coordinator (workers ship ``(path_id, sim)`` pairs; rows render from
+  the path columns); the rows per reply are recorded beside it, ungated.
 
 The bench also **fails (exit 1) if no shard is ever skipped** across the
 whole grid — the bound machinery regressing to "dispatch everything"
@@ -38,6 +42,7 @@ from repro.datasets.queries import WorkloadConfig, generate_workload
 from repro.datasets.wiki import WikiConfig, generate_wiki_graph
 from repro.index.builder import ResolvedQuery, build_indexes
 from repro.index.shards import partition_indexes
+from repro.index.store import PostingStore
 from repro.search.context import EnumerationContext
 from repro.search.engine import TableAnswerEngine
 from repro.search.linear_enum import count_answers
@@ -138,7 +143,9 @@ def run(profile_name: str, k: int, out_path: str) -> int:
         sharded = partition_indexes(indexes, num_shards)
         dispatched = skipped = failovers = 0
         work_total = work_avoided = 0
+        materialized = 0
         latencies = []
+        reply_rows = []
         with ShardedSearchService(
             indexes, num_shards=num_shards, sharded=sharded
         ) as service:
@@ -151,9 +158,22 @@ def run(profile_name: str, k: int, out_path: str) -> int:
                 query_work = posting_work(snap, plan_words, candidates)
                 for kk in k_values:
                     service._results.clear()  # measure execution, not cache
+                    materialized_before = (
+                        PostingStore.total_entries_materialized
+                    )
                     started = time.perf_counter()
                     result = service.search(query, k=kk)
                     latencies.append(time.perf_counter() - started)
+                    result.tables(graph, max_rows=10)
+                    materialized += (
+                        PostingStore.total_entries_materialized
+                        - materialized_before
+                    )
+                    reply_rows.append(
+                        sum(len(a.subtrees) for a in result.answers)
+                    )
+                    # (The comparison itself materializes: it is by
+                    # entry value.)
                     if fingerprint(result) != oracle[(query, kk)]:
                         divergences.append(
                             {
@@ -180,6 +200,8 @@ def run(profile_name: str, k: int, out_path: str) -> int:
             "shards_dispatched": dispatched,
             "shards_skipped": skipped,
             "shard_failovers": failovers,
+            "coordinator_entries_materialized": materialized,
+            "reply_rows": reply_rows,
             "postings_work_total": work_total,
             "postings_work_avoided": work_avoided,
             "work_reduction": (
@@ -191,6 +213,9 @@ def run(profile_name: str, k: int, out_path: str) -> int:
         }
 
     total_skipped = sum(row["shards_skipped"] for row in per_k.values())
+    total_materialized = sum(
+        row["coordinator_entries_materialized"] for row in per_k.values()
+    )
     report = {
         "bench": "BENCH_5",
         "profile": profile_name,
@@ -205,6 +230,7 @@ def run(profile_name: str, k: int, out_path: str) -> int:
         "acceptance": {
             "bit_identical_met": not divergences,
             "shards_skipped_met": total_skipped > 0,
+            "rows_entry_free_met": total_materialized == 0,
         },
     }
     with open(out_path, "w") as handle:
@@ -229,6 +255,13 @@ def run(profile_name: str, k: int, out_path: str) -> int:
         print(
             "FAIL: no shard was ever skipped — the per-shard bounds "
             "stopped pruning",
+            file=sys.stderr,
+        )
+        return 1
+    if total_materialized:
+        print(
+            f"FAIL: serving rows materialized {total_materialized} path "
+            "entries in the coordinator",
             file=sys.stderr,
         )
         return 1

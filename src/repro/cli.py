@@ -81,7 +81,8 @@ def _format_store_line(indexes) -> str:
         f"{store.num_paths} unique paths "
         f"({store.dedup_ratio():.2f}x dedup), "
         f"{store.nbytes() / 1e6:.1f} MB columnar, "
-        f"{store.query_paths_boxed} query paths boxed"
+        f"{store.query_paths_boxed} query paths boxed, "
+        f"{store.entries_materialized} entries materialized"
     )
 
 
@@ -215,7 +216,7 @@ def _print_result(service, result, max_rows: int, explain: bool) -> int:
         )
         print(answer.pattern.format(graph, result.query))
         if answer.subtrees:
-            print(answer.to_table(graph).to_ascii(max_rows))
+            print(answer.to_table(graph, max_rows).to_ascii(max_rows))
         print()
     print(result.stats.format())
     if explain:
@@ -778,7 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--processes", type=int, default=0,
         help="fork-pool size for parallel execution (0 = off; kept "
-        "subtree rows cross back as portable PathEntry tuples)",
+        "subtree rows cross back as (path id, sim) pairs)",
     )
     batch.add_argument(
         "--no-subtrees", action="store_true",

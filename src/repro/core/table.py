@@ -16,10 +16,19 @@ joined with `` | `` and flag the column as ``multivalued``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.pattern import TreePattern
 from repro.core.subtree import ValidSubtree
+from repro.core.types import NodeId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.kg.graph import KnowledgeGraph
@@ -51,6 +60,9 @@ class TableAnswer:
     columns: List[TableColumn]
     rows: List[List[str]] = field(default_factory=list)
     score: float = 0.0
+    #: Rows the answer has in all, when the renderer was asked for the
+    #: first few only (``None``: every row is in ``rows``).
+    total_rows: Optional[int] = None
 
     @property
     def num_rows(self) -> int:
@@ -62,6 +74,10 @@ class TableAnswer:
 
     def headers(self) -> List[str]:
         return [column.header for column in self.columns]
+
+    def _rows_beyond(self, shown: int) -> int:
+        """Rows of the answer a rendering of ``shown`` rows leaves out."""
+        return max(len(self.rows), self.total_rows or 0) - shown
 
     def to_dicts(self) -> List[Dict[str, str]]:
         """Rows as header -> value dicts (headers deduplicated upstream)."""
@@ -79,8 +95,9 @@ class TableAnswer:
             return " | ".join(c.ljust(w) for c, w in zip(cells, widths))
         lines = [fmt(headers), "-+-".join("-" * w for w in widths)]
         lines.extend(fmt(row) for row in shown)
-        if len(self.rows) > max_rows:
-            lines.append(f"... ({len(self.rows) - max_rows} more rows)")
+        hidden = self._rows_beyond(len(shown))
+        if hidden > 0:
+            lines.append(f"... ({hidden} more rows)")
         return "\n".join(lines)
 
     def to_csv(self) -> str:
@@ -107,58 +124,65 @@ class TableAnswer:
             "| " + " | ".join(headers) + " |",
             "| " + " | ".join("---" for _ in headers) + " |",
         ]
-        for row in self.rows[:max_rows]:
+        shown = self.rows[:max_rows]
+        for row in shown:
             lines.append("| " + " | ".join(row) + " |")
-        if len(self.rows) > max_rows:
-            lines.append(f"| ... {len(self.rows) - max_rows} more rows | "
+        hidden = self._rows_beyond(len(shown))
+        if hidden > 0:
+            lines.append(f"| ... {hidden} more rows | "
                          + " | ".join("" for _ in headers[1:]) + " |")
         return "\n".join(lines)
 
 
 def _column_plan(
     pattern: TreePattern, graph: "KnowledgeGraph"
-) -> List[TableColumn]:
+) -> Tuple[List[TableColumn], List[List[int]]]:
     """Derive the deduplicated column list for a tree pattern.
 
     Walks every path pattern depth by depth; a column is created the first
     time a pattern prefix is seen.  Edge-matched terminals contribute a
-    column for the matched edge's target value.
+    column for the matched edge's target value.  Also returns, per keyword
+    path, the column index of every node position on it: all rows of the
+    pattern share it, so no row looks a prefix up again.
     """
     columns: List[TableColumn] = []
     seen: Dict[Tuple[int, ...], int] = {}
+    slots: List[List[int]] = []
     for path in pattern.paths:
         labels = path.labels
+        path_slots: List[int] = []
         # Node positions: prefix lengths 1, 3, 5, ... in labels; for
         # edge-matched paths the terminal target is prefix length
         # len(labels) + 1 conceptually -- we key it by the full labels
         # tuple which uniquely identifies that edge column.
-        node_prefix_lengths = list(range(1, len(labels) + 1, 2))
-        for depth, plen in enumerate(node_prefix_lengths):
+        for depth, plen in enumerate(range(1, len(labels) + 1, 2)):
             prefix = labels[:plen]
-            if prefix in seen:
-                continue
-            seen[prefix] = len(columns)
-            type_name = graph.type_name(labels[plen - 1])
-            if depth == 0:
-                header = type_name
-                qualified = type_name
-            else:
-                attr_name = graph.attr_name(labels[plen - 2])
-                prev_type = graph.type_name(labels[plen - 3])
-                header = type_name if type_name else attr_name
-                qualified = f"{prev_type}.{attr_name}.{type_name}"
-            columns.append(
-                TableColumn(
-                    header=header,
-                    qualified_name=qualified,
-                    prefix=prefix,
-                    depth=depth,
+            index = seen.get(prefix)
+            if index is None:
+                index = seen[prefix] = len(columns)
+                type_name = graph.type_name(labels[plen - 1])
+                if depth == 0:
+                    header = type_name
+                    qualified = type_name
+                else:
+                    attr_name = graph.attr_name(labels[plen - 2])
+                    prev_type = graph.type_name(labels[plen - 3])
+                    header = type_name if type_name else attr_name
+                    qualified = f"{prev_type}.{attr_name}.{type_name}"
+                columns.append(
+                    TableColumn(
+                        header=header,
+                        qualified_name=qualified,
+                        prefix=prefix,
+                        depth=depth,
+                    )
                 )
-            )
+            path_slots.append(index)
         if path.ends_at_edge:
             prefix = labels  # full labels end with the matched attr
-            if prefix not in seen:
-                seen[prefix] = len(columns)
+            index = seen.get(prefix)
+            if index is None:
+                index = seen[prefix] = len(columns)
                 attr_name = graph.attr_name(labels[-1])
                 prev_type = graph.type_name(labels[-2])
                 columns.append(
@@ -169,6 +193,8 @@ def _column_plan(
                         depth=len(labels) // 2,
                     )
                 )
+            path_slots.append(index)
+        slots.append(path_slots)
     # Disambiguate duplicate headers ("Company" appearing twice) by falling
     # back to qualified names for the duplicates.
     counts: Dict[str, int] = {}
@@ -177,7 +203,45 @@ def _column_plan(
     for column in columns:
         if counts[column.header] > 1:
             column.header = column.qualified_name
-    return columns
+    return columns, slots
+
+
+def compose_rows(
+    pattern: TreePattern,
+    rows: Iterable[Sequence[Sequence[NodeId]]],
+    graph: "KnowledgeGraph",
+    score: float = 0.0,
+    total_rows: Optional[int] = None,
+) -> TableAnswer:
+    """Build the :class:`TableAnswer` for ``pattern`` from node chains.
+
+    The one row composer.  Each of ``rows`` is a valid subtree of
+    ``pattern`` in its barest form: per keyword path, in pattern order,
+    the node ids from the root down (an edge match's target included) —
+    what the store's path columns hold, so rows render without a subtree
+    object in between.  Rows appear in input order; ``total_rows`` is
+    recorded when the caller passes only the first few.
+    """
+    columns, slots = _column_plan(pattern, graph)
+    node_text = graph.node_text
+    answer = TableAnswer(
+        pattern=pattern, columns=columns, score=score, total_rows=total_rows
+    )
+    for chains in rows:
+        cells: List[List[str]] = [[] for _ in columns]
+        for nodes, path_slots in zip(chains, slots):
+            for node, column_index in zip(nodes, path_slots):
+                value = node_text(node)
+                values = cells[column_index]
+                if value not in values:
+                    values.append(value)
+        row = []
+        for column, values in zip(columns, cells):
+            if len(values) > 1:
+                column.multivalued = True
+            row.append(" | ".join(values))
+        answer.rows.append(row)
+    return answer
 
 
 def compose_table(
@@ -191,26 +255,9 @@ def compose_table(
     Every subtree must have pattern equal to ``pattern`` (callers obtain
     them grouped from the search algorithms); rows appear in input order.
     """
-    columns = _column_plan(pattern, graph)
-    index_of_prefix = {column.prefix: i for i, column in enumerate(columns)}
-    answer = TableAnswer(pattern=pattern, columns=columns, score=score)
-    for subtree in subtrees:
-        cells: List[List[str]] = [[] for _ in columns]
-        for path, path_pattern in zip(subtree.paths, pattern.paths):
-            labels = path_pattern.labels
-            for depth, node in enumerate(path.nodes):
-                if path.matched_on_edge and depth == len(path.nodes) - 1:
-                    prefix = labels  # terminal value column of an edge match
-                else:
-                    prefix = labels[: 2 * depth + 1]
-                column_index = index_of_prefix[prefix]
-                value = graph.node_text(node)
-                if value not in cells[column_index]:
-                    cells[column_index].append(value)
-        row = []
-        for i, values in enumerate(cells):
-            if len(values) > 1:
-                columns[i].multivalued = True
-            row.append(" | ".join(values))
-        answer.rows.append(row)
-    return answer
+    return compose_rows(
+        pattern,
+        ([path.nodes for path in subtree.paths] for subtree in subtrees),
+        graph,
+        score=score,
+    )

@@ -68,21 +68,22 @@ class PathEntry(NamedTuple):
         )
 
 
-def entries_form_tree(entries: Sequence[PathEntry]) -> bool:
-    """Fast tree-validity check for a root-joined entry combination.
+def chains_form_tree(
+    chains: Sequence[Tuple[Tuple[NodeId, ...], Tuple[AttrId, ...]]],
+) -> bool:
+    """Tree-validity check for root-joined paths given as bare
+    ``(nodes, attrs)`` chains — the store's path columns, or entries.
 
     Equivalent to :func:`repro.core.subtree.combine_paths` returning
     non-None, but avoids allocating :class:`MatchPath`/:class:`ValidSubtree`
-    objects in the enumeration hot loop: a combination is a tree iff no
-    node acquires two distinct parent edges and no edge re-enters the root.
+    objects: a combination is a tree iff no node acquires two distinct
+    parent edges and no edge re-enters the root.
     """
-    root = entries[0].nodes[0]
+    root = chains[0][0][0]
     parent: Dict[NodeId, Tuple[NodeId, AttrId]] = {}
-    for entry in entries:
-        if entry.nodes[0] != root:
+    for nodes, attrs in chains:
+        if nodes[0] != root:
             return False
-        nodes = entry.nodes
-        attrs = entry.attrs
         for i, attr in enumerate(attrs):
             child = nodes[i + 1]
             if child == root:
@@ -94,6 +95,11 @@ def entries_form_tree(entries: Sequence[PathEntry]) -> bool:
             elif existing != edge:
                 return False
     return True
+
+
+def entries_form_tree(entries: Sequence[PathEntry]) -> bool:
+    """:func:`chains_form_tree` over a root-joined entry combination."""
+    return chains_form_tree([(entry.nodes, entry.attrs) for entry in entries])
 
 
 def subtree_from_entries(

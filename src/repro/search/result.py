@@ -10,13 +10,26 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import (
+    TYPE_CHECKING,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.pattern import PathPattern, TreePattern
 from repro.core.subtree import ValidSubtree
-from repro.core.table import TableAnswer, compose_table
-from repro.core.types import PatternId
-from repro.index.entry import PathEntry, subtree_from_entries
+from repro.core.table import TableAnswer, compose_rows
+from repro.core.types import AttrId, NodeId, PatternId
+from repro.index.entry import (
+    PathEntry,
+    chains_form_tree,
+    subtree_from_entries,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.index.builder import PathIndexes
@@ -29,6 +42,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: combo and compares equal to a :class:`ComboRef` over the same paths.
 EntryCombo = Sequence[PathEntry]
 
+#: One path as the bare ``(nodes, attrs)`` its row and tree check need.
+PathChain = Tuple[Tuple[NodeId, ...], Tuple[AttrId, ...]]
+
 
 class ComboRef(Sequence):
     """One valid subtree held as store-native scalars.
@@ -37,10 +53,16 @@ class ComboRef(Sequence):
     when a subtree must be *kept* (``keep_subtrees=True``) it is captured
     as this reference — the backing :class:`~repro.index.store.PostingStore`
     plus parallel ``(path_id, sim)`` tuples — and the entries are
-    reconstructed lazily (and cached) on first element access.  Equality
+    reconstructed lazily (and cached) on first element access.  Rendering
+    a table row does not need them: :meth:`chains` reads the node and
+    attribute chains straight from the store's path columns.  Equality
     and hashing are by materialized entry values, so combos from different
     stores (built vs loaded, index vs baseline scratch) and plain entry
     tuples all compare interchangeably.
+
+    The reference itself never crosses a process boundary (it would drag
+    the store along); :func:`portable_combos` / :func:`bind_combos` ship
+    ``pairs`` and re-bind them to the receiver's copy of the store.
     """
 
     __slots__ = ("_store", "pairs", "_entries", "_hash")
@@ -73,6 +95,15 @@ class ComboRef(Sequence):
             )
         return entries
 
+    def chains(self) -> List[PathChain]:
+        """Every path's ``(nodes, attrs)``, read from the path columns
+        (no :class:`PathEntry` is built, nothing is counted)."""
+        store = self._store
+        return [
+            (store.path_nodes(path_id), store.path_attrs(path_id))
+            for path_id, _sim in self.pairs
+        ]
+
     def __len__(self) -> int:
         return len(self.pairs)
 
@@ -99,6 +130,35 @@ class ComboRef(Sequence):
 
     def __repr__(self) -> str:
         return f"ComboRef({self.pairs!r})"
+
+
+def portable_combos(subtrees: Sequence[EntryCombo]) -> List[tuple]:
+    """Kept subtrees in the form that crosses a pipe.
+
+    A :class:`ComboRef` travels as its ``pairs`` — ints and floats only,
+    never the store it points into.  Plain :class:`PathEntry` combos (the
+    baseline's) are self-contained and travel as they are.
+    """
+    return [
+        combo.pairs if isinstance(combo, ComboRef) else tuple(combo)
+        for combo in subtrees
+    ]
+
+
+def bind_combos(
+    combos: Sequence[tuple], store: "PostingStore"
+) -> List[EntryCombo]:
+    """Undo :func:`portable_combos` on the receiving side.
+
+    ``store`` must be the receiver's copy of the store the sender ran
+    on: path ids are append-only and every worker is forked from (and
+    re-forked with) the version it serves, so the ids name the same
+    paths on both sides.
+    """
+    return [
+        combo if isinstance(combo[0], PathEntry) else ComboRef(store, combo)
+        for combo in combos
+    ]
 
 
 @dataclass
@@ -213,11 +273,31 @@ class PatternAnswer:
                 trees.append(tree)
         return trees
 
+    def _tree_chains(self) -> Iterator[List[PathChain]]:
+        """The kept subtrees as path chains, in order, skipping what
+        :meth:`materialize` skips (empty or non-tree combinations)."""
+        for combo in self.subtrees:
+            if isinstance(combo, ComboRef):
+                chains = combo.chains()
+            else:
+                chains = [(entry.nodes, entry.attrs) for entry in combo]
+            if chains and chains_form_tree(chains):
+                yield chains
+
     def to_table(self, graph, max_rows: Optional[int] = None) -> TableAnswer:
-        subtrees = self.materialize()
-        if max_rows is not None:
-            subtrees = subtrees[:max_rows]
-        return compose_table(self.pattern, subtrees, graph, score=self.score)
+        """The table answer, reading only the combos of the rows asked
+        for and building no entry, match path or subtree object."""
+        rows = (
+            [nodes for nodes, _attrs in chains]
+            for chains in islice(self._tree_chains(), max_rows)
+        )
+        return compose_rows(
+            self.pattern,
+            rows,
+            graph,
+            score=self.score,
+            total_rows=len(self.subtrees),
+        )
 
 
 @dataclass
@@ -268,6 +348,44 @@ def pattern_from_key(
     return TreePattern(
         tuple(indexes.interner.pattern(pid) for pid in key)
     )
+
+
+def portable_answers(answers: Sequence[PatternAnswer]) -> List[tuple]:
+    """Ranked answers as the plain rows a worker sends over its pipe:
+    ``(score, pattern_key, num_subtrees, combos, estimated_score)`` with
+    the combos of :func:`portable_combos`.  Pattern ids are global (the
+    interner is shared by a bundle, its snapshots and its shards)."""
+    return [
+        (
+            answer.score,
+            answer.pattern_key,
+            answer.num_subtrees,
+            portable_combos(answer.subtrees),
+            answer.estimated_score,
+        )
+        for answer in answers
+    ]
+
+
+def bind_answers(
+    rows: Sequence[tuple],
+    indexes: "PathIndexes",
+    stores: Iterable["PostingStore"],
+) -> List[PatternAnswer]:
+    """Undo :func:`portable_answers`; ``stores`` names, row by row, the
+    receiver's copy of the store the answer's combos were enumerated
+    on (see :func:`bind_combos`)."""
+    return [
+        PatternAnswer(
+            pattern_key=key,
+            pattern=pattern_from_key(indexes, key),
+            score=score,
+            num_subtrees=count,
+            subtrees=bind_combos(combos, store),
+            estimated_score=estimated,
+        )
+        for (score, key, count, combos, estimated), store in zip(rows, stores)
+    ]
 
 
 def canonical_pattern_key(pattern: TreePattern) -> Tuple:

@@ -26,17 +26,18 @@ makes concurrent serving safe while the incremental index mutates:
   :class:`~repro.search.result.SearchResult` objects keyed by
   :attr:`~repro.search.plan.QueryPlan.cache_key`.
 
-Every cache entry is tagged with the store version it was computed at
-and ignored when it does not match the version being served, so a writer
-racing a reader can at worst cause recomputation, never a stale answer.
+Every cache entry is tagged with what it was computed on — results with
+the store version, fragments with the snapshot itself — and ignored when
+the tag does not match what is being served, so a writer racing a reader
+can at worst cause recomputation, never a stale answer.
 
 Batch execution (:meth:`SearchService.search_many`) plans every query
 up front, deduplicates equal plans, and executes the remainder on a
 thread pool over one shared snapshot (CPython threads interleave rather
 than parallelize CPU-bound work, but the shared snapshot and caches are
 what matter; pass ``processes=N`` on fork-capable platforms for true
-parallel execution — kept subtrees cross back as portable
-``PathEntry`` tuples).
+parallel execution — kept subtrees cross back as ``(path_id, sim)``
+pairs and are re-bound to the parent's snapshot store).
 
 Everything served is **bit-identical** to a cold
 ``TableAnswerEngine.search()`` — caches only ever short-circuit pure
@@ -64,7 +65,7 @@ from repro.search.plan import (
     plan_search,
     reject_plan_overrides,
 )
-from repro.search.result import SearchResult
+from repro.search.result import SearchResult, bind_combos, portable_combos
 
 
 @dataclass
@@ -120,6 +121,13 @@ class ServiceStats:
     #: in-process execution and pre-fork warm): what cold opens and
     #: first reads after a write spend their time on.
     query_paths_boxed: int = 0
+    #: :class:`~repro.index.entry.PathEntry` objects the served store has
+    #: rebuilt since it was opened (mirrored from
+    #: ``store.entries_materialized`` beside the counter above).
+    #: Enumeration, the worker pipes and row rendering build none, so a
+    #: number that grows with traffic says requests are leaving the
+    #: entry-free path (comparing or hashing kept subtrees does).
+    entries_materialized: int = 0
     #: Guards counter increments (see class docstring); excluded from
     #: equality so two stats blocks with equal counters compare equal.
     lock: threading.Lock = field(
@@ -172,7 +180,8 @@ class ServiceStats:
             f"resolution cache {self.resolution_hit_rate():.0%}, "
             f"{self.snapshots_taken} snapshots "
             f"({self.invalidations} invalidations{compactions}), "
-            f"{self.query_paths_boxed} query paths boxed"
+            f"{self.query_paths_boxed} query paths boxed, "
+            f"{self.entries_materialized} entries materialized"
         )
 
 
@@ -186,10 +195,11 @@ def _fork_execute(plan: QueryPlan) -> SearchResult:
     result = _FORK_SERVICE.execute(plan)
     for answer in result.answers:
         # Kept subtree combos are ComboRef views holding a store
-        # reference; materialize them to value-equal PathEntry tuples in
-        # the child — the same portable-row form the shard and HTTP fork
-        # pools ship — so the result can be pickled back to the parent.
-        answer.subtrees = [tuple(combo) for combo in answer.subtrees]
+        # reference; strip them to their (path_id, sim) pairs in the
+        # child — the same portable form the shard and HTTP fork pools
+        # ship — so the result can be pickled back to the parent, which
+        # re-binds them to the snapshot this child was forked with.
+        answer.subtrees = portable_combos(answer.subtrees)
     return result
 
 
@@ -231,18 +241,22 @@ class SearchService:
         #: snapshot they grabbed.
         self._lock = threading.Lock()
         self._snapshot: Optional[PathIndexes] = None
-        # Cache values are (store_version, payload): an entry whose tag
+        # Result values are (store_version, payload): an entry whose tag
         # does not match the serving snapshot's version is a miss, so a
         # writer racing these dicts can only cause recomputation.
         self._results: "OrderedDict[Tuple, Tuple[int, SearchResult]]" = (
             OrderedDict()
         )
-        self._contexts: "OrderedDict[Tuple[str, ...], Tuple[int, EnumerationContext]]" = (
+        # Fragment values are (snapshot, payload), matched by identity:
+        # invalidate() replaces the snapshot without a version change,
+        # and a context only executes against the snapshot it was built
+        # on — a reader still on the dropped one may publish late.
+        self._contexts: "OrderedDict[Tuple[str, ...], Tuple[PathIndexes, EnumerationContext]]" = (
             OrderedDict()
         )
         # Bounded like the context tier (it grows at the same rate: one
         # entry per distinct keyword set served).
-        self._candidates: "OrderedDict[FrozenSet[str], Tuple[int, List[int]]]" = (
+        self._candidates: "OrderedDict[FrozenSet[str], Tuple[PathIndexes, List[int]]]" = (
             OrderedDict()
         )
 
@@ -471,13 +485,15 @@ TableAnswerEngine.search>`; on a result-cache hit the returned object
         context = self._context_for(snap, plan)
         result = execute_plan(snap, plan, context=context)
         self._remember_candidates(plan, context)
-        self._mirror_paths_boxed()
+        self._mirror_store_counters()
         return result
 
-    def _mirror_paths_boxed(self) -> None:
-        # An absolute, monotonic read: racing executions can at worst
-        # leave the mirror one update behind.
-        self.stats.query_paths_boxed = self.indexes.store.query_paths_boxed
+    def _mirror_store_counters(self) -> None:
+        # Absolute, monotonic reads: racing executions can at worst
+        # leave a mirror one update behind.
+        store = self.indexes.store
+        self.stats.query_paths_boxed = store.query_paths_boxed
+        self.stats.entries_materialized = store.entries_materialized
 
     def search_many(
         self,
@@ -498,9 +514,8 @@ TableAnswerEngine.search>`; on a result-cache hit the returned object
         inline).  ``processes=N`` (N >= 1; always forks, so ``1`` is a
         single isolated worker, not inline) instead forks workers for
         genuinely parallel execution on a platform with ``fork``; kept
-        subtrees come back as materialized, value-equal
-        :class:`~repro.index.entry.PathEntry` tuples (combos are
-        portable-ized in the child before crossing the pipe).
+        subtrees cross the pipe as ``(path_id, sim)`` pairs and come
+        back bound to the batch's snapshot, like an inline execution's.
         """
         if processes and threads:
             raise SearchError("pass threads= or processes=, not both")
@@ -535,7 +550,7 @@ TableAnswerEngine.search>`; on a result-cache hit the returned object
                 # threads would race the same (idempotent) work.
                 snap.store.warm_query_caches()
             if processes > 0:
-                results = self._execute_forked(pending, processes)
+                results = self._execute_forked(snap, pending, processes)
             elif threads > 1:
                 with ThreadPoolExecutor(max_workers=threads) as pool:
                     results = list(pool.map(run, pending))
@@ -551,7 +566,7 @@ TableAnswerEngine.search>`; on a result-cache hit the returned object
         return slots
 
     def _execute_forked(
-        self, pending: List[QueryPlan], processes: int
+        self, snap: PathIndexes, pending: List[QueryPlan], processes: int
     ) -> List[SearchResult]:
         import multiprocessing
 
@@ -563,9 +578,13 @@ TableAnswerEngine.search>`; on a result-cache hit the returned object
         _FORK_SERVICE = self
         try:
             with fork.Pool(processes=processes) as pool:
-                return pool.map(_fork_execute, pending)
+                results = pool.map(_fork_execute, pending)
         finally:
             _FORK_SERVICE = None
+        for result in results:
+            for answer in result.answers:
+                answer.subtrees = bind_combos(answer.subtrees, snap.store)
+        return results
 
     # -------------------------------------------------------------- caching
 
@@ -621,17 +640,16 @@ TableAnswerEngine.search>`; on a result-cache hit the returned object
         permutation of the same keyword set.
         """
         words = plan.words
-        version = snap.store.version
         candidates = None
         with self._lock:
             slot = self._contexts.get(words)
-            if slot is not None and slot[0] == version:
+            if slot is not None and slot[0] is snap:
                 self._contexts.move_to_end(words)
                 self.stats.bump(context_hits=1)
                 return slot[1]
             self.stats.bump(context_misses=1)
             fragment = self._candidates.get(frozenset(words))
-            if fragment is not None and fragment[0] == version:
+            if fragment is not None and fragment[0] is snap:
                 candidates = fragment[1]
                 self.stats.bump(candidate_hits=1)
         context = EnumerationContext(
@@ -639,9 +657,9 @@ TableAnswerEngine.search>`; on a result-cache hit the returned object
         )
         with self._lock:
             slot = self._contexts.get(words)
-            if slot is not None and slot[0] == version:
+            if slot is not None and slot[0] is snap:
                 return slot[1]  # lost a benign race; share the winner
-            self._contexts[words] = (version, context)
+            self._contexts[words] = (snap, context)
             self._contexts.move_to_end(words)
             while len(self._contexts) > self.max_cached_contexts:
                 self._contexts.popitem(last=False)
@@ -657,10 +675,11 @@ TableAnswerEngine.search>`; on a result-cache hit the returned object
         if candidates is None:
             return
         key = frozenset(plan.words)
+        snap = context.indexes
         with self._lock:
             slot = self._candidates.get(key)
-            if slot is None or slot[0] != plan.store_version:
-                self._candidates[key] = (plan.store_version, candidates)
+            if slot is None or slot[0] is not snap:
+                self._candidates[key] = (snap, candidates)
                 self._candidates.move_to_end(key)
                 while len(self._candidates) > self.max_cached_contexts:
                     self._candidates.popitem(last=False)

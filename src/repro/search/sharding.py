@@ -38,10 +38,12 @@ exactly as the plain service would run them: the ``baseline`` (walks the
 live graph, not the store), sampled LETopK (its RNG stream is drawn over
 the *global* candidate ordering — per-shard streams would diverge), and
 that is all; ``pattern_enum``, exact ``linear_topk``, and ``linear_full``
-all shard.  Kept subtrees cross the pipe as materialized
-:class:`~repro.index.entry.PathEntry` tuples (value-equal to the
-unsharded ``ComboRef`` combos), so — unlike ``search_many(processes=N)``
-— the sharded path supports ``keep_subtrees=True``.
+all shard.  Kept subtrees cross the pipe as their ``(path_id, sim)``
+pairs (:func:`~repro.search.result.portable_answers`) and the
+coordinator re-binds them, as ``ComboRef`` combos, to its own copy of
+the shard store the worker was forked from — value-equal to the
+unsharded combos, with no :class:`~repro.index.entry.PathEntry` built
+on either side of the pipe.
 
 Worker death (crash, OOM-kill) is detected by poll timeout / liveness
 checks on the pipe; the coordinator re-executes the lost shard inline
@@ -55,6 +57,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import SearchError
@@ -69,9 +72,10 @@ from repro.search.result import (
     SearchResult,
     SearchStats,
     Stopwatch,
+    bind_answers,
     canonical_pattern_key,
     order_answers,
-    pattern_from_key,
+    portable_answers,
 )
 from repro.search.service import SearchService
 
@@ -131,27 +135,19 @@ def execute_shard_plan(
 
     The worker-side (and inline-failover) execution step.  Answers are
     flattened to plain picklable tuples
-    ``(score, pattern_key, num_subtrees, combos, estimated_score)``:
-    pattern ids are global (the shards share the base interner), and kept
-    subtrees are materialized to :class:`~repro.index.entry.PathEntry`
-    tuples because a ``ComboRef`` holds a store reference that must not
-    cross the pipe.  ``allow_stale=True`` because the shard store keeps
+    ``(score, pattern_key, num_subtrees, combos, estimated_score)``
+    (:func:`~repro.search.result.portable_answers`): pattern ids are
+    global (the shards share the base interner), and kept subtrees go
+    as their ``(path_id, sim)`` pairs because a ``ComboRef`` holds a
+    store reference that must not cross the pipe.  The ids are the
+    shard store's own; the receiver binds them to its copy of that
+    store.  ``allow_stale=True`` because the shard store keeps
     its own version counter, intentionally different from the base
     version the plan was resolved against (the coordinator already
     version-checked the plan against the serving snapshot).
     """
     result = execute_plan(shard, plan, allow_stale=True)
-    portable = [
-        (
-            answer.score,
-            answer.pattern_key,
-            answer.num_subtrees,
-            [tuple(combo) for combo in answer.subtrees],
-            answer.estimated_score,
-        )
-        for answer in result.answers
-    ]
-    return portable, result.stats
+    return portable_answers(result.answers), result.stats
 
 
 def shard_upper_bounds(
@@ -180,7 +176,6 @@ def shard_upper_bounds(
 
 
 def execute_sharded_plan(
-    snap: PathIndexes,
     plan: QueryPlan,
     sharded: ShardedIndexes,
     uppers: List[float],
@@ -189,12 +184,13 @@ def execute_sharded_plan(
 ) -> SearchResult:
     """The scatter–gather merge loop, parameterized over shard execution.
 
-    ``run_shard(shard_id)`` returns the portable
-    ``(answers, stats)`` pair of :func:`execute_shard_plan` — from a
-    worker pipe (:class:`ShardedSearchService`), inline failover, or an
-    in-process loop (the fork-pool workers of :mod:`repro.serve.pool`
-    run their inherited partition through this same function, so the
-    two execution spines cannot drift).  Shards are visited
+    ``run_shard(shard_id)`` returns the shard's ranked
+    :class:`~repro.search.result.PatternAnswer` list and its stats —
+    bound from a worker's reply or from inline failover
+    (:class:`ShardedSearchService`), or straight from an in-process
+    run (the fork-pool workers of :mod:`repro.serve.pool` run their
+    inherited partition through this same function, so the two
+    execution spines cannot drift).  Shards are visited
     best-bound-first and skipped once the running k-th score disproves
     their upper bound; answers merge under a single global
     :class:`~repro.core.topk.TopKQueue` with canonical tie keys —
@@ -225,25 +221,18 @@ def execute_sharded_plan(
             stats.shards_skipped += 1
             continue
         dispatched.append(shard_id)
-        portable, shard_stats = run_shard(shard_id)
+        shard_answers, shard_stats = run_shard(shard_id)
         for name in _ADDITIVE_COUNTERS:
             setattr(
                 stats,
                 name,
                 getattr(stats, name) + getattr(shard_stats, name),
             )
-        for score, key, count, combos, estimated in portable:
-            pattern = pattern_from_key(snap, key)
-            answer = PatternAnswer(
-                pattern_key=key,
-                pattern=pattern,
-                score=score,
-                num_subtrees=count,
-                subtrees=list(combos),
-                estimated_score=estimated,
-            )
+        for answer in shard_answers:
             queue.push(
-                score, answer, tie_key=canonical_pattern_key(pattern)
+                answer.score,
+                answer,
+                tie_key=canonical_pattern_key(answer.pattern),
             )
     stats.shard_dispatch_order = tuple(dispatched)
     threshold.write_stats(stats)
@@ -610,7 +599,7 @@ class ShardedSearchService(SearchService):
 
     # ----------------------------------------------------------- execution
 
-    def _execute_forked(self, pending, processes):
+    def _execute_forked(self, snap, pending, processes):
         raise SearchError(
             "search_many(processes=N) is disabled on ShardedSearchService: "
             "forked batch children would share the shard workers' pipes; "
@@ -628,15 +617,19 @@ class ShardedSearchService(SearchService):
             uppers = self._shard_bounds(snap, plan, context, sharded)
 
             def run_shard(shard_id: int):
+                shard = sharded.shards[shard_id]
                 try:
-                    return pool.execute(shard_id, plan)
+                    rows, shard_stats = pool.execute(shard_id, plan)
                 except ShardWorkerError:
                     failovers[0] += 1
                     pool.respawn(shard_id)
-                    return execute_shard_plan(sharded.shards[shard_id], plan)
+                    rows, shard_stats = execute_shard_plan(shard, plan)
+                # The worker was forked from this very shard bundle, so
+                # its path ids are this store's.
+                answers = bind_answers(rows, snap, repeat(shard.store))
+                return answers, shard_stats
 
             result = execute_sharded_plan(
-                snap,
                 plan,
                 sharded,
                 uppers,

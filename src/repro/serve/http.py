@@ -548,6 +548,11 @@ class HttpSearchServer:
             "repro_store_query_paths_boxed_total", "counter",
             "Paths boxed into the store's query columns since open.",
         ).add({}, store.query_paths_boxed))
+        families.append(MetricFamily(
+            "repro_store_entries_materialized_total", "counter",
+            "PathEntry objects rebuilt from the store's path columns "
+            "since open (0 while requests stay on the entry-free path).",
+        ).add({}, store.entries_materialized))
 
         # Execution backend: which spine runs cache-miss executions and
         # how wide it is.  A plain service executes on this server's

@@ -23,9 +23,12 @@ Division of labor — the parent keeps every piece of dispatch state:
   copy-on-write) and answer canonical
   :class:`~repro.search.plan.QueryPlan` objects over tagged duplex
   pipes with the portable ``(score, pattern_key, num_subtrees,
-  PathEntry-tuple combos, estimated_score)`` rows of
-  :func:`~repro.search.sharding.execute_shard_plan`, so
-  ``include_rows=True`` works across the pipe.
+  (path_id, sim)-pair combos, estimated_score)`` rows of
+  :func:`~repro.search.result.portable_answers`; the parent re-binds
+  the pairs to its own snapshot's store (or, under ``--shards``, to its
+  own copy of the shard the reply names per answer), so
+  ``include_rows=True`` works across the pipe without an entry being
+  built on either side.
 
 Invalidation is the service's own version-guard protocol, one level up:
 the pool is tagged with the store version it was forked at, and a
@@ -58,15 +61,16 @@ import os
 import queue
 import threading
 import time
-from typing import List, Optional
+from itertools import repeat
+from typing import Dict, List, Optional
 
 from repro.core.errors import SearchError
 from repro.index.builder import PathIndexes
 from repro.index.shards import ShardedIndexes, partition_indexes
 from repro.scoring.function import PAPER_DEFAULT, ScoringFunction
 from repro.search.context import EnumerationContext
-from repro.search.plan import QueryPlan
-from repro.search.result import PatternAnswer, SearchResult, pattern_from_key
+from repro.search.plan import QueryPlan, execute_plan
+from repro.search.result import SearchResult, bind_answers, portable_answers
 from repro.search.service import SearchService
 from repro.search.sharding import (
     execute_shard_plan,
@@ -85,37 +89,44 @@ class PoolWorkerError(SearchError):
 def _execute_portable(
     bundle: PathIndexes, sharded: Optional[ShardedIndexes], plan: QueryPlan
 ):
-    """Worker-side execution: a plan in, portable answers + stats out.
+    """Worker-side execution: a plan in, ``(portable answers, stats,
+    shard ids)`` out.
 
     Plain pools (and non-shardable plans on sharded pools) run the whole
-    plan against the inherited snapshot; sharded pools run the inline
-    scatter–gather merge loop over the inherited partition — the same
-    :func:`execute_sharded_plan` the sharded coordinator uses, so the
-    two spines produce bit-identical answers by construction.
+    plan against the inherited snapshot; their path ids are the
+    snapshot store's and the shard ids are ``None``.  Sharded pools run
+    the inline scatter–gather merge loop over the inherited partition —
+    the same :func:`execute_sharded_plan` the sharded coordinator uses,
+    so the two spines produce bit-identical answers by construction —
+    and name, answer by answer, the shard whose store the answer's path
+    ids belong to (a pattern lives in exactly one shard).
     """
     if sharded is None or not plan_shardable(plan):
-        return execute_shard_plan(bundle, plan)
+        return execute_shard_plan(bundle, plan) + (None,)
     context = EnumerationContext(bundle, plan.resolved_query())
     uppers = shard_upper_bounds(sharded, context, plan.scoring)
+    shard_of: Dict[tuple, int] = {}
+
+    def run_shard(shard_id: int):
+        result = execute_plan(
+            sharded.shards[shard_id], plan, allow_stale=True
+        )
+        for answer in result.answers:
+            shard_of[answer.pattern_key] = shard_id
+        return result.answers, result.stats
+
     result = execute_sharded_plan(
-        bundle,
         plan,
         sharded,
         uppers,
-        lambda shard_id: execute_shard_plan(sharded.shards[shard_id], plan),
+        run_shard,
         candidate_roots=len(context.candidate_roots),
     )
-    portable = [
-        (
-            answer.score,
-            answer.pattern_key,
-            answer.num_subtrees,
-            [tuple(combo) for combo in answer.subtrees],
-            answer.estimated_score,
-        )
-        for answer in result.answers
-    ]
-    return portable, result.stats
+    return (
+        portable_answers(result.answers),
+        result.stats,
+        [shard_of[answer.pattern_key] for answer in result.answers],
+    )
 
 
 def _pool_worker_main(
@@ -124,7 +135,7 @@ def _pool_worker_main(
     """One pool worker: handshake, then serve plans until told to stop.
 
     Protocol (all tuples): receives ``("execute", tag, plan)`` and
-    answers ``("ok", tag, (portable_answers, stats))`` or
+    answers ``("ok", tag, (portable_answers, stats, shard_ids))`` or
     ``("error", tag, message)``; ``("stop",)`` exits cleanly;
     ``("exit",)`` hard-kills immediately and ``("arm_exit",)`` arms a
     hard kill *after the next plan is received but before it is
@@ -575,7 +586,7 @@ ShardedSearchService.from_file>`)."""
             # memo outlives the version bump that forced this rebuild,
             # so only the paths written since the last one are boxed.
             snap.store.warm_query_caches()
-            self._mirror_paths_boxed()
+            self._mirror_store_counters()
             if sharded is not None:
                 for shard in sharded.shards:
                     shard.store.warm_query_caches()
@@ -601,7 +612,7 @@ ShardedSearchService.from_file>`)."""
     def _plan_poolable(self, plan: QueryPlan) -> bool:
         return plan.algorithm != "baseline"
 
-    def _execute_forked(self, pending, processes):
+    def _execute_forked(self, snap, pending, processes):
         raise SearchError(
             "search_many(processes=N) is disabled on PooledSearchService: "
             "forked batch children would share the pool workers' pipes; "
@@ -615,31 +626,24 @@ ShardedSearchService.from_file>`)."""
             return super()._execute_on(snap, plan)
         pool = self._ensure_pool(snap)
         try:
-            portable, stats = pool.execute(plan)
+            rows, stats, shards = pool.execute(plan)
         except PoolWorkerError:
             # Inline failover: the request still gets its bit-identical
             # answer from the parent's own snapshot; the dead slot was
             # respawned by the pool before the error reached us.
             self.stats.bump(worker_failovers=1)
             return super()._execute_on(snap, plan)
-        answers = []
-        for score, key, count, combos, estimated in portable:
-            pattern = pattern_from_key(snap, key)
-            answers.append(
-                PatternAnswer(
-                    pattern_key=key,
-                    pattern=pattern,
-                    score=score,
-                    num_subtrees=count,
-                    subtrees=list(combos),
-                    estimated_score=estimated,
-                )
-            )
+        # The workers were forked from this pool's bundle and partition
+        # at this store version, so their path ids are ours.
+        if shards is None:
+            stores = repeat(snap.store)
+        else:
+            stores = [pool.sharded.shards[shard].store for shard in shards]
         return SearchResult(
             query=plan.words,
             k=plan.k,
             d=plan.d,
-            answers=answers,
+            answers=bind_answers(rows, snap, stores),
             stats=stats,
         )
 

@@ -180,6 +180,51 @@ class TestInvalidation:
         result = service.search(QUERY, k=3)
         assert not result.stats.from_result_cache
 
+    def test_context_of_a_dropped_snapshot_is_not_served(
+        self, example_indexes, monkeypatch
+    ):
+        # invalidate() replaces the snapshot without a version change.
+        # A reader still on the old one publishes its context late; the
+        # next reader, on the new snapshot of the same version, must not
+        # be handed it ("built for a different index").
+        import repro.search.service as service_module
+
+        service = SearchService(example_indexes)
+        plan = service.plan(QUERY, k=3)
+        first = service.snapshot()
+        built, publish = threading.Event(), threading.Event()
+        real_context = service_module.EnumerationContext
+
+        def slow_context(snap, query, **kwargs):
+            context = real_context(snap, query, **kwargs)
+            if snap is first:
+                built.set()
+                assert publish.wait(timeout=30)
+            return context
+
+        monkeypatch.setattr(
+            service_module, "EnumerationContext", slow_context
+        )
+        results = []
+        reader = threading.Thread(
+            target=lambda: results.append(service.search(plan=plan))
+        )
+        reader.start()
+        assert built.wait(timeout=30)
+        service.invalidate()
+        second = service.snapshot()
+        assert second is not first
+        assert second.store.version == first.store.version
+        publish.set()
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert service.cache_sizes()["contexts"] == 1  # published late
+        fresh = service.execute(plan)  # past the result cache
+        assert fingerprint(fresh) == fingerprint(results[0])
+        assert fingerprint(fresh) == fingerprint(
+            cold_search(example_indexes, QUERY, k=3)
+        )
+
     def test_service_rejects_snapshot_bundle(self, example_indexes):
         with pytest.raises(SearchError, match="live"):
             SearchService(example_indexes.snapshot())
@@ -234,9 +279,8 @@ class TestBatch:
         self, example_indexes
     ):
         # Kept subtree combos are ComboRef store views in the child; the
-        # fork path must ship them back as value-equal PathEntry tuples
-        # (the old behavior was a loud "requires keep_subtrees=False"
-        # error).
+        # fork path ships their (path_id, sim) pairs and the parent
+        # re-binds them to its snapshot — value-equal to entry tuples.
         service = SearchService(example_indexes)
         queries = [QUERY, "software company", "database revenue"]
         inline = service.search_many(queries, k=3)

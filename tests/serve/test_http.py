@@ -164,6 +164,23 @@ class TestRouting:
         )
         assert "repro_store_query_paths_boxed_total" in text
 
+    def test_rows_are_served_without_materializing_entries(self, server):
+        def materialized():
+            _, body, _ = get(server.address, "/metrics")
+            for line in body.decode().splitlines():
+                if line.startswith("repro_store_entries_materialized_total"):
+                    return float(line.split()[-1])
+            raise AssertionError("entries_materialized is not exported")
+
+        before = materialized()
+        status, body, _ = get(
+            server.address,
+            f"/search?q={QUERY.replace(' ', '+')}&include_rows=1",
+        )
+        assert status == 200
+        assert json.loads(body)["answers"][0]["rows"]
+        assert materialized() == before
+
 
 class TestCoalescing:
     def test_n_waiters_one_execution_identical_bytes(self, example_indexes):

@@ -24,6 +24,29 @@ def index_file(kb_file, tmp_path):
     return path
 
 
+def full_render_blocks(index_file, query, k, max_rows):
+    """The answer blocks ``search``/``serve`` print, built the way they
+    were before rows were limited upstream: every kept subtree turned
+    into a ``ValidSubtree``, every row composed, the printer cutting."""
+    from repro.core.table import compose_table
+    from repro.search.service import SearchService
+
+    service = SearchService.from_file(index_file)
+    result = service.search(query, k=k)
+    graph = service.snapshot().graph
+    lines = []
+    for rank, answer in enumerate(result.answers, start=1):
+        lines.append(
+            f"--- #{rank}  score={answer.score:.4f} "
+            f"rows={answer.num_subtrees} ---"
+        )
+        lines.append(answer.pattern.format(graph, result.query))
+        table = compose_table(answer.pattern, answer.materialize(), graph)
+        lines.append(table.to_ascii(max_rows))
+        lines.append("")
+    return "\n".join(lines) + "\n"
+
+
 class TestBuild:
     def test_build_writes_index(self, kb_file, tmp_path, capsys):
         out_path = tmp_path / "out.idx"
@@ -69,6 +92,22 @@ class TestSearch:
         assert "(Software) (Genre) (Model)" in out
         assert "SQL Server" in out
         assert "Oracle DB" in out
+
+    def test_search_output_is_the_full_render_cut_by_the_printer(
+        self, index_file, capsys
+    ):
+        # The CLI asks the renderer for --max-rows rows; what it prints is
+        # byte for byte what rendering every row and cutting at print
+        # time printed, "more rows" trailer included.
+        query = "database software company revenue"
+        code = main(
+            ["search", str(index_file), query, "-k", "2", "--max-rows", "1"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        expected = full_render_blocks(index_file, query, k=2, max_rows=1)
+        assert "... (1 more rows)" in expected
+        assert out.startswith(expected)
 
     def test_search_no_answers_exit_code(self, index_file, capsys):
         code = main(["search", str(index_file), "xylophone"])
@@ -197,6 +236,18 @@ class TestServe:
         assert out.count("--- #1") == 2
         assert "(cached)" in out            # second answer came from cache
         assert "result cache 1/2 hits" in out
+
+    def test_serve_output_is_the_full_render_cut_by_the_printer(
+        self, index_file, capsys, monkeypatch
+    ):
+        query = "database software company revenue"
+        code = self._serve(
+            index_file, [query, ":quit"], monkeypatch,
+            extra=("-k", "2", "--max-rows", "1"),
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert full_render_blocks(index_file, query, k=2, max_rows=1) in out
 
     def test_serve_meta_commands(self, index_file, capsys, monkeypatch):
         code = self._serve(

@@ -1,0 +1,549 @@
+"""Rows render from the store's path columns, only the rows asked for.
+
+The contract is differential: ``PatternAnswer.to_table(graph, n)`` must
+equal, cell for cell and ``multivalued`` flag for flag, the route it
+replaced — materialize every kept subtree into ``ValidSubtree`` objects,
+cut to ``n``, compose — on every path that serves rows: heap, mapped
+(overlay and compacted), sharded, pooled, pooled x sharded and the batch
+fork.  That route is frozen below so the renderer is never its own
+oracle.  On top sit the count contracts (no entry materialized, at most
+``n`` combos read), the tree check rendering kept, and the portable form
+kept subtrees take across a worker pipe.
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import pytest
+
+from repro.core.pattern import TreePattern
+from repro.core.subtree import MatchPath
+from repro.datasets.example import EXAMPLE_NORMALIZER, example_graph_with_nodes
+from repro.index.builder import build_indexes
+from repro.index.entry import PathEntry
+from repro.index.incremental import add_entity
+from repro.index.interner import PatternInterner
+from repro.index.mmapstore import MappedPostingStore
+from repro.index.serialize import save_indexes
+from repro.index.shards import partition_indexes
+from repro.index.store import PostingStore
+from repro.kg.graph import KnowledgeGraph
+from repro.kg.pagerank import uniform_scores
+from repro.search.engine import TableAnswerEngine
+from repro.search.result import ComboRef, PatternAnswer
+from repro.search.service import SearchService
+from repro.search.sharding import ShardedSearchService, execute_shard_plan
+from repro.serve.pool import PooledSearchService, _execute_portable
+
+ALGORITHMS = ("pattern_enum", "linear_topk", "linear_full", "baseline")
+LIMITS = (None, 0, 1, 10)
+
+EXAMPLE_QUERIES = (
+    "database software company revenue",  # Figure 3; "revenue" is an edge
+    "software company",
+    "database",  # one keyword
+)
+#: Over the session's seeded wiki graph: one keyword with edge-matched
+#: terminals, one keyword on nodes, two and three keywords, and the one
+#: two-keyword query of this graph with a multi-valued cell.
+WIKI_QUERIES = (
+    "parar",
+    "cosob",
+    "tedeb ceciti",
+    "curela lemacu",
+    "curela susogo parar",
+    "domasa funita roroca",
+)
+
+
+# ------------------------------------------------------- the frozen route
+
+
+def frozen_compose(pattern, subtrees, graph):
+    """``compose_table`` as it was before rows rendered from path
+    columns: ``(columns, rows)`` with columns as ``(header, qualified
+    name, prefix, depth, multivalued)`` tuples."""
+    columns, seen = [], {}
+    for path in pattern.paths:
+        labels = path.labels
+        for depth, plen in enumerate(range(1, len(labels) + 1, 2)):
+            prefix = labels[:plen]
+            if prefix in seen:
+                continue
+            seen[prefix] = len(columns)
+            type_name = graph.type_name(labels[plen - 1])
+            if depth == 0:
+                header = qualified = type_name
+            else:
+                attr_name = graph.attr_name(labels[plen - 2])
+                prev_type = graph.type_name(labels[plen - 3])
+                header = type_name if type_name else attr_name
+                qualified = f"{prev_type}.{attr_name}.{type_name}"
+            columns.append([header, qualified, prefix, depth, False])
+        if path.ends_at_edge and labels not in seen:
+            seen[labels] = len(columns)
+            attr_name = graph.attr_name(labels[-1])
+            prev_type = graph.type_name(labels[-2])
+            columns.append(
+                [attr_name, f"{prev_type}.{attr_name}", labels,
+                 len(labels) // 2, False]
+            )
+    counts = {}
+    for column in columns:
+        counts[column[0]] = counts.get(column[0], 0) + 1
+    for column in columns:
+        if counts[column[0]] > 1:
+            column[0] = column[1]
+    rows = []
+    for subtree in subtrees:
+        cells = [[] for _ in columns]
+        for path, path_pattern in zip(subtree.paths, pattern.paths):
+            labels = path_pattern.labels
+            for depth, node in enumerate(path.nodes):
+                if path.matched_on_edge and depth == len(path.nodes) - 1:
+                    prefix = labels
+                else:
+                    prefix = labels[: 2 * depth + 1]
+                value = graph.node_text(node)
+                if value not in cells[seen[prefix]]:
+                    cells[seen[prefix]].append(value)
+        for column, values in zip(columns, cells):
+            if len(values) > 1:
+                column[4] = True
+        rows.append([" | ".join(values) for values in cells])
+    return [tuple(column) for column in columns], rows
+
+
+def assert_renders_like_frozen(result, graph):
+    """Every answer, every limit; returns the tables rendered whole."""
+    whole = []
+    for answer in result.answers:
+        trees = answer.materialize()
+        for limit in LIMITS:
+            table = answer.to_table(graph, limit)
+            columns, rows = frozen_compose(
+                answer.pattern,
+                trees if limit is None else trees[:limit],
+                graph,
+            )
+            assert table.rows == rows
+            assert [
+                (c.header, c.qualified_name, c.prefix, c.depth, c.multivalued)
+                for c in table.columns
+            ] == columns
+            assert table.score == answer.score
+            assert table.total_rows == len(answer.subtrees)
+        whole.append(answer.to_table(graph))
+    return whole
+
+
+def combos(result):
+    return [list(answer.subtrees) for answer in result.answers]
+
+
+def searches(queries):
+    return [
+        (query, algorithm) for query in queries for algorithm in ALGORITHMS
+    ]
+
+
+# ------------------------------------------------------------ the backends
+
+
+def example_bundle():
+    graph, _nodes = example_graph_with_nodes()
+    return build_indexes(
+        graph,
+        d=3,
+        normalizer=EXAMPLE_NORMALIZER,
+        pagerank_scores=uniform_scores(graph),
+    )
+
+
+@pytest.fixture(scope="module")
+def example_heap():
+    return example_bundle()
+
+
+@pytest.fixture(scope="module")
+def example_oracle(example_heap):
+    engine = TableAnswerEngine(example_heap.graph, indexes=example_heap)
+    return {
+        (query, algorithm): engine.search(query, k=5, algorithm=algorithm)
+        for query, algorithm in searches(EXAMPLE_QUERIES)
+    }
+
+
+@pytest.fixture(scope="module")
+def wiki_oracle(wiki_indexes):
+    engine = TableAnswerEngine(wiki_indexes.graph, indexes=wiki_indexes)
+    return {
+        (query, algorithm): engine.search(query, k=10, algorithm=algorithm)
+        for query, algorithm in searches(WIKI_QUERIES)
+    }
+
+
+def check_service(service, oracle, k):
+    """The service's answers carry the oracle's combos and render like
+    the frozen route, for every search the oracle holds."""
+    graph = service.indexes.graph
+    for (query, algorithm), expected in oracle.items():
+        result = service.search(query, k=k, algorithm=algorithm)
+        assert combos(result) == combos(expected), (query, algorithm)
+        assert_renders_like_frozen(result, graph)
+
+
+class TestDifferentialRenderer:
+    def test_heap_example(self, example_oracle, example_heap):
+        tables = []
+        for result in example_oracle.values():
+            assert result.num_answers
+            tables += assert_renders_like_frozen(result, example_heap.graph)
+        assert any(
+            path.ends_at_edge
+            for table in tables
+            for path in table.pattern.paths
+        )
+
+    def test_heap_wiki(self, wiki_oracle, wiki_indexes):
+        tables = []
+        for result in wiki_oracle.values():
+            assert result.num_answers
+            tables += assert_renders_like_frozen(result, wiki_indexes.graph)
+        # What the query list was chosen to cover.
+        assert any(
+            path.ends_at_edge
+            for table in tables
+            for path in table.pattern.paths
+        )
+        assert any(
+            column.multivalued for table in tables for column in table.columns
+        )
+        assert any(table.num_rows > 10 for table in tables)
+
+    def test_shared_prefix_cell_holds_both_values(self):
+        graph = KnowledgeGraph()
+        root = graph.add_node("R", "root")
+        graph.add_edge(root, "Via", graph.add_node("M", "leftword common"))
+        graph.add_edge(root, "Via", graph.add_node("M", "rightword common"))
+        indexes = build_indexes(graph, d=2)
+        engine = TableAnswerEngine(graph, indexes=indexes)
+        for algorithm in ALGORITHMS:
+            result = engine.search(
+                "leftword rightword", k=5, algorithm=algorithm
+            )
+            (table,) = assert_renders_like_frozen(result, graph)
+            assert [c.multivalued for c in table.columns] == [False, True]
+            assert table.rows == [
+                ["root", "leftword common | rightword common"]
+            ]
+
+    def test_mapped_overlay_and_compacted(self, example_oracle, tmp_path):
+        path = tmp_path / "example.idx"
+        save_indexes(example_bundle(), path)
+        thawed = MappedPostingStore.backed_stores_thawed
+        with SearchService.from_file(path) as service:
+            assert isinstance(service.indexes.store, MappedPostingStore)
+            check_service(service, example_oracle, k=5)
+            # Overlay: rows of paths written after the file was mapped.
+            twin = example_bundle()
+            for indexes in (service.indexes, twin):
+                add_entity(indexes, "company", "database software revenue")
+            assert service.indexes.store.overlay_postings
+            engine = TableAnswerEngine(twin.graph, indexes=twin)
+            after = {
+                key: engine.search(key[0], k=5, algorithm=key[1])
+                for key in example_oracle
+            }
+            assert any(
+                combos(after[key]) != combos(example_oracle[key])
+                for key in after
+            )
+            check_service(service, after, k=5)
+            service.compact()
+            assert not service.indexes.store.overlay_postings
+            check_service(service, after, k=5)
+        assert MappedPostingStore.backed_stores_thawed == thawed
+
+    def test_mapped_wiki(self, wiki_oracle, wiki_indexes, tmp_path):
+        path = tmp_path / "wiki.idx"
+        save_indexes(wiki_indexes, path)
+        with SearchService.from_file(path) as service:
+            check_service(service, wiki_oracle, k=10)
+
+    @pytest.mark.parametrize("num_shards", (2, 4))
+    def test_sharded(self, wiki_oracle, wiki_indexes, num_shards):
+        with ShardedSearchService(
+            wiki_indexes, num_shards=num_shards
+        ) as service:
+            check_service(service, wiki_oracle, k=10)
+
+    @pytest.mark.parametrize("num_shards", (0, 2))
+    def test_pooled(self, wiki_oracle, wiki_indexes, num_shards):
+        with PooledSearchService(
+            wiki_indexes, processes=2, num_shards=num_shards
+        ) as service:
+            check_service(service, wiki_oracle, k=10)
+            # Sampled LETopK does not shard: under --shards its rows
+            # come back with the snapshot store's ids, not a shard's.
+            sampled = dict(
+                algorithm="linear_topk", sampling_threshold=1.0,
+                sampling_rate=0.5, seed=11,
+            )
+            plain = SearchService(wiki_indexes)
+            for query in WIKI_QUERIES:
+                result = service.search(query, k=10, **sampled)
+                expected = plain.search(query, k=10, **sampled)
+                assert combos(result) == combos(expected)
+                assert_renders_like_frozen(result, wiki_indexes.graph)
+
+    def test_batch_fork(self, wiki_oracle, wiki_indexes):
+        service = SearchService(wiki_indexes)
+        for algorithm in ALGORITHMS:
+            results = service.search_many(
+                list(WIKI_QUERIES), k=10, algorithm=algorithm, processes=2
+            )
+            for query, result in zip(WIKI_QUERIES, results):
+                assert combos(result) == combos(
+                    wiki_oracle[query, algorithm]
+                )
+                assert_renders_like_frozen(result, wiki_indexes.graph)
+
+
+# ------------------------------------------------------------------ counts
+
+
+class CountingList(list):
+    """A subtree list that counts the combos handed out."""
+
+    reads = 0
+
+    def __iter__(self):
+        for combo in super().__iter__():
+            self.reads += 1
+            yield combo
+
+
+class TestNothingIsMaterialized:
+    def served(self, wiki_indexes):
+        yield SearchService(wiki_indexes)
+        yield ShardedSearchService(wiki_indexes, num_shards=2)
+        yield PooledSearchService(wiki_indexes, processes=2)
+        yield PooledSearchService(wiki_indexes, processes=2, num_shards=2)
+
+    def test_tables_build_no_entry(self, wiki_indexes):
+        graph = wiki_indexes.graph
+        for service in self.served(wiki_indexes):
+            with service:
+                for query in WIKI_QUERIES:
+                    result = service.search(query, k=10)
+                    store_before = wiki_indexes.store.entries_materialized
+                    total_before = PostingStore.total_entries_materialized
+                    tables = result.tables(graph, max_rows=10)
+                    assert any(table.rows for table in tables)
+                    assert (
+                        wiki_indexes.store.entries_materialized
+                        == store_before
+                    )
+                    # Shard stores count only here.
+                    assert (
+                        PostingStore.total_entries_materialized
+                        == total_before
+                    )
+
+    def test_limited_tables_keep_the_more_rows_trailer(
+        self, example_oracle, example_heap
+    ):
+        result = example_oracle[EXAMPLE_QUERIES[0], "pattern_enum"]
+        graph = example_heap.graph
+        answer = result.answers[0]
+        assert len(answer.subtrees) == 2
+        limited, whole = answer.to_table(graph, 1), answer.to_table(graph)
+        assert limited.num_rows == 1 and whole.num_rows == 2
+        # Rows cut upstream or by the printer: the same text.
+        assert limited.to_ascii(1) == whole.to_ascii(1)
+        assert limited.to_markdown(1) == whole.to_markdown(1)
+        assert limited.to_ascii(1).endswith("... (1 more rows)")
+        assert "more rows" not in whole.to_ascii(2)
+        digest = result.format(graph, max_tables=1, max_rows=1)
+        assert digest.endswith(whole.to_ascii(1))
+
+    @pytest.mark.parametrize("limit", (0, 1, 3, 10))
+    def test_only_the_rows_asked_for_are_read(
+        self, wiki_oracle, wiki_indexes, limit
+    ):
+        answer = max(
+            wiki_oracle["parar", "pattern_enum"].answers,
+            key=lambda a: len(a.subtrees),
+        )
+        assert len(answer.subtrees) > 10
+        counted = CountingList(answer.subtrees)
+        limited = PatternAnswer(
+            answer.pattern_key, answer.pattern, answer.score,
+            answer.num_subtrees, counted,
+        )
+        table = limited.to_table(wiki_indexes.graph, max_rows=limit)
+        assert table.num_rows == limit
+        assert counted.reads == limit
+        assert table.total_rows == len(answer.subtrees)
+
+
+# -------------------------------------------------------------- tree check
+
+
+class TestNonTreeCombosAreSkipped:
+    """The enumerators never keep a non-tree combination; a hand-built
+    one is dropped by ``to_table`` exactly as by ``materialize``."""
+
+    ROW = ["root", "left", "shared", "right", "other"]
+
+    @pytest.fixture()
+    def diamond(self):
+        graph = KnowledgeGraph()
+        root = graph.add_node("R", "root")
+        left = graph.add_node("A", "left")
+        right = graph.add_node("B", "right")
+        shared = graph.add_node("C", "shared")
+        other = graph.add_node("C", "other")
+        for parent, attr, child in (
+            (root, "a", left), (root, "b", right), (left, "x", shared),
+            (right, "y", shared), (right, "y", other),
+        ):
+            graph.add_edge(parent, attr, child)
+        a, b, x, y = (graph.attr_id(name) for name in "abxy")
+        via_left = ((root, left, shared), (a, x))
+        via_right = ((root, right, shared), (b, y))  # a second parent
+        to_other = ((root, right, other), (b, y))
+        pattern = TreePattern(tuple(
+            MatchPath(nodes, attrs, False).pattern(graph)
+            for nodes, attrs in (via_left, to_other)
+        ))
+        return graph, pattern, (via_left, via_right, to_other)
+
+    def check(self, graph, answer):
+        for limit in (None, 1, 2):
+            table = answer.to_table(graph, limit)
+            assert table.rows == [self.ROW]
+            assert table.total_rows == 3
+        assert answer.to_table(graph, 0).rows == []
+        trees = answer.materialize()
+        assert len(trees) == 1
+        assert frozen_compose(answer.pattern, trees, graph)[1] == [self.ROW]
+
+    def test_entry_combos(self, diamond):
+        graph, pattern, chains = diamond
+        via_left, via_right, to_other = (
+            PathEntry(nodes, attrs, False, 0.5, 1.0) for nodes, attrs in chains
+        )
+        subtrees = [(via_left, via_right), (via_left, to_other), ()]
+        self.check(graph, PatternAnswer((), pattern, 1.0, 3, subtrees))
+
+    def test_combo_refs(self, diamond):
+        graph, pattern, chains = diamond
+        store = PostingStore(PatternInterner())
+        via_left, via_right, to_other = (
+            (store.add_path(nodes, attrs, False, 0, 0.5), 1.0)
+            for nodes, attrs in chains
+        )
+        subtrees = [
+            ComboRef(store, (via_left, via_right)),
+            ComboRef(store, (via_left, to_other)),
+            ComboRef(store, ()),
+        ]
+        self.check(graph, PatternAnswer((), pattern, 1.0, 3, subtrees))
+
+
+# ------------------------------------------------------------ the pipe form
+
+
+def assert_same_combos(result, expected):
+    """Combo by combo: equal as values, bound to a store on both sides
+    (the baseline's self-contained entry tuples aside)."""
+    assert result.pattern_keys() == expected.pattern_keys()
+    for answer, reference in zip(result.answers, expected.answers):
+        assert len(answer.subtrees) == len(reference.subtrees)
+        for combo, ref in zip(answer.subtrees, reference.subtrees):
+            assert isinstance(combo, ComboRef)
+            assert combo == ref and tuple(combo) == tuple(ref)
+
+
+class TestPipeRoundTrip:
+    QUERY = "curela lemacu"
+
+    def test_shard_worker_failover_and_engine_agree(self, wiki_indexes):
+        expected = SearchService(wiki_indexes).search(self.QUERY, k=10)
+        with ShardedSearchService(
+            wiki_indexes, num_shards=2, max_cached_results=0
+        ) as service:
+            remote = service.search(self.QUERY, k=10)
+            assert remote.stats.shard_failovers == 0
+            assert_same_combos(remote, expected)
+            victim = remote.stats.shard_dispatch_order[0]
+            service._pool.kill_worker(victim)
+            inline = service.search(self.QUERY, k=10)
+            assert inline.stats.shard_failovers >= 1
+            assert_same_combos(inline, expected)
+            # Same form from both: pairs bound to the coordinator's
+            # copy of the shard the worker ran on.
+            shard_stores = [
+                shard.store for shard in service._sharded.shards
+            ]
+            for result in (remote, inline):
+                for answer in result.answers:
+                    assert {
+                        combo._store for combo in answer.subtrees
+                    } <= set(shard_stores)
+            for ours, theirs in zip(remote.answers, inline.answers):
+                assert [c.pairs for c in ours.subtrees] == [
+                    c.pairs for c in theirs.subtrees
+                ]
+
+    @pytest.mark.parametrize("num_shards", (0, 2))
+    def test_pool_worker_failover_and_engine_agree(
+        self, wiki_indexes, num_shards
+    ):
+        expected = SearchService(wiki_indexes).search(self.QUERY, k=10)
+        with PooledSearchService(
+            wiki_indexes, processes=1, num_shards=num_shards,
+            max_cached_results=0,
+        ) as service:
+            remote = service.search(self.QUERY, k=10)
+            assert service.stats.worker_failovers == 0
+            assert_same_combos(remote, expected)
+            service.kill_worker(0)
+            inline = service.search(self.QUERY, k=10)
+            assert service.stats.worker_failovers == 1
+            assert_same_combos(inline, expected)
+            respawned = service.search(self.QUERY, k=10)
+            assert service.stats.worker_failovers == 1
+            assert_same_combos(respawned, expected)
+
+    def test_replies_never_pickle_a_store(self, wiki_indexes, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a store was about to cross a pipe")
+
+        monkeypatch.setattr(PostingStore, "__getstate__", refuse)
+        snap = wiki_indexes.snapshot()
+        sharded = partition_indexes(snap, 2)
+        service = SearchService(wiki_indexes)
+        for algorithm in ("pattern_enum", "linear_topk", "linear_full"):
+            plan = service.plan(self.QUERY, k=10, algorithm=algorithm)
+            replies = [
+                execute_shard_plan(shard, plan) for shard in sharded.shards
+            ]
+            replies.append(_execute_portable(snap, None, plan))
+            replies.append(_execute_portable(snap, sharded, plan))
+            for reply in replies:
+                assert any(row[3] for row in reply[0])
+                assert pickle.loads(pickle.dumps(reply))[0] == reply[0]
+            # Pooled x sharded: each answer names the shard it is the
+            # verbatim reply row of.
+            rows, _stats, shards = replies[-1]
+            assert shards and all(
+                row in replies[shard][0] for row, shard in zip(rows, shards)
+            )
+            assert replies[-2][2] is None
+        # The guard itself: a bound combo would have dragged the store.
+        with pytest.raises(AssertionError, match="cross a pipe"):
+            pickle.dumps(service.search(self.QUERY, k=10))
