@@ -13,7 +13,10 @@ at ``k=1`` (tight thresholds are where skipping bites):
 * **divergence gate** — every sharded answer list (scores, pattern keys,
   subtree rows) must be bit-identical to a cold single-store
   ``TableAnswerEngine`` run; any mismatch fails the bench (exit 1);
-* **shards skipped / dispatched** — totals from ``SearchStats``;
+* **shards skipped / dispatched** — totals from ``SearchStats``, with
+  the wave width the box gives each K (``min(K, usable cores)``) and the
+  waves the dispatches were sent in (recorded, ungated: a wider wave
+  gives up some threshold skips for concurrency, see ``docs/sharding.md``);
 * **postings work avoided** — for each skipped shard, the posting-list
   entries under its candidate roots that were never scanned, as a
   fraction of the query's total posting work;
@@ -46,7 +49,7 @@ from repro.index.store import PostingStore
 from repro.search.context import EnumerationContext
 from repro.search.engine import TableAnswerEngine
 from repro.search.linear_enum import count_answers
-from repro.search.sharding import ShardedSearchService
+from repro.search.sharding import ShardedSearchService, usable_cores
 
 SHARD_COUNTS = (2, 4, 7)
 
@@ -141,7 +144,7 @@ def run(profile_name: str, k: int, out_path: str) -> int:
 
     for num_shards in SHARD_COUNTS:
         sharded = partition_indexes(indexes, num_shards)
-        dispatched = skipped = failovers = 0
+        dispatched = skipped = failovers = waves = 0
         work_total = work_avoided = 0
         materialized = 0
         latencies = []
@@ -185,6 +188,7 @@ def run(profile_name: str, k: int, out_path: str) -> int:
                     stats = result.stats
                     dispatched += len(stats.shard_dispatch_order)
                     skipped += stats.shards_skipped
+                    waves += stats.shard_waves
                     failovers += stats.shard_failovers
                     work_total += query_work
                     skipped_ids = set(range(num_shards)) - set(
@@ -197,6 +201,8 @@ def run(profile_name: str, k: int, out_path: str) -> int:
         per_k[num_shards] = {
             "shard_paths": [s.store.num_paths for s in sharded.shards],
             "searches": len(queries) * len(k_values),
+            "wave_width": min(num_shards, usable_cores()),
+            "shard_waves": waves,
             "shards_dispatched": dispatched,
             "shards_skipped": skipped,
             "shard_failovers": failovers,
@@ -238,7 +244,9 @@ def run(profile_name: str, k: int, out_path: str) -> int:
 
     for num_shards, row in per_k.items():
         print(
-            f"K={num_shards}: dispatched {row['shards_dispatched']}, "
+            f"K={num_shards}: wave width {row['wave_width']}, "
+            f"dispatched {row['shards_dispatched']} in "
+            f"{row['shard_waves']} waves, "
             f"skipped {row['shards_skipped']} "
             f"(work reduction {row['work_reduction']:.1%}, "
             f"mean {row['mean_latency_ms']:.2f} ms)"

@@ -164,7 +164,8 @@ def _explain_pruning(stats) -> str:
             f"dispatched={stats.shards_total - stats.shards_skipped}"
             f"/{stats.shards_total} shards "
             f"(skipped={stats.shards_skipped}, "
-            f"order={list(stats.shard_dispatch_order)})"
+            f"order={list(stats.shard_dispatch_order)}) "
+            f"{stats.format_waves()}"
         )
         if stats.shard_failovers:
             line += f" failovers={stats.shard_failovers}"

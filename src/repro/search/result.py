@@ -198,11 +198,24 @@ class SearchStats:
     #: the query because their score upper bound fell below the running
     #: k-th score; ``shard_dispatch_order`` is the best-bound-first visit
     #: order; ``shard_failovers`` counts worker deaths recovered by
-    #: inline re-execution.
+    #: inline re-execution.  ``shard_waves`` counts the concurrent
+    #: dispatch rounds the order was cut into, and ``shard_busy_ms`` is
+    #: each dispatched shard's own execution time (worker-side; the
+    #: inline run's for a failed-over shard), aligned with
+    #: ``shard_dispatch_order`` — a wave costs its maximum, so a
+    #: lopsided pair is the partition's skew, visible without a profiler.
     shards_total: int = 0
     shards_skipped: int = 0
     shard_dispatch_order: Tuple[int, ...] = ()
     shard_failovers: int = 0
+    shard_waves: int = 0
+    shard_busy_ms: Tuple[float, ...] = ()
+
+    def format_waves(self) -> str:
+        """``waves=1 busy=[11.8, 5.2]ms`` — the dispatch rounds and each
+        dispatched shard's own time, in dispatch order."""
+        busy = ", ".join(f"{ms:.1f}" for ms in self.shard_busy_ms)
+        return f"waves={self.shard_waves} busy=[{busy}]ms"
 
     def format(self) -> str:
         parts = [f"{self.algorithm}: {self.elapsed_seconds * 1000:.1f} ms"]
@@ -227,7 +240,7 @@ class SearchStats:
         if self.shards_total:
             parts.append(
                 f"shards={self.shards_total - self.shards_skipped}"
-                f"/{self.shards_total}"
+                f"/{self.shards_total} {self.format_waves()}"
             )
             if self.shard_failovers:
                 parts.append(f"shard-failovers={self.shard_failovers}")

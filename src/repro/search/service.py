@@ -108,9 +108,11 @@ class ServiceStats:
     #: the configured parallel width (0 = no pool).
     execution_backend: str = "inline"
     execution_workers: int = 0
-    #: Pool-backed services: dead-worker inline failovers and
-    #: version-driven pool rebuilds.
+    #: Pool-backed services: dead-worker inline failovers, respawns of
+    #: a dead shard worker that themselves failed (the slot stays empty
+    #: until the next query retries), and version-driven pool rebuilds.
     worker_failovers: int = 0
+    respawn_failures: int = 0
     pool_rebuilds: int = 0
     #: Delta-overlay compactions run through this service (explicit
     #: :meth:`SearchService.compact` calls + ratio-triggered
@@ -165,6 +167,8 @@ class ServiceStats:
             backend += f" x{self.execution_workers}"
         if self.worker_failovers:
             backend += f", {self.worker_failovers} worker failovers"
+        if self.respawn_failures:
+            backend += f", {self.respawn_failures} failed respawns"
         compactions = (
             f", {self.compactions} compactions" if self.compactions else ""
         )

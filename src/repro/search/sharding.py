@@ -14,16 +14,21 @@ with canonical tie keys — answers are **bit-identical** to the unsharded
 engine (the differential tests in ``tests/search/test_sharding.py``
 enforce this for all shardable algorithms at several K).
 
-The perf win on any core count is *bound-driven shard skipping*: before a
-shard is dispatched, its precomputed score upper bound (the same
-``SAFETY * sum(root_mass)`` form LETopK's type-skip uses, summed over the
-shard's slice of the candidate roots) is checked against the running k-th
-score.  Shards are visited best-bound-first, so the global threshold
-tightens as fast as possible and trailing shards whose bound falls below
-it are never sent the query at all — their postings are never scanned by
+Dispatch runs in **core-wide waves**.  Before a shard is dispatched, its
+precomputed score upper bound (the same ``SAFETY * sum(root_mass)`` form
+LETopK's type-skip uses, summed over the shard's slice of the candidate
+roots) is checked against the running k-th score.  Shards are walked
+best-bound-first; the next ``width`` shards the threshold still admits
+form a wave, the wave's workers compute concurrently (``width`` =
+``min(num_shards, usable cores)`` — more shards in flight than cores buys
+no time and gives up skips), their replies merge into the global queue in
+dispatch order, and only then is the next shard looked at — so trailing
+shards whose bound falls below the threshold the merged waves built are
+never sent the query at all, and their postings are never scanned by
 anyone.  ``SearchStats`` records ``shards_total`` / ``shards_skipped`` /
-``shard_dispatch_order``; ``benchmarks/smoke_sharding.py`` turns the
-counters into a postings-not-scanned work-reduction figure (BENCH_5).
+``shard_dispatch_order`` / ``shard_waves`` / ``shard_busy_ms``;
+``benchmarks/smoke_sharding.py`` turns the counters into a
+postings-not-scanned work-reduction figure (BENCH_5).
 
 Exactness is inherited from the partition (pattern containment: a whole
 pattern, with every root that contributes to its score, lives in exactly
@@ -32,6 +37,10 @@ the global top-k is necessarily in its own shard's local top-k (the shard
 run faces a subset of the competitors), and a skipped shard only holds
 patterns with score ``<= bound < k-th`` which therefore cannot be
 retained (bound equality is always admitted, matching ``docs/pruning.md``).
+Waves apply the second fact less often, never differently: a shard is
+skipped only against a queue built from *fully merged* earlier waves, and
+a shard dispatched that a narrower wave would have skipped only offers
+true global scores the queue rejects.
 
 Three plans bypass the shards and execute inline on the coordinator,
 exactly as the plain service would run them: the ``baseline`` (walks the
@@ -45,11 +54,15 @@ the shard store the worker was forked from — value-equal to the
 unsharded combos, with no :class:`~repro.index.entry.PathEntry` built
 on either side of the pipe.
 
-Worker death (crash, OOM-kill) is detected by poll timeout / liveness
-checks on the pipe; the coordinator re-executes the lost shard inline
-from its own copy of the shard bundle, respawns the worker, and counts a
-``shard_failover`` — one query degrades to local execution of one shard,
-nothing is lost.
+Worker death (crash, OOM-kill) is detected by liveness checks at
+:meth:`ShardWorkerPool.send` and by hang-up / the wave's one deadline at
+:meth:`ShardWorkerPool.collect`; the coordinator re-executes the lost
+shard (only) inline from its own copy of the shard bundle while the
+wave's live workers keep computing, then respawns the worker, and counts
+a ``shard_failover`` — one query degrades to local execution of one
+shard, nothing is lost.  A respawn that itself fails leaves the slot
+empty for the next query to fail over and retry; it is counted
+(``ServiceStats.respawn_failures``), never raised.
 """
 
 from __future__ import annotations
@@ -57,8 +70,9 @@ from __future__ import annotations
 import os
 import threading
 import time
+from collections import OrderedDict
 from itertools import repeat
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.errors import SearchError
 from repro.core.topk import TopKQueue, TopKThreshold
@@ -175,26 +189,40 @@ def shard_upper_bounds(
     ]
 
 
+def usable_cores() -> int:
+    """Cores this process may run on — the one place the scatter reads
+    its wave width from (tests patch it; nothing configures it)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API (macOS)
+        return os.cpu_count() or 1
+
+
 def execute_sharded_plan(
     plan: QueryPlan,
     sharded: ShardedIndexes,
     uppers: List[float],
-    run_shard,
+    run_shards,
+    width: int,
     candidate_roots: int = 0,
 ) -> SearchResult:
     """The scatter–gather merge loop, parameterized over shard execution.
 
-    ``run_shard(shard_id)`` returns the shard's ranked
+    ``run_shards(shard_ids)`` executes one wave and returns, aligned
+    with ``shard_ids``, each shard's ranked
     :class:`~repro.search.result.PatternAnswer` list and its stats —
-    bound from a worker's reply or from inline failover
-    (:class:`ShardedSearchService`), or straight from an in-process
-    run (the fork-pool workers of :mod:`repro.serve.pool` run their
-    inherited partition through this same function, so the two
-    execution spines cannot drift).  Shards are visited
-    best-bound-first and skipped once the running k-th score disproves
-    their upper bound; answers merge under a single global
-    :class:`~repro.core.topk.TopKQueue` with canonical tie keys —
-    bit-identical to the unsharded engine.
+    bound from the workers' replies or from inline failover
+    (:class:`ShardedSearchService`, ``width`` = cores), or straight
+    from in-process runs (the fork-pool workers of
+    :mod:`repro.serve.pool` run their inherited partition through this
+    same function at ``width`` 1, so the two execution spines cannot
+    drift).  Shards are walked best-bound-first; the next ``width``
+    shards the running k-th score still admits form a wave, the wave's
+    replies merge in dispatch order under a single global
+    :class:`~repro.core.topk.TopKQueue` with canonical tie keys, and
+    only then is the next shard's bound checked — bit-identical to the
+    unsharded engine at every width, and for a given width every
+    counter is a function of the query alone.
     """
     watch = Stopwatch()
     queue: TopKQueue[PatternAnswer] = TopKQueue(plan.k)
@@ -204,37 +232,50 @@ def execute_sharded_plan(
         candidate_roots=candidate_roots,
     )
     stats.shards_total = sharded.num_shards
-    # Best-bound-first: the strongest shard fills the queue and
-    # tightens the global threshold before weaker shards are
+    # Best-bound-first: the strongest shards fill the queue and
+    # tighten the global threshold before weaker shards are
     # considered, maximizing skips.  Shard id breaks bound ties
     # so the dispatch order is deterministic.
-    order = sorted(
-        range(sharded.num_shards), key=lambda s: (-uppers[s], s)
+    order = iter(
+        sorted(range(sharded.num_shards), key=lambda s: (-uppers[s], s))
     )
     dispatched: List[int] = []
-    for shard_id in order:
-        upper = uppers[shard_id]
-        # upper == 0.0 means no candidate root lives there; a
-        # bound below the running k-th score cannot change the
-        # queue (equality always admitted — docs/pruning.md).
-        if upper <= 0.0 or not threshold.admits(upper):
-            stats.shards_skipped += 1
-            continue
-        dispatched.append(shard_id)
-        shard_answers, shard_stats = run_shard(shard_id)
-        for name in _ADDITIVE_COUNTERS:
-            setattr(
-                stats,
-                name,
-                getattr(stats, name) + getattr(shard_stats, name),
-            )
-        for answer in shard_answers:
-            queue.push(
-                answer.score,
-                answer,
-                tie_key=canonical_pattern_key(answer.pattern),
-            )
+    busy_ms: List[float] = []
+    while True:
+        wave: List[int] = []
+        for shard_id in order:  # resumes where the last wave stopped
+            upper = uppers[shard_id]
+            # upper == 0.0 means no candidate root lives there; a
+            # bound below the running k-th score cannot change the
+            # queue (equality always admitted — docs/pruning.md).
+            if upper <= 0.0 or not threshold.admits(upper):
+                stats.shards_skipped += 1
+                continue
+            wave.append(shard_id)
+            if len(wave) == width:
+                break
+        if not wave:
+            break
+        stats.shard_waves += 1
+        dispatched.extend(wave)
+        # Strict waves: every reply is merged, in dispatch order,
+        # before the next bound is checked.
+        for shard_answers, shard_stats in run_shards(wave):
+            busy_ms.append(shard_stats.elapsed_seconds * 1000.0)
+            for name in _ADDITIVE_COUNTERS:
+                setattr(
+                    stats,
+                    name,
+                    getattr(stats, name) + getattr(shard_stats, name),
+                )
+            for answer in shard_answers:
+                queue.push(
+                    answer.score,
+                    answer,
+                    tie_key=canonical_pattern_key(answer.pattern),
+                )
     stats.shard_dispatch_order = tuple(dispatched)
+    stats.shard_busy_ms = tuple(busy_ms)
     threshold.write_stats(stats)
     answers = order_answers([answer for _, answer in queue.ranked()])
     stats.elapsed_seconds = watch.elapsed()
@@ -305,6 +346,12 @@ class ShardWorkerPool:
     worker has warmed its shard's query/bound columns and sent its
     ``("ready",)`` handshake, so the first query never pays the one-time
     column builds.
+
+    A query is :meth:`send` to each shard of a wave, then each reply is
+    :meth:`collect`-ed; the workers compute in between.  The pipes are
+    plain duplex connections with one tag counter, so one *query* in
+    flight per pool (the caller serializes queries), any number of its
+    shards.
     """
 
     def __init__(
@@ -348,7 +395,9 @@ class ShardWorkerPool:
 
     def _await_ready(self, shard_id: int) -> None:
         worker = self._workers[shard_id]
-        message = self._recv(worker, self.timeout, shard_id)
+        message = self._recv(
+            worker, time.monotonic() + self.timeout, shard_id
+        )
         if message != ("ready",):
             raise ShardWorkerError(
                 f"shard worker {shard_id} sent {message!r} instead of the "
@@ -356,10 +405,21 @@ class ShardWorkerPool:
             )
 
     def respawn(self, shard_id: int) -> None:
-        """Replace a dead (or wedged) worker with a fresh one."""
+        """Replace a dead (or wedged) worker with a fresh one.
+
+        Raises :class:`ShardWorkerError` when the fork fails or the new
+        worker dies warming; the slot is then left empty, so the next
+        :meth:`send` to it raises and the caller fails over again.
+        """
         self._discard(shard_id)
-        self._workers[shard_id] = self._spawn(shard_id)
-        self._await_ready(shard_id)
+        try:
+            self._workers[shard_id] = self._spawn(shard_id)
+            self._await_ready(shard_id)
+        except (ShardWorkerError, OSError) as exc:
+            self._discard(shard_id)
+            raise ShardWorkerError(
+                f"shard worker {shard_id} could not be respawned: {exc}"
+            ) from exc
 
     def _discard(self, shard_id: int) -> None:
         worker = self._workers[shard_id]
@@ -401,23 +461,38 @@ class ShardWorkerPool:
 
     # ----------------------------------------------------------- execution
 
-    def execute(self, shard_id: int, plan: QueryPlan):
-        """Run ``plan`` on one shard's worker; raises
-        :class:`ShardWorkerError` when the worker is dead or silent past
-        the pool timeout (the coordinator then fails over inline)."""
+    def send(self, shard_id: int, plan: QueryPlan) -> int:
+        """Hand ``plan`` to one shard's worker and return the tag its
+        reply will carry; raises :class:`ShardWorkerError` when the
+        worker is dead or its pipe is broken."""
         worker = self._workers[shard_id]
         if worker is None or not worker.process.is_alive():
             raise ShardWorkerError(f"shard worker {shard_id} is not alive")
         self._tag += 1
-        tag = self._tag
         try:
-            worker.conn.send(("execute", tag, plan))
+            worker.conn.send(("execute", self._tag, plan))
         except (BrokenPipeError, OSError) as exc:
             raise ShardWorkerError(
                 f"shard worker {shard_id} pipe is broken: {exc}"
             ) from exc
+        return self._tag
+
+    def collect(
+        self, shard_id: int, tag: int, deadline: Optional[float] = None
+    ):
+        """The reply to the :meth:`send` that returned ``tag``; raises
+        :class:`ShardWorkerError` when the worker died, hung up, or is
+        still silent at ``deadline`` (``time.monotonic()`` based; the
+        pool timeout from now when absent) — the coordinator then fails
+        that shard over inline.  A wave passes every shard the same
+        deadline, so K wedged workers cost one timeout, not K."""
+        worker = self._workers[shard_id]
+        if worker is None:
+            raise ShardWorkerError(f"shard worker {shard_id} is not alive")
+        if deadline is None:
+            deadline = time.monotonic() + self.timeout
         while True:
-            message = self._recv(worker, self.timeout, shard_id)
+            message = self._recv(worker, deadline, shard_id)
             if message[0] == "ok" and message[1] == tag:
                 return message[2]
             if message[0] == "error" and message[1] == tag:
@@ -425,12 +500,16 @@ class ShardWorkerPool:
                     f"shard {shard_id} failed executing the plan: "
                     f"{message[2]}"
                 )
-            # A stale response from a query that timed out earlier:
-            # discard and keep waiting for our tag.
+            # A stale response — from a query that timed out, or from a
+            # wave another shard's error cut short: discard and keep
+            # waiting for our tag.
 
-    def _recv(self, worker: _Worker, timeout: float, shard_id: int):
+    def execute(self, shard_id: int, plan: QueryPlan):
+        """:meth:`send` and :meth:`collect` back to back."""
+        return self.collect(shard_id, self.send(shard_id, plan))
+
+    def _recv(self, worker: _Worker, deadline: float, shard_id: int):
         """One message from a worker, with liveness-aware waiting."""
-        deadline = time.monotonic() + timeout
         while True:
             try:
                 if worker.conn.poll(0.05):
@@ -446,8 +525,8 @@ class ShardWorkerPool:
                 )
             if time.monotonic() >= deadline:
                 raise ShardWorkerError(
-                    f"shard worker {shard_id} did not answer within "
-                    f"{timeout:g}s"
+                    f"shard worker {shard_id} did not answer by the "
+                    f"{self.timeout:g}s deadline"
                 )
 
 
@@ -495,12 +574,16 @@ class ShardedSearchService(SearchService):
         self._pool: Optional[ShardWorkerPool] = None
         #: Serializes scatter–gather *and* pool lifecycle: the pipes are
         #: plain duplex connections, not multiplexed channels, so one
-        #: in-flight query per pool.  Non-shardable plans never take it.
+        #: *query* in flight per pool — its wave of shards runs
+        #: concurrently inside it.  Non-shardable plans never take it.
         self._scatter_lock = threading.Lock()
         #: (words, scoring) -> (store_version, per-shard uppers): the
         #: precomputed per-shard score upper bounds per resolved keyword
-        #: set, shared across k / algorithm / repeats.
-        self._shard_uppers: Dict[Tuple, Tuple[int, List[float]]] = {}
+        #: set, shared across k / algorithm / repeats; LRU-capped at
+        #: ``max_cached_contexts`` like the context tier beside it.
+        self._shard_uppers: "OrderedDict[Tuple, Tuple[int, List[float]]]" = (
+            OrderedDict()
+        )
 
     # ----------------------------------------------------------- lifecycle
 
@@ -616,24 +699,60 @@ class ShardedSearchService(SearchService):
             sharded, pool = self._ensure_pool(snap)
             uppers = self._shard_bounds(snap, plan, context, sharded)
 
-            def run_shard(shard_id: int):
+            def gather(shard_id: int, tag: Optional[int], deadline: float):
                 shard = sharded.shards[shard_id]
-                try:
-                    rows, shard_stats = pool.execute(shard_id, plan)
-                except ShardWorkerError:
+                payload = None
+                if tag is not None:
+                    try:
+                        payload = pool.collect(shard_id, tag, deadline)
+                    except ShardWorkerError:
+                        pass
+                if payload is None:
+                    # Lost at send or at collect.  Answer from our own
+                    # copy of the shard first: the query must not
+                    # depend on the respawn working.
                     failovers[0] += 1
-                    pool.respawn(shard_id)
-                    rows, shard_stats = execute_shard_plan(shard, plan)
+                    payload = execute_shard_plan(shard, plan)
+                    try:
+                        pool.respawn(shard_id)
+                    except ShardWorkerError:
+                        self.stats.bump(respawn_failures=1)
+                rows, shard_stats = payload
                 # The worker was forked from this very shard bundle, so
                 # its path ids are this store's.
                 answers = bind_answers(rows, snap, repeat(shard.store))
                 return answers, shard_stats
 
+            def run_shards(shard_ids: List[int]):
+                # Every send goes out before the first collect (inline
+                # failover included), so the wave's live workers compute
+                # side by side; one deadline covers the whole wave.
+                deadline = time.monotonic() + self.worker_timeout
+                tags: List[Optional[int]] = []
+                for shard_id in shard_ids:
+                    try:
+                        tags.append(pool.send(shard_id, plan))
+                    except ShardWorkerError:
+                        tags.append(None)
+                # Gather weakest bound first: less candidate mass is
+                # less work, so that reply is likely in already and is
+                # unpickled and bound while the stronger shards still
+                # compute.  The merge order is the caller's, unaffected.
+                replies = [
+                    gather(shard_id, tag, deadline)
+                    for shard_id, tag in zip(
+                        reversed(shard_ids), reversed(tags)
+                    )
+                ]
+                replies.reverse()
+                return replies
+
             result = execute_sharded_plan(
                 plan,
                 sharded,
                 uppers,
-                run_shard,
+                run_shards,
+                width=min(self.num_shards, usable_cores()),
                 candidate_roots=len(context.candidate_roots),
             )
         if failovers[0]:
@@ -655,9 +774,13 @@ class ShardedSearchService(SearchService):
         version = snap.store.version
         slot = self._shard_uppers.get(key)
         if slot is not None and slot[0] == version:
+            self._shard_uppers.move_to_end(key)
             return slot[1]
         uppers = shard_upper_bounds(sharded, context, plan.scoring)
         self._shard_uppers[key] = (version, uppers)
+        self._shard_uppers.move_to_end(key)
+        while len(self._shard_uppers) > self.max_cached_contexts:
+            self._shard_uppers.popitem(last=False)
         return uppers
 
     def __repr__(self) -> str:

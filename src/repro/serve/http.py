@@ -423,6 +423,8 @@ class HttpSearchServer:
                 "pairs_skipped": stats.pairs_skipped,
                 "shards_total": stats.shards_total,
                 "shards_skipped": stats.shards_skipped,
+                "shard_waves": stats.shard_waves,
+                "shard_busy_ms": list(stats.shard_busy_ms),
             },
         })
 
@@ -569,6 +571,10 @@ class HttpSearchServer:
             "repro_worker_failovers_total", "counter",
             "Executions answered inline after a pool worker died.",
         ).add({}, stats.worker_failovers))
+        families.append(MetricFamily(
+            "repro_worker_respawn_failures_total", "counter",
+            "Dead shard workers whose replacement failed to start.",
+        ).add({}, stats.respawn_failures))
         families.append(MetricFamily(
             "repro_pool_rebuilds_total", "counter",
             "Worker pools (re)built (lazy first build + version bumps).",

@@ -34,6 +34,7 @@ SEARCH_COUNTERS = (
     "pairs_skipped",
     "shards_total",
     "shards_skipped",
+    "shard_waves",
     "shard_failovers",
 )
 

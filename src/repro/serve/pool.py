@@ -47,12 +47,15 @@ Each worker holds the whole :class:`~repro.index.shards.ShardedIndexes`
 partition and runs the bound-driven best-bound-first merge loop
 (:func:`~repro.search.sharding.execute_sharded_plan` — literally the
 same function the sharded service's coordinator runs) in-process, so
-shard skip counters flow unchanged.  The alternative — nested per-worker
-shard pools — would put N×K processes on the box, oversubscribing every
-core for *intra*-request parallelism when the HTTP tier's scarce
-resource is *inter*-request throughput; one process per concurrent
-request parallelizes the stream without oversubscription and keeps the
-failure domain one pipe wide.  See ``docs/serving.md``.
+shard skip counters flow unchanged.  The coordinator runs that loop in
+core-wide waves over its shard workers; a pool worker is one process on
+one core, so it passes wave width 1 and visits its shards one after
+another, keeping every threshold skip.  The alternative — nested
+per-worker shard pools — would put N×K processes on the box,
+oversubscribing every core for *intra*-request parallelism when the
+HTTP tier's scarce resource is *inter*-request throughput; one process
+per concurrent request parallelizes the stream without oversubscription
+and keeps the failure domain one pipe wide.  See ``docs/serving.md``.
 """
 
 from __future__ import annotations
@@ -115,11 +118,14 @@ def _execute_portable(
             shard_of[answer.pattern_key] = shard_id
         return result.answers, result.stats
 
+    # Width 1: this worker is one process on one core, and its siblings
+    # are busy with other requests.
     result = execute_sharded_plan(
         plan,
         sharded,
         uppers,
-        run_shard,
+        lambda shard_ids: [run_shard(shard_id) for shard_id in shard_ids],
+        width=1,
         candidate_roots=len(context.candidate_roots),
     )
     return (
@@ -192,9 +198,10 @@ class ForkWorkerPool:
     """N interchangeable fork workers behind a free-slot queue.
 
     Unlike :class:`~repro.search.sharding.ShardWorkerPool` (one worker
-    *per shard*, one in-flight query per pool), every worker here can
-    execute every plan, and N requests execute concurrently — one
-    executor thread owns one worker slot for the duration of a request,
+    *per shard*, one in-flight *query* per pool, its shards sent in
+    concurrent waves), every worker here can execute every plan, and N
+    requests execute concurrently — one executor thread owns one worker
+    slot for the duration of a request,
     so each duplex pipe still has exactly one user at a time and needs
     no multiplexing.  Fork-only by design: the snapshot (and the
     optional shard partition) is inherited through the forked address

@@ -30,6 +30,7 @@ from repro.search.service import SearchService
 from repro.search.sharding import (
     SHARDABLE_ALGORITHMS,
     ShardedSearchService,
+    ShardWorkerError,
     execute_shard_plan,
     plan_shardable,
 )
@@ -333,6 +334,49 @@ class TestWorkerRobustness:
             assert fingerprint(healthy) == fingerprint(
                 plain.search(query, k=5)
             )
+
+    def test_failed_respawn_does_not_fail_the_query(
+        self, small_bundle, monkeypatch
+    ):
+        # The lost shard is answered inline *before* the respawn is
+        # tried; a respawn that fails is counted and retried by the
+        # next query, never raised.
+        vocab = sorted(small_bundle.store.words())
+        query = " ".join(vocab[:2])
+        with ShardedSearchService(
+            small_bundle, num_shards=4, max_cached_results=0
+        ) as service:
+            healthy = service.search(query, k=5)
+            victim = healthy.stats.shard_dispatch_order[0]
+            pool = service._pool
+            real_spawn = pool._spawn
+            failures = [1]
+
+            def flaky_spawn(shard_id):
+                if failures[0]:
+                    failures[0] -= 1
+                    raise OSError("fork: resource temporarily unavailable")
+                return real_spawn(shard_id)
+
+            monkeypatch.setattr(pool, "_spawn", flaky_spawn)
+            pool.kill_worker(victim)
+            lost = service.search(query, k=5)
+            assert fingerprint(lost) == fingerprint(healthy)
+            assert lost.stats.shard_failovers == 1
+            assert service.stats.respawn_failures == 1
+            assert pool._workers[victim] is None  # slot left empty
+            with pytest.raises(ShardWorkerError):
+                pool.send(victim, service.plan(query, k=5))
+            # The next query fails over again and the retry succeeds.
+            retried = service.search(query, k=5)
+            assert fingerprint(retried) == fingerprint(healthy)
+            assert retried.stats.shard_failovers == 1
+            assert service.stats.respawn_failures == 1
+            assert pool._workers[victim].process.is_alive()
+            whole = service.search(query, k=5)
+            assert whole.stats.shard_failovers == 0
+            assert fingerprint(whole) == fingerprint(healthy)
+            assert "1 failed respawns" in service.stats.format()
 
     def test_inline_execution_matches_worker(self, small_bundle):
         # The failover path runs the same function the workers run.

@@ -472,6 +472,17 @@ class TestShardedBackend:
                 ref_status, ref_body, _ = get(reference.address, path)
                 assert (status, ref_status) == (200, 200)
                 payload, ref = json.loads(body), json.loads(ref_body)
+                stats = payload["stats"]
+                if not stats["from_result_cache"]:
+                    # The straggler is visible per request: one busy
+                    # figure per dispatched shard, beside the totals.
+                    assert stats["shards_total"] == 3
+                    assert stats["shard_waves"] >= 1
+                    assert len(stats["shard_busy_ms"]) == (
+                        stats["shards_total"] - stats["shards_skipped"]
+                    )
+                assert ref["stats"]["shard_waves"] == 0
+                assert ref["stats"]["shard_busy_ms"] == []
                 payload["stats"] = ref["stats"] = None  # work counters differ
                 assert payload == ref
 
@@ -481,13 +492,17 @@ class TestShardedBackend:
             shard_counters = {
                 line.split()[0]: float(line.split()[1])
                 for line in text.splitlines()
-                if line.startswith('repro_search_counter_total{counter="shards')
+                if line.startswith('repro_search_counter_total{counter="shard')
             }
             assert (
                 shard_counters['repro_search_counter_total{counter="shards_total"}']
                 >= len(paths) * 3
             )
             assert 'counter="shards_skipped"' in text
+            assert (
+                shard_counters['repro_search_counter_total{counter="shard_waves"}']
+                >= 1
+            )
         finally:
             server.stop()
             reference.stop()

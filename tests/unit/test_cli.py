@@ -1,6 +1,7 @@
 """The command-line interface: build, search, stats."""
 
 import json
+import re
 
 import pytest
 
@@ -464,6 +465,10 @@ class TestSharding:
         out = capsys.readouterr().out
         assert "sharding: dispatched=" in out
         assert "/2 shards" in out
+        # The stats line and the --explain line both show the waves and
+        # each dispatched shard's own busy time.
+        assert re.search(r"shards=\d/2 waves=\d busy=\[[\d., ]*\]ms", out)
+        assert re.search(r"order=\[[\d, ]*\]\) waves=\d busy=\[", out)
 
     def test_search_matches_unsharded(self, index_file, capsys):
         assert main(["search", str(index_file), "software company"]) == 0
