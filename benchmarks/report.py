@@ -75,15 +75,7 @@ def _headline(name: str, data: dict) -> str:
         )
     if "per_shard_count" in data:  # BENCH_5 (sharding)
         skipped = data.get("total_shards_skipped")
-        rows = data["per_shard_count"]
-        waves = ", ".join(
-            f"K={count}: {row['shard_waves']} waves x{row['wave_width']}"
-            for count, row in sorted(rows.items(), key=lambda kv: int(kv[0]))
-            if "shard_waves" in row
-        )
-        return f"{skipped} shards skipped across the grid" + (
-            f" ({waves})" if waves else ""
-        )
+        return f"{skipped} shards skipped across the grid"
     if "single_query" in data:  # BENCH_4 (serving)
         single = data["single_query"]
         warm = single.get("warm_p50_ms")

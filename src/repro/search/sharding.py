@@ -58,9 +58,9 @@ Worker death (crash, OOM-kill) is detected by liveness checks at
 :meth:`ShardWorkerPool.send` and by hang-up / the wave's one deadline at
 :meth:`ShardWorkerPool.collect`; the coordinator re-executes the lost
 shard (only) inline from its own copy of the shard bundle while the
-wave's live workers keep computing, then respawns the worker, and counts
-a ``shard_failover`` — one query degrades to local execution of one
-shard, nothing is lost.  A respawn that itself fails leaves the slot
+wave's live workers keep computing, respawns the worker once the query's
+last wave is in, and counts a ``shard_failover`` — one query degrades to
+local execution of one shard, nothing is lost.  A respawn that itself fails leaves the slot
 empty for the next query to fail over and retry; it is counted
 (``ServiceStats.respawn_failures``), never raised.
 """
@@ -694,7 +694,7 @@ class ShardedSearchService(SearchService):
         if not plan_shardable(plan):
             return super()._execute_on(snap, plan)
         context = self._context_for(snap, plan)
-        failovers = [0]
+        lost: List[int] = []
         with self._scatter_lock:
             sharded, pool = self._ensure_pool(snap)
             uppers = self._shard_bounds(snap, plan, context, sharded)
@@ -708,15 +708,11 @@ class ShardedSearchService(SearchService):
                     except ShardWorkerError:
                         pass
                 if payload is None:
-                    # Lost at send or at collect.  Answer from our own
-                    # copy of the shard first: the query must not
-                    # depend on the respawn working.
-                    failovers[0] += 1
+                    # Lost at send or at collect: answer from our own
+                    # copy of the shard.  The query must not depend on
+                    # the respawn working, nor wait for it.
+                    lost.append(shard_id)
                     payload = execute_shard_plan(shard, plan)
-                    try:
-                        pool.respawn(shard_id)
-                    except ShardWorkerError:
-                        self.stats.bump(respawn_failures=1)
                 rows, shard_stats = payload
                 # The worker was forked from this very shard bundle, so
                 # its path ids are this store's.
@@ -734,30 +730,31 @@ class ShardedSearchService(SearchService):
                         tags.append(pool.send(shard_id, plan))
                     except ShardWorkerError:
                         tags.append(None)
-                # Gather weakest bound first: less candidate mass is
-                # less work, so that reply is likely in already and is
-                # unpickled and bound while the stronger shards still
-                # compute.  The merge order is the caller's, unaffected.
-                replies = [
+                return [
                     gather(shard_id, tag, deadline)
-                    for shard_id, tag in zip(
-                        reversed(shard_ids), reversed(tags)
-                    )
+                    for shard_id, tag in zip(shard_ids, tags)
                 ]
-                replies.reverse()
-                return replies
 
-            result = execute_sharded_plan(
-                plan,
-                sharded,
-                uppers,
-                run_shards,
-                width=min(self.num_shards, usable_cores()),
-                candidate_roots=len(context.candidate_roots),
-            )
-        if failovers[0]:
-            result.stats.shard_failovers = failovers[0]
-            self.stats.bump(worker_failovers=failovers[0])
+            try:
+                result = execute_sharded_plan(
+                    plan,
+                    sharded,
+                    uppers,
+                    run_shards,
+                    width=min(self.num_shards, usable_cores()),
+                    candidate_roots=len(context.candidate_roots),
+                )
+            finally:
+                # After the last wave: a fork-and-warm never eats a
+                # wave's deadline or delays a live worker's reply.
+                for shard_id in lost:
+                    try:
+                        pool.respawn(shard_id)
+                    except ShardWorkerError:
+                        self.stats.bump(respawn_failures=1)
+        if lost:
+            result.stats.shard_failovers = len(lost)
+            self.stats.bump(worker_failovers=len(lost))
         self._remember_candidates(plan, context)
         return result
 

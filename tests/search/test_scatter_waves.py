@@ -385,9 +385,7 @@ class TestSendCollect:
                 for start in range(0, len(order), width):
                     wave = order[start:start + width]
                     expected += [("send", s) for s in wave]
-                    # Gathered weakest bound first, merged in dispatch
-                    # order all the same.
-                    expected += [("collect", s) for s in reversed(wave)]
+                    expected += [("collect", s) for s in wave]
                 assert events == expected
                 assert stats.shard_waves == math.ceil(len(order) / width)
 
@@ -443,6 +441,13 @@ class TestFaultsInsideAWave:
         events = spy_pool(
             service, monkeypatch, before_send=freeze, before_collect=kill
         )
+        real_respawn = pool.respawn
+
+        def respawn(shard_id):
+            events.append(("respawn", shard_id))
+            real_respawn(shard_id)
+
+        monkeypatch.setattr(pool, "respawn", respawn)
         wounded = service.search(query, k=5)
         assert fingerprint(wounded) == fingerprint(healthy)
         assert wounded.stats.shard_failovers == len(victims)
@@ -451,10 +456,11 @@ class TestFaultsInsideAWave:
         )
         assert len(wounded.stats.shard_busy_ms) == 2
         # Both sends went out before the kill; both shards were gathered
-        # (the survivor's reply consumed, not left in its pipe).
+        # (the survivor's reply consumed, not left in its pipe); the
+        # respawns wait until every reply is in.
         assert [kind for kind, _ in events] == [
             "send", "send", "collect", "collect",
-        ]
+        ] + ["respawn"] * len(victims)
         assert service.stats.worker_failovers == len(victims)
         # Respawned, and nothing stale in any pipe.
         for shard_id, worker in enumerate(pool._workers):
@@ -484,12 +490,12 @@ class TestFaultsInsideAWave:
         events = spy_pool(service, monkeypatch, before_send=corrupt)
         with pytest.raises(SearchError, match="failed executing the plan"):
             service.search(query, k=5)
-        # The last-dispatched shard is gathered first: when it is the
-        # broken one, the other shard's reply to the failed query is
-        # still in its pipe (or on its way) ...
+        # Gathered in dispatch order: when the first shard is the broken
+        # one, the other shard's reply to the failed query is still in
+        # its pipe (or on its way) ...
         collected = [shard for kind, shard in events if kind == "collect"]
-        assert collected[0] == healthy.stats.shard_dispatch_order[-1]
-        assert len(collected) == (1 if position == -1 else 2)
+        assert collected[0] == healthy.stats.shard_dispatch_order[0]
+        assert len(collected) == (1 if position == 0 else 2)
         # ... and the next query discards it by tag.
         after = service.search(query, k=5)
         assert fingerprint(after) == fingerprint(healthy)
