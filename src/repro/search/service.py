@@ -109,8 +109,8 @@ class ServiceStats:
     execution_backend: str = "inline"
     execution_workers: int = 0
     #: Pool-backed services: dead-worker inline failovers, respawns of
-    #: a dead shard worker that themselves failed (the slot stays empty
-    #: until the next query retries), and version-driven pool rebuilds.
+    #: a dead worker that themselves failed (the slot stays empty until
+    #: the next request retries), and version-driven pool rebuilds.
     worker_failovers: int = 0
     respawn_failures: int = 0
     pool_rebuilds: int = 0
@@ -209,6 +209,12 @@ def _fork_execute(plan: QueryPlan) -> SearchResult:
 
 class SearchService:
     """Load once, serve many: cached, snapshot-consistent query serving."""
+
+    #: K of the shard partition served over (0: none; the pool-backed
+    #: services set it).  A compaction writes that partition into the
+    #: file, so the compacted file preserves K and a restart re-maps
+    #: the shards for free.
+    num_shards = 0
 
     def __init__(
         self,
@@ -314,9 +320,9 @@ class SearchService:
 
     def close(self) -> None:
         """Release serving resources; a no-op here, overridden by
-        :class:`~repro.search.sharding.ShardedSearchService` (worker
-        pool).  Callers that may hold either flavor (the CLI) can call
-        it unconditionally."""
+        :class:`~repro.search.workers.PoolBackedService` (worker pool).
+        Callers that may hold any flavor (the CLI) can call it
+        unconditionally."""
 
     def __enter__(self) -> "SearchService":
         return self
@@ -341,13 +347,6 @@ class SearchService:
         self.maybe_compact()
 
     # ----------------------------------------------------------- compaction
-
-    def _compact_shards(self) -> int:
-        """How many shards a compaction of this service should write
-        (overridden by the partitioned serving backends, so the
-        compacted file preserves their K and the fresh mapped partition
-        is adopted without a re-partition)."""
-        return 0
 
     def _adopt_compaction(self, outcome: dict) -> None:
         """Subclass hook: absorb the compaction outcome (e.g. adopt the
@@ -375,7 +374,7 @@ class SearchService:
                 "loaded from a file (pass path=...)"
             )
         outcome = compact_indexes(
-            self.indexes, target, num_shards=self._compact_shards()
+            self.indexes, target, num_shards=self.num_shards
         )
         self._adopt_compaction(outcome)
         self.stats.bump(compactions=1)

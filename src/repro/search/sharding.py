@@ -54,22 +54,21 @@ the shard store the worker was forked from — value-equal to the
 unsharded combos, with no :class:`~repro.index.entry.PathEntry` built
 on either side of the pipe.
 
-Worker death (crash, OOM-kill) is detected by liveness checks at
-:meth:`ShardWorkerPool.send` and by hang-up / the wave's one deadline at
-:meth:`ShardWorkerPool.collect`; the coordinator re-executes the lost
-shard (only) inline from its own copy of the shard bundle while the
-wave's live workers keep computing, respawns the worker once the query's
-last wave is in, and counts a ``shard_failover`` — one query degrades to
-local execution of one shard, nothing is lost.  A respawn that itself fails leaves the slot
-empty for the next query to fail over and retry; it is counted
-(``ServiceStats.respawn_failures``), never raised.
+The workers are a :class:`~repro.search.workers.WorkerPool` addressed by
+shard id; the fork, the pipe protocol, death detection (liveness at
+``send``, hang-up / the wave's one deadline at ``collect``) and respawn
+live in :mod:`repro.search.workers`.  Under its failover rule the
+coordinator re-executes a lost shard (only) inline from its own copy of
+the shard bundle while the wave's live workers keep computing, respawns
+the worker once the query's last wave is in, and counts a
+``shard_failover`` — one query degrades to local execution of one shard,
+nothing is lost.  A failed respawn is counted
+(``ServiceStats.respawn_failures``) and retried by the next query.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-import time
 from collections import OrderedDict
 from itertools import repeat
 from typing import List, Optional, Tuple
@@ -77,7 +76,7 @@ from typing import List, Optional, Tuple
 from repro.core.errors import SearchError
 from repro.core.topk import TopKQueue, TopKThreshold
 from repro.index.builder import PathIndexes
-from repro.index.shards import ShardedIndexes, partition_indexes
+from repro.index.shards import ShardedIndexes
 from repro.scoring.function import PAPER_DEFAULT, ScoringFunction
 from repro.search.bounds import SAFETY
 from repro.search.plan import QueryPlan, execute_plan
@@ -91,7 +90,10 @@ from repro.search.result import (
     order_answers,
     portable_answers,
 )
-from repro.search.service import SearchService
+from repro.search.workers import PoolBackedService, WorkerError, WorkerPool
+
+#: The one worker error class, under the name this module used to define.
+ShardWorkerError = WorkerError
 
 DEFAULT_NUM_SHARDS = 4
 
@@ -288,68 +290,15 @@ def execute_sharded_plan(
     )
 
 
-def _shard_worker_main(shard: PathIndexes, conn) -> None:
-    """One worker process: pre-warm, handshake, then serve plans forever.
+class ShardWorkerPool(WorkerPool):
+    """One :class:`~repro.search.workers.WorkerPool` worker per shard,
+    addressed by shard id.
 
-    Protocol (all tuples):  receives ``("execute", tag, plan)`` and
-    answers ``("ok", tag, (portable_answers, stats))`` or
-    ``("error", tag, message)``; ``("stop",)`` exits cleanly;
-    ``("exit",)`` hard-kills the process mid-protocol (the fault-injection
-    hook the robustness tests use).  The tag is echoed so the coordinator
-    can discard a stale response left in the pipe by a timed-out query.
-    """
-    try:
-        shard.store.warm_query_caches()
-        conn.send(("ready",))
-        while True:
-            message = conn.recv()
-            kind = message[0]
-            if kind == "stop":
-                break
-            if kind == "exit":
-                os._exit(1)
-            if kind == "execute":
-                _, tag, plan = message
-                try:
-                    payload = execute_shard_plan(shard, plan)
-                except Exception as exc:  # noqa: BLE001 - report, don't die
-                    conn.send(("error", tag, f"{type(exc).__name__}: {exc}"))
-                else:
-                    conn.send(("ok", tag, payload))
-    except (EOFError, OSError, KeyboardInterrupt):
-        pass  # coordinator went away; nothing to report to
-    finally:
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - already torn down
-            pass
-
-
-class ShardWorkerError(SearchError):
-    """A shard worker died or stopped responding mid-query."""
-
-
-class _Worker:
-    __slots__ = ("process", "conn")
-
-    def __init__(self, process, conn) -> None:
-        self.process = process
-        self.conn = conn
-
-
-class ShardWorkerPool:
-    """K long-lived forked workers, one per shard, spoken to over pipes.
-
-    Fork-only by design: the shard bundles are inherited through the
-    forked address space (nothing index-sized is pickled), exactly like
-    the plain service's batch fork pool.  Startup blocks until every
-    worker has warmed its shard's query/bound columns and sent its
-    ``("ready",)`` handshake, so the first query never pays the one-time
-    column builds.
-
-    A query is :meth:`send` to each shard of a wave, then each reply is
-    :meth:`collect`-ed; the workers compute in between.  The pipes are
-    plain duplex connections with one tag counter, so one *query* in
+    Each worker inherits its shard bundle, warms that shard's query and
+    bound columns *in the child* (so K warms overlap) before its ready
+    handshake, and runs :func:`execute_shard_plan`.  A query is
+    :meth:`send` to each shard of a wave, then each reply is
+    :meth:`collect`-ed; the workers compute in between.  One *query* in
     flight per pool (the caller serializes queries), any number of its
     shards.
     """
@@ -357,189 +306,26 @@ class ShardWorkerPool:
     def __init__(
         self, sharded: ShardedIndexes, timeout: float = 30.0
     ) -> None:
-        import multiprocessing
-
-        try:
-            self._ctx = multiprocessing.get_context("fork")
-        except ValueError as exc:  # pragma: no cover - non-fork platform
-            raise SearchError(
-                f"sharded serving requires the fork start method: {exc}"
-            ) from exc
-        self.sharded = sharded
-        self.timeout = timeout
-        self._tag = 0
-        self._workers: List[Optional[_Worker]] = [None] * sharded.num_shards
-        self.closed = False
-        try:
-            for shard_id in range(sharded.num_shards):
-                self._workers[shard_id] = self._spawn(shard_id)
-            for shard_id in range(sharded.num_shards):
-                self._await_ready(shard_id)
-        except BaseException:
-            self.close()
-            raise
-
-    # ----------------------------------------------------------- lifecycle
-
-    def _spawn(self, shard_id: int) -> _Worker:
-        parent_conn, child_conn = self._ctx.Pipe()
-        process = self._ctx.Process(
-            target=_shard_worker_main,
-            args=(self.sharded.shards[shard_id], child_conn),
-            daemon=True,
-            name=f"repro-shard-{shard_id}",
+        self.store_version = sharded.store_version
+        super().__init__(
+            sharded.shards, execute_shard_plan, "shard", timeout,
+            warm=lambda shard: shard.store.warm_query_caches(),
         )
-        process.start()
-        child_conn.close()
-        return _Worker(process, parent_conn)
-
-    def _await_ready(self, shard_id: int) -> None:
-        worker = self._workers[shard_id]
-        message = self._recv(
-            worker, time.monotonic() + self.timeout, shard_id
-        )
-        if message != ("ready",):
-            raise ShardWorkerError(
-                f"shard worker {shard_id} sent {message!r} instead of the "
-                "ready handshake"
-            )
-
-    def respawn(self, shard_id: int) -> None:
-        """Replace a dead (or wedged) worker with a fresh one.
-
-        Raises :class:`ShardWorkerError` when the fork fails or the new
-        worker dies warming; the slot is then left empty, so the next
-        :meth:`send` to it raises and the caller fails over again.
-        """
-        self._discard(shard_id)
-        try:
-            self._workers[shard_id] = self._spawn(shard_id)
-            self._await_ready(shard_id)
-        except (ShardWorkerError, OSError) as exc:
-            self._discard(shard_id)
-            raise ShardWorkerError(
-                f"shard worker {shard_id} could not be respawned: {exc}"
-            ) from exc
-
-    def _discard(self, shard_id: int) -> None:
-        worker = self._workers[shard_id]
-        if worker is None:
-            return
-        self._workers[shard_id] = None
-        try:
-            worker.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        if worker.process.is_alive():
-            worker.process.terminate()
-        worker.process.join(timeout=5.0)
-        if worker.process.is_alive():  # pragma: no cover - stuck in syscall
-            worker.process.kill()
-            worker.process.join(timeout=5.0)
-
-    def kill_worker(self, shard_id: int) -> None:
-        """Hard-kill one worker (SIGKILL) — the fault-injection hook."""
-        worker = self._workers[shard_id]
-        if worker is not None and worker.process.is_alive():
-            worker.process.kill()
-            worker.process.join(timeout=5.0)
-
-    def close(self) -> None:
-        """Stop every worker; idempotent."""
-        if self.closed:
-            return
-        self.closed = True
-        for worker in self._workers:
-            if worker is None:
-                continue
-            try:
-                worker.conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-        for shard_id in range(len(self._workers)):
-            self._discard(shard_id)
-
-    # ----------------------------------------------------------- execution
-
-    def send(self, shard_id: int, plan: QueryPlan) -> int:
-        """Hand ``plan`` to one shard's worker and return the tag its
-        reply will carry; raises :class:`ShardWorkerError` when the
-        worker is dead or its pipe is broken."""
-        worker = self._workers[shard_id]
-        if worker is None or not worker.process.is_alive():
-            raise ShardWorkerError(f"shard worker {shard_id} is not alive")
-        self._tag += 1
-        try:
-            worker.conn.send(("execute", self._tag, plan))
-        except (BrokenPipeError, OSError) as exc:
-            raise ShardWorkerError(
-                f"shard worker {shard_id} pipe is broken: {exc}"
-            ) from exc
-        return self._tag
-
-    def collect(
-        self, shard_id: int, tag: int, deadline: Optional[float] = None
-    ):
-        """The reply to the :meth:`send` that returned ``tag``; raises
-        :class:`ShardWorkerError` when the worker died, hung up, or is
-        still silent at ``deadline`` (``time.monotonic()`` based; the
-        pool timeout from now when absent) — the coordinator then fails
-        that shard over inline.  A wave passes every shard the same
-        deadline, so K wedged workers cost one timeout, not K."""
-        worker = self._workers[shard_id]
-        if worker is None:
-            raise ShardWorkerError(f"shard worker {shard_id} is not alive")
-        if deadline is None:
-            deadline = time.monotonic() + self.timeout
-        while True:
-            message = self._recv(worker, deadline, shard_id)
-            if message[0] == "ok" and message[1] == tag:
-                return message[2]
-            if message[0] == "error" and message[1] == tag:
-                raise SearchError(
-                    f"shard {shard_id} failed executing the plan: "
-                    f"{message[2]}"
-                )
-            # A stale response — from a query that timed out, or from a
-            # wave another shard's error cut short: discard and keep
-            # waiting for our tag.
 
     def execute(self, shard_id: int, plan: QueryPlan):
         """:meth:`send` and :meth:`collect` back to back."""
         return self.collect(shard_id, self.send(shard_id, plan))
 
-    def _recv(self, worker: _Worker, deadline: float, shard_id: int):
-        """One message from a worker, with liveness-aware waiting."""
-        while True:
-            try:
-                if worker.conn.poll(0.05):
-                    return worker.conn.recv()
-            except (EOFError, OSError) as exc:
-                raise ShardWorkerError(
-                    f"shard worker {shard_id} hung up: {exc}"
-                ) from exc
-            if not worker.process.is_alive():
-                raise ShardWorkerError(
-                    f"shard worker {shard_id} died (exit code "
-                    f"{worker.process.exitcode})"
-                )
-            if time.monotonic() >= deadline:
-                raise ShardWorkerError(
-                    f"shard worker {shard_id} did not answer by the "
-                    f"{self.timeout:g}s deadline"
-                )
 
-
-class ShardedSearchService(SearchService):
+class ShardedSearchService(PoolBackedService):
     """Scatter–gather serving over a partitioned store (module docstring).
 
     Drop-in for :class:`~repro.search.service.SearchService` — same
     caches, same snapshot protocol, bit-identical answers — with
-    shardable plans executed by the worker pool instead of inline.  The
-    pool is built lazily on the first shardable query and rebuilt
-    whenever the store version moves (the shards are as version-pinned
-    as the snapshot they were cut from).  Call :meth:`close` (or use as
-    a context manager) to reap the workers.
+    shardable plans executed by the shard worker pool instead of inline.
+    Pool lifecycle and the failover rule are
+    :class:`~repro.search.workers.PoolBackedService`'s; this class is
+    the scatter.
     """
 
     def __init__(
@@ -551,32 +337,20 @@ class ShardedSearchService(SearchService):
         sharded: Optional[ShardedIndexes] = None,
         **kwargs,
     ) -> None:
-        super().__init__(indexes, scoring=scoring, **kwargs)
         if num_shards < 1:
             raise SearchError(f"num_shards must be >= 1, got {num_shards}")
-        if sharded is not None:
-            if sharded.base is not indexes:
-                raise SearchError(
-                    "preloaded ShardedIndexes must wrap the same live "
-                    "bundle the service serves"
-                )
-            if sharded.num_shards != num_shards:
-                raise SearchError(
-                    f"preloaded partition has {sharded.num_shards} shards, "
-                    f"service asked for {num_shards}"
-                )
-        self.num_shards = num_shards
-        self.worker_timeout = worker_timeout
+        super().__init__(
+            indexes, num_shards, worker_timeout, sharded,
+            scoring=scoring, **kwargs,
+        )
         self.stats.execution_backend = "sharded"
         self.stats.execution_workers = num_shards
-        self._preloaded = sharded
-        self._sharded: Optional[ShardedIndexes] = None
-        self._pool: Optional[ShardWorkerPool] = None
-        #: Serializes scatter–gather *and* pool lifecycle: the pipes are
-        #: plain duplex connections, not multiplexed channels, so one
-        #: *query* in flight per pool — its wave of shards runs
-        #: concurrently inside it.  Non-shardable plans never take it.
-        self._scatter_lock = threading.Lock()
+        #: Serializes scatter–gather *and* pool lifecycle (it is the
+        #: base class's pool lock): the pipes are plain duplex
+        #: connections, not multiplexed channels, so one *query* in
+        #: flight per pool — its wave of shards runs concurrently inside
+        #: it.  Non-shardable plans never take it.
+        self._scatter_lock = self._pool_lock
         #: (words, scoring) -> (store_version, per-shard uppers): the
         #: precomputed per-shard score upper bounds per resolved keyword
         #: set, shared across k / algorithm / repeats; LRU-capped at
@@ -585,110 +359,12 @@ class ShardedSearchService(SearchService):
             OrderedDict()
         )
 
-    # ----------------------------------------------------------- lifecycle
-
-    @classmethod
-    def from_file(
-        cls, path, num_shards: Optional[int] = None, **kwargs
-    ) -> "ShardedSearchService":
-        """Serve a persisted bundle, honoring a stored partition.
-
-        A file written by
-        :func:`~repro.index.serialize.save_sharded_indexes` restores its
-        shards directly (no repartition) when ``num_shards`` is absent or
-        agrees; asking for a different K — or loading a plain index
-        file — partitions from the base on first use.
-        """
-        from pathlib import Path
-
-        from repro.core.errors import PathIndexError
-        from repro.index.serialize import load_indexes, load_sharded_indexes
-
-        try:
-            sharded = load_sharded_indexes(path)
-        except PathIndexError:
-            sharded = None
-        if sharded is None:
-            service = cls(
-                load_indexes(path),
-                num_shards=num_shards or DEFAULT_NUM_SHARDS,
-                **kwargs,
-            )
-        elif num_shards is not None and num_shards != sharded.num_shards:
-            service = cls(sharded.base, num_shards=num_shards, **kwargs)
-        else:
-            service = cls(
-                sharded.base,
-                num_shards=sharded.num_shards,
-                sharded=sharded,
-                **kwargs,
-            )
-        service.index_path = Path(path)
-        return service
-
-    def close(self) -> None:
-        """Reap the worker pool (the service remains usable; the next
-        shardable query builds a fresh pool)."""
-        with self._scatter_lock:
-            if self._pool is not None:
-                self._pool.close()
-                self._pool = None
-            self._sharded = None
-
-    def __enter__(self) -> "ShardedSearchService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _compact_shards(self) -> int:
-        """Compactions write the service's partition into the file, so a
-        restart re-maps the shards for free and the live pool adopts the
-        fresh mapped partition without a re-partition."""
-        return self.num_shards
-
-    def _adopt_compaction(self, outcome: dict) -> None:
-        """Adopt the compaction's fresh mapped partition: its
-        ``store_version`` is the post-re-map live version, so the next
-        shardable query's pool rebuild forks workers holding re-mapped
-        shard extents — never heap copies."""
-        if outcome["sharded"] is not None:
-            self._preloaded = outcome["sharded"]
-
-    def _ensure_pool(
-        self, snap: PathIndexes
-    ) -> Tuple[ShardedIndexes, ShardWorkerPool]:
-        """The partition + pool for the serving version (caller holds
-        :attr:`_scatter_lock`); rebuilt when the store moved."""
-        version = snap.store.version
-        if (
-            self._pool is not None
-            and not self._pool.closed
-            and self._sharded is not None
-            and self._sharded.store_version == version
-        ):
-            return self._sharded, self._pool
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-        sharded = self._preloaded
-        if sharded is None or sharded.store_version != version:
-            sharded = partition_indexes(snap, self.num_shards)
-        self._sharded = sharded
-        self._shard_uppers.clear()
-        self._pool = ShardWorkerPool(sharded, timeout=self.worker_timeout)
-        self.stats.bump(pool_rebuilds=1)
-        return sharded, self._pool
+    def _start_pool(
+        self, snap: PathIndexes, sharded: ShardedIndexes
+    ) -> ShardWorkerPool:
+        return ShardWorkerPool(sharded, timeout=self.worker_timeout)
 
     # ----------------------------------------------------------- execution
-
-    def _execute_forked(self, snap, pending, processes):
-        raise SearchError(
-            "search_many(processes=N) is disabled on ShardedSearchService: "
-            "forked batch children would share the shard workers' pipes; "
-            "the shard worker pool is the parallel path (threads= remains "
-            "available for batch overlap)"
-        )
 
     def _execute_on(self, snap: PathIndexes, plan: QueryPlan) -> SearchResult:
         if not plan_shardable(plan):
@@ -699,40 +375,20 @@ class ShardedSearchService(SearchService):
             sharded, pool = self._ensure_pool(snap)
             uppers = self._shard_bounds(snap, plan, context, sharded)
 
-            def gather(shard_id: int, tag: Optional[int], deadline: float):
-                shard = sharded.shards[shard_id]
-                payload = None
-                if tag is not None:
-                    try:
-                        payload = pool.collect(shard_id, tag, deadline)
-                    except ShardWorkerError:
-                        pass
-                if payload is None:
-                    # Lost at send or at collect: answer from our own
-                    # copy of the shard.  The query must not depend on
-                    # the respawn working, nor wait for it.
-                    lost.append(shard_id)
-                    payload = execute_shard_plan(shard, plan)
-                rows, shard_stats = payload
-                # The worker was forked from this very shard bundle, so
-                # its path ids are this store's.
-                answers = bind_answers(rows, snap, repeat(shard.store))
-                return answers, shard_stats
-
             def run_shards(shard_ids: List[int]):
-                # Every send goes out before the first collect (inline
-                # failover included), so the wave's live workers compute
-                # side by side; one deadline covers the whole wave.
-                deadline = time.monotonic() + self.worker_timeout
-                tags: List[Optional[int]] = []
-                for shard_id in shard_ids:
-                    try:
-                        tags.append(pool.send(shard_id, plan))
-                    except ShardWorkerError:
-                        tags.append(None)
+                # The workers were forked from these very shard bundles
+                # (a lost one is answered from ours), so their path ids
+                # are these stores'.
                 return [
-                    gather(shard_id, tag, deadline)
-                    for shard_id, tag in zip(shard_ids, tags)
+                    (
+                        bind_answers(
+                            rows, snap, repeat(sharded.shards[shard_id].store)
+                        ),
+                        shard_stats,
+                    )
+                    for shard_id, (rows, shard_stats) in zip(
+                        shard_ids, pool.execute_on(shard_ids, plan, lost)
+                    )
                 ]
 
             try:
@@ -747,14 +403,8 @@ class ShardedSearchService(SearchService):
             finally:
                 # After the last wave: a fork-and-warm never eats a
                 # wave's deadline or delays a live worker's reply.
-                for shard_id in lost:
-                    try:
-                        pool.respawn(shard_id)
-                    except ShardWorkerError:
-                        self.stats.bump(respawn_failures=1)
-        if lost:
-            result.stats.shard_failovers = len(lost)
-            self.stats.bump(worker_failovers=len(lost))
+                self._heal(pool, lost)
+        result.stats.shard_failovers = len(lost)
         self._remember_candidates(plan, context)
         return result
 
@@ -779,10 +429,3 @@ class ShardedSearchService(SearchService):
         while len(self._shard_uppers) > self.max_cached_contexts:
             self._shard_uppers.popitem(last=False)
         return uppers
-
-    def __repr__(self) -> str:
-        pool = "up" if self._pool is not None and not self._pool.closed else "down"
-        return (
-            f"ShardedSearchService(num_shards={self.num_shards}, "
-            f"pool={pool}, {super().__repr__()[len('SearchService('):]}"
-        )

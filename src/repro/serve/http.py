@@ -573,7 +573,7 @@ class HttpSearchServer:
         ).add({}, stats.worker_failovers))
         families.append(MetricFamily(
             "repro_worker_respawn_failures_total", "counter",
-            "Dead shard workers whose replacement failed to start.",
+            "Dead pool workers whose replacement failed to start.",
         ).add({}, stats.respawn_failures))
         families.append(MetricFamily(
             "repro_pool_rebuilds_total", "counter",

@@ -30,16 +30,16 @@ Division of labor — the parent keeps every piece of dispatch state:
   ``include_rows=True`` works across the pipe without an entry being
   built on either side.
 
-Invalidation is the service's own version-guard protocol, one level up:
-the pool is tagged with the store version it was forked at, and a
-version mismatch at execution time closes it and forks a fresh pool
-from the new snapshot — workers can never serve a stale snapshot.
-Worker death (crash, OOM-kill, SIGKILL fault injection) is detected by
-pipe liveness, answered by **inline failover** in the parent (the
-request still gets a bit-identical answer), counted in
-``ServiceStats.worker_failovers``, and healed by respawning the dead
-slot — the same fault model :class:`~repro.search.sharding.\
-ShardWorkerPool` implements per shard.
+The workers are a :class:`~repro.search.workers.WorkerPool` behind a
+free-slot lease; the fork, the pipe protocol, death detection and
+respawn live in :mod:`repro.search.workers`, with the two rules this
+service shares with the sharded one.  Invalidation: a pool is tagged
+with the store version it was forked at, and a mismatch at execution
+time forks a fresh pool from the new snapshot — workers can never serve
+a stale one.  Failover: a dead worker's request (crash, OOM-kill,
+SIGKILL fault injection) is answered **inline** in the parent first,
+bit-identically, and counted in ``ServiceStats.worker_failovers``; the
+slot is respawned afterwards (a failed respawn: ``respawn_failures``).
 
 Composing with ``--shards``: the chosen composition is **parent
 dispatch → fork worker → inline scatter over the inherited partition**.
@@ -60,33 +60,29 @@ and keeps the failure domain one pipe wide.  See ``docs/serving.md``.
 
 from __future__ import annotations
 
-import os
 import queue
-import threading
-import time
 from itertools import repeat
 from typing import Dict, List, Optional
 
 from repro.core.errors import SearchError
 from repro.index.builder import PathIndexes
-from repro.index.shards import ShardedIndexes, partition_indexes
+from repro.index.shards import ShardedIndexes
 from repro.scoring.function import PAPER_DEFAULT, ScoringFunction
 from repro.search.context import EnumerationContext
 from repro.search.plan import QueryPlan, execute_plan
 from repro.search.result import SearchResult, bind_answers, portable_answers
-from repro.search.service import SearchService
 from repro.search.sharding import (
     execute_shard_plan,
     execute_sharded_plan,
     plan_shardable,
     shard_upper_bounds,
 )
+from repro.search.workers import PoolBackedService, WorkerError, WorkerPool
 
 DEFAULT_POOL_PROCESSES = 2
 
-
-class PoolWorkerError(SearchError):
-    """A fork-pool worker died or stopped responding mid-request."""
+#: The one worker error class, under the name this module used to define.
+PoolWorkerError = WorkerError
 
 
 def _execute_portable(
@@ -135,77 +131,18 @@ def _execute_portable(
     )
 
 
-def _pool_worker_main(
-    bundle: PathIndexes, sharded: Optional[ShardedIndexes], conn
-) -> None:
-    """One pool worker: handshake, then serve plans until told to stop.
-
-    Protocol (all tuples): receives ``("execute", tag, plan)`` and
-    answers ``("ok", tag, (portable_answers, stats, shard_ids))`` or
-    ``("error", tag, message)``; ``("stop",)`` exits cleanly;
-    ``("exit",)`` hard-kills immediately and ``("arm_exit",)`` arms a
-    hard kill *after the next plan is received but before it is
-    answered* — the deterministic mid-request death hook the
-    fault-injection tests use.  The tag is echoed so a stale response
-    left in the pipe by a timed-out request is discarded, never
-    mismatched.  Pre-warm happens in the parent before the fork (once,
-    not N times), so workers are born warm.
-    """
-    die_on_next = False
-    try:
-        conn.send(("ready",))
-        while True:
-            message = conn.recv()
-            kind = message[0]
-            if kind == "stop":
-                break
-            if kind == "exit":
-                os._exit(1)
-            if kind == "arm_exit":
-                die_on_next = True
-            elif kind == "execute":
-                _, tag, plan = message
-                if die_on_next:
-                    os._exit(1)
-                try:
-                    payload = _execute_portable(bundle, sharded, plan)
-                except Exception as exc:  # noqa: BLE001 - report, don't die
-                    conn.send(("error", tag, f"{type(exc).__name__}: {exc}"))
-                else:
-                    conn.send(("ok", tag, payload))
-    except (EOFError, OSError, KeyboardInterrupt):
-        pass  # parent went away; nothing to report to
-    finally:
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - already torn down
-            pass
-
-
-class _PoolWorker:
-    __slots__ = ("process", "conn", "tag", "busy", "executed", "respawns")
-
-    def __init__(self, process, conn, respawns: int = 0) -> None:
-        self.process = process
-        self.conn = conn
-        self.tag = 0
-        self.busy = False
-        self.executed = 0
-        self.respawns = respawns
-
-
-class ForkWorkerPool:
-    """N interchangeable fork workers behind a free-slot queue.
+class ForkWorkerPool(WorkerPool):
+    """N interchangeable :class:`~repro.search.workers.WorkerPool`
+    workers behind a free-slot lease.
 
     Unlike :class:`~repro.search.sharding.ShardWorkerPool` (one worker
     *per shard*, one in-flight *query* per pool, its shards sent in
-    concurrent waves), every worker here can execute every plan, and N
-    requests execute concurrently — one executor thread owns one worker
-    slot for the duration of a request,
-    so each duplex pipe still has exactly one user at a time and needs
-    no multiplexing.  Fork-only by design: the snapshot (and the
-    optional shard partition) is inherited through the forked address
-    space, never pickled.
+    concurrent waves), every worker here holds the whole snapshot (and
+    the optional shard partition) and can execute every plan, and N
+    requests execute concurrently — one executor thread leases one
+    worker slot for the duration of a request, so each duplex pipe
+    still has exactly one user at a time.  The caller warms the snapshot
+    once in the parent before the fork, not N times in the children.
     """
 
     def __init__(
@@ -215,238 +152,61 @@ class ForkWorkerPool:
         sharded: Optional[ShardedIndexes] = None,
         timeout: float = 60.0,
     ) -> None:
-        import multiprocessing
-
-        try:
-            self._ctx = multiprocessing.get_context("fork")
-        except ValueError as exc:  # pragma: no cover - non-fork platform
-            raise SearchError(
-                f"the fork-pool backend requires the fork start method: "
-                f"{exc}"
-            ) from exc
         if num_workers < 1:
             raise SearchError(
                 f"num_workers must be >= 1, got {num_workers}"
             )
-        self.bundle = bundle
-        self.sharded = sharded
-        self.num_workers = num_workers
-        self.timeout = timeout
         self.store_version = bundle.store.version
-        self.closed = False
-        self._respawn_lock = threading.Lock()
-        self._workers: List[Optional[_PoolWorker]] = [None] * num_workers
         self._free: "queue.Queue[int]" = queue.Queue()
-        try:
-            for slot in range(num_workers):
-                self._workers[slot] = self._spawn(slot)
-            for slot in range(num_workers):
-                self._await_ready(slot)
-        except BaseException:
-            self.close()
-            raise
+        super().__init__(
+            [(bundle, sharded)] * num_workers,
+            lambda state, plan: _execute_portable(*state, plan),
+            "pool",
+            timeout,
+        )
         for slot in range(num_workers):
             self._free.put(slot)
 
-    # ----------------------------------------------------------- lifecycle
-
-    def _spawn(self, slot: int, respawns: int = 0) -> _PoolWorker:
-        parent_conn, child_conn = self._ctx.Pipe()
-        process = self._ctx.Process(
-            target=_pool_worker_main,
-            args=(self.bundle, self.sharded, child_conn),
-            daemon=True,
-            name=f"repro-pool-{slot}",
-        )
-        process.start()
-        child_conn.close()
-        return _PoolWorker(process, parent_conn, respawns=respawns)
-
-    def _await_ready(self, slot: int) -> None:
-        worker = self._workers[slot]
-        message = self._recv(worker, self.timeout, slot)
-        if message != ("ready",):
-            raise PoolWorkerError(
-                f"pool worker {slot} sent {message!r} instead of the "
-                "ready handshake"
-            )
-
-    def respawn(self, slot: int) -> None:
-        """Replace a dead (or wedged) worker with a fresh one."""
-        with self._respawn_lock:
-            if self.closed:
-                return
-            respawns = 0
-            worker = self._workers[slot]
-            if worker is not None:
-                respawns = worker.respawns + 1
-            self._discard(slot)
-            self._workers[slot] = self._spawn(slot, respawns=respawns)
-            self._await_ready(slot)
-
-    def _discard(self, slot: int) -> None:
-        worker = self._workers[slot]
-        if worker is None:
-            return
-        self._workers[slot] = None
+    def lease(self) -> int:
+        """A free worker slot, the caller's until :meth:`release`;
+        raises :class:`~repro.search.workers.WorkerError` when none
+        frees up within the pool timeout."""
         try:
-            worker.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        if worker.process.is_alive():
-            worker.process.terminate()
-        worker.process.join(timeout=5.0)
-        if worker.process.is_alive():  # pragma: no cover - stuck in syscall
-            worker.process.kill()
-            worker.process.join(timeout=5.0)
+            return self._free.get(timeout=self.timeout)
+        except queue.Empty:
+            raise WorkerError(
+                f"no free pool worker within {self.timeout:g}s"
+            ) from None
 
-    def kill_worker(self, slot: int) -> None:
-        """Hard-kill one worker (SIGKILL) — the fault-injection hook."""
-        worker = self._workers[slot]
-        if worker is not None and worker.process.is_alive():
-            worker.process.kill()
-            worker.process.join(timeout=5.0)
-
-    def arm_exit(self, slot: int) -> None:
-        """Arm a deterministic mid-request death: the worker will
-        ``os._exit(1)`` after receiving its next plan, before answering
-        — so the killing request itself exercises inline failover."""
-        worker = self._workers[slot]
-        if worker is not None and worker.process.is_alive():
-            worker.conn.send(("arm_exit",))
-
-    def alive_workers(self) -> int:
-        return sum(
-            1
-            for worker in self._workers
-            if worker is not None and worker.process.is_alive()
-        )
-
-    def close(self) -> None:
-        """Stop every worker; idempotent."""
-        if self.closed:
-            return
-        self.closed = True
-        for worker in self._workers:
-            if worker is None:
-                continue
-            try:
-                worker.conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-        for slot in range(len(self._workers)):
-            self._discard(slot)
-
-    # ----------------------------------------------------------- execution
+    def release(self, slot: int) -> None:
+        self._free.put(slot)
 
     def execute(self, plan: QueryPlan):
         """Run ``plan`` on any free worker; raises
-        :class:`PoolWorkerError` when the slot's worker is dead, hangs
-        up mid-request, or stays silent past the pool timeout (the
-        caller then fails over inline).  The dead slot is respawned
-        before the error propagates, so the pool is whole again by the
-        time the failover answer is served.
-        """
+        :class:`~repro.search.workers.WorkerError` when the leased
+        slot's worker is dead, hangs up mid-request, or stays silent
+        past the pool timeout (the caller then fails over inline)."""
+        slot = self.lease()
         try:
-            slot = self._free.get(timeout=self.timeout)
-        except queue.Empty:
-            raise PoolWorkerError(
-                f"no free pool worker within {self.timeout:g}s"
-            ) from None
-        try:
-            return self._execute_on_slot(slot, plan)
-        except PoolWorkerError:
-            self.respawn(slot)
-            raise
+            return self.collect(slot, self.send(slot, plan))
         finally:
-            worker = self._workers[slot]
-            if worker is not None:
-                worker.busy = False
-            if not self.closed:
-                self._free.put(slot)
-
-    def _execute_on_slot(self, slot: int, plan: QueryPlan):
-        worker = self._workers[slot]
-        if worker is None or not worker.process.is_alive():
-            raise PoolWorkerError(f"pool worker {slot} is not alive")
-        worker.busy = True
-        worker.tag += 1
-        tag = worker.tag
-        try:
-            worker.conn.send(("execute", tag, plan))
-        except (BrokenPipeError, OSError) as exc:
-            raise PoolWorkerError(
-                f"pool worker {slot} pipe is broken: {exc}"
-            ) from exc
-        while True:
-            message = self._recv(worker, self.timeout, slot)
-            if message[0] == "ok" and message[1] == tag:
-                worker.executed += 1
-                return message[2]
-            if message[0] == "error" and message[1] == tag:
-                raise SearchError(
-                    f"pool worker {slot} failed executing the plan: "
-                    f"{message[2]}"
-                )
-            # A stale response from a request that timed out earlier:
-            # discard and keep waiting for our tag.
-
-    def _recv(self, worker: _PoolWorker, timeout: float, slot: int):
-        """One message from a worker, with liveness-aware waiting."""
-        deadline = time.monotonic() + timeout
-        while True:
-            try:
-                if worker.conn.poll(0.05):
-                    return worker.conn.recv()
-            except (EOFError, OSError) as exc:
-                raise PoolWorkerError(
-                    f"pool worker {slot} hung up: {exc}"
-                ) from exc
-            if not worker.process.is_alive():
-                raise PoolWorkerError(
-                    f"pool worker {slot} died (exit code "
-                    f"{worker.process.exitcode})"
-                )
-            if time.monotonic() >= deadline:
-                raise PoolWorkerError(
-                    f"pool worker {slot} did not answer within {timeout:g}s"
-                )
-
-    # ----------------------------------------------------------- reporting
-
-    def worker_snapshot(self) -> List[dict]:
-        """Per-worker gauges for ``/metrics``: busy flag, lifetime
-        executed count, and respawn count per slot."""
-        rows = []
-        for slot, worker in enumerate(self._workers):
-            rows.append(
-                {
-                    "worker": slot,
-                    "alive": bool(
-                        worker is not None and worker.process.is_alive()
-                    ),
-                    "busy": bool(worker is not None and worker.busy),
-                    "executed": worker.executed if worker is not None else 0,
-                    "respawns": worker.respawns if worker is not None else 0,
-                }
-            )
-        return rows
+            self.release(slot)
 
     def free_slots(self) -> int:
         return self._free.qsize()
 
 
-class PooledSearchService(SearchService):
+class PooledSearchService(PoolBackedService):
     """Drop-in service whose executions run on a fork-worker pool.
 
     Same caches, same snapshot protocol, bit-identical answers as
     :class:`~repro.search.service.SearchService` — with cache-miss
-    executions crossing to :class:`ForkWorkerPool` workers.  The pool
-    is built lazily on the first poolable execution and rebuilt whenever
-    the store version moves.  Pass ``num_shards=K`` to compose with the
-    partitioned store: workers then run the inline scatter–gather merge
-    loop over the inherited partition (module docstring).  Call
-    :meth:`close` (or use as a context manager) to reap the workers.
+    executions crossing to :class:`ForkWorkerPool` workers.  Pool
+    lifecycle and the failover rule are
+    :class:`~repro.search.workers.PoolBackedService`'s.  Pass
+    ``num_shards=K`` to compose with the partitioned store: workers
+    then run the inline scatter–gather merge loop over the inherited
+    partition (module docstring).
 
     Only the ``baseline`` algorithm routes inline: it walks the live
     graph, which a forked worker froze at pool-build time.  Every
@@ -464,37 +224,19 @@ class PooledSearchService(SearchService):
         sharded: Optional[ShardedIndexes] = None,
         **kwargs,
     ) -> None:
-        super().__init__(indexes, scoring=scoring, **kwargs)
         if processes < 1:
             raise SearchError(f"processes must be >= 1, got {processes}")
         if num_shards < 0:
             raise SearchError(f"num_shards must be >= 0, got {num_shards}")
-        if sharded is not None:
-            if sharded.base is not indexes:
-                raise SearchError(
-                    "preloaded ShardedIndexes must wrap the same live "
-                    "bundle the service serves"
-                )
-            if num_shards and sharded.num_shards != num_shards:
-                raise SearchError(
-                    f"preloaded partition has {sharded.num_shards} shards, "
-                    f"service asked for {num_shards}"
-                )
-            num_shards = sharded.num_shards
+        super().__init__(
+            indexes, num_shards, worker_timeout, sharded,
+            scoring=scoring, **kwargs,
+        )
         self.processes = processes
-        self.num_shards = num_shards
-        self.worker_timeout = worker_timeout
         self.stats.execution_backend = (
-            "fork-pool+sharded" if num_shards else "fork-pool"
+            "fork-pool+sharded" if self.num_shards else "fork-pool"
         )
         self.stats.execution_workers = processes
-        self._preloaded = sharded
-        self._pool: Optional[ForkWorkerPool] = None
-        #: Guards pool lifecycle only — executions run outside it, N at
-        #: a time, each owning one worker slot.
-        self._pool_lock = threading.Lock()
-
-    # ----------------------------------------------------------- lifecycle
 
     @classmethod
     def from_file(
@@ -504,148 +246,62 @@ class PooledSearchService(SearchService):
         num_shards: Optional[int] = None,
         **kwargs,
     ) -> "PooledSearchService":
-        """Serve a persisted bundle, honoring a stored partition when
-        sharded composition is requested (mirrors
-        :meth:`ShardedSearchService.from_file <repro.search.sharding.\
-ShardedSearchService.from_file>`)."""
-        from pathlib import Path
+        """Serve a persisted bundle: unpartitioned unless ``num_shards``
+        asks for the sharded composition, which honors a stored
+        partition exactly as :meth:`ShardedSearchService.from_file
+        <repro.search.workers.PoolBackedService.from_file>` does."""
+        return super().from_file(
+            path, num_shards or 0, processes=processes, **kwargs
+        )
 
-        from repro.core.errors import PathIndexError
-        from repro.index.serialize import load_indexes, load_sharded_indexes
-
-        if not num_shards:
-            service = cls(load_indexes(path), processes=processes, **kwargs)
-            service.index_path = Path(path)
-            return service
-        try:
-            sharded = load_sharded_indexes(path)
-        except PathIndexError:
-            sharded = None
-        if sharded is None:
-            service = cls(
-                load_indexes(path),
-                processes=processes,
-                num_shards=num_shards,
-                **kwargs,
-            )
-        elif sharded.num_shards != num_shards:
-            service = cls(
-                sharded.base,
-                processes=processes,
-                num_shards=num_shards,
-                **kwargs,
-            )
-        else:
-            service = cls(
-                sharded.base, processes=processes, sharded=sharded, **kwargs
-            )
-        service.index_path = Path(path)
-        return service
-
-    def close(self) -> None:
-        """Reap the worker pool (the service stays usable; the next
-        poolable execution forks a fresh pool)."""
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.close()
-                self._pool = None
-
-    def _compact_shards(self) -> int:
-        """Sharded composition writes its partition into the compacted
-        file; a plain pool (num_shards=0) writes a single store."""
-        return self.num_shards
-
-    def _adopt_compaction(self, outcome: dict) -> None:
-        """Adopt the compaction's fresh mapped partition (when sharded):
-        its ``store_version`` matches the post-re-map live version, so
-        the next pool rebuild forks workers over re-mapped extents
-        instead of re-partitioning — and never inherits a heap copy."""
-        if outcome["sharded"] is not None:
-            self._preloaded = outcome["sharded"]
-
-    def _ensure_pool(self, snap: PathIndexes) -> ForkWorkerPool:
-        """The pool for the serving version, rebuilt when the store
-        moved — the service's version-guard protocol, one level up."""
-        version = snap.store.version
-        pool = self._pool
-        if pool is not None and not pool.closed and (
-            pool.store_version == version
-        ):
-            return pool
-        with self._pool_lock:
-            pool = self._pool
-            if pool is not None and not pool.closed and (
-                pool.store_version == version
-            ):
-                return pool  # another thread rebuilt while we waited
-            if pool is not None:
-                pool.close()
-                self._pool = None
-            sharded = None
-            if self.num_shards:
-                sharded = self._preloaded
-                if sharded is None or sharded.store_version != version:
-                    sharded = partition_indexes(snap, self.num_shards)
-            # Warm in the parent, once, before the fork: every worker
-            # inherits the boxed query columns and the bound columns
-            # copy-on-write (a mapped store's bound columns stay lazy
-            # per queried word; warming never thaws it).  The query
-            # memo outlives the version bump that forced this rebuild,
-            # so only the paths written since the last one are boxed.
-            snap.store.warm_query_caches()
-            self._mirror_store_counters()
-            if sharded is not None:
-                for shard in sharded.shards:
-                    shard.store.warm_query_caches()
-            self._pool = ForkWorkerPool(
-                snap,
-                self.processes,
-                sharded=sharded,
-                timeout=self.worker_timeout,
-            )
-            self.stats.bump(pool_rebuilds=1)
-            return self._pool
-
-    def __repr__(self) -> str:
-        pool = "up" if self._pool is not None and not self._pool.closed else "down"
-        return (
-            f"PooledSearchService(processes={self.processes}, "
-            f"num_shards={self.num_shards}, pool={pool}, "
-            f"{super().__repr__()[len('SearchService('):]}"
+    def _start_pool(
+        self, snap: PathIndexes, sharded: Optional[ShardedIndexes]
+    ) -> ForkWorkerPool:
+        # Warm in the parent, once, before the fork: every worker
+        # inherits the boxed query columns and the bound columns
+        # copy-on-write (a mapped store's bound columns stay lazy
+        # per queried word; warming never thaws it).  The query
+        # memo outlives the version bump that forced this rebuild,
+        # so only the paths written since the last one are boxed.
+        snap.store.warm_query_caches()
+        self._mirror_store_counters()
+        if sharded is not None:
+            for shard in sharded.shards:
+                shard.store.warm_query_caches()
+        return ForkWorkerPool(
+            snap, self.processes, sharded=sharded, timeout=self.worker_timeout
         )
 
     # ----------------------------------------------------------- execution
 
-    def _plan_poolable(self, plan: QueryPlan) -> bool:
-        return plan.algorithm != "baseline"
-
-    def _execute_forked(self, snap, pending, processes):
-        raise SearchError(
-            "search_many(processes=N) is disabled on PooledSearchService: "
-            "forked batch children would share the pool workers' pipes; "
-            "the standing fork pool is already the parallel path (use "
-            "threads= for batch overlap — each thread drives one pool "
-            "worker)"
-        )
-
     def _execute_on(self, snap: PathIndexes, plan: QueryPlan) -> SearchResult:
-        if not self._plan_poolable(plan):
+        if plan.algorithm == "baseline":
             return super()._execute_on(snap, plan)
-        pool = self._ensure_pool(snap)
+        # The lock guards pool lifecycle only — executions run outside
+        # it, N at a time, each owning one worker slot.
+        with self._pool_lock:
+            sharded, pool = self._ensure_pool(snap)
         try:
-            rows, stats, shards = pool.execute(plan)
-        except PoolWorkerError:
-            # Inline failover: the request still gets its bit-identical
-            # answer from the parent's own snapshot; the dead slot was
-            # respawned by the pool before the error reached us.
+            slot = pool.lease()
+        except WorkerError:
+            # Every worker stayed busy past the pool timeout: none is
+            # lost, and the request still gets its answer.
             self.stats.bump(worker_failovers=1)
             return super()._execute_on(snap, plan)
+        lost: List[int] = []
+        try:
+            ((rows, stats, shards),) = pool.execute_on([slot], plan, lost)
+        finally:
+            # Healed with the slot still leased, so that no other
+            # request is handed the hole.
+            self._heal(pool, lost)
+            pool.release(slot)
         # The workers were forked from this pool's bundle and partition
         # at this store version, so their path ids are ours.
         if shards is None:
             stores = repeat(snap.store)
         else:
-            stores = [pool.sharded.shards[shard].store for shard in shards]
+            stores = [sharded.shards[shard].store for shard in shards]
         return SearchResult(
             query=plan.words,
             k=plan.k,
@@ -656,39 +312,15 @@ ShardedSearchService.from_file>`)."""
 
     # ----------------------------------------------------------- reporting
 
-    def worker_snapshot(self) -> List[dict]:
-        """Per-worker pool gauges (empty before the first execution —
-        the pool is lazy)."""
-        pool = self._pool
-        if pool is None or pool.closed:
-            return []
-        return pool.worker_snapshot()
-
     def pool_info(self) -> dict:
         pool = self._pool
         return {
             "backend": self.stats.execution_backend,
             "processes": self.processes,
             "num_shards": self.num_shards,
-            "built": bool(pool is not None and not pool.closed),
-            "free_slots": (
-                pool.free_slots()
-                if pool is not None and not pool.closed
-                else 0
-            ),
+            "built": pool is not None,
+            "free_slots": pool.free_slots() if pool is not None else 0,
             "store_version": (
-                pool.store_version
-                if pool is not None and not pool.closed
-                else None
+                pool.store_version if pool is not None else None
             ),
         }
-
-    def kill_worker(self, slot: int) -> None:
-        """Fault-injection passthrough (tests, BENCH_9)."""
-        if self._pool is not None:
-            self._pool.kill_worker(slot)
-
-    def arm_exit(self, slot: int) -> None:
-        """Fault-injection passthrough: deterministic mid-request death."""
-        if self._pool is not None:
-            self._pool.arm_exit(slot)

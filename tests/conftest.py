@@ -6,6 +6,8 @@ session-scoped; tests must not mutate them.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.datasets.example import (
@@ -26,6 +28,22 @@ WIKI_TEST_CONFIG = WikiConfig(
 IMDB_TEST_CONFIG = ImdbConfig(
     num_movies=120, num_people=150, num_companies=12, seed=7
 )
+
+
+@pytest.fixture(scope="module", autouse=True)
+def no_leaked_worker_processes(request):
+    """Every worker process a test module starts, it reaps: a pool left
+    running (a missing ``close()``, a respawn racing a close) fails the
+    module that leaked it instead of slowing or wedging a later one."""
+    yield
+    leaked = multiprocessing.active_children()
+    for process in leaked:  # do not let one leak fail every later module
+        process.kill()
+        process.join(timeout=5.0)
+    assert not leaked, (
+        f"{request.module.__name__} left child processes running: "
+        f"{[process.name for process in leaked]}"
+    )
 
 
 @pytest.fixture(scope="session")

@@ -503,6 +503,33 @@ class TestShardedBackend:
                 shard_counters['repro_search_counter_total{counter="shard_waves"}']
                 >= 1
             )
+            # The shard pool reports per-worker gauges like the fork
+            # pool does; the free-slot gauge belongs to the lease pool.
+            for worker in range(3):
+                assert f'repro_pool_worker_alive{{worker="{worker}"}} 1' in text
+                assert (
+                    f'repro_pool_worker_respawns_total{{worker="{worker}"}} 0'
+                    in text
+                )
+            assert "repro_pool_worker_busy" in text
+            assert "repro_pool_worker_executed_total" in text
+            assert "repro_pool_free_slots" not in text
+            # One SIGKILLed shard: the next query that reaches it fails
+            # over inline, and the respawn shows up under its label.
+            victim = sharded.search(QUERY, k=7).stats.shard_dispatch_order[0]
+            sharded.kill_worker(victim)
+            status, _body, _ = get(
+                server.address, f"/search?q={QUERY.replace(' ', '+')}&k=8"
+            )
+            assert status == 200
+            _status, metrics, _ = get(server.address, "/metrics")
+            text = metrics.decode()
+            assert "repro_worker_failovers_total 1" in text
+            assert (
+                f'repro_pool_worker_respawns_total{{worker="{victim}"}} 1'
+                in text
+            )
+            assert f'repro_pool_worker_alive{{worker="{victim}"}} 1' in text
         finally:
             server.stop()
             reference.stop()

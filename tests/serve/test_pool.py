@@ -257,6 +257,51 @@ class TestFailover:
             service.close()
 
 
+    def test_failed_respawn_does_not_fail_the_request(
+        self, private_bundle, monkeypatch
+    ):
+        # Mirrors test_sharding.py::test_failed_respawn_does_not_fail_\
+        # the_query: the lost worker's request is answered inline
+        # *before* the respawn is tried; a respawn that fails is counted
+        # and retried by the next request, never raised.
+        service = PooledSearchService(
+            private_bundle, processes=1, max_cached_results=0
+        )
+        try:
+            healthy = service.search(QUERY, k=3)
+            pool = service._pool
+            real_spawn = pool._spawn
+            failures = [1]
+
+            def flaky_spawn(*args, **kwargs):
+                if failures[0]:
+                    failures[0] -= 1
+                    raise OSError("fork: resource temporarily unavailable")
+                return real_spawn(*args, **kwargs)
+
+            monkeypatch.setattr(pool, "_spawn", flaky_spawn)
+            service.kill_worker(0)
+            lost = service.search(QUERY, k=3)
+            assert fingerprint(lost) == fingerprint(healthy)
+            assert service.stats.worker_failovers == 1
+            assert service.stats.respawn_failures == 1
+            assert pool._workers[0] is None  # slot left empty
+            assert pool.free_slots() == 1  # ... but not leaked
+            # The next request fails over again and the retry succeeds.
+            retried = service.search(QUERY, k=3)
+            assert fingerprint(retried) == fingerprint(healthy)
+            assert service.stats.worker_failovers == 2
+            assert service.stats.respawn_failures == 1
+            assert pool._workers[0].process.is_alive()
+            whole = service.search(QUERY, k=3)
+            assert fingerprint(whole) == fingerprint(healthy)
+            assert service.stats.worker_failovers == 2
+            assert service._pool is pool
+            assert "1 failed respawns" in service.stats.format()
+        finally:
+            service.close()
+
+
 class TestPooledHttp:
     @pytest.fixture()
     def pooled_server(self, example_indexes):
