@@ -24,7 +24,9 @@ bench pins the new story on a saved-and-reloaded bundle at scale:
 * **compaction** — the overlay folded into a generation-1 v3 file,
   atomically re-mapped in place: overlay drained, timed, and the first
   searches afterwards must box **zero** paths (the query columns
-  survive the re-map);
+  survive the re-map); the compaction itself must materialize **zero**
+  words and rebuild exactly the overlay's words — every other word's
+  extents are copied from the mapped base;
 * **parity gate** — a heap twin of the bundle receives the identical
   mutation sequence; all four algorithms must answer bit-identically on
   (a) the live re-mapped bundle, (b) a cold reload of the compacted
@@ -271,9 +273,14 @@ def run(profile_name, k, out_path, keep_dir=None):
         overlay_bundle.graph, indexes=overlay_bundle
     )
     warm(live_engine, queries, k)
+    overlay_words = overlay_bundle.store.overlay_words
+    materialized_before = MappedPostingStore.words_materialized
     started = time.perf_counter()
     outcome = compact_indexes(overlay_bundle, index_path)
     compact_seconds = time.perf_counter() - started
+    materialized_by_compaction = (
+        MappedPostingStore.words_materialized - materialized_before
+    )
     overlay_after = overlay_bundle.store.overlay_postings
     boxed_before = overlay_bundle.store.query_paths_boxed
     warm(live_engine, queries, k)
@@ -282,7 +289,10 @@ def run(profile_name, k, out_path, keep_dir=None):
     )
     print(
         f"compaction: {outcome['bytes'] >> 20} MB re-mapped as generation "
-        f"{outcome['generation']} in {compact_seconds:.2f}s, overlay "
+        f"{outcome['generation']} in {compact_seconds:.2f}s, "
+        f"{outcome['words_copied']} words copied, "
+        f"{outcome['words_rebuilt']} rebuilt "
+        f"({materialized_by_compaction} materialized), overlay "
         f"{overlay_postings} -> {overlay_after} postings, "
         f"{boxed_after_compaction} paths boxed by the next searches"
     )
@@ -328,6 +338,10 @@ def run(profile_name, k, out_path, keep_dir=None):
             and reload_generation == 1
         ),
         "compaction_keeps_query_columns_met": boxed_after_compaction == 0,
+        "compaction_copies_clean_words_met": (
+            materialized_by_compaction == 0
+            and outcome["words_rebuilt"] == overlay_words
+        ),
         "bit_identical_met": not divergences,
     }
     report = {
@@ -360,6 +374,10 @@ def run(profile_name, k, out_path, keep_dir=None):
             "seconds": compact_seconds,
             "bytes": outcome["bytes"],
             "generation": outcome["generation"],
+            "words_copied": outcome["words_copied"],
+            "words_rebuilt": outcome["words_rebuilt"],
+            "words_materialized": materialized_by_compaction,
+            "overlay_words_before": overlay_words,
             "overlay_postings_before": overlay_postings,
             "overlay_postings_after": overlay_after,
             "paths_boxed_after": boxed_after_compaction,

@@ -621,6 +621,10 @@ def _cmd_compact(args: argparse.Namespace) -> int:
             num_shards=sharded.num_shards if sharded is not None else 0,
         )
         size, generation = outcome["bytes"], outcome["generation"]
+        words = (
+            f", {outcome['words_copied']} words copied, "
+            f"{outcome['words_rebuilt']} rebuilt"
+        )
     else:
         # Heap-resident (v1/v2) bundle: a compacting rewrite into the
         # mmap v3 layout, keeping any stored partition.
@@ -629,10 +633,11 @@ def _cmd_compact(args: argparse.Namespace) -> int:
         else:
             size = save_indexes(indexes, out)
         generation = describe_index_file(out).get("generation", 0)
+        words = ""
     elapsed = time.perf_counter() - started
     print(
         f"wrote {size / 1e6:.1f} MB to {out} "
-        f"(generation {generation}, {elapsed * 1000.0:.1f} ms)"
+        f"(generation {generation}, {elapsed * 1000.0:.1f} ms{words})"
     )
     return 0
 

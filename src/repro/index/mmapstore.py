@@ -31,7 +31,9 @@ the dirty words — untouched words keep serving zero-copy mapped views.
 The mutator bumps ``store.version`` exactly as before, so the snapshot
 protocol, version-guarded caches, and pool-rebuild triggers are
 unchanged.  :func:`repro.index.serialize.compact_indexes` folds the
-overlay into a fresh v3 file and atomically re-maps the store onto it
+overlay into a fresh v3 file — untouched words' extents are copied from
+the mapped base (:meth:`MappedPostingStore.clean_leaf_extents`), only
+the dirty words re-derived — and atomically re-maps the store onto it
 (:meth:`MappedPostingStore.remap`); the old generation's pages stay
 referenced by pinned snapshots until they drop.  Wholesale thaw is an
 explicit opt-in escape hatch (:meth:`MappedPostingStore.thaw`) — no
@@ -276,6 +278,29 @@ class _MappedBaseViews:
         self.leaf_starts = starts
         self.word_slot = {word: i for i, word in enumerate(words)}
         self.cache: Dict[str, tuple] = {}
+
+    def leaf_extents(self, word: str) -> Optional[tuple]:
+        """One word's persisted leaf-table rows, as mapped slices.
+
+        Returns ``(leaf_pids, leaf_roots, leaf_stops, leaf_sizes,
+        leaf_floats)`` — the rows :meth:`views` decodes, undecoded — or
+        ``None`` for a word this generation does not hold.  Stops are
+        relative to the word's own posting slice, so the rows mean the
+        same wherever the word lands in another file: compaction copies
+        them as bytes instead of re-deriving them.
+        """
+        slot = self.word_slot.get(word)
+        if slot is None:
+            return None
+        lo = self.leaf_starts[slot]
+        hi = self.leaf_starts[slot + 1]
+        return (
+            self.leaf_pids[lo:hi],
+            self.leaf_roots[lo:hi],
+            self.leaf_stops[lo:hi],
+            self.leaf_sizes[2 * lo:2 * hi],
+            self.leaf_floats[4 * lo:4 * hi],
+        )
 
     def views(self, store: "MappedPostingStore", word: str) -> tuple:
         """One word's finalized views, rebuilt from persisted extents.
@@ -625,6 +650,22 @@ class MappedPostingStore(PostingStore):
             # already — re-seed the slot instead of forcing the next
             # pruning query through a full eager rebuild.
             self._bound_cache = (self.version, self._lazy_bounds)
+
+    def clean_leaf_extents(self, word: str) -> Optional[tuple]:
+        """The mapped base's leaf rows for a word no write has touched.
+
+        A backed store answers for a word that has a slot in its mapped
+        base and is not in ``overlay.dirty`` — its posting slices are
+        still the base's, so the persisted rows describe them exactly
+        (see :meth:`_MappedBaseViews.leaf_extents`).  Dirty and new
+        words, and every word of a thawed store, answer ``None``.
+        """
+        if not self._backed:
+            return None
+        overlay = self._overlay
+        if overlay is not None and word in overlay.dirty:
+            return None
+        return self._base.leaf_extents(word)
 
     # --------------------------------------------------- re-map & escape
 

@@ -27,8 +27,9 @@ Three on-disk formats exist:
   migrated into a columnar store on load.
 
 Saves are crash-safe: bytes are written to a temporary file in the target
-directory and atomically renamed over the destination, so an interrupted
-save can never leave a truncated or corrupt index file behind.
+directory, fsynced, atomically renamed over the destination, and the
+directory fsynced — an interrupted save can never leave a truncated or
+corrupt index file behind, and a save that returned survives power loss.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ _ID_ITEMSIZE = array(ID_TYPECODE).itemsize
 
 
 def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` via a same-directory temp file + rename."""
+    """Write ``data`` to ``path`` via a same-directory temp file + rename,
+    fsyncing the file before the rename and the directory after it."""
     fd, tmp_name = tempfile.mkstemp(
         dir=str(path.parent), prefix=path.name + ".", suffix=".tmp"
     )
@@ -92,6 +94,14 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
         except OSError:  # pragma: no cover - best-effort cleanup
             pass
         raise
+    # The rename is durable only once the directory entry is: without
+    # this a power loss can bring the old file back after the caller was
+    # told the new one is in place (compaction drops its overlay on it).
+    dir_fd = os.open(str(path.parent), os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def _write_index_bytes(data: bytes, path: Union[str, Path]) -> int:
@@ -155,6 +165,10 @@ class _SectionWriter:
         self.chunks: List[bytes] = []
         self.sections: Dict[str, Tuple[int, int]] = {}
         self._offset = 0
+        #: Words whose leaf rows were copied from a mapped base / derived
+        #: from the finalized views, over every store written so far.
+        self.words_copied = 0
+        self.words_rebuilt = 0
 
     def add(self, name: str, data: bytes) -> None:
         if name in self.sections:  # pragma: no cover - writer bug guard
@@ -180,6 +194,13 @@ def _v3_store_sections(
     :meth:`~repro.index.store.PostingStore.bound_columns`) is persisted
     so the mapped reader rebuilds the finalized views and bound columns
     per word without scanning a single posting column.
+
+    A word the store holds clean leaf rows for
+    (:meth:`~repro.index.store.PostingStore.clean_leaf_extents`: a
+    mapped store's words its overlay never touched) contributes them as
+    bytes, next to its posting slices; only the other words — every
+    word of a heap store — have theirs derived from the finalized views.
+    Both routes write the same bytes.
     """
     store.finalize()
     _root_bounds, pattern_bounds = store.bound_columns()
@@ -212,37 +233,51 @@ def _v3_store_sections(
         sims_chunks.append(
             _as_bytes(FLOAT_TYPECODE, store._posting_sims[word])
         )
-        word_bounds = pattern_bounds[word]
-        leaves = [
-            (pid, root, leaf)
-            for pid, by_root in pattern_view[word].items()
-            for root, leaf in by_root.items()
-        ]
-        leaves.sort(key=lambda item: item[2]._start)
-        expected_start = 0
-        for pid, root, leaf in leaves:
-            if leaf._start != expected_start:
-                raise PathIndexError(
-                    f"cannot write v3: word {word!r} leaves are not "
-                    "contiguous (store not finalized?)"
-                )
-            expected_start = leaf._stop
-            leaf_pids.append(pid)
-            leaf_roots.append(root)
-            leaf_stops.append(leaf._stop)
-            bound = word_bounds[pid][root]
-            leaf_sizes.append(bound[1])
-            leaf_sizes.append(bound[2])
-            leaf_floats.append(bound[3])
-            leaf_floats.append(bound[4])
-            leaf_floats.append(bound[5])
-            leaf_floats.append(bound[6])
-        if expected_start != len(ids):
+        extents = store.clean_leaf_extents(word)
+        if extents is not None:
+            stops = extents[2]
+            num_leaves = len(stops)
+            covered = stops[-1] if num_leaves else 0
+            for column, rows in zip(
+                (leaf_pids, leaf_roots, leaf_stops, leaf_sizes, leaf_floats),
+                extents,
+            ):
+                column.frombytes(rows.cast("B"))
+            writer.words_copied += 1
+        else:
+            word_bounds = pattern_bounds[word]
+            leaves = [
+                (pid, root, leaf)
+                for pid, by_root in pattern_view[word].items()
+                for root, leaf in by_root.items()
+            ]
+            leaves.sort(key=lambda item: item[2]._start)
+            num_leaves = len(leaves)
+            covered = 0
+            for pid, root, leaf in leaves:
+                if leaf._start != covered:
+                    raise PathIndexError(
+                        f"cannot write v3: word {word!r} leaves are not "
+                        "contiguous (store not finalized?)"
+                    )
+                covered = leaf._stop
+                leaf_pids.append(pid)
+                leaf_roots.append(root)
+                leaf_stops.append(leaf._stop)
+                bound = word_bounds[pid][root]
+                leaf_sizes.append(bound[1])
+                leaf_sizes.append(bound[2])
+                leaf_floats.append(bound[3])
+                leaf_floats.append(bound[4])
+                leaf_floats.append(bound[5])
+                leaf_floats.append(bound[6])
+            writer.words_rebuilt += 1
+        if covered != len(ids):
             raise PathIndexError(
                 f"cannot write v3: word {word!r} leaves cover "
-                f"{expected_start} of {len(ids)} postings"
+                f"{covered} of {len(ids)} postings"
             )
-        leaf_counts.append(len(leaves))
+        leaf_counts.append(num_leaves)
     writer.add(prefix + "posting_ids", b"".join(ids_chunks))
     writer.add(prefix + "posting_sims", b"".join(sims_chunks))
     writer.add(prefix + "leaf_pids", leaf_pids.tobytes())
@@ -264,8 +299,13 @@ def _v3_bytes(
     indexes: PathIndexes,
     shard_stores: Optional[Sequence[PostingStore]] = None,
     generation: Optional[int] = None,
+    writer: Optional[_SectionWriter] = None,
 ) -> bytes:
-    """Assemble one v3 file: magic, pickled header, aligned flat sections."""
+    """Assemble one v3 file: magic, pickled header, aligned flat sections.
+
+    A caller that wants the writer's tallies afterwards (how many words
+    were copied, how many rebuilt) passes its own fresh ``writer``.
+    """
     store = indexes.store
     stores = [store] + list(shard_stores or ())
     if any(isinstance(s, StoreSnapshot) for s in stores):
@@ -273,7 +313,8 @@ def _v3_bytes(
             "cannot serialize through a StoreSnapshot: snapshots are "
             "read-only views; save the live bundle instead"
         )
-    writer = _SectionWriter()
+    if writer is None:
+        writer = _SectionWriter()
     stores_meta = [
         _v3_store_sections(writer, f"s{i}/", s) for i, s in enumerate(stores)
     ]
@@ -411,14 +452,23 @@ def compact_indexes(
     the file written sharded (per-shard extents preserved, so a restart
     re-maps the partition for free).
 
+    Words the overlay never touched are copied — posting slices and
+    leaf rows go from the mapped base into the new image as bytes; only
+    the overlay's dirty and new words are re-derived (see
+    :func:`_v3_store_sections`).  A sharded compaction still
+    re-partitions on the heap, so its shard stores are derived in full.
+
     The whole operation holds ``store.lock``: writers and
-    snapshot-takers block for the O(index) streaming write (readers on
+    snapshot-takers block for the memcpy-bound write (readers on
     existing snapshots are unaffected) — this is what makes the written
     image and the re-mapped state exactly the live content.
 
-    Returns ``{"bytes", "generation", "sharded"}`` where ``sharded`` is
-    a fresh mapped :class:`~repro.index.shards.ShardedIndexes` partition
-    (``None`` when ``num_shards == 0``).
+    Returns ``{"bytes", "generation", "sharded", "seconds",
+    "words_copied", "words_rebuilt"}``: ``sharded`` is a fresh mapped
+    :class:`~repro.index.shards.ShardedIndexes` partition (``None`` when
+    ``num_shards == 0``), ``seconds`` is how long the lock was held, and
+    the two word counts say how the writer got each word's leaf rows,
+    summed over the base and any shard stores.
     """
     from repro.index.shards import partition_indexes, wrap_shard_stores
 
@@ -434,17 +484,19 @@ def compact_indexes(
             "rewrites heap-resident bundles"
         )
     path = Path(path)
-    generation = store.generation + 1
+    writer = _SectionWriter()
     with store.lock:
+        started = time.perf_counter()
+        # Read under the lock: two racing compactions must not both
+        # write generation g+1 with different content.
+        generation = store.generation + 1
+        shard_stores = None
         if num_shards > 0:
             partition = partition_indexes(indexes, num_shards)
-            data = _v3_bytes(
-                indexes,
-                [shard.store for shard in partition.shards],
-                generation=generation,
-            )
-        else:
-            data = _v3_bytes(indexes, generation=generation)
+            shard_stores = [shard.store for shard in partition.shards]
+        data = _v3_bytes(
+            indexes, shard_stores, generation=generation, writer=writer
+        )
         nbytes = _write_index_bytes(data, path)
         reader = MappedIndexReader(path)
         header = reader.header
@@ -461,7 +513,15 @@ def compact_indexes(
             # the serving tier's pools adopt this partition without a
             # re-partition.
             sharded = wrap_shard_stores(indexes, mapped_stores)
-    return {"bytes": nbytes, "generation": generation, "sharded": sharded}
+        seconds = time.perf_counter() - started
+    return {
+        "bytes": nbytes,
+        "generation": generation,
+        "sharded": sharded,
+        "seconds": seconds,
+        "words_copied": writer.words_copied,
+        "words_rebuilt": writer.words_rebuilt,
+    }
 
 
 # ------------------------------------------------------------------- loading

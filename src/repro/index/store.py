@@ -997,6 +997,15 @@ class PostingStore:
 
     # ---------------------------------------------------------- persistence
 
+    def clean_leaf_extents(self, word: str) -> Optional[tuple]:
+        """Already-persisted leaf rows the v3 writer may copy for ``word``.
+
+        A heap store has none: ``None`` tells the writer to derive the
+        rows from the finalized views.  The mapped store answers for the
+        words its overlay never touched.
+        """
+        return None
+
     def to_payload(
         self, pagerank_scores: Optional[Sequence[float]] = None
     ) -> Dict[str, object]:

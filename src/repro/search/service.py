@@ -118,6 +118,13 @@ class ServiceStats:
     #: :meth:`SearchService.compact` calls + ratio-triggered
     #: auto-compacts).
     compactions: int = 0
+    #: What they cost: seconds ``store.lock`` was held, summed over all
+    #: compactions, and how the *last* one got its words' leaf rows —
+    #: copied from the mapped base, or re-derived (the overlay's dirty
+    #: words; every shard-store word under ``--shards``).
+    compaction_seconds: float = 0.0
+    compaction_words_copied: int = 0
+    compaction_words_rebuilt: int = 0
     #: Paths the served store has boxed into its query columns since it
     #: was opened (mirrored from ``store.query_paths_boxed`` after each
     #: in-process execution and pre-fork warm): what cold opens and
@@ -136,7 +143,7 @@ class ServiceStats:
         default_factory=threading.Lock, repr=False, compare=False
     )
 
-    def bump(self, **deltas: int) -> None:
+    def bump(self, **deltas: float) -> None:
         """Atomically add ``deltas`` to the named counters."""
         with self.lock:
             for name, delta in deltas.items():
@@ -170,7 +177,12 @@ class ServiceStats:
         if self.respawn_failures:
             backend += f", {self.respawn_failures} failed respawns"
         compactions = (
-            f", {self.compactions} compactions" if self.compactions else ""
+            f", {self.compactions} compactions in "
+            f"{self.compaction_seconds * 1000.0:.1f} ms, last "
+            f"{self.compaction_words_copied} words copied, "
+            f"{self.compaction_words_rebuilt} rebuilt"
+            if self.compactions
+            else ""
         )
         return (
             f"service: {cold_start}backend {backend}, "
@@ -363,7 +375,8 @@ class SearchService:
         request re-snapshots and flushes every cache tier, and
         pool-backed services re-fork their workers from the re-mapped
         generation — never from a heap copy.  Returns the compaction
-        outcome ``{"bytes", "generation", "sharded"}``.
+        outcome ``{"bytes", "generation", "sharded", "seconds",
+        "words_copied", "words_rebuilt"}``.
         """
         from repro.index.serialize import compact_indexes
 
@@ -377,7 +390,9 @@ class SearchService:
             self.indexes, target, num_shards=self.num_shards
         )
         self._adopt_compaction(outcome)
-        self.stats.bump(compactions=1)
+        self.stats.bump(compactions=1, compaction_seconds=outcome["seconds"])
+        self.stats.compaction_words_copied = outcome["words_copied"]
+        self.stats.compaction_words_rebuilt = outcome["words_rebuilt"]
         return outcome
 
     def maybe_compact(self) -> bool:

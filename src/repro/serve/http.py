@@ -535,6 +535,14 @@ class HttpSearchServer:
             "Delta-overlay compactions run through the service.",
         ).add({}, stats.compactions))
         families.append(MetricFamily(
+            "repro_service_compaction_seconds_total", "counter",
+            "Seconds compactions held the store lock, summed.",
+        ).add({}, stats.compaction_seconds))
+        families.append(MetricFamily(
+            "repro_store_compaction_words_rebuilt", "gauge",
+            "Words the last compaction re-derived instead of copying.",
+        ).add({}, stats.compaction_words_rebuilt))
+        families.append(MetricFamily(
             "repro_store_generation", "gauge",
             "Compaction generation of the serving store's mapped base.",
         ).add({}, getattr(store, "generation", 0)))

@@ -252,6 +252,41 @@ class TestCompactionUnderServing:
         finally:
             service.close()
 
+    def test_compaction_cost_is_reported(self, mapped_path):
+        """Why a compaction was slow is answerable from the stats line
+        and ``/metrics``: seconds summed, the last one's copied and
+        rebuilt words."""
+        service = SearchService.from_file(mapped_path)
+        server = start_http_server(service, max_queue=8, workers=1)
+        try:
+            add_entity(service.indexes, "company", "database")
+            store = service.indexes.store
+            dirty, words = store.overlay_words, len(store.words())
+            first = service.compact()
+            stats = service.stats
+            assert first["words_rebuilt"] == dirty > 0
+            assert first["words_copied"] == words - dirty
+            assert stats.compaction_words_rebuilt == dirty
+            assert stats.compaction_words_copied == words - dirty
+            assert stats.compaction_seconds == first["seconds"] > 0
+            assert (
+                f"{words - dirty} words copied, {dirty} rebuilt"
+                in stats.format()
+            )
+            status, body, _ = get(server.address, "/metrics")
+            assert status == 200
+            text = body.decode()
+            assert f"repro_store_compaction_words_rebuilt {dirty}" in text
+            assert "repro_service_compaction_seconds_total " in text
+            second = service.compact()  # nothing written in between
+            assert second["words_rebuilt"] == 0
+            assert stats.compaction_words_rebuilt == 0
+            assert stats.compaction_seconds == pytest.approx(
+                first["seconds"] + second["seconds"]
+            )
+        finally:
+            server.stop()
+
     def test_auto_compact_stays_quiet_below_the_ratio(self, mapped_path):
         service = SearchService.from_file(
             mapped_path, auto_compact_ratio=0.5

@@ -584,3 +584,18 @@ class TestSharding:
         code = main(["serve", str(index_file), "--processes", "0"])
         assert code == 2
         assert "--processes must be >= 1" in capsys.readouterr().err
+
+
+class TestCompact:
+    def test_compact_reports_copied_and_rebuilt_words(
+        self, index_file, capsys
+    ):
+        """A fresh file has no overlay: every word is copied, and each
+        run writes the next generation."""
+        capsys.readouterr()
+        for generation in (1, 2):
+            assert main(["compact", str(index_file)]) == 0
+            out = capsys.readouterr().out
+            assert f"generation {generation}," in out
+            assert re.search(r", (\d+) words copied, 0 rebuilt\)", out)
+        assert main(["search", str(index_file), "software company"]) == 0

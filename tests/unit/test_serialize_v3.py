@@ -20,16 +20,28 @@ contracts the format exists for:
 
 import os
 import pickle
+import shutil
+import stat
+import threading
+from array import array
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import PathIndexError
 from repro.datasets.wiki import WikiConfig, generate_wiki_graph
 from repro.index.builder import ResolvedQuery, build_indexes
 from repro.index.incremental import add_entity, add_relationship
-from repro.index.mmapstore import MappedPostingStore
+from repro.index.mmapstore import (
+    MappedIndexReader,
+    MappedPostingStore,
+    _MappedBaseViews,
+)
 from repro.index.serialize import (
     FORMAT_NAME,
+    _SectionWriter,
+    _v3_store_sections,
     compact_indexes,
     describe_index_file,
     load_indexes,
@@ -38,6 +50,7 @@ from repro.index.serialize import (
     save_sharded_indexes,
 )
 from repro.index.shards import partition_indexes
+from repro.index.store import OFFSET_TYPECODE
 from repro.search.baseline import baseline_search
 from repro.search.linear_topk import linear_topk_search
 from repro.search.pattern_enum import pattern_enum_search
@@ -199,6 +212,51 @@ def _apply_updates(bundle):
     b = add_entity(bundle, "person", "quanta overlayton", pagerank=0.003)
     add_relationship(bundle, a, "mayor", b)
     return (a, b)
+
+
+def _apply_more_updates(bundle, anchor):
+    """A second script, for a compaction on top of a compaction: one new
+    word, one word the first script already wrote, one edge to a node
+    the first script added."""
+    c = add_entity(bundle, "city", "secondburg overlayton", pagerank=0.002)
+    return add_relationship(bundle, c, "twin", anchor)
+
+
+def _file_store_sections(path):
+    """``(s<i>/… section bytes, per-store header metas)`` of a v3 file."""
+    reader = MappedIndexReader(path)
+    sections = {
+        name: reader.blob(name) for name in reader.sections if "/" in name
+    }
+    return sections, reader.header["stores"]
+
+
+def _derived_store_sections(stores):
+    """What the v3 writer *derives* for heap ``stores`` (base first, then
+    shards), in the shape of :func:`_file_store_sections`."""
+    writer = _SectionWriter()
+    metas = [
+        _v3_store_sections(writer, f"s{i}/", store)
+        for i, store in enumerate(stores)
+    ]
+    assert writer.words_copied == 0  # the reference side copies nothing
+    assert writer.words_rebuilt == sum(len(m["words"]) for m in metas)
+    data = b"".join(writer.chunks)
+    sections = {
+        name: data[offset:offset + nbytes]
+        for name, (offset, nbytes) in writer.sections.items()
+    }
+    return sections, metas
+
+
+def _mapped_and_oracle(indexes, tmp_path):
+    """A mapped bundle and its thawed heap twin over one saved file."""
+    path = tmp_path / "wiki.idx"
+    save_indexes(indexes, path, version=3)
+    mapped = load_indexes(path)
+    oracle = load_indexes(path)
+    oracle.store.thaw()
+    return path, mapped, oracle
 
 
 class TestDeltaOverlay:
@@ -432,6 +490,257 @@ class TestCompaction:
             service.close()
 
 
+class TestCompactionCopiesCleanWords:
+    """Compaction copies what the overlay never touched: a clean word's
+    posting and leaf extents go from the mapped base into the new file
+    as bytes, and those bytes are the ones a derivation would write."""
+
+    def test_copied_equals_derived(self, wiki_indexes, tmp_path):
+        """Single, repeated: the compacted file's store sections are
+        byte for byte what the writer derives from the heap twin."""
+        path, mapped, oracle = _mapped_and_oracle(wiki_indexes, tmp_path)
+        a, b = _apply_updates(mapped)
+        assert (a, b) == _apply_updates(oracle)
+        outcome = compact_indexes(mapped, path)
+        assert outcome["words_copied"] > outcome["words_rebuilt"] > 0
+        assert _file_store_sections(path) == _derived_store_sections(
+            [oracle.store]
+        )
+
+        # On top of generation 1: base words of two different files.
+        assert _apply_more_updates(mapped, a) == _apply_more_updates(
+            oracle, a
+        )
+        second = compact_indexes(mapped, path)
+        assert second["generation"] == 2
+        assert second["words_copied"] > second["words_rebuilt"] > 0
+        assert _file_store_sections(path) == _derived_store_sections(
+            [oracle.store]
+        )
+
+    def test_overlay_free_compaction_is_a_copy(self, wiki_indexes, tmp_path):
+        path = tmp_path / "wiki.idx"
+        save_indexes(wiki_indexes, path, version=3)
+        before = _file_store_sections(path)
+        mapped = load_indexes(path)
+        outcome = compact_indexes(mapped, path)
+        assert outcome["words_rebuilt"] == 0
+        assert outcome["words_copied"] == len(before[1][0]["words"])
+        assert _file_store_sections(path) == before
+        # save_indexes of a loaded bundle goes through the same writer.
+        other = tmp_path / "other.idx"
+        save_indexes(load_indexes(path), other)
+        assert _file_store_sections(other) == before
+
+    def test_sharded_copied_equals_derived(self, wiki_indexes, tmp_path):
+        """The base store is copied, the freshly partitioned shard
+        stores are derived; all of it matches the heap twin's."""
+        path, mapped, oracle = _mapped_and_oracle(wiki_indexes, tmp_path)
+        assert _apply_updates(mapped) == _apply_updates(oracle)
+        dirty = mapped.store.overlay_words
+        outcome = compact_indexes(mapped, path, num_shards=2)
+        partition = partition_indexes(oracle, 2)
+        derived, metas = _derived_store_sections(
+            [oracle.store] + [shard.store for shard in partition.shards]
+        )
+        assert _file_store_sections(path) == (derived, metas)
+        shard_words = sum(len(meta["words"]) for meta in metas[1:])
+        assert outcome["words_rebuilt"] == dirty + shard_words
+        assert outcome["words_copied"] == len(metas[0]["words"]) - dirty
+
+    def test_only_overlay_words_are_rebuilt(
+        self, wiki_indexes, tmp_path, monkeypatch
+    ):
+        """No word is materialized to be written, the rebuilt words are
+        the overlay's, and a brand-new word is among them."""
+        path, mapped, _oracle = _mapped_and_oracle(wiki_indexes, tmp_path)
+        _apply_updates(mapped)
+        store = mapped.store
+        dirty = store.overlay_words
+        assert "overlayton" not in wiki_indexes.store.words()
+        copied = {}
+        real = MappedPostingStore.clean_leaf_extents
+
+        def spy(self, word):
+            extents = real(self, word)
+            copied[word] = extents is not None
+            return extents
+
+        def no_views(self, store, word):
+            raise AssertionError(f"compaction materialized {word!r}")
+
+        monkeypatch.setattr(MappedPostingStore, "clean_leaf_extents", spy)
+        monkeypatch.setattr(_MappedBaseViews, "views", no_views)
+        materialized = MappedPostingStore.words_materialized
+        outcome = compact_indexes(mapped, path)
+        monkeypatch.undo()
+        assert MappedPostingStore.words_materialized == materialized
+        assert outcome["words_rebuilt"] == dirty
+        assert outcome["words_copied"] == len(copied) - dirty
+        assert sum(copied.values()) == outcome["words_copied"]
+        assert copied["overlayton"] is False
+        assert outcome["seconds"] > 0
+
+    def test_the_store_decides(self, wiki_indexes, tmp_path):
+        """Each side of the copy/derive choice: only a backed store, for
+        a word in its base that no write touched, offers extents."""
+        path, mapped, oracle = _mapped_and_oracle(wiki_indexes, tmp_path)
+        words = list(wiki_indexes.store.words())
+        clean, touched = words[0], words[1]
+        assert wiki_indexes.store.clean_leaf_extents(clean) is None  # heap
+        assert oracle.store.clean_leaf_extents(clean) is None  # thawed
+        store = mapped.store
+        extents = store.clean_leaf_extents(clean)
+        assert [type(rows) for rows in extents] == [memoryview] * 5
+        leaves = len(extents[2])
+        assert [len(rows) for rows in extents] == [
+            leaves, leaves, leaves, 2 * leaves, 4 * leaves
+        ]
+        assert extents[2][-1] == store.num_postings(clean)
+        store.add_posting(touched, 0, 0.5)  # dirty
+        store.add_posting("brandnewword", 0, 0.5)  # not in the base
+        assert store.clean_leaf_extents(touched) is None
+        assert store.clean_leaf_extents("brandnewword") is None
+        assert store.clean_leaf_extents(clean) is not None
+        compact_indexes(mapped, path)  # both are base words now
+        assert store.clean_leaf_extents(touched) is not None
+        assert store.clean_leaf_extents("brandnewword") is not None
+
+    def test_corrupt_clean_extent_is_refused(self, wiki_indexes, tmp_path):
+        """The copy keeps the writer's coverage check: a clean word whose
+        last stop is not its posting count fails the compaction and
+        leaves file, overlay and generation as they were."""
+        path, mapped, _oracle = _mapped_and_oracle(wiki_indexes, tmp_path)
+        _apply_updates(mapped)
+        good = path.read_bytes()
+        store = mapped.store
+        base = store._base
+        word = next(
+            w for w in base.word_slot
+            if store.clean_leaf_extents(w) is not None
+        )
+        stops = array(OFFSET_TYPECODE, base.leaf_stops)
+        stops[base.leaf_starts[base.word_slot[word] + 1] - 1] += 1
+        base.leaf_stops = memoryview(stops)
+        dirty = store.overlay_words
+        with pytest.raises(PathIndexError, match="leaves cover"):
+            compact_indexes(mapped, path)
+        assert path.read_bytes() == good
+        assert [p for p in tmp_path.iterdir() if p.name != "wiki.idx"] == []
+        assert store.generation == 0
+        assert store.overlay_words == dirty
+
+    def test_racing_compactions_get_distinct_generations(
+        self, wiki_indexes, tmp_path, monkeypatch
+    ):
+        """The generation is read under ``store.lock``: a compaction
+        that queued behind another one writes the next generation, not
+        the same one again."""
+        import repro.index.serialize as serialize
+        from repro.search.service import SearchService
+
+        path = tmp_path / "wiki.idx"
+        save_indexes(wiki_indexes, path, version=3)
+        service = SearchService.from_file(path)
+        _apply_updates(service.indexes)
+        entered, release = threading.Event(), threading.Event()
+        real = serialize._v3_bytes
+
+        def gated(*args, **kwargs):
+            if not entered.is_set():
+                entered.set()
+                assert release.wait(30)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(serialize, "_v3_bytes", gated)
+        generations = []
+
+        def compact():
+            generations.append(service.compact()["generation"])
+
+        first = threading.Thread(target=compact)
+        second = threading.Thread(target=compact)
+        try:
+            first.start()
+            assert entered.wait(30)
+            second.start()
+            second.join(0.2)  # let it reach the lock the first one holds
+            assert second.is_alive()
+        finally:
+            release.set()
+            first.join(30)
+            second.join(30)
+        assert not first.is_alive() and not second.is_alive()
+        assert generations == [1, 2]
+        store = service.indexes.store
+        assert store.generation == 2
+        assert describe_index_file(path)["generation"] == 2
+        assert service.stats.compactions == 2
+        service.close()
+
+    @settings(
+        max_examples=8,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_random_updates_copied_equals_derived(
+        self, data, wiki_indexes, tmp_path
+    ):
+        """Random ``add_entity``/``add_relationship`` sequences: store
+        sections of the compacted file ≡ the heap twin's, and all four
+        algorithms answer alike."""
+        saved = tmp_path / "saved.idx"
+        if not saved.exists():
+            save_indexes(wiki_indexes, saved, version=3)
+        path = tmp_path / "live.idx"
+        shutil.copyfile(saved, path)
+        mapped = load_indexes(path)
+        oracle = load_indexes(path)
+        oracle.store.thaw()
+        vocab = sorted(wiki_indexes.store.words())
+        word = st.sampled_from(vocab + ["overlayton", "riverbed"])
+        ops = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["city", "person", "delta_type"]),
+                    st.lists(word, min_size=1, max_size=3),
+                    # An edge from the new node to an earlier one (new
+                    # edges only: the overlay interns paths against
+                    # itself, see DeltaOverlay.path_index).
+                    st.none() | st.integers(min_value=0),
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        written = set()
+        for type_name, words, target in ops:
+            text = " ".join(words)
+            written.update(words)
+            node = add_entity(mapped, type_name, text)
+            assert node == add_entity(oracle, type_name, text)
+            if target is not None:
+                target %= node  # any earlier node, old or new
+                assert add_relationship(
+                    mapped, node, "linked", target
+                ) == add_relationship(oracle, node, "linked", target)
+        dirty = mapped.store.overlay_words
+        outcome = compact_indexes(mapped, path)
+        assert outcome["words_rebuilt"] == dirty
+        assert _file_store_sections(path) == _derived_store_sections(
+            [oracle.store]
+        )
+        fresh = load_indexes(path)
+        touched = sorted(written & set(fresh.store.words()))[:2]
+        for query in (
+            _query_for(wiki_indexes), ResolvedQuery(tuple(touched))
+        ):
+            expected = _all_algorithms(oracle, query)
+            assert _all_algorithms(mapped, query) == expected
+            assert _all_algorithms(fresh, query) == expected
+
+
 class TestMigrationChains:
     def test_v1_to_v3(self, wiki_indexes, tmp_path):
         legacy = tmp_path / "legacy.idx"
@@ -608,6 +917,51 @@ class TestV3CrashSafety:
         monkeypatch.undo()
         assert path.read_bytes() == good
         assert [p for p in tmp_path.iterdir() if p.name != "wiki.idx"] == []
+
+
+    def test_directory_synced_after_replace(
+        self, wiki_indexes, tmp_path, monkeypatch
+    ):
+        """The rename is only durable once its directory is: the file
+        is synced before ``os.replace``, the directory after it."""
+        path = tmp_path / "wiki.idx"
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            is_dir = stat.S_ISDIR(os.fstat(fd).st_mode)
+            events.append("fsync dir" if is_dir else "fsync file")
+            return real_fsync(fd)
+
+        def replace(src, dst):
+            events.append("replace")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        save_indexes(wiki_indexes, path, version=3)
+        assert events == ["fsync file", "replace", "fsync dir"]
+        # Compaction drops its overlay on the strength of that write.
+        mapped = load_indexes(path)
+        _apply_updates(mapped)
+        del events[:]
+        compact_indexes(mapped, path)
+        assert events == ["fsync file", "replace", "fsync dir"]
+
+    def test_failed_directory_sync_is_a_write_failure(
+        self, wiki_indexes, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "wiki.idx"
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                raise OSError("directory on a detached disk")
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        with pytest.raises(PathIndexError, match="cannot write index"):
+            save_indexes(wiki_indexes, path, version=3)
 
 
 class TestCorruptV3Files:
