@@ -17,9 +17,6 @@ Quickstart::
     engine = TableAnswerEngine.from_knowledge_base(kb, d=3)
     for table in engine.tables("software company revenue", k=3):
         print(table.to_ascii())
-
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-versus-measured record of every reproduced table and figure.
 """
 
 from repro.core import (

@@ -597,7 +597,6 @@ def _cmd_compact(args: argparse.Namespace) -> int:
     ``compact`` doubles as the format migration path.
     """
     from repro.core.errors import PathIndexError
-    from repro.index.mmapstore import MappedPostingStore
     from repro.index.serialize import (
         compact_indexes,
         describe_index_file,
@@ -614,7 +613,7 @@ def _cmd_compact(args: argparse.Namespace) -> int:
     indexes = sharded.base if sharded is not None else load_indexes(args.index)
     store = indexes.store
     started = time.perf_counter()
-    if isinstance(store, MappedPostingStore) and store._backed:
+    if store.has_mapped_base:
         outcome = compact_indexes(
             indexes,
             out,

@@ -201,10 +201,9 @@ class PathIndexes:
             snap_store = StoreSnapshot(store)
             pattern_first = PatternFirstIndex(self.interner, snap_store)
             root_first = RootFirstIndex(self.interner, snap_store)
-            # Adopt the live view's grouping instead of rebuilding it:
-            # PatternFirstIndex.finalize re-derives the per-word
-            # root-type grouping over the whole vocabulary, which would
-            # make every post-update snapshot O(vocabulary x patterns).
+            # Adopt the live view's grouping instead of starting an
+            # empty one: the per-word root-type groupings built so far
+            # for this version carry over to every snapshot of it.
             # Bringing the live view up to date here is the same work
             # the next live query would do anyway, and under the store
             # lock it is race-free and guaranteed to land on the pinned

@@ -1,47 +1,28 @@
-"""Heap-resident delta overlay for mutating mapped stores in O(delta).
+"""Base ⊕ tail: how a store over a mapped base takes writes in O(delta).
 
-A :class:`~repro.index.mmapstore.MappedPostingStore` serves its columns
-as zero-copy ``memoryview`` casts over mapped pages.  Before this module
-the first mutation *thawed* the whole store — heap-copied every column,
-O(index) time and memory, to apply a single row.  The delta overlay is
-the LSM-style alternative: mutations land in small heap structures
-layered over the immutable mapped base, and only the touched words ever
-leave the mapping.
+A :class:`~repro.index.store.PostingStore` is an immutable base (the
+columns of a v3 file, served as zero-copy ``memoryview`` casts; empty for
+a heap build) plus whatever has been written since on the heap.  Nothing
+of the base is ever copied wholesale to apply a write:
 
-Three pieces, all owned by the mapped store:
+* a **path column** becomes a :class:`ChainColumn` on the first
+  ``append_path`` — the mapped base stays untouched (pinned snapshots
+  keep reading it) and appends go to a heap ``array`` tail;
+* a **posting column** is per-word: the first ``add_posting`` to a word
+  whose column is still a mapped slice heap-copies that one word
+  (copy-on-write), every other word keeps its slice;
+* a word's **leaf rows** are re-derived on the heap by the next
+  ``finalize()`` for exactly the words written to; the other words keep
+  decoding the base's rows (see ``docs/index-format.md``).
 
-* :class:`ChainColumn` — a path column as ``base ⊕ tail``: the mapped
-  base view stays untouched (pinned snapshots keep reading it) and
-  appends go to a heap ``array`` tail.  Indices are absolute, so every
-  inherited accessor (``path_nodes``, ``matched_node``, the boxed query
-  columns) works unchanged, and the append-only contract the snapshot
-  protocol relies on is preserved by construction.
-* :class:`DeltaOverlay` — the per-store mutation ledger: which words are
-  dirty, which are pending a re-merge, the merged per-word views built
-  so far, the overlay-only path-interning map, and the counters the
-  serving tier surfaces (``overlay_words``/``overlay_postings``).
-* :func:`build_word_views` — the per-word merge: re-sorts one dirty
-  word's (base ⊕ overlay) posting columns into the exact order
-  :meth:`~repro.index.store.PostingStore.finalize` produces and rebuilds
-  that word's leaves, counts, and bound aggregates.  O(word), not
-  O(index); untouched words keep their lazily-built mapped views.
-
-Compaction (:func:`repro.index.serialize.compact_indexes`) folds the
-overlay back into a fresh v3 file and re-maps, after which the overlay
-is discarded and every column is a plain mapped view again.
+Compaction (:func:`repro.index.serialize.compact_indexes`) folds base ⊕
+heap into a fresh v3 file and re-maps, after which every column is a
+plain mapped view again.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Tuple
-
-from repro.core.types import AttrId, NodeId, PatternId
-from repro.index.store import (
-    FLOAT_TYPECODE,
-    ID_TYPECODE,
-    PostingList,
-)
 
 
 class ChainColumn:
@@ -108,174 +89,3 @@ class ChainColumn:
             f"ChainColumn({self.typecode!r}, base={self._base_len}, "
             f"tail={len(self._tail)})"
         )
-
-
-class DeltaOverlay:
-    """The mutation ledger of one backed store since its last re-map.
-
-    Created by the store's first mutation, discarded by
-    :meth:`~repro.index.mmapstore.MappedPostingStore.remap` (compaction
-    folds the overlay into the new base) and by the explicit
-    :meth:`~repro.index.mmapstore.MappedPostingStore.thaw` escape hatch.
-
-    * ``dirty`` — every word that has received an overlay posting; these
-      are served from :attr:`views` (heap), never from the stale base
-      leaf extents.  Cumulative across finalizes.
-    * ``pending`` — dirty words with postings newer than their entry in
-      :attr:`views`; the next finalize re-merges exactly these.
-      (An insertion-ordered dict used as a set, for determinism.)
-    * ``views`` — word -> the 5-tuple of merged finalized views (same
-      shape as the store's lazy per-word build: pattern leaves, root
-      leaves, root counts, root bounds, pattern bounds).
-    * ``path_index`` — overlay-only path interning for ``add_path``:
-      O(delta) memory, so re-adding a path that already exists in the
-      *base* generation is not detected.  The incremental-maintenance
-      callers (:mod:`repro.index.incremental`) only ever add paths that
-      traverse a brand-new node or edge, which cannot exist in the base;
-      hand construction that re-adds base paths must go through a
-      thawed or freshly-built store.
-    """
-
-    __slots__ = (
-        "base_paths",
-        "base_postings",
-        "paths",
-        "postings",
-        "dirty",
-        "pending",
-        "views",
-        "path_index",
-        "vocab_grew",
-    )
-
-    def __init__(self, base_paths: int, base_postings: int) -> None:
-        self.base_paths = base_paths
-        self.base_postings = base_postings
-        self.paths = 0
-        self.postings = 0
-        self.dirty: set = set()
-        self.pending: Dict[str, None] = {}
-        self.views: Dict[str, tuple] = {}
-        self.path_index: Dict[
-            Tuple[Tuple[NodeId, ...], Tuple[AttrId, ...], bool], int
-        ] = {}
-        self.vocab_grew = False
-
-    def __repr__(self) -> str:
-        return (
-            f"DeltaOverlay({len(self.dirty)} dirty words, "
-            f"{self.postings} postings, {self.paths} paths over "
-            f"base of {self.base_postings})"
-        )
-
-
-def build_word_views(store, word: str) -> tuple:
-    """Merge one dirty word's base ⊕ overlay postings into final views.
-
-    Reproduces :meth:`~repro.index.store.PostingStore.finalize` for a
-    single word, bit for bit: postings sort by ``(pattern id, root,
-    path-lexicographic rank)`` — here materialized as the tuple
-    ``(pid, root, nodes, attrs, path_id)``, which orders identically to
-    the global finalize's packed integer key (the path-id tiebreak
-    matches the global sort's stability, and duplicate postings of one
-    path keep insertion order under the stable sort) — the word's
-    posting columns are **replaced** with newly sorted arrays (the
-    snapshot invariant: pinned generations keep the old arrays), and
-    leaves, per-root counts, and the min/max bound aggregates are
-    rebuilt over the sorted order exactly as the eager builders do.
-
-    Returns the 5-tuple ``(pattern_leaves, root_leaves, root_counts,
-    root_bounds, pattern_bounds)`` — the same shape
-    :meth:`MappedPostingStore._word_views
-    <repro.index.mmapstore.MappedPostingStore>` recovers for clean
-    words from the persisted extents.
-    """
-    ids = store._posting_ids[word]
-    sims = store._posting_sims[word]
-    n = len(ids)
-    pids = store._pids
-    roots = store._roots
-    path_nodes = store.path_nodes
-    path_attrs = store.path_attrs
-    keys: Dict[int, tuple] = {}
-
-    def key_of(path_id: int) -> tuple:
-        key = keys.get(path_id)
-        if key is None:
-            key = keys[path_id] = (
-                pids[path_id],
-                roots[path_id],
-                path_nodes(path_id),
-                path_attrs(path_id),
-                path_id,
-            )
-        return key
-
-    permutation = sorted(range(n), key=lambda i: key_of(ids[i]))
-    sorted_ids = array(ID_TYPECODE, (ids[i] for i in permutation))
-    sorted_sims = array(FLOAT_TYPECODE, (sims[i] for i in permutation))
-    store._posting_ids[word] = sorted_ids
-    store._posting_sims[word] = sorted_sims
-
-    path_size = store.path_size
-    path_pr = store.path_pr
-    word_pf: Dict[PatternId, Dict[NodeId, PostingList]] = {}
-    rf_leaves: List[Tuple[NodeId, PatternId, PostingList]] = []
-    word_counts: Dict[NodeId, int] = {}
-    word_root: Dict[NodeId, tuple] = {}
-    word_pat: Dict[PatternId, Dict[NodeId, tuple]] = {}
-    start = 0
-    for stop in range(1, n + 1):
-        if stop < n and (
-            pids[sorted_ids[stop]] == pids[sorted_ids[start]]
-            and roots[sorted_ids[stop]] == roots[sorted_ids[start]]
-        ):
-            continue
-        pid = pids[sorted_ids[start]]
-        root = roots[sorted_ids[start]]
-        leaf = PostingList(store, sorted_ids, sorted_sims, start, stop)
-        word_pf.setdefault(pid, {})[root] = leaf
-        rf_leaves.append((root, pid, leaf))
-        word_counts[root] = word_counts.get(root, 0) + (stop - start)
-        path_id = sorted_ids[start]
-        size_lo = size_hi = path_size(path_id)
-        pr_lo = pr_hi = path_pr(path_id)
-        sim_lo = sim_hi = sorted_sims[start]
-        for i in range(start + 1, stop):
-            path_id = sorted_ids[i]
-            size = path_size(path_id)
-            if size < size_lo:
-                size_lo = size
-            elif size > size_hi:
-                size_hi = size
-            pr = path_pr(path_id)
-            if pr < pr_lo:
-                pr_lo = pr
-            elif pr > pr_hi:
-                pr_hi = pr
-            sim = sorted_sims[i]
-            if sim < sim_lo:
-                sim_lo = sim
-            elif sim > sim_hi:
-                sim_hi = sim
-        bound = (stop - start, size_lo, size_hi, pr_lo, pr_hi, sim_lo, sim_hi)
-        word_pat.setdefault(pid, {})[root] = bound
-        merged = word_root.get(root)
-        if merged is None:
-            word_root[root] = bound
-        else:
-            word_root[root] = (
-                merged[0] + bound[0],
-                min(merged[1], bound[1]),
-                max(merged[2], bound[2]),
-                min(merged[3], bound[3]),
-                max(merged[4], bound[4]),
-                min(merged[5], bound[5]),
-                max(merged[6], bound[6]),
-            )
-        start = stop
-    word_rf: Dict[NodeId, Dict[PatternId, PostingList]] = {}
-    rf_leaves.sort(key=lambda leaf: (leaf[0], leaf[1]))
-    for root, pid, leaf in rf_leaves:
-        word_rf.setdefault(root, {})[pid] = leaf
-    return (word_pf, word_rf, word_counts, word_root, word_pat)

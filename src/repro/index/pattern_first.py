@@ -8,8 +8,8 @@ grouped by *pattern first, then root*.  Access methods follow the paper:
 * ``Paths(w, P, r)`` — the matching paths themselves.
 
 PATTERNENUM (Algorithm 2) additionally needs patterns grouped by their root
-*type* (line 3, ``Patterns_C(w)``); that grouping is precomputed in
-:meth:`PatternFirstIndex.finalize`.
+*type* (line 3, ``Patterns_C(w)``); that grouping is derived per word, on
+the word's first touch, from the store's pattern view.
 
 Since the columnar-store refactor this class is a thin *view*: postings
 live in one shared :class:`~repro.index.store.PostingStore` (also behind
@@ -34,7 +34,7 @@ from typing import (
 from repro.core.types import NodeId, PatternId, TypeId
 from repro.index.entry import PathEntry
 from repro.index.interner import PatternInterner
-from repro.index.store import PostingList, PostingStore
+from repro.index.store import LazyWordDict, PostingList, PostingStore
 
 _EMPTY_DICT: Dict = {}
 _EMPTY_LIST: List = []
@@ -82,27 +82,20 @@ RootFirstIndex` to share every posting between the two indexes.
         if self._built_version == store.version:
             return
         data = store.pattern_view()  # shared with the store, not copied
-        # Mapped stores (index/mmapstore.py) deserialize their views one
-        # word at a time; eagerly grouping every word here would force the
-        # whole vocabulary off disk, so they supply a lazy per-word
-        # grouping instead.
-        view_hook = getattr(store, "by_root_type_view", None)
-        if view_hook is not None:
-            lazy_grouping = view_hook(self.interner)
-            if lazy_grouping is not None:
-                self._data = data
-                self._by_root_type = lazy_grouping
-                self._built_version = store.version
-                return
-        by_root_type: Dict[str, Dict[TypeId, List[PatternId]]] = {}
-        for word, by_pattern in data.items():
-            grouping: Dict[TypeId, List[PatternId]] = {}
-            for pid in by_pattern:
-                root_type = self.interner.pattern(pid).root_type
-                grouping.setdefault(root_type, []).append(pid)
-            by_root_type[word] = grouping
+        pattern = self.interner.pattern
+
+        def grouping(word: str) -> Dict[TypeId, List[PatternId]]:
+            by_root_type: Dict[TypeId, List[PatternId]] = {}
+            for pid in data[word]:
+                by_root_type.setdefault(
+                    pattern(pid).root_type, []
+                ).append(pid)
+            return by_root_type
+
         self._data = data
-        self._by_root_type = by_root_type
+        # Lazy like the view it groups, over that view's own vocabulary:
+        # grouping every word here would decode the whole index.
+        self._by_root_type = LazyWordDict(data.vocab, grouping)
         self._built_version = store.version
 
     def _ensure(self) -> None:
@@ -129,7 +122,10 @@ RootFirstIndex` to share every posting between the two indexes.
         root sets and fetch paths without a second lookup.
         """
         self._ensure()
-        return self._data.get(word, _EMPTY_DICT).get(pid, _EMPTY_DICT)
+        try:  # a C-level dict hit once the word has been touched
+            return self._data[word].get(pid, _EMPTY_DICT)
+        except KeyError:
+            return _EMPTY_DICT
 
     def paths(
         self, word: str, pid: PatternId, root: NodeId
@@ -147,9 +143,10 @@ RootFirstIndex` to share every posting between the two indexes.
     ) -> Sequence[PatternId]:
         """Patterns_C(w): patterns whose root has type ``root_type``."""
         self._ensure()
-        return self._by_root_type.get(word, _EMPTY_DICT).get(
-            root_type, _EMPTY_LIST
-        )
+        try:
+            return self._by_root_type[word].get(root_type, _EMPTY_LIST)
+        except KeyError:
+            return _EMPTY_LIST
 
     def root_types(self, word: str) -> Set[TypeId]:
         """All root types among ``word``'s patterns."""

@@ -188,23 +188,21 @@ def _v3_store_sections(
     """Write one store's columns as ``prefix``-named sections.
 
     The posting columns are written in their finalized (pattern, root,
-    path-lex) sort order, concatenated per word in vocabulary order, and
-    each index leaf's extent plus its aggregate bound (min/max path
-    size, PageRank, similarity — see
-    :meth:`~repro.index.store.PostingStore.bound_columns`) is persisted
-    so the mapped reader rebuilds the finalized views and bound columns
-    per word without scanning a single posting column.
+    path-lex) sort order, concatenated per word in vocabulary order,
+    next to each word's leaf rows — every index leaf's extent plus its
+    aggregate bound (min/max path size, PageRank, similarity — see
+    :func:`~repro.index.store.derive_leaf_rows`) — so the mapped reader
+    decodes the views and bound columns per word without scanning a
+    single posting column.
 
-    A word the store holds clean leaf rows for
-    (:meth:`~repro.index.store.PostingStore.clean_leaf_extents`: a
-    mapped store's words its overlay never touched) contributes them as
-    bytes, next to its posting slices; only the other words — every
-    word of a heap store — have theirs derived from the finalized views.
-    Both routes write the same bytes.
+    The rows are the store's own finalized form, written as bytes: the
+    mapped base's for a word no write has touched
+    (:meth:`~repro.index.store.PostingStore.clean_leaf_extents`,
+    tallied as *copied*), the heap's for the others — every word of a
+    heap store (:meth:`~repro.index.store.PostingStore.leaf_rows`,
+    tallied as *rebuilt*).
     """
     store.finalize()
-    _root_bounds, pattern_bounds = store.bound_columns()
-    pattern_view = store.pattern_view()
     writer.add(
         prefix + "node_offsets",
         _as_bytes(OFFSET_TYPECODE, store._node_offsets),
@@ -233,51 +231,25 @@ def _v3_store_sections(
         sims_chunks.append(
             _as_bytes(FLOAT_TYPECODE, store._posting_sims[word])
         )
-        extents = store.clean_leaf_extents(word)
-        if extents is not None:
-            stops = extents[2]
-            num_leaves = len(stops)
-            covered = stops[-1] if num_leaves else 0
-            for column, rows in zip(
-                (leaf_pids, leaf_roots, leaf_stops, leaf_sizes, leaf_floats),
-                extents,
-            ):
-                column.frombytes(rows.cast("B"))
+        rows = store.clean_leaf_extents(word)
+        if rows is not None:
             writer.words_copied += 1
         else:
-            word_bounds = pattern_bounds[word]
-            leaves = [
-                (pid, root, leaf)
-                for pid, by_root in pattern_view[word].items()
-                for root, leaf in by_root.items()
-            ]
-            leaves.sort(key=lambda item: item[2]._start)
-            num_leaves = len(leaves)
-            covered = 0
-            for pid, root, leaf in leaves:
-                if leaf._start != covered:
-                    raise PathIndexError(
-                        f"cannot write v3: word {word!r} leaves are not "
-                        "contiguous (store not finalized?)"
-                    )
-                covered = leaf._stop
-                leaf_pids.append(pid)
-                leaf_roots.append(root)
-                leaf_stops.append(leaf._stop)
-                bound = word_bounds[pid][root]
-                leaf_sizes.append(bound[1])
-                leaf_sizes.append(bound[2])
-                leaf_floats.append(bound[3])
-                leaf_floats.append(bound[4])
-                leaf_floats.append(bound[5])
-                leaf_floats.append(bound[6])
+            rows = store.leaf_rows(word)
             writer.words_rebuilt += 1
+        stops = rows[2]
+        covered = stops[-1] if len(stops) else 0
         if covered != len(ids):
             raise PathIndexError(
                 f"cannot write v3: word {word!r} leaves cover "
                 f"{covered} of {len(ids)} postings"
             )
-        leaf_counts.append(num_leaves)
+        for column, part in zip(
+            (leaf_pids, leaf_roots, leaf_stops, leaf_sizes, leaf_floats),
+            rows,
+        ):
+            column.frombytes(memoryview(part).cast("B"))
+        leaf_counts.append(len(stops))
     writer.add(prefix + "posting_ids", b"".join(ids_chunks))
     writer.add(prefix + "posting_sims", b"".join(sims_chunks))
     writer.add(prefix + "leaf_pids", leaf_pids.tobytes())
@@ -452,11 +424,13 @@ def compact_indexes(
     the file written sharded (per-shard extents preserved, so a restart
     re-maps the partition for free).
 
-    Words the overlay never touched are copied — posting slices and
-    leaf rows go from the mapped base into the new image as bytes; only
-    the overlay's dirty and new words are re-derived (see
-    :func:`_v3_store_sections`).  A sharded compaction still
-    re-partitions on the heap, so its shard stores are derived in full.
+    Every word's posting slice and leaf rows go into the new image as
+    bytes: from the mapped base for the words no write touched
+    (``words_copied``), from the heap — where the writes' finalize
+    derived them — for the overlay's dirty and new words
+    (``words_rebuilt``; see :func:`_v3_store_sections`).  A sharded
+    compaction still re-partitions on the heap, so its shard stores
+    count as rebuilt in full.
 
     The whole operation holds ``store.lock``: writers and
     snapshot-takers block for the memcpy-bound write (readers on
@@ -478,7 +452,7 @@ def compact_indexes(
             "cannot compact through a StoreSnapshot: compact the live "
             "bundle"
         )
-    if not isinstance(store, MappedPostingStore) or not store._backed:
+    if not store.has_mapped_base:
         raise PathIndexError(
             "compact requires a mapped (backed) v3 store; save_indexes() "
             "rewrites heap-resident bundles"

@@ -22,17 +22,36 @@ store; their leaf posting lists are shared :class:`PostingList` flyweights
 that reconstruct :class:`PathEntry` tuples lazily (and cache them), so
 count-only probes — ``|Paths(w, r)|``, ``num_entries(w)``, candidate-root
 intersections — never materialize an entry at all.
+
+A word's **finalized form** is the same thing in every store state: its
+posting columns sorted by ``(pattern, root, path)`` plus its *leaf rows*
+(:func:`derive_leaf_rows` — the five v3 leaf columns, see
+``docs/index-format.md``).  :meth:`PostingStore.finalize` re-derives the
+rows of exactly the words written to since it last ran;
+:func:`decode_leaf_rows` turns a word's rows into the nested dicts the
+search loops read, on the word's first touch.  A store opened from a v3
+file (:mod:`repro.index.mmapstore`) starts with every word's rows in its
+mapped *base*; a heap-built store is the same thing with no base.
 """
 
 from __future__ import annotations
 
 import threading
 from array import array
-from itertools import islice
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.errors import PathIndexError
 from repro.core.types import AttrId, NodeId, PatternId
+from repro.index.delta import ChainColumn
 from repro.index.entry import PathEntry
 from repro.index.interner import PatternInterner
 
@@ -213,6 +232,232 @@ class PostingList(Sequence[PathEntry]):
 #: Per-word grouping: leaves sorted by (pattern id, root).
 WordGroups = List[Tuple[PatternId, NodeId, PostingList]]
 
+#: One word's leaf rows, in leaf (= pattern, then root) order — the five
+#: v3 leaf columns restricted to the word: ``(leaf_pids, leaf_roots,
+#: leaf_stops, leaf_sizes, leaf_floats)`` with one pid, root and stop
+#: (exclusive end within the word's posting slice) per leaf, two sizes
+#: (min, max) and four floats (PageRank min/max, similarity min/max).
+LeafRows = Tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[int],
+                 Sequence[float]]
+
+
+class LazyWordDict(dict):
+    """A word-keyed dict whose values build lazily on first access.
+
+    The per-word value (one word's view slice, bound map, ...) is
+    produced by ``build(word)`` and cached in the dict itself, so the
+    second access is a plain dict hit — subscripting (``d[word]``) then
+    never leaves C, which is why the per-combination accessors subscript
+    rather than ``get``.  Iteration, ``len``, membership, and the bulk
+    accessors answer from the full vocabulary — in index word order —
+    regardless of which words have been built; ``items()``/``values()``
+    force every word (they are the full-scan accessors: ``groups()``,
+    ``iter_entries``).
+    """
+
+    __slots__ = ("vocab", "_build")
+
+    def __init__(
+        self, vocab: Dict[str, object], build: Callable[[str], object]
+    ) -> None:
+        super().__init__()
+        self.vocab = vocab
+        self._build = build
+
+    def __missing__(self, word):
+        if word not in self.vocab:
+            raise KeyError(word)
+        value = self._build(word)
+        dict.__setitem__(self, word, value)
+        return value
+
+    def get(self, word, default=None):
+        if dict.__contains__(self, word):
+            return dict.__getitem__(self, word)
+        if word in self.vocab:
+            return self[word]
+        return default
+
+    def __contains__(self, word) -> bool:
+        return word in self.vocab
+
+    def __iter__(self):
+        return iter(self.vocab)
+
+    def __len__(self) -> int:
+        return len(self.vocab)
+
+    def __bool__(self) -> bool:
+        return bool(self.vocab)
+
+    def keys(self):
+        return self.vocab.keys()
+
+    def items(self):
+        return [(word, self[word]) for word in self.vocab]
+
+    def values(self):
+        return [self[word] for word in self.vocab]
+
+    def __reduce__(self):
+        # The build closure does not pickle; every word built does.
+        return (dict, (self.items(),))
+
+
+def derive_leaf_rows(store: "PostingStore", ids, sims) -> LeafRows:
+    """Cut one word's *sorted* posting columns into leaf rows.
+
+    One pass: a leaf is a maximal run of postings sharing ``(pattern,
+    root)``; its row is its stop plus the min/max of its paths' size and
+    PageRank term and of its postings' similarity — what
+    :meth:`PostingStore.bound_columns` serves and the v3 file persists.
+    """
+    pids = store._pids
+    roots = store._roots
+    offsets = store._node_offsets
+    prs = store._prs
+    leaf_pids = array(ID_TYPECODE)
+    leaf_roots = array(ID_TYPECODE)
+    leaf_stops = array(OFFSET_TYPECODE)
+    leaf_sizes = array(OFFSET_TYPECODE)
+    leaf_floats = array(FLOAT_TYPECODE)
+    n = len(ids)
+    start = 0
+    for stop in range(1, n + 1):
+        path_id = ids[start]
+        if stop < n and (
+            pids[ids[stop]] == pids[path_id]
+            and roots[ids[stop]] == roots[path_id]
+        ):
+            continue
+        size_lo = size_hi = offsets[path_id + 1] - offsets[path_id]
+        pr_lo = pr_hi = prs[path_id]
+        sim_lo = sim_hi = sims[start]
+        for i in range(start + 1, stop):
+            other = ids[i]
+            size = offsets[other + 1] - offsets[other]
+            if size < size_lo:
+                size_lo = size
+            elif size > size_hi:
+                size_hi = size
+            pr = prs[other]
+            if pr < pr_lo:
+                pr_lo = pr
+            elif pr > pr_hi:
+                pr_hi = pr
+            sim = sims[i]
+            if sim < sim_lo:
+                sim_lo = sim
+            elif sim > sim_hi:
+                sim_hi = sim
+        leaf_pids.append(pids[path_id])
+        leaf_roots.append(roots[path_id])
+        leaf_stops.append(stop)
+        leaf_sizes.extend((size_lo, size_hi))
+        leaf_floats.extend((pr_lo, pr_hi, sim_lo, sim_hi))
+        start = stop
+    return leaf_pids, leaf_roots, leaf_stops, leaf_sizes, leaf_floats
+
+
+def decode_leaf_rows(
+    store: "PostingStore", word: str, ids, sims, rows: LeafRows, origin: str
+) -> tuple:
+    """One word's views from its sorted posting columns and leaf rows.
+
+    Returns ``(pattern_leaves, root_leaves, root_counts, root_bounds,
+    pattern_bounds)`` — what :meth:`PostingStore.pattern_view`,
+    :meth:`~PostingStore.root_view`, :meth:`~PostingStore.root_counts`
+    and :meth:`~PostingStore.bound_columns` hold under ``word``.  Rows
+    come in leaf order (pattern id, then root, ascending), so every dict
+    insertion order — and with it every downstream iteration, float
+    aggregation, and tie-break — is the same whether the rows were just
+    derived or are mapped slices of a file.  ``store`` is only threaded
+    into the leaves for entry materialization (path ids are stable
+    across generations, so the live store serves even old-generation
+    leaves exactly).
+
+    The rows may be a file's bytes: stops that do not rise strictly from
+    0 to the word's posting count are refused, naming ``origin``.
+    """
+    leaf_pids, leaf_roots, leaf_stops, leaf_sizes, leaf_floats = rows
+    word_pf: Dict[PatternId, Dict[NodeId, PostingList]] = {}
+    rf_leaves: List[Tuple[NodeId, PatternId, PostingList]] = []
+    word_counts: Dict[NodeId, int] = {}
+    word_root: Dict[NodeId, tuple] = {}
+    word_pat: Dict[PatternId, Dict[NodeId, tuple]] = {}
+    corrupt = (
+        f"corrupt leaf rows in {origin}: the leaf stops of word {word!r} "
+        f"do not rise strictly from 0 to its {len(ids)} postings"
+    )
+    start = 0
+    for j in range(len(leaf_stops)):
+        stop = leaf_stops[j]
+        if stop <= start:
+            raise PathIndexError(corrupt)
+        pid = leaf_pids[j]
+        root = leaf_roots[j]
+        leaf = PostingList(store, ids, sims, start, stop)
+        word_pf.setdefault(pid, {})[root] = leaf
+        rf_leaves.append((root, pid, leaf))
+        word_counts[root] = word_counts.get(root, 0) + (stop - start)
+        s = 2 * j
+        f = 4 * j
+        bound = (
+            stop - start,
+            leaf_sizes[s],
+            leaf_sizes[s + 1],
+            leaf_floats[f],
+            leaf_floats[f + 1],
+            leaf_floats[f + 2],
+            leaf_floats[f + 3],
+        )
+        word_pat.setdefault(pid, {})[root] = bound
+        merged = word_root.get(root)
+        if merged is None:
+            word_root[root] = bound
+        else:
+            word_root[root] = (
+                merged[0] + bound[0],
+                min(merged[1], bound[1]),
+                max(merged[2], bound[2]),
+                min(merged[3], bound[3]),
+                max(merged[4], bound[4]),
+                min(merged[5], bound[5]),
+                max(merged[6], bound[6]),
+            )
+        start = stop
+    if start != len(ids):
+        raise PathIndexError(corrupt)
+    word_rf: Dict[NodeId, Dict[PatternId, PostingList]] = {}
+    rf_leaves.sort(key=lambda leaf: (leaf[0], leaf[1]))
+    for root, pid, leaf in rf_leaves:
+        word_rf.setdefault(root, {})[pid] = leaf
+    return word_pf, word_rf, word_counts, word_root, word_pat
+
+
+class WordRows:
+    """One word's finalized form on the heap: the posting columns
+    :meth:`PostingStore.finalize` sorted, their leaf rows, and the views
+    decoded from them on first touch.  Never mutated once built — the
+    next write to the word copies the columns and the next finalize
+    replaces the object; a pinned generation keeps reading this one."""
+
+    __slots__ = ("ids", "sims", "rows", "_views")
+
+    def __init__(self, ids: array, sims: array, rows: LeafRows) -> None:
+        self.ids = ids
+        self.sims = sims
+        self.rows = rows
+        self._views: Optional[tuple] = None
+
+    def views(self, store: "PostingStore", word: str) -> tuple:
+        views = self._views
+        if views is None:
+            views = self._views = decode_leaf_rows(
+                store, word, self.ids, self.sims, self.rows, "the heap"
+            )
+        return views
+
 
 class PostingStore:
     """Columnar, deduplicated storage for all path postings.
@@ -224,10 +469,18 @@ class PostingStore:
         store.add_posting(word, path_id, sim)        # once per keyword
 
     ``add_path`` interns: re-adding an identical physical path returns the
-    existing id without growing the columns.  ``finalize`` groups postings
-    by ``(pattern, root)`` and sorts exactly as the paper prescribes
-    ("sort and store paths sequentially"); the index views read the
-    grouping via :meth:`groups` / :meth:`root_counts`.
+    existing id without growing the columns.  ``finalize`` sorts the
+    postings of the words written to exactly as the paper prescribes
+    ("sort and store paths sequentially") and derives their leaf rows;
+    the index views read the grouping via :meth:`pattern_view` /
+    :meth:`root_view` / :meth:`root_counts`, decoded word by word on
+    first touch.
+
+    A store may sit on an immutable mapped *base*
+    (:class:`~repro.index.mmapstore.MappedPostingStore` opens one from a
+    v3 file): base columns are read in place, a write copies only the
+    word it touches, and paths are interned only against those added
+    past the base.  A heap-built store has no base.
     """
 
     #: Process-wide count of :class:`PathEntry` reconstructions across
@@ -258,18 +511,24 @@ class PostingStore:
         self._moe = array(FLAG_TYPECODE)
         self._prs = array(FLOAT_TYPECODE)
         # Per-word posting columns; insertion order until finalize() sorts
-        # them in place (by pattern, root, then path order).
+        # them (by pattern, root, then path order).
         self._posting_ids: Dict[str, array] = {}
         self._posting_sims: Dict[str, array] = {}
-        # Derived (finalize) state: the two views' nested dicts, sharing
-        # slice-backed PostingList leaves, plus |Paths(w, r)| counts.
-        self._pattern_view: Dict[
-            str, Dict[PatternId, Dict[NodeId, PostingList]]
-        ] = {}
-        self._root_view: Dict[
-            str, Dict[NodeId, Dict[PatternId, PostingList]]
-        ] = {}
-        self._root_counts: Dict[str, Dict[NodeId, int]] = {}
+        # The mapped base (None for a heap-built store) and how many of
+        # the paths are its: add_path interns against the rest only.
+        self._base = None
+        self._base_paths = 0
+        # Finalized form of the words re-merged on the heap — every word
+        # of a base-less store — and the words written to since
+        # (insertion-ordered dict used as a set, for determinism).
+        # finalize() swaps in a new _rows dict, never mutates one: the
+        # view dicts of a generation resolve through the one they pinned.
+        self._rows: Dict[str, WordRows] = {}
+        self._pending: Dict[str, None] = {}
+        #: Running count of per-word re-merges (sort + derive) done by
+        #: :meth:`finalize`: a write costs the words it touched.
+        self.words_remerged = 0
+        self._vocab: Dict[str, object] = {}
         self.version = 0
         self._finalized_version = -1
         #: Running count of :class:`PathEntry` reconstructions through
@@ -284,24 +543,20 @@ class PostingStore:
         #: opened (snapshots count here too) — what a slow first read
         #: after a write or a cold open spent its time on.
         self.query_paths_boxed = 0
-        # Aggregate bound columns for score pruning (see bound_columns).
-        # The slot holds ``(version, cache)`` as ONE tuple swapped
-        # atomically: readers load the slot once and compare its version
-        # tag, so a concurrent donation (StoreSnapshot.bound_columns)
-        # can never pair an old cache object with a new version tag.
-        self._bound_cache: Optional[tuple] = None
         #: Mutation lock for the snapshot protocol: writers that mutate a
         #: *served* store (incremental maintenance) and readers taking a
         #: :meth:`snapshot` both hold it, so a snapshot never observes a
         #: half-applied update.  The bulk build path (:mod:`builder`) runs
         #: before any concurrent serving and stays lock-free.
         self.lock = threading.Lock()
+        self._install_views()
 
     def __getstate__(self):
         # Locks are not picklable (and a pickled store starts a new life
-        # anyway); everything else round-trips.  Normal persistence goes
-        # through to_payload/from_payload — this only supports callers
-        # that pickle a whole bundle (e.g. legacy/diagnostic envelopes).
+        # anyway); everything else round-trips — the lazy view dicts as
+        # plain, fully built ones.  Normal persistence goes through
+        # to_payload/from_payload — this only supports callers that
+        # pickle a whole bundle (e.g. legacy/diagnostic envelopes).
         state = self.__dict__.copy()
         state["lock"] = None
         state["_query_memo"] = None  # holds a lock; re-boxed on demand
@@ -311,6 +566,7 @@ class PostingStore:
         self.__dict__.update(state)
         self.lock = threading.Lock()
         self._query_memo = QueryColumnMemo()
+        self._install_views()
 
     @classmethod
     def scratch(cls, interner: Optional[PatternInterner] = None) -> "PostingStore":
@@ -337,7 +593,16 @@ class PostingStore:
     def _path_index(
         self,
     ) -> Dict[Tuple[Tuple[NodeId, ...], Tuple[AttrId, ...], bool], int]:
-        """The interning map, (re)built on demand from the columns."""
+        """The interning map, (re)built on demand from the columns.
+
+        Over the paths added past the mapped base only: boxing every
+        base path would be O(index) heap, so re-adding a path that
+        exists in the *base* is not detected.  The incremental
+        maintainers (:mod:`repro.index.incremental`) only ever add paths
+        that traverse a brand-new node or edge, which cannot be in the
+        base; hand construction that re-adds base paths must go through
+        a heap-built (or thawed) store, whose base is empty.
+        """
         if self._path_ids is None:
             self._path_ids = {
                 (
@@ -345,7 +610,7 @@ class PostingStore:
                     self.path_attrs(path_id),
                     bool(self._moe[path_id]),
                 ): path_id
-                for path_id in range(self.num_paths)
+                for path_id in range(self._base_paths, self.num_paths)
             }
         return self._path_ids
 
@@ -383,6 +648,19 @@ class PostingStore:
             raise PathIndexError(
                 f"path has {len(nodes)} nodes but {len(attrs)} attrs"
             )
+        if isinstance(self._pids, memoryview):
+            # First write over a mapped base: chain heap tails onto the
+            # seven path columns.  Existing indices keep reading mapped
+            # pages, appends go to the tails.
+            self._node_offsets = ChainColumn(
+                self._node_offsets, OFFSET_TYPECODE
+            )
+            self._nodes = ChainColumn(self._nodes, ID_TYPECODE)
+            self._attrs = ChainColumn(self._attrs, ID_TYPECODE)
+            self._pids = ChainColumn(self._pids, ID_TYPECODE)
+            self._roots = ChainColumn(self._roots, ID_TYPECODE)
+            self._moe = ChainColumn(self._moe, FLAG_TYPECODE)
+            self._prs = ChainColumn(self._prs, FLOAT_TYPECODE)
         path_id = len(self._pids)
         self._nodes.extend(nodes)
         self._attrs.extend(attrs)
@@ -406,10 +684,25 @@ class PostingStore:
 
     def add_posting(self, word: str, path_id: int, sim: float) -> None:
         """Record one (word, path) posting with its similarity term."""
-        ids = self._posting_ids.get(word)
-        if ids is None:
-            ids = self._posting_ids[word] = array(ID_TYPECODE)
-            self._posting_sims[word] = array(FLOAT_TYPECODE)
+        if word in self._pending:
+            ids = self._posting_ids[word]
+        else:
+            # First write to the word since it was last finalized.  Its
+            # columns are a slice of the mapped base or the arrays a
+            # generation's rows describe — never written again: one
+            # O(word) heap copy, then every further append is O(1).
+            self._pending[word] = None
+            ids = self._posting_ids.get(word)
+            if ids is None:
+                ids = self._posting_ids[word] = array(ID_TYPECODE)
+                self._posting_sims[word] = array(FLOAT_TYPECODE)
+            else:
+                ids = self._posting_ids[word] = array(
+                    ID_TYPECODE, ids.tobytes()
+                )
+                self._posting_sims[word] = array(
+                    FLOAT_TYPECODE, self._posting_sims[word].tobytes()
+                )
         ids.append(path_id)
         self._posting_sims[word].append(sim)
         self.version += 1
@@ -417,82 +710,99 @@ class PostingStore:
     # ------------------------------------------------------------ finalizing
 
     def finalize(self) -> None:
-        """Sort posting columns and build both views' nested groupings.
+        """Re-merge the words written to since the last finalize.
 
-        Each word's columns are reordered in place by ``(pattern id,
-        root, path order)`` — with path order the lexicographic
-        ``(nodes, attrs)`` ordering, matching the pre-refactor per-index
-        sorts so every downstream iteration order (and therefore every
-        score and tie-break) is unchanged.  Leaves become slices into the
-        sorted columns; the pattern-first and root-first nested dicts are
-        built here once and shared with the view classes.  Idempotent
-        until the next mutation.
+        O(delta): each pending word's columns are re-sorted and its leaf
+        rows re-derived (:meth:`_remerge`) — every word after a bulk
+        build, the touched ones after a write; the others keep their
+        rows, mapped or heap, and whatever was decoded from them.  The
+        view dicts are *replaced*, like the sorted columns: readers
+        holding the previous generation (snapshots) keep a complete,
+        internally consistent grouping.  Idempotent until the next
+        mutation.
         """
         if self._finalized_version == self.version:
             return
+        rows = dict(self._rows)
+        for word in self._pending:
+            rows[word] = self._remerge(word)
+        self._rows = rows
+        self.words_remerged += len(self._pending)
+        self._pending = {}
+        if len(self._vocab) != len(self._posting_ids):
+            # New words extend the vocabulary in insertion order — the
+            # order the writers persist.  A new dict (never mutated in
+            # place): older generations keep iterating their own vocab.
+            self._vocab = dict.fromkeys(self._posting_ids)
+        self._install_views()
+        self._finalized_version = self.version
+
+    def _remerge(self, word: str) -> WordRows:
+        """Sort one word's posting columns and derive its leaf rows.
+
+        Postings sort by ``(pattern id, root, nodes, attrs, path id)`` —
+        the paper's "sort paths sequentially" within a leaf, the path id
+        breaking ties between physically equal paths — stably, so
+        duplicate postings of one path keep insertion order.  The
+        word's columns are **replaced** with newly sorted arrays (the
+        snapshot invariant: pinned generations keep the old ones).
+        """
+        ids = self._posting_ids[word]
+        sims = self._posting_sims[word]
         pids = self._pids
         roots = self._roots
-        num_paths = self.num_paths
-        # One global (nodes, attrs) ordering of the paths; posting sorts
-        # then compare a single precomputed int per posting — (pattern,
-        # root, path-rank) packed into one machine word — instead of
-        # rebuilding tuples per posting.
-        order = sorted(range(num_paths), key=self.path_sort_key)
-        rank = array(OFFSET_TYPECODE, bytes(8 * num_paths))
-        for position, path_id in enumerate(order):
-            rank[path_id] = position
-        root_span = (max(roots) + 1) if num_paths else 1
-        path_leaf = [
-            pids[i] * root_span + roots[i] for i in range(num_paths)
-        ]
-        rank_span = max(num_paths, 1)
-        path_key = [
-            path_leaf[i] * rank_span + rank[i] for i in range(num_paths)
-        ]
-        pattern_view: Dict[
-            str, Dict[PatternId, Dict[NodeId, PostingList]]
-        ] = {}
-        root_view: Dict[str, Dict[NodeId, Dict[PatternId, PostingList]]] = {}
-        counts: Dict[str, Dict[NodeId, int]] = {}
-        for word, ids in self._posting_ids.items():
-            sims = self._posting_sims[word]
-            n = len(ids)
-            keys = [path_key[path_id] for path_id in ids]
-            permutation = sorted(range(n), key=keys.__getitem__)
-            sorted_ids = array(ID_TYPECODE, (ids[i] for i in permutation))
-            sorted_sims = array(
-                FLOAT_TYPECODE, (sims[i] for i in permutation)
+        path_nodes = self.path_nodes
+        path_attrs = self.path_attrs
+        keys: Dict[int, tuple] = {}
+
+        def key_of(path_id: int) -> tuple:
+            key = keys.get(path_id)
+            if key is None:
+                key = keys[path_id] = (
+                    pids[path_id],
+                    roots[path_id],
+                    path_nodes(path_id),
+                    path_attrs(path_id),
+                    path_id,
+                )
+            return key
+
+        permutation = sorted(range(len(ids)), key=lambda i: key_of(ids[i]))
+        sorted_ids = array(ID_TYPECODE, (ids[i] for i in permutation))
+        sorted_sims = array(FLOAT_TYPECODE, (sims[i] for i in permutation))
+        self._posting_ids[word] = sorted_ids
+        self._posting_sims[word] = sorted_sims
+        return WordRows(
+            sorted_ids,
+            sorted_sims,
+            derive_leaf_rows(self, sorted_ids, sorted_sims),
+        )
+
+    def _install_views(self) -> None:
+        """(Re)build the lazy per-word view dicts of this generation.
+
+        A word resolves to its heap :class:`WordRows` when it has been
+        re-merged since the base was mapped, to the base otherwise.  The
+        closure captures this generation's ``_rows`` dict and base:
+        snapshots keep the view dicts by reference, and a later write,
+        finalize or re-map swaps ``self._rows`` / ``self._base`` without
+        disturbing what older generations resolve to.
+        """
+        store = self
+        base = self._base
+        rows = self._rows
+        vocab = self._vocab
+
+        def view(i: int) -> LazyWordDict:
+            return LazyWordDict(
+                vocab,
+                lambda word: (rows.get(word) or base).views(store, word)[i],
             )
-            self._posting_ids[word] = sorted_ids
-            self._posting_sims[word] = sorted_sims
-            word_pf: Dict[PatternId, Dict[NodeId, PostingList]] = {}
-            word_counts: Dict[NodeId, int] = {}
-            rf_leaves: List[Tuple[NodeId, PatternId, PostingList]] = []
-            start = 0
-            for stop in range(1, n + 1):
-                if stop < n and (
-                    path_leaf[sorted_ids[stop]]
-                    == path_leaf[sorted_ids[start]]
-                ):
-                    continue
-                pid = pids[sorted_ids[start]]
-                root = roots[sorted_ids[start]]
-                leaf = PostingList(self, sorted_ids, sorted_sims, start, stop)
-                word_pf.setdefault(pid, {})[root] = leaf
-                rf_leaves.append((root, pid, leaf))
-                word_counts[root] = word_counts.get(root, 0) + (stop - start)
-                start = stop
-            pattern_view[word] = word_pf
-            word_rf: Dict[NodeId, Dict[PatternId, PostingList]] = {}
-            rf_leaves.sort(key=lambda leaf: (leaf[0], leaf[1]))
-            for root, pid, leaf in rf_leaves:
-                word_rf.setdefault(root, {})[pid] = leaf
-            root_view[word] = word_rf
-            counts[word] = word_counts
-        self._pattern_view = pattern_view
-        self._root_view = root_view
-        self._root_counts = counts
-        self._finalized_version = self.version
+
+        self._pattern_view = view(0)
+        self._root_view = view(1)
+        self._root_counts = view(2)
+        self._bounds = (view(3), view(4))
 
     def pattern_view(
         self,
@@ -523,7 +833,10 @@ class PostingStore:
     def root_counts(self, word: str) -> Dict[NodeId, int]:
         """Precomputed |Paths(w, r)| per root for one word."""
         self.finalize()
-        return self._root_counts.get(word, {})
+        try:  # a C-level dict hit once the word has been touched
+            return self._root_counts[word]
+        except KeyError:
+            return {}
 
     # ---------------------------------------------------------- path columns
 
@@ -753,15 +1066,12 @@ class PostingStore:
         grows; long-lived processes that query rarely can call this to
         reclaim it — the store starts an empty memo and later queries
         box what they touch again.  Readers and snapshots already
-        holding the old lists keep them until they go away.  The
-        aggregate bound columns (:meth:`bound_columns`) are dropped with
-        it: they are derived from the same boxed path columns.
+        holding the old lists keep them until they go away.
         """
         self._query_memo = QueryColumnMemo()
-        self._bound_cache = None
 
     def warm_query_caches(self) -> None:
-        """Box every path and build the bound columns now.
+        """Box every path now.
 
         Worker pools call it before forking (and shard workers at pool
         start), batch drivers before fanning out threads, so the fills
@@ -771,7 +1081,6 @@ class PostingStore:
         """
         self.finalize()
         self._query_columns()
-        self.bound_columns()
 
     def path_columns(
         self, words: Optional[Sequence[str]] = None
@@ -801,78 +1110,14 @@ class PostingStore:
         these into admissible upper bounds on subtree and pattern scores
         (see ``docs/pruning.md``).
 
-        Built lazily on the first pruning query and version-guarded, so
-        any mutation (:meth:`append_path` / :meth:`add_posting`)
-        invalidates it (unlike the query-column memo it aggregates over
-        postings, which a mutation re-sorts).  Cost is one pass over the
-        posting columns; size is one tuple per index leaf plus one per
-        ``(word, root)`` group.
+        Slots 3 and 4 of the per-word views (:func:`decode_leaf_rows`):
+        a word's bounds come out of its leaf rows when the word is first
+        touched, and a mutation replaces them with the next
+        :meth:`finalize`'s.  Size is one tuple per index leaf plus one
+        per ``(word, root)`` group, for the touched words.
         """
-        slot = self._bound_cache
-        version = self.version
-        if slot is not None and slot[0] == version:
-            return slot[1]
         self.finalize()
-        _roots, sizes, prs, _edges, _self_invalid = self._query_columns()
-        root_bounds: Dict[str, Dict[NodeId, tuple]] = {}
-        pattern_bounds: Dict[str, Dict[PatternId, Dict[NodeId, tuple]]] = {}
-        for word, by_pattern in self._pattern_view.items():
-            ids = self._posting_ids[word]
-            sim_col = self._posting_sims[word]
-            word_root: Dict[NodeId, tuple] = {}
-            word_pat: Dict[PatternId, Dict[NodeId, tuple]] = {}
-            for pid, by_root in by_pattern.items():
-                pid_map: Dict[NodeId, tuple] = {}
-                for root, leaf in by_root.items():
-                    start = leaf._start
-                    stop = leaf._stop
-                    path_id = ids[start]
-                    size_lo = size_hi = sizes[path_id]
-                    pr_lo = pr_hi = prs[path_id]
-                    sim_lo = sim_hi = sim_col[start]
-                    for i in range(start + 1, stop):
-                        path_id = ids[i]
-                        size = sizes[path_id]
-                        if size < size_lo:
-                            size_lo = size
-                        elif size > size_hi:
-                            size_hi = size
-                        pr = prs[path_id]
-                        if pr < pr_lo:
-                            pr_lo = pr
-                        elif pr > pr_hi:
-                            pr_hi = pr
-                        sim = sim_col[i]
-                        if sim < sim_lo:
-                            sim_lo = sim
-                        elif sim > sim_hi:
-                            sim_hi = sim
-                    bound = (
-                        stop - start,
-                        size_lo, size_hi, pr_lo, pr_hi, sim_lo, sim_hi,
-                    )
-                    pid_map[root] = bound
-                    merged = word_root.get(root)
-                    if merged is None:
-                        word_root[root] = bound
-                    else:
-                        word_root[root] = (
-                            merged[0] + bound[0],
-                            min(merged[1], size_lo),
-                            max(merged[2], size_hi),
-                            min(merged[3], pr_lo),
-                            max(merged[4], pr_hi),
-                            min(merged[5], sim_lo),
-                            max(merged[6], sim_hi),
-                        )
-                word_pat[pid] = pid_map
-            root_bounds[word] = word_root
-            pattern_bounds[word] = word_pat
-        cache = (root_bounds, pattern_bounds)
-        # Tag with the version captured *before* the build: if a writer
-        # bumped mid-build the slot is immediately stale and rebuilt.
-        self._bound_cache = (version, cache)
-        return cache
+        return self._bounds
 
     def form_tree(self, path_ids: Sequence[int]) -> bool:
         """Store-native :func:`repro.index.entry.entries_form_tree`.
@@ -985,9 +1230,9 @@ class PostingStore:
         current generation under :attr:`lock` (so it cannot observe a
         half-applied incremental update); it costs a few dict copies, not
         a data copy.  Writers proceed normally afterwards — they bump
-        :attr:`version`, and version-guarded caches (bound columns and
-        every service-level cache keyed by ``version``) invalidate,
-        while existing snapshots stay coherent.  The query-column memo
+        :attr:`version`, and version-guarded caches (every
+        service-level cache keyed by ``version``) invalidate, while
+        existing snapshots stay coherent.  The query-column memo
         is not among them: its slots are keyed by path id, so the
         snapshot shares it and a write only leaves new slots to box.
         """
@@ -997,14 +1242,28 @@ class PostingStore:
 
     # ---------------------------------------------------------- persistence
 
-    def clean_leaf_extents(self, word: str) -> Optional[tuple]:
+    @property
+    def has_mapped_base(self) -> bool:
+        """Whether the store sits on the mapped columns of a v3 file."""
+        return self._base is not None
+
+    def clean_leaf_extents(self, word: str) -> Optional[LeafRows]:
         """Already-persisted leaf rows the v3 writer may copy for ``word``.
 
-        A heap store has none: ``None`` tells the writer to derive the
-        rows from the finalized views.  The mapped store answers for the
-        words its overlay never touched.
+        The mapped base's rows, for a word in it that no write has
+        touched — its posting slices are still the base's, so the
+        persisted rows describe them exactly.  ``None`` for dirty and
+        new words and for every word of a base-less store: their rows
+        are :meth:`leaf_rows`.
         """
-        return None
+        if self._base is None or word in self._rows or word in self._pending:
+            return None
+        return self._base.leaf_extents(word)
+
+    def leaf_rows(self, word: str) -> LeafRows:
+        """The leaf rows :meth:`finalize` derived for a word re-merged
+        on the heap (every word of a base-less store)."""
+        return self._rows[word].rows
 
     def to_payload(
         self, pagerank_scores: Optional[Sequence[float]] = None
@@ -1163,6 +1422,7 @@ class PostingStore:
             else:  # pragma: no cover - raw-sims fallback
                 store._posting_sims[word] = column(FLOAT_TYPECODE, sims_raw)
             store.version += 1
+        store._pending = dict.fromkeys(store._posting_ids)
         return store
 
 
@@ -1179,9 +1439,9 @@ class StoreSnapshot:
     shallow copies of the posting-column dicts — so the two code paths
     cannot drift.  The query-column memo is the live store's own (same
     list objects; this view fills it at most up to its pinned
-    ``num_paths``); the bound columns are carried over when already
-    built for the pinned version, or built lazily over the pinned state
-    (never the live store's moving columns).
+    ``num_paths``); the view dicts, bound columns included, are the
+    pinned generation's, so a word first touched through the snapshot
+    is decoded once for the live store too.
 
     Mutators raise :class:`~repro.core.errors.PathIndexError`; anything
     else (entry materialization, the counters it feeds) delegates to the
@@ -1203,26 +1463,18 @@ class StoreSnapshot:
         self._roots = store._roots
         self._moe = store._moe
         self._prs = store._prs
-        # Posting columns: finalize() *replaces* dict values, so a shallow
-        # dict copy pins this generation of sorted arrays.  Appends by
-        # add_posting land beyond every leaf's [start:stop) slice.
+        # Posting columns: a finalized column is never written again (a
+        # write copies it, finalize() *replaces* the dict value), so a
+        # shallow dict copy pins this generation of sorted arrays.
         self._posting_ids = dict(store._posting_ids)
         self._posting_sims = dict(store._posting_sims)
-        self._num_postings = {
-            word: len(ids) for word, ids in self._posting_ids.items()
-        }
         # The finalized grouping (replaced wholesale by the next finalize).
         self._pattern_view = store._pattern_view
         self._root_view = store._root_view
         self._root_counts = store._root_counts
+        self._bounds = store._bounds
         # Path-keyed, so never stale: share the live store's memo.
         self._query_memo = store._query_memo
-        # Bound columns: adopt when fresh, else rebuild over pinned
-        # state.  The slot is a (version, cache) tuple read atomically.
-        slot = store._bound_cache
-        self._bound_cache = (
-            slot if slot is not None and slot[0] == store.version else None
-        )
 
     # -------------------------------------------------- pinned-state reads
     # Borrowed from PostingStore: these methods only touch attributes the
@@ -1233,6 +1485,7 @@ class StoreSnapshot:
     root_view = PostingStore.root_view
     groups = PostingStore.groups
     root_counts = PostingStore.root_counts
+    bound_columns = PostingStore.bound_columns
     path_nodes = PostingStore.path_nodes
     path_attrs = PostingStore.path_attrs
     path_size = PostingStore.path_size
@@ -1255,61 +1508,14 @@ class StoreSnapshot:
     dedup_ratio = PostingStore.dedup_ratio
     words = PostingStore.words
     has_word = PostingStore.has_word
-
-    def postings(self, word: str) -> Iterable[Tuple[int, float]]:
-        """One word's pinned ``(path_id, sim)`` pairs, column order.
-
-        Not borrowed: the posting arrays are shared with the live store,
-        and a writer can append to them after this snapshot pinned its
-        state (heap stores mid-mutation, delta-overlay words that are
-        already dirty).  Bounding the zip by the pinned per-word count
-        keeps every yielded path id below ``num_paths`` no matter how
-        the live arrays grow mid-iteration.
-        """
-        ids = self._posting_ids.get(word)
-        if ids is None:
-            return iter(())
-        return islice(
-            zip(ids, self._posting_sims[word]),
-            self._num_postings.get(word, 0),
-        )
+    num_postings = PostingStore.num_postings
+    postings = PostingStore.postings
 
     def finalize(self) -> None:
         """No-op: a snapshot is finalized by construction."""
 
     def _count_boxed(self, paths: int) -> None:
         self._store._count_boxed(paths)
-
-    def bound_columns(self) -> tuple:
-        """Pinned aggregate bound columns, donated back on first build.
-
-        Runs the borrowed builder over the snapshot's pinned state; if
-        this was a fresh build and the live store has not moved past the
-        pinned version, the ``(version, cache)`` slot is written back in
-        one atomic assignment so the *next* snapshot (and forked batch
-        workers, which inherit the parent's heap) adopt it instead of
-        rebuilding.  Because version tag and cache object travel in one
-        tuple, a live-store reader racing the donation either sees the
-        whole donated slot or the previous one — never a mixed pair.
-        """
-        had = self._bound_cache
-        fresh = had is not None and had[0] == self.version
-        cache = PostingStore.bound_columns(self)
-        if not fresh:
-            store = self._store
-            live = store._bound_cache
-            if (
-                (live is None or live[0] != store.version)
-                and store.version == self.version
-            ):
-                store._bound_cache = (self.version, cache)
-        return cache
-
-    def num_postings(self, word: Optional[str] = None) -> int:
-        """Postings *at snapshot time* (live appends are not counted)."""
-        if word is not None:
-            return self._num_postings.get(word, 0)
-        return sum(self._num_postings.values())
 
     def make_entry(self, path_id: int, sim: float) -> PathEntry:
         """Delegates to the live store so the process-wide and per-store

@@ -389,14 +389,22 @@ class TestBoundColumnStaleness:
         root_bounds, _pattern_bounds = after_columns
         assert "zzz" in root_bounds
 
-    def test_release_query_columns_drops_bound_cache(self):
+    def test_release_query_columns_keeps_bound_columns(self):
+        """The bounds live in the per-word views, not in the query
+        memo: releasing the memo leaves their content as it was."""
         indexes = self._tiny_indexes()
         store = indexes.store
-        first = store.bound_columns()
+
+        def content(columns):
+            return [
+                {word: by_key for word, by_key in column.items()}
+                for column in columns
+            ]
+
+        first = content(store.bound_columns())
+        assert first[0] and all(first[0].values()) and all(first[1].values())
         store.release_query_columns()
-        second = store.bound_columns()
-        assert second is not first
-        assert second == first  # same content, rebuilt
+        assert content(store.bound_columns()) == first
 
     def test_incremental_update_refreshes_bounds(self):
         """End to end: mutating through the incremental maintainer means

@@ -3,12 +3,14 @@
 import pytest
 
 from repro.core.errors import PathIndexError
-from repro.index.builder import build_indexes
+from repro.datasets.wiki import WikiConfig, generate_wiki_graph
+from repro.index.builder import ResolvedQuery, build_indexes
 from repro.index.incremental import add_entity, add_relationship
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pagerank import uniform_scores
 from repro.kg.stemmer import stem
 from repro.search.pattern_enum import pattern_enum_search
+from test_serialize_v3 import _all_algorithms
 
 
 def entry_set(indexes):
@@ -161,3 +163,78 @@ class TestRandomizedEquivalence:
         assert result_incremental.scores() == pytest.approx(
             result_rebuilt.scores()
         )
+
+
+class TestHeapWritesAreDelta:
+    """A heap-built store takes a write like a mapped one: ``finalize``
+    re-merges the words written to, nothing else moves."""
+
+    WIKI_800 = WikiConfig(
+        num_entities=800, num_types=24, num_attrs=36, vocabulary_size=240,
+        seed=23,
+    )
+
+    @staticmethod
+    def views_of(store, words):
+        root_bounds, pattern_bounds = store.bound_columns()
+        return {
+            word: (
+                store.pattern_view()[word],
+                store.root_view()[word],
+                store.root_counts(word),
+                root_bounds[word],
+                pattern_bounds[word],
+            )
+            for word in words
+        }
+
+    def test_one_add_entity_remerges_the_words_of_its_text(self):
+        graph = generate_wiki_graph(self.WIKI_800)
+        indexes = build_indexes(graph, d=3)
+        store = indexes.store
+        vocab = list(store.words())
+        assert store.words_remerged == len(vocab)  # the bulk build: each once
+        old_a, old_b = vocab[3], vocab[7]
+        query = ResolvedQuery((old_a, old_b))
+        before = self.views_of(store, vocab)
+        counts = {word: store.num_postings(word) for word in vocab}
+        pinned = indexes.snapshot()
+        pinned_answers = _all_algorithms(pinned, query)
+
+        node = add_entity(indexes, "city", f"{old_a} {old_b} deltaville")
+        written = {word for word, _sim in indexes.lexicon.node_matches(node)}
+        assert {old_a, old_b} < written and len(written) <= 5
+        assert store.words_remerged == len(vocab) + len(written)
+        assert {
+            word for word in store.words()
+            if store.num_postings(word) != counts.get(word)
+        } == written
+
+        after = self.views_of(store, vocab)
+        for word in vocab:
+            same = [now is was for now, was in zip(after[word], before[word])]
+            assert same == [word not in written] * 5, word
+
+        # The snapshot pinned before the write still reads its content.
+        assert set(pinned.store.words()) == set(vocab)
+        assert pinned.store.num_postings(old_a) == counts[old_a]
+        assert _all_algorithms(pinned, query) == pinned_answers
+        pinned_views = self.views_of(pinned.store, vocab)
+        assert all(
+            now is was
+            for word in vocab
+            for now, was in zip(pinned_views[word], before[word])
+        )
+
+        # ... and the live index answers as a fresh build of the grown
+        # graph does (same PageRank vector: incremental scores are stale
+        # by design, see the module docstring of index/incremental.py).
+        fresh = build_indexes(
+            graph, d=3, pagerank_scores=list(indexes.pagerank_scores)
+        )
+        new_word = next(iter(written - set(vocab)))
+        for words in ((old_a, old_b), (new_word,), (new_word, old_a)):
+            asked = ResolvedQuery(words)
+            assert _all_algorithms(indexes, asked) == _all_algorithms(
+                fresh, asked
+            )

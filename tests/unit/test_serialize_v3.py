@@ -22,6 +22,7 @@ import os
 import pickle
 import shutil
 import stat
+import struct
 import threading
 from array import array
 
@@ -990,3 +991,46 @@ class TestCorruptV3Files:
         bad.write_bytes(bytes(raw))
         with pytest.raises(PathIndexError):
             load_indexes(bad)
+
+    @pytest.mark.parametrize("damage", ["runs backwards", "past the end"])
+    def test_corrupt_leaf_stop_fails_its_word_only(
+        self, wiki_indexes, tmp_path, damage
+    ):
+        """A file's leaf stops are untrusted bytes: the open stays O(1),
+        the word whose stops do not rise strictly from 0 to its posting
+        count is refused when a query first touches it — by file and
+        word — and every other word answers."""
+        path = tmp_path / "wiki.idx"
+        save_indexes(wiki_indexes, path, version=3)
+        query = _query_for(wiki_indexes)
+        reader = MappedIndexReader(path)
+        meta = reader.header["stores"][0]
+        slot = next(
+            i for i, leaves in enumerate(meta["leaf_counts"])
+            if leaves >= 2 and meta["words"][i] not in query
+        )
+        word = meta["words"][slot]
+        first = sum(meta["leaf_counts"][:slot])
+        if damage == "runs backwards":
+            leaf, stop = first + 1, 0
+        else:
+            leaf = first + meta["leaf_counts"][slot] - 1
+            stop = meta["posting_counts"][slot] + 1
+        raw = bytearray(path.read_bytes())
+        offset, _nbytes = reader.sections["s0/leaf_stops"]
+        struct.pack_into(
+            OFFSET_TYPECODE, raw, reader.data_start + offset + 8 * leaf, stop
+        )
+        bad = tmp_path / "bad.idx"
+        bad.write_bytes(bytes(raw))
+
+        materialized = MappedPostingStore.words_materialized
+        loaded = load_indexes(bad)
+        assert MappedPostingStore.words_materialized == materialized
+        assert _all_algorithms(loaded, query) == _all_algorithms(
+            wiki_indexes, query
+        )
+        with pytest.raises(PathIndexError) as refused:
+            pattern_enum_search(loaded, ResolvedQuery((word,)), k=5)
+        assert str(bad) in str(refused.value)
+        assert repr(word) in str(refused.value)
