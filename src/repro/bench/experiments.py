@@ -2,11 +2,12 @@
 
 Every ``exp_*`` function regenerates the rows/series of one paper artifact
 at laptop scale and returns an :class:`ExperimentResult`.  ``run_all`` in
-:mod:`repro.bench.run_all` executes the lot and renders EXPERIMENTS.md.
+:mod:`repro.bench.run_all` executes the lot and renders them.
 
-Scale note: datasets are ~100x smaller than the paper's (see
-DESIGN.md "Substitutions"), so sampling-parameter grids (Λ) are shifted
-down accordingly; each experiment records its grid in the result notes.
+Scale note: datasets are ~100x smaller than the paper's (synthetic
+generators stand in for its corpora), so sampling-parameter grids (Λ) are
+shifted down accordingly; each experiment records its grid in the result
+notes.
 """
 
 from __future__ import annotations

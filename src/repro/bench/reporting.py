@@ -2,7 +2,7 @@
 
 Each experiment produces an :class:`ExperimentResult` — an id tying it to
 the paper's figure/table, column headers, data rows, and free-form notes —
-renderable as fixed-width text (console) or markdown (EXPERIMENTS.md).
+renderable as fixed-width text (console) or markdown.
 """
 
 from __future__ import annotations

@@ -5,8 +5,6 @@ Usage::
     python -m repro.bench.run_all                # all experiments, stdout
     python -m repro.bench.run_all fig6 fig13     # a subset
     python -m repro.bench.run_all --markdown out.md
-
-The markdown output is the measured half of EXPERIMENTS.md.
 """
 
 from __future__ import annotations

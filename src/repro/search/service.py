@@ -24,7 +24,13 @@ makes concurrent serving safe while the incremental index mutates:
   keywords in any order, across algorithms, and across ``k``;
 * **result tier** — a bounded LRU of full
   :class:`~repro.search.result.SearchResult` objects keyed by
-  :attr:`~repro.search.plan.QueryPlan.cache_key`.
+  :attr:`~repro.search.plan.QueryPlan.cache_key`;
+* **rendered tier** — not a tier of its own but a field of a result-tier
+  entry: the bytes a front-end rendered the entry's answers to
+  (:meth:`SearchService.store_rendering`), per rendering, so that a
+  repeat is answered from them (:meth:`SearchService.rendered`) without
+  composing a table.  They are dropped with their entry, by whatever
+  drops it.
 
 Every cache entry is tagged with what it was computed on — results with
 the store version, fragments with the snapshot itself — and ignored when
@@ -65,7 +71,12 @@ from repro.search.plan import (
     plan_search,
     reject_plan_overrides,
 )
-from repro.search.result import SearchResult, bind_combos, portable_combos
+from repro.search.result import (
+    SearchResult,
+    SearchStats,
+    bind_combos,
+    portable_combos,
+)
 
 
 @dataclass
@@ -84,6 +95,11 @@ class ServiceStats:
     #: Result-cache tier.
     result_hits: int = 0
     result_misses: int = 0
+    #: Rendered tier: result-tier hits answered from the bytes stored on
+    #: the entry (hit) or that had to be rendered again (miss).  Only a
+    #: front-end that stores renderings (the HTTP tier) moves these.
+    rendered_hits: int = 0
+    rendered_misses: int = 0
     #: Fragment tier (shared EnumerationContext per keyword tuple).
     context_hits: int = 0
     context_misses: int = 0
@@ -189,7 +205,9 @@ class ServiceStats:
             f"{self.searches} searches, "
             f"result cache {self.result_hits}/"
             f"{self.result_hits + self.result_misses} hits "
-            f"({self.result_hit_rate():.0%}), "
+            f"({self.result_hit_rate():.0%}, "
+            f"{self.rendered_hits} from rendered bytes, "
+            f"{self.rendered_misses} re-rendered), "
             f"context cache {self.context_hits}/"
             f"{self.context_hits + self.context_misses} hits "
             f"({self.context_hit_rate():.0%}), "
@@ -217,6 +235,11 @@ def _fork_execute(plan: QueryPlan) -> SearchResult:
         # re-binds them to the snapshot this child was forked with.
         answer.subtrees = portable_combos(answer.subtrees)
     return result
+
+
+#: Renderings one result-tier entry remembers (the HTTP tier's
+#: ``(include_rows, max_rows)`` pairs); one more evicts the oldest.
+MAX_RENDERINGS = 4
 
 
 class SearchService:
@@ -263,12 +286,14 @@ class SearchService:
         #: snapshot they grabbed.
         self._lock = threading.Lock()
         self._snapshot: Optional[PathIndexes] = None
-        # Result values are (store_version, payload): an entry whose tag
-        # does not match the serving snapshot's version is a miss, so a
-        # writer racing these dicts can only cause recomputation.
-        self._results: "OrderedDict[Tuple, Tuple[int, SearchResult]]" = (
-            OrderedDict()
-        )
+        # Result values are (store_version, payload, renderings): an
+        # entry whose tag does not match the serving snapshot's version
+        # is a miss, so a writer racing these dicts can only cause
+        # recomputation.  ``renderings`` (rendering -> bytes) is filled
+        # by :meth:`store_rendering` and goes wherever its entry goes.
+        self._results: (
+            "OrderedDict[Tuple, Tuple[int, SearchResult, Dict[Tuple, bytes]]]"
+        ) = OrderedDict()
         # Fragment values are (snapshot, payload), matched by identity:
         # invalidate() replaces the snapshot without a version change,
         # and a context only executes against the snapshot it was built
@@ -476,8 +501,8 @@ TableAnswerEngine.search>`; on a result-cache hit the returned object
             plan = self._plan_on(snap, query, k, algorithm, scoring, params)
         else:
             reject_plan_overrides(k, algorithm, scoring, params)
+        self._check_version(plan, snap)  # a stale plan is not a search
         self.stats.bump(searches=1)
-        self._check_version(plan, snap)
         cached = self._cached_result(plan)
         if cached is not None:
             return cached
@@ -640,10 +665,67 @@ TableAnswerEngine.search>`; on a result-cache hit the returned object
             # the cost is one recomputation.
             return
         with self._lock:
-            self._results[plan.cache_key] = (plan.store_version, result)
+            self._results[plan.cache_key] = (plan.store_version, result, {})
             self._results.move_to_end(plan.cache_key)
             while len(self._results) > self.max_cached_results:
                 self._results.popitem(last=False)
+
+    def rendered(
+        self, plan: QueryPlan, rendering: Tuple
+    ) -> Optional[Tuple[SearchStats, bytes]]:
+        """``(stats, fragment)`` when ``plan``'s result-tier entry is
+        live and holds the bytes :meth:`store_rendering` was given for
+        ``rendering``; ``None`` — and nothing counted — otherwise.
+
+        A hit is a served search: it is counted as :meth:`search` would
+        have counted it, and ``stats`` are the entry's, flagged
+        ``from_result_cache``.  The checks are the ones ``search`` makes
+        on its way to the same entry — the plan's version is the live
+        store's and the entry's — so a plan a writer overtook gets
+        ``None`` and takes the path that replans it.  Cheap enough for
+        an event loop: one lock, two dict lookups, no execution.
+        """
+        if (not plan.cacheable
+                or self.indexes.store.version != plan.store_version):
+            return None
+        key = plan.cache_key
+        with self._lock:
+            slot = self._results.get(key)
+            if slot is None or slot[0] != plan.store_version:
+                return None
+            fragment = slot[2].get(rendering)
+            if fragment is None:
+                return None
+            self._results.move_to_end(key)
+            stats = slot[1].stats
+        self.stats.bump(searches=1, result_hits=1, rendered_hits=1)
+        return replace(stats, from_result_cache=True), fragment
+
+    def store_rendering(
+        self, plan: QueryPlan, result: SearchResult, rendering: Tuple,
+        fragment: bytes,
+    ) -> None:
+        """Remember ``fragment`` — ``result``'s answers as a front-end
+        rendered them under ``rendering`` — on the result-tier entry
+        those answers are served from.
+
+        There is such an entry only if the result tier admitted
+        ``result`` (or served it) and has not dropped it since: the
+        entry is recognised by holding the very answers list that was
+        rendered, so a flushed, evicted, replaced or never-admitted
+        result leaves nothing to attach to, and the bytes cannot outlive
+        or miss an invalidation their ``SearchResult`` obeys.
+        """
+        if result.stats.from_result_cache:
+            self.stats.bump(rendered_misses=1)
+        with self._lock:
+            slot = self._results.get(plan.cache_key)
+            if slot is None or slot[1].answers is not result.answers:
+                return
+            renderings = slot[2]
+            renderings[rendering] = fragment
+            while len(renderings) > MAX_RENDERINGS:
+                del renderings[next(iter(renderings))]
 
     def _context_for(
         self, snap: PathIndexes, plan: QueryPlan

@@ -20,7 +20,16 @@ Search execution is CPU-bound pure Python, so the event loop never runs
 it: requests bridge to a small :class:`~concurrent.futures.ThreadPoolExecutor`
 via ``run_in_executor`` (the executor's FIFO queue doubles as the
 admission queue), while the loop thread keeps accepting, shedding, and
-coalescing.  True CPU parallelism lives underneath: front a
+coalescing.  What the loop does answer itself is a **hit**: a cacheable
+plan whose result-tier entry already holds this rendering's ``answers``
+bytes (:meth:`~repro.search.service.SearchService.rendered`) is
+answered right after the coalescing check — no executor, no admission
+slot, no table composed.  The bytes were put there by the request that
+rendered them (:meth:`~repro.search.service.SearchService.store_rendering`)
+and go when the entry goes; miss and hit build their bodies with the
+same :func:`_search_body`, from the one renderer's output.
+
+True CPU parallelism lives underneath: front a
 :class:`~repro.serve.pool.PooledSearchService` (``repro serve --http
 ... --processes N``) and each executor thread drives one long-lived
 fork worker — the loop keeps owning admission, deadlines, coalescing,
@@ -76,14 +85,51 @@ def _error_body(status: int, message: str) -> bytes:
                        "status": status, "message": message})
 
 
+def _search_body(plan, stats, answers: bytes) -> bytes:
+    """The ``/search`` 200 body: ``answers`` — the rendered fragment, as
+    :meth:`HttpSearchServer._render_result` made it — spliced into what
+    is this request's own (``query`` is the caller's spelling, ``stats``
+    say whether the result tier served it).  Byte for byte
+    ``_json_body`` of the whole object: sorted keys put ``"answers"``
+    second, right after ``"algorithm"``."""
+    rest = json.dumps({
+        "query": plan.query_text,
+        "words": list(plan.words),
+        "k": plan.k,
+        "d": plan.d,
+        "store_version": plan.store_version,
+        "stats": {
+            "elapsed_ms": stats.elapsed_seconds * 1000.0,
+            "from_result_cache": stats.from_result_cache,
+            "candidate_roots": stats.candidate_roots,
+            "roots_expanded": stats.roots_expanded,
+            "patterns_checked": stats.patterns_checked,
+            "subtrees_enumerated": stats.subtrees_enumerated,
+            "roots_skipped": stats.roots_skipped,
+            "prefixes_skipped": stats.prefixes_skipped,
+            "pairs_skipped": stats.pairs_skipped,
+            "shards_total": stats.shards_total,
+            "shards_skipped": stats.shards_skipped,
+            "shard_waves": stats.shard_waves,
+            "shard_busy_ms": list(stats.shard_busy_ms),
+        },
+    }, sort_keys=True)
+    return b"".join((
+        b'{"algorithm": ', json.dumps(plan.algorithm).encode("utf-8"),
+        b', "answers": ', answers, b", ",
+        rest[1:].encode("utf-8"), b"\n",
+    ))
+
+
 class HttpSearchServer:
     """The serving tier: one event loop, one worker pool, one service.
 
     Construct, ``await start()``, serve, ``await stop()``.  All mutable
     dispatch state (``_admitted``, ``_inflight``) is touched only from
-    the event-loop thread — worker threads compute response bodies and
-    update (locked) metrics, nothing else — so admission and coalescing
-    need no locks of their own.
+    the event-loop thread — worker threads compute response bodies,
+    hand the rendered bytes to the service and update (locked) metrics,
+    nothing else — so admission and coalescing need no locks of their
+    own.
     """
 
     def __init__(
@@ -164,30 +210,17 @@ class HttpSearchServer:
             self._conn_tasks.add(task)
         try:
             while True:
-                request_line = await reader.readline()
-                if not request_line or not request_line.strip():
-                    break
                 try:
-                    method, target, version = (
-                        request_line.decode("latin-1").split()
-                    )
-                except ValueError:
+                    request = await self._read_request(reader)
+                except ValueError as exc:
+                    status, body, _ = self._observe(
+                        "malformed", 400, _error_body(400, str(exc)))
                     await self._write_response(
-                        writer, 400,
-                        _error_body(400, "malformed request line"),
-                        keep_alive=False,
-                    )
+                        writer, status, body, keep_alive=False)
                     break
-                headers = {}
-                while True:
-                    line = await reader.readline()
-                    if not line or line in (b"\r\n", b"\n"):
-                        break
-                    name, _, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
-                body_length = int(headers.get("content-length", 0) or 0)
-                if body_length:
-                    await reader.readexactly(body_length)
+                if request is None:
+                    break
+                method, target, version, headers = request
 
                 keep_alive = (
                     version != "HTTP/1.0"
@@ -213,6 +246,33 @@ class HttpSearchServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
+
+    @staticmethod
+    async def _read_request(reader):
+        """``(method, target, version, headers)`` of the connection's
+        next request, its body read and dropped; ``None`` once the peer
+        is done.  What cannot be framed raises ``ValueError`` with the
+        400's message: a line past the reader's limit (``readline``
+        itself), a request line that is not three tokens, a
+        ``Content-Length`` that is not a count."""
+        request_line = await reader.readline()
+        if not request_line or not request_line.strip():
+            return None
+        parts = request_line.decode("latin-1").split()
+        if len(parts) != 3:
+            raise ValueError("malformed request line")
+        headers = {}
+        while True:
+            line = await reader.readline()
+            if not line or line in (b"\r\n", b"\n"):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        length = headers.get("content-length") or "0"
+        if not length.isdecimal():
+            raise ValueError(f"malformed Content-Length {length!r}")
+        await reader.readexactly(int(length))
+        return (*parts, headers)
 
     async def _write_response(
         self,
@@ -326,6 +386,17 @@ class HttpSearchServer:
                 self.metrics.latency.record(time.monotonic() - arrival)
             return self._observe("/search", status, body, headers)
 
+        # Hit: the result tier holds this rendering's bytes.  Answered
+        # here — nothing executes, so nothing is admitted or can expire.
+        if key is not None and not self._draining:
+            hit = self.service.rendered(plan, request.response_key())
+            if hit is not None:
+                stats, answers = hit
+                self.metrics.absorb_search_stats(stats)
+                self.metrics.latency.record(time.monotonic() - arrival)
+                return self._observe(
+                    "/search", 200, _search_body(plan, stats, answers))
+
         # Admission control: shed instead of queueing without bound.
         if self._draining or self._admitted >= self.max_queue:
             self.metrics.inc("requests_shed")
@@ -386,9 +457,13 @@ class HttpSearchServer:
         except ReproError as exc:
             return 500, _error_body(500, str(exc))
         self.metrics.absorb_search_stats(result.stats)
-        return 200, self._render_result(plan, result, request)
+        answers = self._render_result(result, request)
+        self.service.store_rendering(
+            plan, result, request.response_key(), answers)
+        return 200, _search_body(plan, result.stats, answers)
 
-    def _render_result(self, plan, result, request: SearchRequest) -> bytes:
+    def _render_result(self, result, request: SearchRequest) -> bytes:
+        """The ``answers`` array of a ``/search`` body, as JSON bytes."""
         graph = self.service.snapshot().graph if request.include_rows else None
         answers = []
         for answer in result.answers:
@@ -402,31 +477,7 @@ class HttpSearchServer:
                 rendered["columns"] = list(table.headers())
                 rendered["rows"] = [list(row) for row in table.rows]
             answers.append(rendered)
-        stats = result.stats
-        return _json_body({
-            "query": plan.query_text,
-            "words": list(plan.words),
-            "algorithm": plan.algorithm,
-            "k": plan.k,
-            "d": plan.d,
-            "store_version": plan.store_version,
-            "answers": answers,
-            "stats": {
-                "elapsed_ms": stats.elapsed_seconds * 1000.0,
-                "from_result_cache": stats.from_result_cache,
-                "candidate_roots": stats.candidate_roots,
-                "roots_expanded": stats.roots_expanded,
-                "patterns_checked": stats.patterns_checked,
-                "subtrees_enumerated": stats.subtrees_enumerated,
-                "roots_skipped": stats.roots_skipped,
-                "prefixes_skipped": stats.prefixes_skipped,
-                "pairs_skipped": stats.pairs_skipped,
-                "shards_total": stats.shards_total,
-                "shards_skipped": stats.shards_skipped,
-                "shard_waves": stats.shard_waves,
-                "shard_busy_ms": list(stats.shard_busy_ms),
-            },
-        })
+        return json.dumps(answers, sort_keys=True).encode("utf-8")
 
     # ------------------------------------------------------------- metrics
 
@@ -444,11 +495,14 @@ class HttpSearchServer:
             ).add({}, metrics.qps.rate()),
             MetricFamily(
                 "repro_http_queue_depth", "gauge",
-                "Requests currently admitted (executing or queued).",
+                "Requests currently admitted (executing or queued); "
+                "misses only, a hit answered from stored bytes takes no "
+                "slot.",
             ).add({}, self._admitted),
             MetricFamily(
                 "repro_http_requests_shed_total", "counter",
-                "Requests rejected 503 by admission control.",
+                "Requests rejected 503 by admission control (misses "
+                "only, except while draining).",
             ).add({}, metrics.requests_shed),
             MetricFamily(
                 "repro_http_requests_coalesced_total", "counter",
@@ -464,9 +518,7 @@ class HttpSearchServer:
             "repro_http_requests_total", "counter",
             "Responses written, by endpoint and status.",
         )
-        with metrics._lock:
-            totals = dict(metrics.requests_total)
-            counters = dict(metrics.search_counters)
+        totals, counters = metrics.totals()
         for (endpoint, status), count in sorted(totals.items()):
             requests.add({"endpoint": endpoint, "status": status}, count)
         families.append(requests)
@@ -502,6 +554,10 @@ class HttpSearchServer:
         )
         hits.add({"tier": "result"}, stats.result_hits)
         misses.add({"tier": "result"}, stats.result_misses)
+        # Result-tier hits, split by what they cost: answered on the loop
+        # from the entry's stored bytes, or rendered again on a worker.
+        hits.add({"tier": "rendered"}, stats.rendered_hits)
+        misses.add({"tier": "rendered"}, stats.rendered_misses)
         hits.add({"tier": "context"}, stats.context_hits)
         misses.add({"tier": "context"}, stats.context_misses)
         hits.add({"tier": "resolution"}, stats.resolution_hits)

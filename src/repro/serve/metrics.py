@@ -123,7 +123,8 @@ class ServerMetrics:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.started = time.monotonic()
-        #: (endpoint, status) -> count, for every response written.
+        #: (endpoint, status) -> count, for every response written; a
+        #: request that could not be framed counts under ``malformed``.
         self.requests_total: Dict[Tuple[str, str], int] = defaultdict(int)
         self.requests_shed = 0
         self.requests_coalesced = 0
@@ -148,6 +149,12 @@ class ServerMetrics:
         with self._lock:
             for name in SEARCH_COUNTERS:
                 self.search_counters[name] += getattr(stats, name, 0)
+
+    def totals(self) -> Tuple[Dict[Tuple[str, str], int], Dict[str, int]]:
+        """Copies of ``requests_total`` and ``search_counters``, taken
+        together under the lock (what one ``/metrics`` scrape reads)."""
+        with self._lock:
+            return dict(self.requests_total), dict(self.search_counters)
 
     def uptime_seconds(self) -> float:
         return time.monotonic() - self.started

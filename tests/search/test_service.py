@@ -14,13 +14,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import SearchError
+from repro.core.errors import SearchError, StalePlanError
 from repro.datasets.example import EXAMPLE_NORMALIZER, example_graph_with_nodes
 from repro.index.builder import build_indexes
 from repro.index.incremental import add_entity, add_relationship
 from repro.kg.pagerank import uniform_scores
 from repro.search.engine import TableAnswerEngine
-from repro.search.service import SearchService
+from repro.search.service import MAX_RENDERINGS, SearchService
 
 QUERY = "database software company revenue"
 
@@ -408,6 +408,141 @@ class TestConcurrentServing:
         for thread in threads:
             thread.join(timeout=60)
         assert not errors
+
+
+class TestRenderedTier:
+    """The bytes a front-end stored on a result-tier entry: found again
+    only through a live entry, dropped with it, counted like a search."""
+
+    ROWS = (True, 10)
+
+    @pytest.fixture()
+    def served(self, mutable_bundle):
+        """``(service, plan, result)``: one admitted result, no bytes."""
+        service = SearchService(mutable_bundle[2])
+        plan = service.plan(QUERY, k=3)
+        return service, plan, service.search(plan=plan)
+
+    def test_a_probe_that_misses_counts_nothing(self, served):
+        service, plan, _ = served
+        before = (service.stats.searches, service.stats.result_misses)
+        assert service.rendered(plan, self.ROWS) is None  # entry, no bytes
+        assert service.rendered(service.plan("software"), self.ROWS) is None
+        assert (service.stats.searches, service.stats.result_misses) == before
+        assert service.stats.rendered_hits == 0
+
+    def test_a_hit_is_counted_as_search_would_count_it(self, served):
+        service, plan, result = served
+        service.store_rendering(plan, result, self.ROWS, b"[1]")
+        stats, fragment = service.rendered(plan, self.ROWS)
+        assert fragment == b"[1]"
+        assert stats.from_result_cache
+        assert not result.stats.from_result_cache  # the original is kept
+        stats.from_result_cache = False
+        assert stats == result.stats
+        assert (
+            service.stats.searches,
+            service.stats.result_hits,
+            service.stats.result_misses,
+            service.stats.rendered_hits,
+            service.stats.rendered_misses,
+        ) == (2, 1, 1, 1, 0)
+        assert service.rendered(plan, (True, 3)) is None  # other rendering
+        # The key is the plan's: another spelling finds the same bytes.
+        spelled = service.plan("Database  SOFTWARE company revenue", k=3)
+        assert service.rendered(spelled, self.ROWS)[1] == b"[1]"
+        assert "2 from rendered bytes, 0 re-rendered" in service.stats.format()
+
+    def test_a_cached_result_that_is_rendered_again_is_a_miss(self, served):
+        service, plan, _ = served
+        cached = service.search(plan=plan)
+        assert cached.stats.from_result_cache
+        service.store_rendering(plan, cached, self.ROWS, b"[2]")
+        assert service.stats.rendered_misses == 1
+        # The served copy shares the entry's answers: the bytes attach.
+        assert service.rendered(plan, self.ROWS)[1] == b"[2]"
+
+    def test_bytes_attach_only_to_the_entry_they_rendered(self, served):
+        service, plan, _ = served
+        stray = service.execute(plan)  # same answers, never admitted
+        service.store_rendering(plan, stray, self.ROWS, b"[3]")
+        assert service.rendered(plan, self.ROWS) is None
+
+    def test_no_result_tier_no_bytes(self, example_indexes):
+        service = SearchService(example_indexes, max_cached_results=0)
+        plan = service.plan(QUERY, k=3)
+        result = service.search(plan=plan)
+        service.store_rendering(plan, result, self.ROWS, b"[4]")
+        assert service.rendered(plan, self.ROWS) is None
+        assert service.cache_sizes()["results"] == 0
+
+    def test_dropped_by_invalidate(self, served):
+        service, plan, result = served
+        service.store_rendering(plan, result, self.ROWS, b"[5]")
+        service.invalidate()
+        assert service.rendered(plan, self.ROWS) is None
+
+    def test_a_plan_a_writer_overtook_is_simply_no(self, served):
+        service, plan, result = served
+        service.store_rendering(plan, result, self.ROWS, b"[6]")
+        add_entity(service.indexes, "company", "database")
+        searches = service.stats.searches
+        # Nobody has re-snapshotted yet: the old entry is still in the
+        # dict, and must not be served.
+        assert service.rendered(plan, self.ROWS) is None
+        assert service.stats.searches == searches
+        fresh = service.plan(QUERY, k=3)
+        assert fresh.store_version > plan.store_version
+        assert service.rendered(fresh, self.ROWS) is None
+        # A rendering that finishes after the flush has no entry left.
+        service.store_rendering(plan, result, self.ROWS, b"[6]")
+        assert service.rendered(fresh, self.ROWS) is None
+
+    def test_a_stale_plan_is_not_counted_as_a_search(self, served):
+        """``searches == result_hits + result_misses`` also when writers
+        overtake plans: the attempt that raises counts nothing."""
+        service, plan, _ = served
+        add_entity(service.indexes, "company", "database")
+        with pytest.raises(StalePlanError):
+            service.search(plan=plan)
+        stats = service.stats
+        assert stats.searches == 1 == stats.result_hits + stats.result_misses
+
+    def test_dropped_by_lru_eviction_and_by_replacement(self, mutable_bundle):
+        service = SearchService(mutable_bundle[2], max_cached_results=1)
+        plan = service.plan(QUERY, k=3)
+        result = service.search(plan=plan)
+        service.store_rendering(plan, result, self.ROWS, b"[7]")
+        service.search("software company")
+        assert service.rendered(plan, self.ROWS) is None
+        result = service.search(plan=plan)
+        service.store_rendering(plan, result, self.ROWS, b"[7]")
+        service._store_result(plan, service.execute(plan))  # re-admitted
+        assert service.rendered(plan, self.ROWS) is None
+
+    def test_renderings_per_entry_are_capped_fifo(self, served):
+        service, plan, result = served
+        for max_rows in range(MAX_RENDERINGS + 2):
+            service.store_rendering(
+                plan, result, (True, max_rows), b"[%d]" % max_rows
+            )
+        kept = [
+            max_rows
+            for max_rows in range(MAX_RENDERINGS + 2)
+            if service.rendered(plan, (True, max_rows)) is not None
+        ]
+        assert kept == list(range(2, MAX_RENDERINGS + 2))
+
+    def test_uncacheable_plans_have_no_bytes(self, served):
+        service, _, _ = served
+        plan = service.plan(
+            QUERY, algorithm="letopk", sampling_rate=0.5,
+            sampling_threshold=1, seed=None,
+        )
+        assert not plan.cacheable
+        result = service.search(plan=plan)
+        service.store_rendering(plan, result, self.ROWS, b"[8]")
+        assert service.rendered(plan, self.ROWS) is None
 
 
 class TestDifferentialHypothesis:

@@ -11,13 +11,24 @@ fact, not a timing hope.
 
 import http.client
 import json
+import logging
+import socket
+import sys
 import threading
+import time
 
 import pytest
 
+from repro.datasets.example import EXAMPLE_NORMALIZER, example_graph_with_nodes
+from repro.index.builder import build_indexes
+from repro.index.incremental import add_entity
+from repro.index.serialize import save_indexes
+from repro.kg.pagerank import uniform_scores
 from repro.search.engine import TableAnswerEngine
-from repro.search.service import SearchService
+from repro.search.service import MAX_RENDERINGS, SearchService
+from repro.search.sharding import ShardedSearchService
 from repro.serve import start_http_server
+from repro.serve.pool import PooledSearchService
 
 QUERY = "database software company revenue"
 
@@ -41,6 +52,63 @@ def post(address, path, timeout=30):
     body = response.read()
     conn.close()
     return response.status, body
+
+
+def raw_exchange(address, payload, timeout=10):
+    """Everything the server answers to ``payload`` before it closes."""
+    host, _, port = address.partition(":")
+    with socket.create_connection((host, int(port)), timeout=timeout) as sock:
+        sock.sendall(payload)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def search_path(query, **params):
+    extra = "".join(f"&{name}={value}" for name, value in params.items())
+    return f"/search?q={query.replace(' ', '+')}{extra}"
+
+
+MISS_FLAG = b'"from_result_cache": false'
+
+
+def as_hit(body):
+    """A response's body as its repeat must read: only the flag differs
+    (if the response was not itself served from the result tier)."""
+    return body.replace(MISS_FLAG, b'"from_result_cache": true')
+
+
+def comparable(body, *drop):
+    """A 200 body as a dict, minus its timing, its cache flag and the
+    named top-level keys: what an uncached server must agree on."""
+    payload = json.loads(body)
+    del payload["stats"]["elapsed_ms"], payload["stats"]["from_result_cache"]
+    for key in drop:
+        del payload[key]
+    return payload
+
+
+def metric(address, sample):
+    """The value of one ``/metrics`` sample, named with its labels."""
+    _, body, _ = get(address, "/metrics")
+    for line in body.decode().splitlines():
+        if line.startswith(sample + " "):
+            return float(line.split()[-1])
+    raise AssertionError(f"{sample} is not exported")
+
+
+def example_twin():
+    """A private copy of the worked example's bundle (tests may write)."""
+    graph, _nodes = example_graph_with_nodes()
+    return build_indexes(
+        graph,
+        d=3,
+        normalizer=EXAMPLE_NORMALIZER,
+        pagerank_scores=uniform_scores(graph),
+    )
 
 
 class GatedSearch:
@@ -533,3 +601,503 @@ class TestShardedBackend:
         finally:
             server.stop()
             reference.stop()
+
+
+class TestMalformedRequests:
+    """The socket boundary: a request that cannot be framed is a counted
+    400 on a closed connection — not a traceback and a dropped peer."""
+
+    SHAPES = {
+        "length-not-a-number": (
+            b"GET /healthz HTTP/1.1\r\nContent-Length: abc\r\n\r\n"
+        ),
+        "length-negative": (
+            b"GET /healthz HTTP/1.1\r\nContent-Length: -5\r\n\r\n"
+        ),
+        "request-line-too-long": (
+            b"GET /search?q=" + b"x" * 66000 + b" HTTP/1.1\r\n\r\n"
+        ),
+        "header-too-long": (
+            b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"x" * 66000 + b"\r\n\r\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_answers_400_and_keeps_serving(self, server, caplog, shape):
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            reply = raw_exchange(server.address, self.SHAPES[shape])
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+            assert b"Connection: close" in head
+            assert json.loads(body)["status"] == 400
+            status, _, _ = get(server.address, "/healthz")
+            assert status == 200
+        assert not caplog.records  # no "Unhandled exception in ..._cb"
+        assert metric(
+            server.address,
+            'repro_http_requests_total{endpoint="malformed",status="400"}',
+        ) == 1
+
+
+#: The three services behind the same server; every one keeps the result
+#: tier in the serving process, so every one answers hits the same way.
+BACKENDS = {
+    "plain": lambda indexes, **kwargs: SearchService(indexes, **kwargs),
+    "pooled": lambda indexes, **kwargs: PooledSearchService(
+        indexes, processes=2, **kwargs
+    ),
+    "sharded": lambda indexes, **kwargs: ShardedSearchService(
+        indexes, num_shards=2, **kwargs
+    ),
+}
+RENDERINGS = [
+    {"include_rows": rows, "max_rows": max_rows}
+    for rows in (0, 1)
+    for max_rows in (0, 3, 10)
+]
+
+
+@pytest.fixture(scope="module")
+def wiki_queries(wiki_indexes):
+    from repro.datasets.queries import WorkloadConfig, generate_workload
+
+    workload = generate_workload(
+        wiki_indexes,
+        WorkloadConfig(queries_per_size=3, max_keywords=3, seed=23),
+    )
+    return sorted({" ".join(query) for query in workload})
+
+
+class TestRenderedHits:
+    """Hit ≡ miss: a repeat is answered from the bytes the first request
+    rendered, and those bytes are what rendering again would produce."""
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_repeat_differs_only_in_the_cache_flag(
+        self, wiki_indexes, wiki_queries, backend
+    ):
+        service = BACKENDS[backend](wiki_indexes)
+        server = start_http_server(service, max_queue=8, workers=2)
+        # The oracle needs no switch: a service without a result tier
+        # renders every response from a fresh execution.
+        uncached = SearchService(wiki_indexes, max_cached_results=0)
+        oracle = start_http_server(uncached, max_queue=8, workers=2)
+        try:
+            assert len(wiki_queries) >= 6
+            for query in wiki_queries:
+                for rendering in RENDERINGS:
+                    path = search_path(query, k=4, **rendering)
+                    _, first, _ = get(server.address, path)
+                    # Only a query's first rendering executes it.
+                    assert (MISS_FLAG in first) == (
+                        rendering is RENDERINGS[0]
+                    )
+                    status, second, _ = get(server.address, path)
+                    assert status == 200
+                    assert second == as_hit(first), path
+                    # Canonical JSON: the splice is json.dumps' bytes.
+                    assert second.decode() == json.dumps(
+                        json.loads(second), sort_keys=True
+                    ) + "\n"
+                    _, expected, _ = get(oracle.address, path)
+                    if backend == "plain":
+                        assert comparable(second) == comparable(expected)
+                    else:  # work counters are the backend's own
+                        assert comparable(second, "stats") == comparable(
+                            expected, "stats"
+                        )
+            requests = len(wiki_queries) * len(RENDERINGS)
+            stats = service.stats
+            assert stats.rendered_hits == requests
+            # A query's first rendering is the miss's; its other five
+            # found the result cached and rendered it their way.
+            assert stats.rendered_misses == requests - len(wiki_queries)
+            assert stats.result_hits == (
+                stats.rendered_hits + stats.rendered_misses
+            )
+            assert stats.searches == stats.result_hits + stats.result_misses
+            assert uncached.stats.result_hits == 0
+            assert uncached.stats.rendered_misses == 0
+            assert metric(
+                server.address, 'repro_cache_hits_total{tier="rendered"}'
+            ) == requests
+            assert metric(
+                server.address, 'repro_cache_misses_total{tier="rendered"}'
+            ) == requests - len(wiki_queries)
+        finally:
+            server.stop()
+            oracle.stop()
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_repeat_composes_no_table(
+        self, example_indexes, monkeypatch, backend
+    ):
+        service = BACKENDS[backend](example_indexes)
+        server = start_http_server(service, max_queue=8, workers=2)
+        try:
+            path = search_path(QUERY, k=3, include_rows=1, max_rows=3)
+            status, first, _ = get(server.address, path)
+            assert status == 200 and MISS_FLAG in first
+
+            def no_more_tables(*args, **kwargs):
+                raise AssertionError("a table was composed")
+
+            # Where the renderer looks the composer up, and its home.
+            monkeypatch.setattr(
+                "repro.search.result.compose_rows", no_more_tables
+            )
+            monkeypatch.setattr(
+                "repro.core.table.compose_rows", no_more_tables
+            )
+            status, second, _ = get(server.address, path)
+            assert status == 200
+            assert second == as_hit(first)
+            # The other side of the choice: a rendering the entry does
+            # not hold does go to the composer.
+            status, _, _ = get(
+                server.address,
+                search_path(QUERY, k=3, include_rows=1, max_rows=2),
+            )
+            assert status == 500
+        finally:
+            server.stop()
+
+    def test_hit_takes_no_worker_and_no_admission_slot(self, example_indexes):
+        service = SearchService(example_indexes)
+        gate = GatedSearch(service)
+        server = start_http_server(service, max_queue=2, workers=1)
+        cached = search_path(QUERY, k=9)
+        try:
+            gate.release.set()  # open while the cache is primed
+            status, first, _ = get(server.address, cached)
+            assert status == 200 and MISS_FLAG in first
+            gate.release.clear()
+            gate.started.clear()
+            gate.calls.clear()
+            results = []
+
+            def fetch(k):
+                results.append(get(server.address, search_path(QUERY, k=k)))
+
+            holders = [
+                threading.Thread(target=fetch, args=(k,)) for k in (1, 2)
+            ]
+            holders[0].start()
+            assert gate.started.wait(timeout=30)  # the only worker is held
+            holders[1].start()
+            for _ in range(1000):
+                if server.server._admitted == 2:
+                    break
+                threading.Event().wait(0.01)
+            assert server.server._admitted == 2  # and the queue is full
+            assert metric(server.address, "repro_http_queue_depth") == 2
+
+            status, second, _ = get(server.address, cached)
+            assert status == 200
+            assert second == as_hit(first)
+            status, _, _ = get(server.address, search_path(QUERY, k=3))
+            assert status == 503  # a miss is shed; the hit above was not
+            assert server.server.metrics.requests_shed == 1
+            assert metric(server.address, "repro_http_queue_depth") == 2
+            assert gate.calls == [1]  # the hit never reached search()
+
+            gate.release.set()
+            for thread in holders:
+                thread.join(timeout=30)
+            assert [status for status, _, _ in results] == [200, 200]
+        finally:
+            gate.release.set()
+            server.stop()
+
+    def test_draining_server_sheds_cached_requests_too(self, example_indexes):
+        service = SearchService(example_indexes)
+        server = start_http_server(service, max_queue=8, workers=1)
+        try:
+            path = search_path(QUERY)
+            assert get(server.address, path)[0] == 200
+            server.server._draining = True
+            status, body, _ = get(server.address, path)
+            assert status == 503
+            assert "draining" in json.loads(body)["message"]
+            assert service.stats.rendered_hits == 0
+        finally:
+            server.stop()
+
+    def test_spellings_share_bytes_and_echo_their_own_query(self, server):
+        spelled = "Database  SOFTWARE company revenue"
+        _, first, _ = get(server.address, search_path(QUERY, include_rows=1))
+        _, second, _ = get(
+            server.address, search_path(spelled, include_rows=1)
+        )
+        one, other = json.loads(first), json.loads(second)
+        assert other["stats"]["from_result_cache"] is True
+        assert (one["query"], other["query"]) == (QUERY, spelled)
+        assert one["answers"] == other["answers"]
+        assert server.server.service.stats.rendered_hits == 1
+
+    def test_renderings_never_share(self, server, service):
+        bodies = {}
+        for max_rows in (1, 2):
+            for _ in range(2):
+                _, bodies[max_rows], _ = get(
+                    server.address,
+                    search_path(QUERY, k=1, include_rows=1, max_rows=max_rows),
+                )
+        for max_rows, body in bodies.items():
+            payload = json.loads(body)
+            assert payload["stats"]["from_result_cache"] is True
+            assert len(payload["answers"][0]["rows"]) == max_rows
+        assert service.stats.rendered_hits == 2
+        assert service.stats.rendered_misses == 1
+
+    def test_uncacheable_plan_never_takes_the_loop_exit(self, server, service):
+        path = search_path(
+            QUERY, algorithm="letopk", sampling_rate=0.5,
+            sampling_threshold=1, seed="none",
+        )
+        for _ in range(3):
+            status, body, _ = get(server.address, path)
+            assert status == 200
+            assert json.loads(body)["stats"]["from_result_cache"] is False
+        assert service.stats.rendered_hits == 0
+        assert service.stats.result_misses == 3
+
+    def test_counts_are_what_search_would_have_counted(
+        self, server, service, example_indexes
+    ):
+        """A probe that misses counts nothing; a loop hit counts once."""
+        paths = [
+            search_path(QUERY, k=2),
+            search_path(QUERY, k=2),
+            search_path("software company", k=2),
+            search_path(QUERY, k=2, include_rows=1),
+            search_path(QUERY, k=2),
+        ]
+        for path in paths:
+            assert get(server.address, path)[0] == 200
+        library = SearchService(example_indexes)
+        for query in (QUERY, QUERY, "software company", QUERY, QUERY):
+            library.search(query, k=2)
+        for name in ("searches", "result_hits", "result_misses",
+                     "context_hits", "context_misses"):
+            assert getattr(service.stats, name) == getattr(
+                library.stats, name
+            ), name
+        assert service.stats.rendered_hits == 2
+        assert service.stats.rendered_misses == 1
+        assert server.server.metrics.latency.count == len(paths)
+
+
+class TestRenderedLifecycle:
+    """The stored bytes go when their result-tier entry goes — by
+    ``invalidate()``, a version bump, a compaction, LRU eviction or the
+    per-entry cap — and the next request renders again, correctly."""
+
+    PATH = search_path(QUERY, k=4, include_rows=1)
+
+    def serve(self, service):
+        server = start_http_server(service, max_queue=8, workers=2)
+        for expected in (False, True):  # miss, then a hit on its bytes
+            status, body, _ = get(server.address, self.PATH)
+            assert status == 200
+            assert json.loads(body)["stats"]["from_result_cache"] is expected
+        assert service.stats.rendered_hits == 1
+        return server
+
+    def rerendered(self, server, twin):
+        """The next response: not a hit, and what an uncached server
+        over ``twin`` — the heap copy at the same update boundary —
+        answers."""
+        hits = server.server.service.stats.rendered_hits
+        status, body, _ = get(server.address, self.PATH)
+        assert status == 200
+        assert json.loads(body)["stats"]["from_result_cache"] is False
+        assert server.server.service.stats.rendered_hits == hits
+        oracle = start_http_server(
+            SearchService(twin, max_cached_results=0), workers=1
+        )
+        try:
+            _, expected, _ = get(oracle.address, self.PATH)
+        finally:
+            oracle.stop()
+        # Version numbers are each store's own count of its writes.
+        assert comparable(body, "store_version") == comparable(
+            expected, "store_version"
+        )
+        return json.loads(body)
+
+    def test_admin_invalidate_drops_the_bytes(self):
+        server = self.serve(SearchService(example_twin()))
+        try:
+            assert post(server.address, "/admin/invalidate")[0] == 200
+            self.rerendered(server, example_twin())
+        finally:
+            server.stop()
+
+    def test_version_bump_drops_the_bytes(self):
+        served, twin = example_twin(), example_twin()
+        server = self.serve(SearchService(served))
+        try:
+            before = served.store.version
+            for bundle in (served, twin):
+                add_entity(bundle, "company", "database software revenue")
+            payload = self.rerendered(server, twin)
+            assert payload["store_version"] == served.store.version > before
+        finally:
+            server.stop()
+
+    def test_compaction_drops_the_bytes(self, tmp_path):
+        path = tmp_path / "served.repro"
+        save_indexes(example_twin(), path)
+        service = SearchService.from_file(path)
+        twin = example_twin()
+        for bundle in (service.indexes, twin):
+            add_entity(bundle, "company", "database software revenue")
+        server = self.serve(service)
+        try:
+            assert service.compact()["generation"] == 1
+            self.rerendered(server, twin)
+        finally:
+            server.stop()
+
+    def test_lru_eviction_drops_the_bytes(self):
+        server = self.serve(
+            SearchService(example_twin(), max_cached_results=1)
+        )
+        try:
+            assert get(server.address, search_path("software company"))[0] == 200
+            self.rerendered(server, example_twin())
+        finally:
+            server.stop()
+
+    def test_rendering_cap_evicts_the_oldest(self):
+        service = SearchService(example_twin())
+        server = self.serve(service)  # holds PATH's rendering (10 rows)
+        try:
+            for max_rows in range(1, MAX_RENDERINGS + 1):
+                get(server.address, self.PATH + f"&max_rows={max_rows}")
+            hits = service.stats.rendered_hits
+            status, body, _ = get(server.address, self.PATH)
+            payload = json.loads(body)
+            # Still a result-tier hit — the entry is live — but its
+            # first rendering was pushed out and had to be made again.
+            assert payload["stats"]["from_result_cache"] is True
+            assert service.stats.rendered_hits == hits
+            assert service.stats.rendered_misses == MAX_RENDERINGS + 1
+            fresh = start_http_server(
+                SearchService(example_twin(), max_cached_results=0), workers=1
+            )
+            try:
+                _, expected, _ = get(fresh.address, self.PATH)
+            finally:
+                fresh.stop()
+            assert comparable(body) == comparable(expected)
+            # The newest rendering survived its predecessors' eviction.
+            get(server.address, self.PATH + f"&max_rows={MAX_RENDERINGS}")
+            assert service.stats.rendered_hits == hits + 1
+        finally:
+            server.stop()
+
+    def test_no_result_tier_means_render_every_time(self):
+        service = SearchService(example_twin(), max_cached_results=0)
+        server = start_http_server(service, max_queue=8, workers=1)
+        try:
+            for _ in range(3):
+                status, body, _ = get(server.address, self.PATH)
+                assert status == 200
+                assert (
+                    json.loads(body)["stats"]["from_result_cache"] is False
+                )
+            assert service.stats.rendered_hits == 0
+            assert service.stats.rendered_misses == 0
+            assert service.stats.result_misses == 3
+        finally:
+            server.stop()
+
+
+class TestRenderedHammer:
+    def test_hot_set_races_a_writer(self, caplog):
+        """8 readers on a hot set, one writer adding entities and
+        ticking ``/admin/invalidate``: every 200 is the uncached heap
+        twin's answer at the body's own ``store_version``."""
+        served, twin = example_twin(), example_twin()
+        service = SearchService(served)
+        server = start_http_server(service, max_queue=64, workers=2)
+        words = ("database", "software", "revenue", "company")
+        paths = [
+            search_path(QUERY, k=3, include_rows=1),
+            search_path("software company", k=3, include_rows=1, max_rows=2),
+            search_path("database", k=2),
+        ]
+        versions = [served.store.version]
+        stop = threading.Event()
+        observed, errors = [], []
+
+        def writer():
+            step = 0
+            while not stop.is_set():
+                add_entity(served, "company", words[step % len(words)])
+                versions.append(served.store.version)
+                post(server.address, "/admin/invalidate")
+                step += 1
+                time.sleep(0.05)
+
+        def reader(offset):
+            turn = offset
+            while not stop.is_set():
+                path = paths[turn % len(paths)]
+                turn += 1
+                status, body, _ = get(server.address, path)
+                if status == 200:
+                    observed.append((path, body))
+                else:
+                    errors.append((status, body))
+
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader, args=(i,)) for i in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # more interleavings per second
+        try:
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                for thread in threads:
+                    thread.start()
+                time.sleep(2.0)
+                stop.set()
+                for thread in threads:
+                    thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not caplog.records
+            assert not errors
+            stats = service.stats
+            assert stats.searches == stats.result_hits + stats.result_misses
+            assert stats.rendered_hits > 0 and len(versions) > 2
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+            server.stop()
+
+        # Replay the writes on the twin, one boundary at a time, and
+        # check every body seen at that boundary's version.
+        by_version = {}
+        for path, body in observed:
+            by_version.setdefault(
+                json.loads(body)["store_version"], set()
+            ).add((path, body))
+        assert set(by_version) <= set(versions)
+        oracle = start_http_server(
+            SearchService(twin, max_cached_results=0), workers=1
+        )
+        try:
+            for step, version in enumerate(versions):
+                if step:
+                    add_entity(twin, "company", words[(step - 1) % len(words)])
+                expected = {}
+                for path, body in by_version.get(version, ()):
+                    if path not in expected:
+                        expected[path] = comparable(
+                            get(oracle.address, path)[1], "store_version"
+                        )
+                    assert comparable(body, "store_version") == expected[path]
+        finally:
+            oracle.stop()

@@ -28,34 +28,21 @@ import time
 import pytest
 
 from repro.core.errors import SearchError
-from repro.datasets.example import EXAMPLE_NORMALIZER, example_graph_with_nodes
-from repro.index.builder import build_indexes
 from repro.index.incremental import add_entity
 from repro.index.mmapstore import MappedPostingStore
 from repro.index.serialize import save_indexes
-from repro.kg.pagerank import uniform_scores
 from repro.search.service import SearchService
 from repro.search.sharding import ShardedSearchService
 from repro.serve import start_http_server
 from repro.serve.pool import PooledSearchService
 
-from tests.serve.test_http import get
+from tests.serve.test_http import example_twin as build_heap_twin, get
 
 QUERIES = ("database software company revenue", "software company", "database")
 
 #: One boundary per step: entities named after workload words, so every
 #: mutation moves at least one served posting list.
 MUTATION_WORDS = ("database", "software", "revenue", "company", "database", "software")
-
-
-def build_heap_twin():
-    graph, _nodes = example_graph_with_nodes()
-    return build_indexes(
-        graph,
-        d=3,
-        normalizer=EXAMPLE_NORMALIZER,
-        pagerank_scores=uniform_scores(graph),
-    )
 
 
 def engine_fingerprint(result):
