@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for three design choices of this implementation.
 
 * **Aggregator choice** (§2.2.3: sum vs avg vs max vs count) — same engine,
   different pattern scoring; the bench records how much the top-k sets

@@ -2,7 +2,7 @@
 
 * PETopK pays Theta(p^2) empty-pattern checks on the adversarial graph
   while LETopK terminates immediately (zero candidate roots) — the
-  theoretical separation DESIGN.md calls out, measured.
+  theoretical separation of Section 4.1, measured.
 * The Theorem 1 reduction instance demonstrates COUNTPAT's output scale:
   counting patterns on the reduction of a 2^layers-path DAG touches N^2
   patterns.

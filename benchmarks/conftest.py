@@ -1,10 +1,9 @@
 """Shared fixtures for the pytest-benchmark suite.
 
-One bench module per paper figure/table (see DESIGN.md's per-experiment
-index).  Scales are kept below the harness defaults so that
-``pytest benchmarks/ --benchmark-only`` finishes in minutes; the full
-sweeps that regenerate every row live in ``repro.bench.experiments`` and
-run via ``python -m repro.bench.run_all``.
+One bench module per paper figure/table.  Scales are kept below the
+harness defaults so that ``pytest benchmarks/ --benchmark-only`` finishes
+in minutes; the full sweeps that regenerate every row live in
+``repro.bench.experiments`` and run via ``python -m repro.bench.run_all``.
 """
 
 from __future__ import annotations

@@ -63,8 +63,9 @@ bundle (save → load, so workers inherit shard pages copy-free):
 * **gates** — zero divergence anywhere, ``backed_stores_thawed == 0``
   (serving never copies a mapped store), pool metric families exposed,
   and a **core-aware speedup floor**: fork QPS >= 2x threaded at >= 4
-  cores (the CI shape), >= 1.3x at 2-3 cores, recorded-but-waived on a
-  single core where no parallel speedup is physically available.
+  usable cores (the CI shape); below that the ratio is recorded but not
+  gated — the flood's load generator and the parent's dispatch loop
+  compete with the workers for the same 1-3 cores.
 
 Emits ``BENCH_9.json``; exit 1 if any gate fails::
 
@@ -504,17 +505,13 @@ def run(profile_name: str, k: int, out_path: str) -> int:
 # --------------------------------------------------------------------------
 
 #: Core-aware speedup floor for the fork flood vs the threaded flood at
-#: equal worker count.  On >= 4 cores (the CI runner shape) the pool must
-#: clear 2x; on 2-3 cores there is less parallelism to buy, so 1.3x; on a
-#: single core no parallel speedup is physically available — the ratio is
+#: equal worker count.  On >= 4 usable cores (the CI runner shape) the
+#: pool must clear 2x; below that the load generator, the parent's
+#: dispatch loop and the workers share the cores, so the ratio is
 #: recorded but the QPS gate is waived (divergence/thaw/failover gates
 #: still apply).
 def fork_speedup_floor(cores: int):
-    if cores >= 4:
-        return 2.0
-    if cores >= 2:
-        return 1.3
-    return None
+    return 2.0 if cores >= 4 else None
 
 
 def _http_get(address: str, path: str, timeout: float = 30.0):
@@ -561,11 +558,11 @@ def run_fork(profile_name: str, k: int, out_path: str) -> int:
     from repro.index.mmapstore import MappedPostingStore
     from repro.index.serialize import load_indexes, save_indexes
     from repro.index.store import PostingStore
-    from repro.search.sharding import ShardedSearchService
+    from repro.search.sharding import ShardedSearchService, usable_cores
     from repro.serve.pool import PooledSearchService
 
     profile = PROFILES[profile_name]
-    cores = os.cpu_count() or 1
+    cores = usable_cores()
     workers = max(2, min(4, cores))
     shards = 2
 
@@ -854,9 +851,9 @@ def run_fork(profile_name: str, k: int, out_path: str) -> int:
     speedup_met = True
     if required_ratio is None:
         print(
-            "NOTE: single core — no parallel speedup is physically "
-            f"available; QPS gate waived (measured {ratio:.2f}x), "
-            "divergence/thaw/failover gates still enforced"
+            f"NOTE: {cores} usable core(s) — QPS gate waived below 4 "
+            f"(measured {ratio:.2f}x), divergence/thaw/failover gates "
+            "still enforced"
         )
     else:
         speedup_met = ratio >= required_ratio

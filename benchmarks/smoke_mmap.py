@@ -18,8 +18,8 @@ genuinely cold for the process:
 * **oracle gate** — all four algorithms (PETopK, exact LINEARENUM-TOPK,
   sampled LETopK, baseline) replayed over the mapped bundle must be
   bit-identical (scores, pattern keys, subtree rows) to the in-memory
-  build, unsharded and through a ``ShardedSearchService`` over a v3
-  sharded file at K in {2, 4} (smallest scale point);
+  build, unsharded and through a ``ShardedSearchService`` over the v3
+  file at K in {2, 4} (smallest scale point);
 * **serving** — p50/p95 over a Zipfian-popularity request stream
   (``zipfian_requests``) served by a ``SearchService`` on the mapped
   bundle.
@@ -52,8 +52,6 @@ from repro.datasets.queries import (
 from repro.datasets.wiki import generate_wiki_graph, scaled_wiki_config
 from repro.index.builder import build_indexes
 from repro.index.serialize import load_indexes, save_indexes
-from repro.index.shards import partition_indexes
-from repro.index.serialize import save_sharded_indexes
 from repro.search.engine import TableAnswerEngine
 from repro.search.service import SearchService
 from repro.search.sharding import ShardedSearchService
@@ -192,13 +190,13 @@ def oracle_gate(indexes, loaded, queries, k):
 
 
 def sharded_gate(indexes, queries, k, tmp_dir):
-    """v3 sharded file served through the fork-worker pool vs oracle."""
+    """The v3 file served through K shard workers vs oracle."""
     oracle = TableAnswerEngine(indexes.graph, indexes=indexes)
     divergences = []
+    path = Path(tmp_dir) / "sharded.idx"
+    save_indexes(indexes, path)
     for num_shards in SHARD_COUNTS:
-        path = Path(tmp_dir) / f"sharded_{num_shards}.idx"
-        save_sharded_indexes(partition_indexes(indexes, num_shards), path)
-        service = ShardedSearchService.from_file(path)
+        service = ShardedSearchService.from_file(path, num_shards=num_shards)
         try:
             for query in queries:
                 for algorithm in ALGORITHMS:

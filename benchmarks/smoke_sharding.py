@@ -1,9 +1,10 @@
 """BENCH_5: sharded scatter–gather serving — work reduction + exactness.
 
-Partitions the wiki synthetic (d=3) posting store into K shards by root
-type (pattern-containment partitioning, see ``docs/sharding.md``), serves
-the same heavy 1-3 keyword workload BENCH_3/BENCH_4 use through a
-:class:`ShardedSearchService` worker pool, and measures **bound-driven
+Serves the wiki synthetic (d=3) index as K shards — the root types that
+hash to each, read from the one posting store (pattern containment, see
+``docs/sharding.md``) —, runs the same heavy 1-3 keyword workload
+BENCH_3/BENCH_4 use through a :class:`ShardedSearchService` worker pool,
+and measures **bound-driven
 shard skipping**: how much posting work the per-shard score upper bounds
 prove away before a shard is ever sent the query.
 
@@ -149,9 +150,7 @@ def run(profile_name: str, k: int, out_path: str) -> int:
         materialized = 0
         latencies = []
         reply_rows = []
-        with ShardedSearchService(
-            indexes, num_shards=num_shards, sharded=sharded
-        ) as service:
+        with ShardedSearchService(indexes, num_shards=num_shards) as service:
             for query in queries:
                 plan_words = service.plan(query, k=k).words
                 candidates = EnumerationContext(
@@ -199,7 +198,16 @@ def run(profile_name: str, k: int, out_path: str) -> int:
                         for shard in skipped_ids
                     )
         per_k[num_shards] = {
-            "shard_paths": [s.store.num_paths for s in sharded.shards],
+            # Paths of the one store whose root type each shard owns.
+            "shard_paths": [
+                len(part)
+                for part in sharded.partition_roots(
+                    [
+                        snap.store.path_root(path_id)
+                        for path_id in range(snap.store.num_paths)
+                    ]
+                )
+            ],
             "searches": len(queries) * len(k_values),
             "wave_width": min(num_shards, usable_cores()),
             "shard_waves": waves,

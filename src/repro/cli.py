@@ -88,7 +88,9 @@ def _format_store_line(indexes) -> str:
 
 def _format_file_stats(path) -> str:
     """Multi-line summary of the index *file*: format version, total
-    bytes, and per-store (base + shards) sizes for sharded bundles."""
+    bytes, and the size of each store section set it holds (one; a
+    file an earlier build wrote sharded also lists its unused shard
+    sections)."""
     from repro.index.serialize import describe_index_file
 
     info = describe_index_file(path)
@@ -232,8 +234,7 @@ def _make_service(
     ``serve --processes`` asks for it (optionally composed with
     ``--shards`` — each fork worker runs the sharded merge loop
     inline), sharded when ``--shards`` alone asks for it, the plain
-    single-store service otherwise (a sharded index file still loads —
-    its base bundle is a complete index)."""
+    service otherwise.  K is this command's choice, never the file's."""
     shards = getattr(args, "shards", None)
     if shards is not None and shards < 1:
         raise SearchError(f"--shards must be >= 1, got {shards}")
@@ -592,33 +593,22 @@ def _cmd_compact(args: argparse.Namespace) -> int:
 
     For a mapped v3 bundle this is the offline twin of the service's
     online compaction (``SearchService.compact``): the content streams
-    into a fresh file at generation+1, preserving a stored shard
-    partition.  A v1/v2 bundle is rewritten into the mmap v3 layout —
-    ``compact`` doubles as the format migration path.
+    into a fresh file at generation+1.  A v1/v2 bundle is rewritten
+    into the mmap v3 layout — ``compact`` doubles as the format
+    migration path.  The output holds one store whatever the input
+    held.
     """
-    from repro.core.errors import PathIndexError
     from repro.index.serialize import (
         compact_indexes,
         describe_index_file,
-        load_sharded_indexes,
         save_indexes,
-        save_sharded_indexes,
     )
 
     out = args.output or args.index
-    try:
-        sharded = load_sharded_indexes(args.index)
-    except PathIndexError:
-        sharded = None
-    indexes = sharded.base if sharded is not None else load_indexes(args.index)
-    store = indexes.store
+    indexes = load_indexes(args.index)
     started = time.perf_counter()
-    if store.has_mapped_base:
-        outcome = compact_indexes(
-            indexes,
-            out,
-            num_shards=sharded.num_shards if sharded is not None else 0,
-        )
+    if indexes.store.has_mapped_base:
+        outcome = compact_indexes(indexes, out)
         size, generation = outcome["bytes"], outcome["generation"]
         words = (
             f", {outcome['words_copied']} words copied, "
@@ -626,11 +616,8 @@ def _cmd_compact(args: argparse.Namespace) -> int:
         )
     else:
         # Heap-resident (v1/v2) bundle: a compacting rewrite into the
-        # mmap v3 layout, keeping any stored partition.
-        if sharded is not None:
-            size = save_sharded_indexes(sharded, out)
-        else:
-            size = save_indexes(indexes, out)
+        # mmap v3 layout.
+        size = save_indexes(indexes, out)
         generation = describe_index_file(out).get("generation", 0)
         words = ""
     elapsed = time.perf_counter() - started
@@ -695,9 +682,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--shards", type=int, default=None, metavar="K",
             help="serve through a K-shard scatter-gather worker pool "
-            "with bound-driven shard skipping (bit-identical answers; "
-            "a file written with a stored partition reuses it when K "
-            "matches)",
+            "with bound-driven shard skipping (bit-identical answers; a "
+            "shard is the set of root types that hash to it, read from "
+            "the one store in the file)",
         )
 
     search = commands.add_parser("search", help="answer a keyword query")
@@ -796,8 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
     compact = commands.add_parser(
         "compact",
         help="rewrite an index file as a flat next-generation v3 image "
-        "(preserves stored shard partitions; migrates v1/v2 bundles "
-        "to the mmap layout)",
+        "(one store per file; migrates v1/v2 bundles to the mmap layout)",
     )
     compact.add_argument("index", help="persisted index file")
     compact.add_argument(

@@ -2,7 +2,7 @@
 
 The v2 envelope deserializes every posting column into Python ``array``
 objects before the first query — cold start is O(index), and each forked
-shard worker pays it again in copies.  The v3 format
+worker pays for it again in copy-on-write pages.  The v3 format
 (:mod:`repro.index.serialize`) lays the same columns out as flat
 fixed-width arrays in one file with an offset table; this module opens
 that file via :mod:`mmap` and exposes the columns as ``memoryview``
@@ -10,8 +10,8 @@ casts, so
 
 * **cold start is O(1)** — opening an index maps pages, it does not read
   them; nothing is deserialized until a query touches it;
-* **shard pages are copy-free** — a forked worker inherits the parent's
-  mapping, so K shard stores share one physical copy of the file cache;
+* **worker pages are copy-free** — a forked worker inherits the parent's
+  mapping, so K shard workers share one physical copy of the file cache;
 * **the index may exceed RAM** — untouched columns never become resident.
 
 :class:`MappedPostingStore` is a :class:`PostingStore` constructed from

@@ -10,13 +10,13 @@ versioned header to fail loudly on format drift.
 Three on-disk formats exist:
 
 * **FORMAT_VERSION 3** (written by default): posting columns, path and
-  bound aggregate columns, the interner, and per-shard extents laid out
-  as flat fixed-width arrays in one file behind an offset table, opened
-  via ``mmap`` (see :mod:`repro.index.mmapstore` and
-  ``docs/index-format.md``).  Cold start is O(1): opening maps pages
-  without reading them, and every column deserializes lazily, word by
-  word, on first query access.  Forked shard workers inherit the
-  parent's mapping — shard pages are copy-free across the pool.
+  bound aggregate columns and the interner laid out as flat fixed-width
+  arrays in one file behind an offset table, opened via ``mmap`` (see
+  :mod:`repro.index.mmapstore` and ``docs/index-format.md``).  Cold
+  start is O(1): opening maps pages without reading them, and every
+  column deserializes lazily, word by word, on first query access.
+  Forked workers inherit the parent's mapping — index pages are
+  copy-free across a pool.
 * **FORMAT_VERSION 2** (written with ``version=2``, read transparently):
   a pickled envelope holding the columnar
   :class:`~repro.index.store.PostingStore` and the pattern interner as
@@ -30,6 +30,12 @@ Saves are crash-safe: bytes are written to a temporary file in the target
 directory, fsynced, atomically renamed over the destination, and the
 directory fsynced — an interrupted save can never leave a truncated or
 corrupt index file behind, and a save that returned survives power loss.
+
+A file holds one store.  Sharding is a serving parameter
+(:mod:`repro.index.shards`: a shard is a set of root types, read from
+that one store), not file content; files that earlier builds wrote with
+K extra shard-store sections still open — the extra sections are
+ignored.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ import tempfile
 import time
 from array import array
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.errors import PathIndexError
 from repro.index.builder import PathIndexes
@@ -118,7 +124,7 @@ def _write_index_bytes(data: bytes, path: Union[str, Path]) -> int:
 
 
 def _v2_envelope(indexes: PathIndexes) -> dict:
-    """The v2 columnar envelope for one bundle (shared by both kinds)."""
+    """The v2 columnar envelope for one bundle."""
     store = indexes.store
     if store is None:  # pragma: no cover - PathIndexes always has a store
         raise PathIndexError("cannot serialize indexes without a store")
@@ -166,7 +172,7 @@ class _SectionWriter:
         self.sections: Dict[str, Tuple[int, int]] = {}
         self._offset = 0
         #: Words whose leaf rows were copied from a mapped base / derived
-        #: from the finalized views, over every store written so far.
+        #: from the finalized views.
         self.words_copied = 0
         self.words_rebuilt = 0
 
@@ -182,10 +188,8 @@ class _SectionWriter:
         self._offset += len(data)
 
 
-def _v3_store_sections(
-    writer: _SectionWriter, prefix: str, store: PostingStore
-) -> dict:
-    """Write one store's columns as ``prefix``-named sections.
+def _v3_store_sections(writer: _SectionWriter, store: PostingStore) -> dict:
+    """Write the store's columns as ``s0/``-named sections.
 
     The posting columns are written in their finalized (pattern, root,
     path-lex) sort order, concatenated per word in vocabulary order,
@@ -202,6 +206,7 @@ def _v3_store_sections(
     heap store (:meth:`~repro.index.store.PostingStore.leaf_rows`,
     tallied as *rebuilt*).
     """
+    prefix = "s0/"
     store.finalize()
     writer.add(
         prefix + "node_offsets",
@@ -269,7 +274,6 @@ def _v3_store_sections(
 
 def _v3_bytes(
     indexes: PathIndexes,
-    shard_stores: Optional[Sequence[PostingStore]] = None,
     generation: Optional[int] = None,
     writer: Optional[_SectionWriter] = None,
 ) -> bytes:
@@ -279,17 +283,14 @@ def _v3_bytes(
     were copied, how many rebuilt) passes its own fresh ``writer``.
     """
     store = indexes.store
-    stores = [store] + list(shard_stores or ())
-    if any(isinstance(s, StoreSnapshot) for s in stores):
+    if isinstance(store, StoreSnapshot):
         raise PathIndexError(
             "cannot serialize through a StoreSnapshot: snapshots are "
             "read-only views; save the live bundle instead"
         )
     if writer is None:
         writer = _SectionWriter()
-    stores_meta = [
-        _v3_store_sections(writer, f"s{i}/", s) for i, s in enumerate(stores)
-    ]
+    store_meta = _v3_store_sections(writer, store)
     graph = indexes.graph
     writer.add("node_types", _as_bytes(ID_TYPECODE, graph._node_types))
     writer.add(
@@ -308,12 +309,14 @@ def _v3_bytes(
             protocol=pickle.HIGHEST_PROTOCOL,
         ),
     )
-    num_shards = len(stores) - 1
     header = {
         "format": FORMAT_NAME,
         "version": 3,
-        "kind": "sharded" if shard_stores is not None else "single",
-        "num_shards": num_shards,
+        # Always these two values: shards are not file content.  The
+        # keys stay so that every header reads alike (older files say
+        # "sharded") and no section offset moves.
+        "kind": "single",
+        "num_shards": 0,
         # Compaction lineage: 0 for a fresh build, +1 per fold of a live
         # delta overlay back into a flat file (see compact_indexes).
         "generation": generation
@@ -326,7 +329,7 @@ def _v3_bytes(
         "build_seconds": indexes.build_seconds,
         "normalizer": indexes.normalizer,
         "synonyms": indexes.synonyms,
-        "stores": stores_meta,
+        "stores": [store_meta],
         "sections": writer.sections,
     }
     header_bytes = pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL)
@@ -373,41 +376,15 @@ def save_sharded_indexes(
     path: Union[str, Path],
     version: int = FORMAT_VERSION,
 ) -> int:
-    """Write a partitioned bundle: the base plus its K shard stores.
-
-    The shards share the base's graph/interner/lexicon/PageRank, so only
-    their posting stores are serialized.  A sharded file *is* a valid
-    index file: :func:`load_indexes` on it returns the base bundle
-    (sharding is a serving-side accelerator, not a different index),
-    while :func:`load_sharded_indexes` restores the full partition
-    without re-running :func:`repro.index.shards.partition_indexes`.
-    In the v3 layout each shard's columns are distinct mapped extents of
-    the same file, so forked shard workers share one page cache copy.
-    """
-    _check_writable(version)
-    if version == 2:
-        envelope = _v2_envelope(sharded.base)
-        envelope["kind"] = "sharded"
-        envelope["num_shards"] = sharded.num_shards
-        envelope["shard_stores"] = [
-            shard.store.to_payload(sharded.base.pagerank_scores)
-            for shard in sharded.shards
-        ]
-        return _write_envelope(envelope, path)
-    data = _v3_bytes(
-        sharded.base, [shard.store for shard in sharded.shards]
-    )
-    return _write_index_bytes(data, path)
+    """:func:`save_indexes` of ``sharded.base``: the shard count is a
+    serving parameter, not file content (:mod:`repro.index.shards`)."""
+    return save_indexes(sharded.base, path, version)
 
 
 # ---------------------------------------------------------------- compaction
 
 
-def compact_indexes(
-    indexes: PathIndexes,
-    path: Union[str, Path],
-    num_shards: int = 0,
-) -> dict:
+def compact_indexes(indexes: PathIndexes, path: Union[str, Path]) -> dict:
     """Fold a mapped store's delta overlay into a fresh v3 file + re-map.
 
     The LSM "merge" step for :class:`~repro.index.mmapstore.
@@ -420,32 +397,21 @@ def compact_indexes(
     version bump makes every pool and cache rebuild from the re-mapped
     generation.
 
-    With ``num_shards > 0`` the current content is also partitioned and
-    the file written sharded (per-shard extents preserved, so a restart
-    re-maps the partition for free).
-
     Every word's posting slice and leaf rows go into the new image as
     bytes: from the mapped base for the words no write touched
     (``words_copied``), from the heap — where the writes' finalize
     derived them — for the overlay's dirty and new words
-    (``words_rebuilt``; see :func:`_v3_store_sections`).  A sharded
-    compaction still re-partitions on the heap, so its shard stores
-    count as rebuilt in full.
+    (``words_rebuilt``; see :func:`_v3_store_sections`).
 
     The whole operation holds ``store.lock``: writers and
     snapshot-takers block for the memcpy-bound write (readers on
     existing snapshots are unaffected) — this is what makes the written
     image and the re-mapped state exactly the live content.
 
-    Returns ``{"bytes", "generation", "sharded", "seconds",
-    "words_copied", "words_rebuilt"}``: ``sharded`` is a fresh mapped
-    :class:`~repro.index.shards.ShardedIndexes` partition (``None`` when
-    ``num_shards == 0``), ``seconds`` is how long the lock was held, and
-    the two word counts say how the writer got each word's leaf rows,
-    summed over the base and any shard stores.
+    Returns ``{"bytes", "generation", "seconds", "words_copied",
+    "words_rebuilt"}``: ``seconds`` is how long the lock was held, and
+    the two word counts say how the writer got each word's leaf rows.
     """
-    from repro.index.shards import partition_indexes, wrap_shard_stores
-
     store = indexes.store
     if isinstance(store, StoreSnapshot):
         raise PathIndexError(
@@ -464,34 +430,14 @@ def compact_indexes(
         # Read under the lock: two racing compactions must not both
         # write generation g+1 with different content.
         generation = store.generation + 1
-        shard_stores = None
-        if num_shards > 0:
-            partition = partition_indexes(indexes, num_shards)
-            shard_stores = [shard.store for shard in partition.shards]
-        data = _v3_bytes(
-            indexes, shard_stores, generation=generation, writer=writer
-        )
+        data = _v3_bytes(indexes, generation=generation, writer=writer)
         nbytes = _write_index_bytes(data, path)
         reader = MappedIndexReader(path)
-        header = reader.header
-        store.remap(reader, header["stores"][0])
-        sharded = None
-        if num_shards > 0:
-            mapped_stores = [
-                MappedPostingStore(
-                    indexes.interner, reader, meta, generation=generation
-                )
-                for meta in header["stores"][1:]
-            ]
-            # store_version defaults to the *post-remap* live version, so
-            # the serving tier's pools adopt this partition without a
-            # re-partition.
-            sharded = wrap_shard_stores(indexes, mapped_stores)
+        store.remap(reader, reader.header["stores"][0])
         seconds = time.perf_counter() - started
     return {
         "bytes": nbytes,
         "generation": generation,
-        "sharded": sharded,
         "seconds": seconds,
         "words_copied": writer.words_copied,
         "words_rebuilt": writer.words_rebuilt,
@@ -588,12 +534,13 @@ def _is_v3_file(path: Path) -> bool:
 
 
 def _load_v3(path: Path):
-    """Open a v3 file: ``(reader, header, base_indexes, all_stores)``.
+    """Open a v3 file: ``(header, indexes)``.
 
-    O(1) in the index size: columns are mapped, not read — the base
-    bundle's views and bound columns deserialize lazily per word (see
-    :mod:`repro.index.mmapstore`).  ``all_stores[0]`` is the base store;
-    the rest are shard stores for sharded files.
+    O(1) in the index size: columns are mapped, not read — the bundle's
+    views and bound columns deserialize lazily per word (see
+    :mod:`repro.index.mmapstore`).  ``header["stores"][0]`` is the
+    store; a file an earlier build wrote sharded names K more, which
+    nothing reads.
     """
     reader = MappedIndexReader(path)
     header = reader.header
@@ -617,17 +564,17 @@ def _load_v3(path: Path):
         # appends to the PageRank vector, a mapped view cannot grow.
         pagerank = array("d")
         pagerank.frombytes(reader.blob("pagerank"))
-        generation = header.get("generation", 0)
-        stores = [
-            MappedPostingStore(interner, reader, meta, generation=generation)
-            for meta in header["stores"]
-        ]
-        base_store = stores[0]
-        pattern_first = PatternFirstIndex(interner, base_store)
-        root_first = RootFirstIndex(interner, base_store)
+        store = MappedPostingStore(
+            interner,
+            reader,
+            header["stores"][0],
+            generation=header.get("generation", 0),
+        )
+        pattern_first = PatternFirstIndex(interner, store)
+        root_first = RootFirstIndex(interner, store)
         pattern_first.finalize()
         root_first.finalize()
-        base = PathIndexes(
+        return header, PathIndexes(
             graph=graph,
             d=header["d"],
             normalizer=header["normalizer"],
@@ -638,9 +585,8 @@ def _load_v3(path: Path):
             pagerank_scores=pagerank,
             build_seconds=header.get("build_seconds", 0.0),
             synonyms=header.get("synonyms"),
-            store=base_store,
+            store=store,
         )
-        return reader, header, base, stores
     except KeyError as exc:
         raise PathIndexError(
             f"{str(path)!r} v3 header is missing field {exc}"
@@ -672,9 +618,7 @@ def load_indexes(path: Union[str, Path]) -> PathIndexes:
     Reads the mmap-backed v3 layout (O(1) cold start — columns stay on
     disk until queries touch them), the v2 pickled columnar envelope,
     and legacy v1 object-graph pickles (transparently migrated).  A
-    sharded file loads as its base bundle — the partition is extra
-    serving-side state, not a different index; use
-    :func:`load_sharded_indexes` to restore the shards too.
+    file an earlier build wrote sharded loads as its base bundle.
 
     The elapsed wall-clock cold-start time is recorded on the returned
     bundle as ``indexes.load_seconds`` (surfaced by ``search --explain``,
@@ -683,7 +627,7 @@ def load_indexes(path: Union[str, Path]) -> PathIndexes:
     path = Path(path)
     started = time.perf_counter()
     if _is_v3_file(path):
-        _reader, header, indexes, _stores = _load_v3(path)
+        header, indexes = _load_v3(path)
         expected_entries = header.get("num_entries")
     else:
         envelope = _read_envelope(path)
@@ -700,69 +644,6 @@ def load_indexes(path: Union[str, Path]) -> PathIndexes:
         )
     indexes.load_seconds = time.perf_counter() - started
     return indexes
-
-
-def load_sharded_indexes(path: Union[str, Path]):
-    """Load a partitioned bundle written by :func:`save_sharded_indexes`.
-
-    Returns a :class:`~repro.index.shards.ShardedIndexes`: the base
-    bundle plus its K shard bundles, reassembled against the base's
-    interner/graph exactly as :func:`partition_indexes` would build them.
-    For v3 files every shard store maps extents of the same open file —
-    no reconstruction, and forked workers share the page cache.
-    """
-    from repro.index.shards import wrap_shard_stores
-
-    path = Path(path)
-    started = time.perf_counter()
-    if _is_v3_file(path):
-        _reader, header, base, stores = _load_v3(path)
-        if header.get("kind") != "sharded":
-            raise PathIndexError(
-                f"{str(path)!r} is not a sharded index file; load it with "
-                "load_indexes() and partition_indexes() instead"
-            )
-        num_shards = header.get("num_shards")
-        shard_stores = stores[1:]
-        if len(shard_stores) != num_shards:
-            raise PathIndexError(
-                f"{str(path)!r} sharded header is inconsistent: "
-                f"num_shards={num_shards!r}, "
-                f"{len(shard_stores)} shard stores"
-            )
-        sharded = wrap_shard_stores(base, shard_stores)
-    else:
-        envelope = _read_envelope(path)
-        if envelope.get("kind") != "sharded":
-            raise PathIndexError(
-                f"{str(path)!r} is not a sharded index file; load it with "
-                "load_indexes() and partition_indexes() instead"
-            )
-        base = _load_v2(path, envelope)
-        payloads = envelope.get("shard_stores")
-        num_shards = envelope.get("num_shards")
-        if not isinstance(payloads, list) or len(payloads) != num_shards:
-            raise PathIndexError(
-                f"{str(path)!r} sharded envelope is inconsistent: "
-                f"num_shards={num_shards!r}, "
-                f"{len(payloads) if isinstance(payloads, list) else 'no'} "
-                "shard stores"
-            )
-        pagerank = array("d")
-        pagerank.frombytes(envelope["pagerank"])
-        stores = [
-            PostingStore.from_payload(base.interner, payload, pagerank)
-            for payload in payloads
-        ]
-        sharded = wrap_shard_stores(base, stores)
-    total = sum(shard.num_entries for shard in sharded.shards)
-    if total != sharded.base.num_entries:
-        raise PathIndexError(
-            f"{str(path)!r} shard postings do not cover the base: "
-            f"{total} vs {sharded.base.num_entries}"
-        )
-    sharded.base.load_seconds = time.perf_counter() - started
-    return sharded
 
 
 # --------------------------------------------------------------- inspection
@@ -799,8 +680,10 @@ def describe_index_file(path: Union[str, Path]) -> dict:
     Returns ``{"file_bytes", "version", "kind", "num_shards", "d",
     "num_entries", "stores": [{"name", "num_paths", "num_postings",
     "store_bytes"}, ...]}`` — reading only the header for v3 files and
-    the envelope (no store reconstruction) for v1/v2, so it works on
-    sharded bundles the full loader would spend real time assembling.
+    the envelope (no store reconstruction) for v1/v2.  ``kind`` is
+    ``"sharded"`` and ``stores`` has more than its ``base`` entry only
+    for a file an earlier build wrote with shard-store sections: what
+    the file holds, not what a loader reads.
     """
     path = Path(path)
     if not path.exists():

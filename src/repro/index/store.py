@@ -909,10 +909,8 @@ class PostingStore:
     def postings(self, word: str) -> Iterable[Tuple[int, float]]:
         """One word's raw ``(path_id, sim)`` posting pairs, column order.
 
-        The bulk-transfer accessor behind store partitioning
-        (:mod:`repro.index.shards`): order is whatever the columns
-        currently hold — callers that need the grouped order must
-        :meth:`finalize` the receiving store themselves.
+        Order is whatever the columns currently hold — the grouped
+        order only once the store is finalized.
         """
         ids = self._posting_ids.get(word)
         if ids is None:
@@ -1073,8 +1071,8 @@ class PostingStore:
     def warm_query_caches(self) -> None:
         """Box every path now.
 
-        Worker pools call it before forking (and shard workers at pool
-        start), batch drivers before fanning out threads, so the fills
+        The fork pool calls it before forking, batch drivers before
+        fanning out threads, so the fills
         are neither raced by every thread nor repeated inside every
         child.  The memo survives writes and compaction, so on a
         rebuild after a version bump this boxes only the new paths.

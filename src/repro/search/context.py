@@ -24,7 +24,17 @@ identical id-based loop in :mod:`repro.search.expand`.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.errors import SearchError
 from repro.core.types import NodeId, PatternId, TypeId
@@ -60,6 +70,7 @@ class EnumerationContext:
         "_by_type",
         "_viable_types",
         "_bounds",
+        "_keep_type",
     )
 
     def __init__(
@@ -84,6 +95,7 @@ class EnumerationContext:
         self._by_type: Optional[Dict[TypeId, List[NodeId]]] = None
         self._viable_types: Optional[Set[TypeId]] = None
         self._bounds: Optional[tuple] = None
+        self._keep_type: Optional[Callable[[TypeId], bool]] = None
 
     @classmethod
     def from_root_maps(
@@ -111,7 +123,40 @@ class EnumerationContext:
         context._by_type = None
         context._viable_types = None
         context._bounds = None
+        context._keep_type = None
         return context
+
+    def restricted_to(
+        self, keep_type: Callable[[TypeId], bool]
+    ) -> "EnumerationContext":
+        """This query confined to the root types ``keep_type`` accepts.
+
+        The sub-problem a shard answers (:mod:`repro.index.shards`): the
+        same store, words, root maps and bounds, with the candidate
+        roots, their partition by type and the viable types cut down to
+        the kept types — so every algorithm, unmodified, enumerates
+        exactly the patterns rooted at those types.  The roots are
+        filtered through their grouping by type, which the algorithms
+        need anyway, not one call per root.
+        """
+        by_type = {
+            root_type: roots
+            for root_type, roots in self.roots_by_type(
+                self.indexes.graph
+            ).items()
+            if keep_type(root_type)
+        }
+        part = EnumerationContext.from_root_maps(
+            self.store,
+            self.words,
+            self.root_maps,
+            indexes=self.indexes,
+            candidate_roots=sorted(chain.from_iterable(by_type.values())),
+        )
+        part._by_type = by_type
+        part._bounds = self._bounds
+        part._keep_type = keep_type
+        return part
 
     # ------------------------------------------------------------ root-first
 
@@ -241,6 +286,8 @@ class EnumerationContext:
                 types = word_types if i == 0 else types & word_types
                 if not types:
                     break
+            if self._keep_type is not None:
+                types = {t for t in types if self._keep_type(t)}
             self._viable_types = types
         return types
 

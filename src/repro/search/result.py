@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import (
     TYPE_CHECKING,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -367,7 +366,7 @@ def portable_answers(answers: Sequence[PatternAnswer]) -> List[tuple]:
     """Ranked answers as the plain rows a worker sends over its pipe:
     ``(score, pattern_key, num_subtrees, combos, estimated_score)`` with
     the combos of :func:`portable_combos`.  Pattern ids are global (the
-    interner is shared by a bundle, its snapshots and its shards)."""
+    interner is shared by a bundle and its snapshots)."""
     return [
         (
             answer.score,
@@ -381,13 +380,12 @@ def portable_answers(answers: Sequence[PatternAnswer]) -> List[tuple]:
 
 
 def bind_answers(
-    rows: Sequence[tuple],
-    indexes: "PathIndexes",
-    stores: Iterable["PostingStore"],
+    rows: Sequence[tuple], indexes: "PathIndexes"
 ) -> List[PatternAnswer]:
-    """Undo :func:`portable_answers`; ``stores`` names, row by row, the
-    receiver's copy of the store the answer's combos were enumerated
-    on (see :func:`bind_combos`)."""
+    """Undo :func:`portable_answers` against ``indexes`` — the
+    receiver's copy of the bundle the rows were enumerated on, so the
+    combos' path ids are its store's (see :func:`bind_combos`)."""
+    store = indexes.store
     return [
         PatternAnswer(
             pattern_key=key,
@@ -397,7 +395,7 @@ def bind_answers(
             subtrees=bind_combos(combos, store),
             estimated_score=estimated,
         )
-        for (score, key, count, combos, estimated), store in zip(rows, stores)
+        for score, key, count, combos, estimated in rows
     ]
 
 

@@ -137,7 +137,7 @@ class ServiceStats:
     #: What they cost: seconds ``store.lock`` was held, summed over all
     #: compactions, and how the *last* one got its words' leaf rows —
     #: copied from the mapped base, or re-derived (the overlay's dirty
-    #: words; every shard-store word under ``--shards``).
+    #: words).
     compaction_seconds: float = 0.0
     compaction_words_copied: int = 0
     compaction_words_rebuilt: int = 0
@@ -244,12 +244,6 @@ MAX_RENDERINGS = 4
 
 class SearchService:
     """Load once, serve many: cached, snapshot-consistent query serving."""
-
-    #: K of the shard partition served over (0: none; the pool-backed
-    #: services set it).  A compaction writes that partition into the
-    #: file, so the compacted file preserves K and a restart re-maps
-    #: the shards for free.
-    num_shards = 0
 
     def __init__(
         self,
@@ -385,11 +379,6 @@ class SearchService:
 
     # ----------------------------------------------------------- compaction
 
-    def _adopt_compaction(self, outcome: dict) -> None:
-        """Subclass hook: absorb the compaction outcome (e.g. adopt the
-        fresh mapped shard partition) before the version-guard protocol
-        rebuilds pools and caches."""
-
     def compact(self, path=None) -> dict:
         """Fold the mapped store's delta overlay into a fresh v3 file.
 
@@ -400,8 +389,8 @@ class SearchService:
         request re-snapshots and flushes every cache tier, and
         pool-backed services re-fork their workers from the re-mapped
         generation — never from a heap copy.  Returns the compaction
-        outcome ``{"bytes", "generation", "sharded", "seconds",
-        "words_copied", "words_rebuilt"}``.
+        outcome ``{"bytes", "generation", "seconds", "words_copied",
+        "words_rebuilt"}``.
         """
         from repro.index.serialize import compact_indexes
 
@@ -411,10 +400,7 @@ class SearchService:
                 "compact() needs a target path: this service was not "
                 "loaded from a file (pass path=...)"
             )
-        outcome = compact_indexes(
-            self.indexes, target, num_shards=self.num_shards
-        )
-        self._adopt_compaction(outcome)
+        outcome = compact_indexes(self.indexes, target)
         self.stats.bump(compactions=1, compaction_seconds=outcome["seconds"])
         self.stats.compaction_words_copied = outcome["words_copied"]
         self.stats.compaction_words_rebuilt = outcome["words_rebuilt"]

@@ -1,11 +1,12 @@
 """Sharded scatter–gather top-k serving with bound-driven shard skipping.
 
-:class:`ShardedSearchService` extends the single-store
+:class:`ShardedSearchService` extends
 :class:`~repro.search.service.SearchService` with the fork-based scale-out
-path ``docs/serving.md`` promised: the posting store is partitioned into K
-pattern-disjoint shards (:mod:`repro.index.shards`), each owned by one
-long-lived forked worker process that pre-warms its shard's query and
-bound columns at pool start.  A query's canonical
+path ``docs/serving.md`` promised: a query's root types are split over K
+pattern-disjoint shards (:mod:`repro.index.shards` — a shard is the set
+of root types that hash to it, read from the one store), each answered
+for by one long-lived forked worker process that inherited the serving
+snapshot (:func:`search_shard`).  A query's canonical
 :class:`~repro.search.plan.QueryPlan` is scattered to the workers over
 ``multiprocessing`` pipes, the per-shard top-k lists are gathered, and the
 coordinator merges them under a single global
@@ -49,17 +50,16 @@ the *global* candidate ordering — per-shard streams would diverge), and
 that is all; ``pattern_enum``, exact ``linear_topk``, and ``linear_full``
 all shard.  Kept subtrees cross the pipe as their ``(path_id, sim)``
 pairs (:func:`~repro.search.result.portable_answers`) and the
-coordinator re-binds them, as ``ComboRef`` combos, to its own copy of
-the shard store the worker was forked from — value-equal to the
-unsharded combos, with no :class:`~repro.index.entry.PathEntry` built
-on either side of the pipe.
+coordinator re-binds them, as ``ComboRef`` combos, to the snapshot's
+store the worker was forked from — the unsharded combos, with no
+:class:`~repro.index.entry.PathEntry` built on either side of the pipe.
 
 The workers are a :class:`~repro.search.workers.WorkerPool` addressed by
 shard id; the fork, the pipe protocol, death detection (liveness at
 ``send``, hang-up / the wave's one deadline at ``collect``) and respawn
 live in :mod:`repro.search.workers`.  Under its failover rule the
-coordinator re-executes a lost shard (only) inline from its own copy of
-the shard bundle while the wave's live workers keep computing, respawns
+coordinator re-executes a lost shard (only) inline on the same snapshot
+while the wave's live workers keep computing, respawns
 the worker once the query's last wave is in, and counts a
 ``shard_failover`` — one query degrades to local execution of one shard,
 nothing is lost.  A failed respawn is counted
@@ -70,15 +70,15 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from itertools import repeat
 from typing import List, Optional, Tuple
 
 from repro.core.errors import SearchError
 from repro.core.topk import TopKQueue, TopKThreshold
 from repro.index.builder import PathIndexes
-from repro.index.shards import ShardedIndexes
+from repro.index.shards import Shard, ShardedIndexes
 from repro.scoring.function import PAPER_DEFAULT, ScoringFunction
 from repro.search.bounds import SAFETY
+from repro.search.context import EnumerationContext
 from repro.search.plan import QueryPlan, execute_plan
 from repro.search.result import (
     PatternAnswer,
@@ -144,25 +144,42 @@ def plan_shardable(plan: QueryPlan) -> bool:
     )
 
 
+def search_shard(
+    shard: Shard,
+    plan: QueryPlan,
+    context: Optional[EnumerationContext] = None,
+) -> SearchResult:
+    """Run a plan on one shard: the unmodified algorithm, on the bundle
+    every shard shares, through a context narrowed to the root types the
+    shard owns — the one place the shard restriction is applied.
+
+    ``context`` is the *whole* query's context on that bundle when the
+    caller already has one; absent, it is derived here (the word-set
+    intersection costs a few percent of a shard run, so a worker is
+    sent the bare plan and intersects for itself).
+    """
+    base = shard.sharded.base
+    if context is None:
+        context = EnumerationContext(base, plan.resolved_query())
+    return execute_plan(
+        base, plan, context=context.restricted_to(shard.owns_type)
+    )
+
+
 def execute_shard_plan(
-    shard: PathIndexes, plan: QueryPlan
+    shard: Shard, plan: QueryPlan
 ) -> Tuple[list, SearchStats]:
-    """Run a plan on one shard bundle, returning *portable* answers.
+    """:func:`search_shard` with *portable* answers.
 
     The worker-side (and inline-failover) execution step.  Answers are
     flattened to plain picklable tuples
     ``(score, pattern_key, num_subtrees, combos, estimated_score)``
-    (:func:`~repro.search.result.portable_answers`): pattern ids are
-    global (the shards share the base interner), and kept subtrees go
+    (:func:`~repro.search.result.portable_answers`): kept subtrees go
     as their ``(path_id, sim)`` pairs because a ``ComboRef`` holds a
-    store reference that must not cross the pipe.  The ids are the
-    shard store's own; the receiver binds them to its copy of that
-    store.  ``allow_stale=True`` because the shard store keeps
-    its own version counter, intentionally different from the base
-    version the plan was resolved against (the coordinator already
-    version-checked the plan against the serving snapshot).
+    store reference that must not cross the pipe.  Pattern ids and path
+    ids are the serving snapshot's, on both sides of the pipe.
     """
-    result = execute_plan(shard, plan, allow_stale=True)
+    result = search_shard(shard, plan)
     return portable_answers(result.answers), result.stats
 
 
@@ -175,8 +192,8 @@ def shard_upper_bounds(
     admissible (under all four aggregators) cap on any pattern score
     confined to the shard's slice of the candidate roots —
     ``SAFETY * sum(root_mass(r))``, computed from the *global*
-    :class:`~repro.search.bounds.QueryBounds` (identical values to the
-    unsharded run, since a root's postings travel to its shard whole).
+    :class:`~repro.search.bounds.QueryBounds` — the bounds object the
+    shard run itself prunes with.
     ``inf`` per non-empty shard when the scoring function is outside the
     bounded class — every shard is then dispatched, sharding stays
     exact, nothing skips.
@@ -294,22 +311,21 @@ class ShardWorkerPool(WorkerPool):
     """One :class:`~repro.search.workers.WorkerPool` worker per shard,
     addressed by shard id.
 
-    Each worker inherits its shard bundle, warms that shard's query and
-    bound columns *in the child* (so K warms overlap) before its ready
-    handshake, and runs :func:`execute_shard_plan`.  A query is
-    :meth:`send` to each shard of a wave, then each reply is
-    :meth:`collect`-ed; the workers compute in between.  One *query* in
-    flight per pool (the caller serializes queries), any number of its
-    shards.
+    Each worker inherits the serving snapshot and its shard id (a
+    :class:`~repro.index.shards.Shard`) and runs
+    :func:`execute_shard_plan`; nothing is warmed, a worker boxes the
+    paths of the words it is asked about.  A query is :meth:`send` to
+    each shard of a wave, then each reply is :meth:`collect`-ed; the
+    workers compute in between.  One *query* in flight per pool (the
+    caller serializes queries), any number of its shards.
     """
 
     def __init__(
         self, sharded: ShardedIndexes, timeout: float = 30.0
     ) -> None:
-        self.store_version = sharded.store_version
+        self.store_version = sharded.base.store.version
         super().__init__(
-            sharded.shards, execute_shard_plan, "shard", timeout,
-            warm=lambda shard: shard.store.warm_query_caches(),
+            sharded.shards, execute_shard_plan, "shard", timeout
         )
 
     def execute(self, shard_id: int, plan: QueryPlan):
@@ -318,7 +334,7 @@ class ShardWorkerPool(WorkerPool):
 
 
 class ShardedSearchService(PoolBackedService):
-    """Scatter–gather serving over a partitioned store (module docstring).
+    """Scatter–gather serving over K shards of the store (module docstring).
 
     Drop-in for :class:`~repro.search.service.SearchService` — same
     caches, same snapshot protocol, bit-identical answers — with
@@ -334,14 +350,12 @@ class ShardedSearchService(PoolBackedService):
         num_shards: int = DEFAULT_NUM_SHARDS,
         scoring: ScoringFunction = PAPER_DEFAULT,
         worker_timeout: float = 30.0,
-        sharded: Optional[ShardedIndexes] = None,
         **kwargs,
     ) -> None:
         if num_shards < 1:
             raise SearchError(f"num_shards must be >= 1, got {num_shards}")
         super().__init__(
-            indexes, num_shards, worker_timeout, sharded,
-            scoring=scoring, **kwargs,
+            indexes, num_shards, worker_timeout, scoring=scoring, **kwargs
         )
         self.stats.execution_backend = "sharded"
         self.stats.execution_workers = num_shards
@@ -376,18 +390,13 @@ class ShardedSearchService(PoolBackedService):
             uppers = self._shard_bounds(snap, plan, context, sharded)
 
             def run_shards(shard_ids: List[int]):
-                # The workers were forked from these very shard bundles
-                # (a lost one is answered from ours), so their path ids
-                # are these stores'.
+                # The workers were forked from this snapshot (a lost
+                # one is answered from it here), so their path ids are
+                # its store's.
                 return [
-                    (
-                        bind_answers(
-                            rows, snap, repeat(sharded.shards[shard_id].store)
-                        ),
-                        shard_stats,
-                    )
-                    for shard_id, (rows, shard_stats) in zip(
-                        shard_ids, pool.execute_on(shard_ids, plan, lost)
+                    (bind_answers(rows, snap), shard_stats)
+                    for rows, shard_stats in pool.execute_on(
+                        shard_ids, plan, lost
                     )
                 ]
 

@@ -10,8 +10,10 @@ worker, speaks the pipe protocol (:func:`_worker_main`), detects a dead
 or silent one, respawns and reaps.  The two backends differ only in how
 a slot is *addressed*: :class:`~repro.search.sharding.ShardWorkerPool`
 by shard id, :class:`~repro.serve.pool.ForkWorkerPool` by leasing any
-free one.  :class:`PoolBackedService` is the same consolidation one
-level up, for the two services over those pools.
+free one.  Both kinds inherit the serving snapshot — a shard worker with
+its shard id beside it (:class:`~repro.index.shards.Shard`), which is
+all a shard is.  :class:`PoolBackedService` is the same consolidation
+one level up, for the two services over those pools.
 """
 
 from __future__ import annotations
@@ -20,12 +22,10 @@ import multiprocessing
 import os
 import threading
 import time
-from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.core.errors import PathIndexError, SearchError
+from repro.core.errors import SearchError
 from repro.index.builder import PathIndexes
-from repro.index.serialize import load_indexes, load_sharded_indexes
 from repro.index.shards import ShardedIndexes, partition_indexes
 from repro.search.plan import QueryPlan
 from repro.search.service import SearchService
@@ -367,11 +367,14 @@ class PoolBackedService(SearchService):
     """What :class:`~repro.search.sharding.ShardedSearchService` and
     :class:`~repro.serve.pool.PooledSearchService` share.
 
-    The pool — over the ``num_shards``-way partition when there is one —
-    is built lazily by the first execution that needs it and rebuilt
-    whenever the store version moves: the service's version-guard
-    protocol, one level up, so workers can never serve a stale snapshot.
-    Call :meth:`close` (or use as a context manager) to reap the workers.
+    The pool — over the snapshot seen as ``num_shards`` shards when K is
+    non-zero — is built lazily by the first execution that needs it and
+    rebuilt whenever the store version moves: the service's
+    version-guard protocol, one level up, so workers can never serve a
+    stale snapshot.  A rebuild is a fork: a shard is a root-type slice
+    of the snapshot (:mod:`repro.index.shards`), so there is nothing to
+    re-partition.  Call :meth:`close` (or use as a context manager) to
+    reap the workers.
 
     A subclass supplies :meth:`_start_pool` and its ``_execute_on``,
     under one **failover rule**: a request whose worker is lost — dead
@@ -388,61 +391,19 @@ class PoolBackedService(SearchService):
         indexes: PathIndexes,
         num_shards: int,
         worker_timeout: float,
-        sharded: Optional[ShardedIndexes],
         **kwargs,
     ) -> None:
         super().__init__(indexes, **kwargs)
-        if sharded is not None:
-            if sharded.base is not indexes:
-                raise SearchError(
-                    "preloaded ShardedIndexes must wrap the same live "
-                    "bundle the service serves"
-                )
-            if num_shards and sharded.num_shards != num_shards:
-                raise SearchError(
-                    f"preloaded partition has {sharded.num_shards} shards, "
-                    f"service asked for {num_shards}"
-                )
-            num_shards = sharded.num_shards
         self.num_shards = num_shards
         self.worker_timeout = worker_timeout
-        self._preloaded = sharded
-        #: The partition the live pool was forked over (None: no pool,
-        #: or an unpartitioned one).
+        #: The shards the live pool was forked over (None: no pool, or
+        #: an unsharded one).
         self._sharded: Optional[ShardedIndexes] = None
         self._pool: Optional[WorkerPool] = None
         #: Guards pool lifecycle (build, rebuild, close).
         self._pool_lock = threading.Lock()
 
     # ----------------------------------------------------------- lifecycle
-
-    @classmethod
-    def from_file(cls, path, num_shards: Optional[int] = None, **kwargs):
-        """Serve a persisted bundle, honoring a stored partition.
-
-        A file written by
-        :func:`~repro.index.serialize.save_sharded_indexes` restores its
-        shards directly (no repartition) when ``num_shards`` is absent or
-        agrees; asking for a different K — or loading a plain index
-        file — partitions from the base on first use.  ``0`` asks for no
-        partition: the base bundle alone is loaded.
-        """
-        if num_shards == 0:
-            return super().from_file(path, **kwargs)
-        try:
-            sharded = load_sharded_indexes(path)
-        except PathIndexError:
-            sharded = None
-        if sharded is not None and num_shards in (None, sharded.num_shards):
-            kwargs.update(num_shards=sharded.num_shards, sharded=sharded)
-        elif num_shards is not None:
-            kwargs.update(num_shards=num_shards)
-        service = cls(
-            sharded.base if sharded is not None else load_indexes(path),
-            **kwargs,
-        )
-        service.index_path = Path(path)
-        return service
 
     def close(self) -> None:
         """Reap the worker pool (the service stays usable; the next
@@ -452,39 +413,30 @@ class PoolBackedService(SearchService):
             if pool is not None:
                 pool.close()
 
-    def _adopt_compaction(self, outcome: dict) -> None:
-        """Adopt the compaction's fresh mapped partition (it wrote
-        ``num_shards`` shards): its ``store_version`` is the post-re-map
-        live version, so the next pool rebuild forks workers over
-        re-mapped shard extents — no re-partition, never heap copies."""
-        if outcome["sharded"] is not None:
-            self._preloaded = outcome["sharded"]
-
     def _ensure_pool(
         self, snap: PathIndexes
     ) -> Tuple[Optional[ShardedIndexes], WorkerPool]:
-        """The partition + pool for the serving version (caller holds
+        """The shards + pool for the serving version (caller holds
         :attr:`_pool_lock`); rebuilt when the store moved."""
-        version = snap.store.version
         pool = self._pool
-        if pool is None or pool.store_version != version:
+        if pool is None or pool.store_version != snap.store.version:
             # Unpublished before it is closed: ``_pool`` is only ever
             # None or an open pool, also to the lock-free readers below.
             self._pool = None
             if pool is not None:
                 pool.close()
-            sharded = None
-            if self.num_shards:
-                sharded = self._preloaded
-                if sharded is None or sharded.store_version != version:
-                    sharded = partition_indexes(snap, self.num_shards)
+            sharded = (
+                partition_indexes(snap, self.num_shards)
+                if self.num_shards
+                else None
+            )
             self._pool = self._start_pool(snap, sharded)
             self._sharded = sharded
             self.stats.bump(pool_rebuilds=1)
         return self._sharded, self._pool
 
     def _start_pool(self, snap, sharded) -> WorkerPool:
-        """Fork the subclass's pool over ``snap`` / its partition; the
+        """Fork the subclass's pool over ``snap`` / its shards; the
         pool carries the ``store_version`` it was forked at."""
         raise NotImplementedError
 

@@ -25,10 +25,8 @@ Division of labor — the parent keeps every piece of dispatch state:
   pipes with the portable ``(score, pattern_key, num_subtrees,
   (path_id, sim)-pair combos, estimated_score)`` rows of
   :func:`~repro.search.result.portable_answers`; the parent re-binds
-  the pairs to its own snapshot's store (or, under ``--shards``, to its
-  own copy of the shard the reply names per answer), so
-  ``include_rows=True`` works across the pipe without an entry being
-  built on either side.
+  the pairs to its own snapshot's store, so ``include_rows=True`` works
+  across the pipe without an entry being built on either side.
 
 The workers are a :class:`~repro.search.workers.WorkerPool` behind a
 free-slot lease; the fork, the pipe protocol, death detection and
@@ -42,9 +40,11 @@ bit-identically, and counted in ``ServiceStats.worker_failovers``; the
 slot is respawned afterwards (a failed respawn: ``respawn_failures``).
 
 Composing with ``--shards``: the chosen composition is **parent
-dispatch → fork worker → inline scatter over the inherited partition**.
-Each worker holds the whole :class:`~repro.index.shards.ShardedIndexes`
-partition and runs the bound-driven best-bound-first merge loop
+dispatch → fork worker → inline scatter over the inherited snapshot**.
+Each worker sees its snapshot as K shards
+(:class:`~repro.index.shards.ShardedIndexes` — root-type slices of the
+one store, nothing copied) and runs the bound-driven best-bound-first
+merge loop
 (:func:`~repro.search.sharding.execute_sharded_plan` — literally the
 same function the sharded service's coordinator runs) in-process, so
 shard skip counters flow unchanged.  The coordinator runs that loop in
@@ -61,8 +61,7 @@ and keeps the failure domain one pipe wide.  See ``docs/serving.md``.
 from __future__ import annotations
 
 import queue
-from itertools import repeat
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.errors import SearchError
 from repro.index.builder import PathIndexes
@@ -72,9 +71,9 @@ from repro.search.context import EnumerationContext
 from repro.search.plan import QueryPlan, execute_plan
 from repro.search.result import SearchResult, bind_answers, portable_answers
 from repro.search.sharding import (
-    execute_shard_plan,
     execute_sharded_plan,
     plan_shardable,
+    search_shard,
     shard_upper_bounds,
 )
 from repro.search.workers import PoolBackedService, WorkerError, WorkerPool
@@ -88,47 +87,39 @@ PoolWorkerError = WorkerError
 def _execute_portable(
     bundle: PathIndexes, sharded: Optional[ShardedIndexes], plan: QueryPlan
 ):
-    """Worker-side execution: a plan in, ``(portable answers, stats,
-    shard ids)`` out.
+    """Worker-side execution: a plan in, ``(portable answers, stats)``
+    out, path ids the inherited snapshot's.
 
     Plain pools (and non-shardable plans on sharded pools) run the whole
-    plan against the inherited snapshot; their path ids are the
-    snapshot store's and the shard ids are ``None``.  Sharded pools run
-    the inline scatter–gather merge loop over the inherited partition —
-    the same :func:`execute_sharded_plan` the sharded coordinator uses,
-    so the two spines produce bit-identical answers by construction —
-    and name, answer by answer, the shard whose store the answer's path
-    ids belong to (a pattern lives in exactly one shard).
+    plan against the inherited snapshot.  Sharded pools run the inline
+    scatter–gather merge loop over its shards — the same
+    :func:`execute_sharded_plan` the sharded coordinator uses, so the
+    two spines produce bit-identical answers by construction.
     """
     if sharded is None or not plan_shardable(plan):
-        return execute_shard_plan(bundle, plan) + (None,)
-    context = EnumerationContext(bundle, plan.resolved_query())
-    uppers = shard_upper_bounds(sharded, context, plan.scoring)
-    shard_of: Dict[tuple, int] = {}
+        result = execute_plan(bundle, plan)
+    else:
+        context = EnumerationContext(bundle, plan.resolved_query())
+        shards = sharded.shards
 
-    def run_shard(shard_id: int):
-        result = execute_plan(
-            sharded.shards[shard_id], plan, allow_stale=True
+        def run_shards(shard_ids: List[int]):
+            runs = []
+            for shard_id in shard_ids:
+                run = search_shard(shards[shard_id], plan, context)
+                runs.append((run.answers, run.stats))
+            return runs
+
+        # Width 1: this worker is one process on one core, and its
+        # siblings are busy with other requests.
+        result = execute_sharded_plan(
+            plan,
+            sharded,
+            shard_upper_bounds(sharded, context, plan.scoring),
+            run_shards,
+            width=1,
+            candidate_roots=len(context.candidate_roots),
         )
-        for answer in result.answers:
-            shard_of[answer.pattern_key] = shard_id
-        return result.answers, result.stats
-
-    # Width 1: this worker is one process on one core, and its siblings
-    # are busy with other requests.
-    result = execute_sharded_plan(
-        plan,
-        sharded,
-        uppers,
-        lambda shard_ids: [run_shard(shard_id) for shard_id in shard_ids],
-        width=1,
-        candidate_roots=len(context.candidate_roots),
-    )
-    return (
-        portable_answers(result.answers),
-        result.stats,
-        [shard_of[answer.pattern_key] for answer in result.answers],
-    )
+    return portable_answers(result.answers), result.stats
 
 
 class ForkWorkerPool(WorkerPool):
@@ -137,8 +128,7 @@ class ForkWorkerPool(WorkerPool):
 
     Unlike :class:`~repro.search.sharding.ShardWorkerPool` (one worker
     *per shard*, one in-flight *query* per pool, its shards sent in
-    concurrent waves), every worker here holds the whole snapshot (and
-    the optional shard partition) and can execute every plan, and N
+    concurrent waves), every worker here can execute every plan, and N
     requests execute concurrently — one executor thread leases one
     worker slot for the duration of a request, so each duplex pipe
     still has exactly one user at a time.  The caller warms the snapshot
@@ -204,9 +194,9 @@ class PooledSearchService(PoolBackedService):
     executions crossing to :class:`ForkWorkerPool` workers.  Pool
     lifecycle and the failover rule are
     :class:`~repro.search.workers.PoolBackedService`'s.  Pass
-    ``num_shards=K`` to compose with the partitioned store: workers
-    then run the inline scatter–gather merge loop over the inherited
-    partition (module docstring).
+    ``num_shards=K`` to compose with sharding: workers then run the
+    inline scatter–gather merge loop over the inherited snapshot's K
+    shards (module docstring).
 
     Only the ``baseline`` algorithm routes inline: it walks the live
     graph, which a forked worker froze at pool-build time.  Every
@@ -221,7 +211,6 @@ class PooledSearchService(PoolBackedService):
         num_shards: int = 0,
         scoring: ScoringFunction = PAPER_DEFAULT,
         worker_timeout: float = 60.0,
-        sharded: Optional[ShardedIndexes] = None,
         **kwargs,
     ) -> None:
         if processes < 1:
@@ -229,30 +218,13 @@ class PooledSearchService(PoolBackedService):
         if num_shards < 0:
             raise SearchError(f"num_shards must be >= 0, got {num_shards}")
         super().__init__(
-            indexes, num_shards, worker_timeout, sharded,
-            scoring=scoring, **kwargs,
+            indexes, num_shards, worker_timeout, scoring=scoring, **kwargs
         )
         self.processes = processes
         self.stats.execution_backend = (
             "fork-pool+sharded" if self.num_shards else "fork-pool"
         )
         self.stats.execution_workers = processes
-
-    @classmethod
-    def from_file(
-        cls,
-        path,
-        processes: int = DEFAULT_POOL_PROCESSES,
-        num_shards: Optional[int] = None,
-        **kwargs,
-    ) -> "PooledSearchService":
-        """Serve a persisted bundle: unpartitioned unless ``num_shards``
-        asks for the sharded composition, which honors a stored
-        partition exactly as :meth:`ShardedSearchService.from_file
-        <repro.search.workers.PoolBackedService.from_file>` does."""
-        return super().from_file(
-            path, num_shards or 0, processes=processes, **kwargs
-        )
 
     def _start_pool(
         self, snap: PathIndexes, sharded: Optional[ShardedIndexes]
@@ -265,9 +237,6 @@ class PooledSearchService(PoolBackedService):
         # so only the paths written since the last one are boxed.
         snap.store.warm_query_caches()
         self._mirror_store_counters()
-        if sharded is not None:
-            for shard in sharded.shards:
-                shard.store.warm_query_caches()
         return ForkWorkerPool(
             snap, self.processes, sharded=sharded, timeout=self.worker_timeout
         )
@@ -280,7 +249,7 @@ class PooledSearchService(PoolBackedService):
         # The lock guards pool lifecycle only — executions run outside
         # it, N at a time, each owning one worker slot.
         with self._pool_lock:
-            sharded, pool = self._ensure_pool(snap)
+            _sharded, pool = self._ensure_pool(snap)
         try:
             slot = pool.lease()
         except WorkerError:
@@ -290,23 +259,19 @@ class PooledSearchService(PoolBackedService):
             return super()._execute_on(snap, plan)
         lost: List[int] = []
         try:
-            ((rows, stats, shards),) = pool.execute_on([slot], plan, lost)
+            ((rows, stats),) = pool.execute_on([slot], plan, lost)
         finally:
             # Healed with the slot still leased, so that no other
             # request is handed the hole.
             self._heal(pool, lost)
             pool.release(slot)
-        # The workers were forked from this pool's bundle and partition
-        # at this store version, so their path ids are ours.
-        if shards is None:
-            stores = repeat(snap.store)
-        else:
-            stores = [sharded.shards[shard].store for shard in shards]
+        # The workers were forked from this snapshot, so their path ids
+        # are its store's.
         return SearchResult(
             query=plan.words,
             k=plan.k,
             d=plan.d,
-            answers=bind_answers(rows, snap, stores),
+            answers=bind_answers(rows, snap),
             stats=stats,
         )
 

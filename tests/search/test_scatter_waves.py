@@ -26,7 +26,7 @@ from repro.index.builder import build_indexes
 from repro.index.shards import partition_indexes
 from repro.search import sharding
 from repro.search.context import EnumerationContext
-from repro.search.plan import execute_plan, plan_search
+from repro.search.plan import plan_search
 from repro.search.result import (
     PatternAnswer,
     SearchStats,
@@ -37,6 +37,7 @@ from repro.search.sharding import (
     SHARDABLE_ALGORITHMS,
     ShardedSearchService,
     execute_sharded_plan,
+    search_shard,
     shard_upper_bounds,
 )
 from tests.search.test_sharding import (  # noqa: F401 - fixtures + contract
@@ -214,8 +215,7 @@ class TestWaveLoopInProcess:
                 )
                 reference = plain_service.search(plan=plan)
                 local = [
-                    execute_plan(shard, plan, allow_stale=True)
-                    for shard in sharded.shards
+                    search_shard(shard, plan) for shard in sharded.shards
                 ]
                 context = EnumerationContext(
                     wiki_indexes, plan.resolved_query()

@@ -9,7 +9,9 @@ keys, subtree rows, ordering, everything (see ``docs/sharding.md``).
 
 from __future__ import annotations
 
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,21 +21,31 @@ from repro.core.errors import PathIndexError, SearchError
 from repro.datasets.wiki import WikiConfig, generate_wiki_graph
 from repro.index.builder import ResolvedQuery, build_indexes
 from repro.index.serialize import (
+    describe_index_file,
     load_indexes,
-    load_sharded_indexes,
-    save_indexes,
     save_sharded_indexes,
 )
+from repro.index.incremental import add_entity
 from repro.index.shards import partition_indexes, shard_of_type
+from repro.index.store import PostingStore
+from repro.kg.graph import KnowledgeGraph
+from repro.search import sharding
 from repro.search.context import EnumerationContext
+from repro.search.plan import execute_plan, plan_search
 from repro.search.service import SearchService
 from repro.search.sharding import (
+    _ADDITIVE_COUNTERS,
+    DEFAULT_NUM_SHARDS,
     SHARDABLE_ALGORITHMS,
     ShardedSearchService,
     ShardWorkerError,
     execute_shard_plan,
+    execute_sharded_plan,
     plan_shardable,
+    search_shard,
+    shard_upper_bounds,
 )
+from repro.serve.pool import PooledSearchService
 
 ALGORITHMS = ("pattern_enum", "linear_topk", "linear_full", "baseline")
 SHARD_COUNTS = (1, 2, 4, 7)
@@ -116,26 +128,42 @@ class TestPartition:
         assert len({shard_of_type(t, 4) for t in range(12)}) > 1
 
     def test_partition_covers_store_exactly(self, wiki_indexes):
+        # The shards are slices of the one store: every root type, so
+        # every path and every posting, belongs to exactly one of them.
         sharded = partition_indexes(wiki_indexes, 4)
         store = wiki_indexes.store
-        assert sum(s.store.num_paths for s in sharded.shards) == store.num_paths
-        assert sum(s.num_entries for s in sharded.shards) == wiki_indexes.num_entries
+        assert sharded.base is wiki_indexes and sharded.num_shards == 4
+        for type_id in wiki_indexes.graph.type_ids():
+            owners = [shard.owns_type(type_id) for shard in sharded.shards]
+            assert sum(owners) == 1
+            assert owners.index(True) == shard_of_type(type_id, 4)
+        paths = [0] * 4
+        for path_id in range(store.num_paths):
+            paths[sharded.shard_of_root(store.path_root(path_id))] += 1
+        assert sum(paths) == store.num_paths and min(paths) > 0
         for word in store.words():
-            total = sum(
-                shard.store.num_postings(word) for shard in sharded.shards
-            )
-            assert total == store.num_postings(word)
+            postings = [0] * 4
+            for path_id, _sim in store.postings(word):
+                postings[sharded.shard_of_root(store.path_root(path_id))] += 1
+            assert sum(postings) == store.num_postings(word)
 
     def test_partition_keeps_patterns_whole(self, wiki_indexes):
-        # Pattern containment: every path in shard s has a root whose
-        # type hashes to s — so no pattern's root set spans shards.
+        # Pattern containment: every root of a path pattern has the
+        # pattern's root type, and a type hashes to one shard — so no
+        # pattern's root set spans shards.
         sharded = partition_indexes(wiki_indexes, 4)
+        store = wiki_indexes.store
         graph = wiki_indexes.graph
-        for shard_id, shard in enumerate(sharded.shards):
-            for path_id in range(shard.store.num_paths):
-                root = shard.store.path_root(path_id)
-                assert shard_of_type(graph.node_type(root), 4) == shard_id
-                assert sharded.shard_of_root(root) == shard_id
+        shard_of_pattern = {}
+        for path_id in range(store.num_paths):
+            root = store.path_root(path_id)
+            pid = store.path_pattern(path_id)
+            root_type = wiki_indexes.interner.pattern(pid).root_type
+            assert root_type == graph.node_type(root)
+            shard_id = sharded.shard_of_root(root)
+            assert shard_id == shard_of_type(root_type, 4)
+            assert shard_of_pattern.setdefault(pid, shard_id) == shard_id
+            assert sharded.shards[shard_id].owns_type(root_type)
 
     def test_partition_rejects_bad_shard_count(self, wiki_indexes):
         with pytest.raises(PathIndexError, match="num_shards"):
@@ -148,6 +176,323 @@ class TestPartition:
         assert sorted(sum(parts, [])) == roots
         for part in parts:
             assert part == sorted(part)
+
+
+@pytest.fixture()
+def store_births(monkeypatch):
+    """Class names of the stores constructed while the test runs."""
+    built = []
+    real_init = PostingStore.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PostingStore, "__init__", counting_init)
+    return built
+
+
+def rows_of(result):
+    """Answers with their first ten rendered rows, keyed by pattern."""
+    return {
+        answer.pattern_key: (
+            answer.score,
+            answer.num_subtrees,
+            [tuple(combo) for combo in answer.subtrees],
+            answer.estimated_score,
+        )
+        for answer in result.answers
+    }
+
+
+def scatter_in_process(indexes, plan, num_shards, width=1):
+    """The merge loop over in-process shard runs, loose bounds."""
+    sharded = partition_indexes(indexes, num_shards)
+    context = EnumerationContext(indexes, plan.resolved_query())
+    shards = sharded.shards
+    return execute_sharded_plan(
+        plan,
+        sharded,
+        shard_upper_bounds(sharded, context, plan.scoring),
+        lambda shard_ids: [
+            (result.answers, result.stats)
+            for result in (
+                search_shard(shards[shard_id], plan) for shard_id in shard_ids
+            )
+        ],
+        width,
+    )
+
+
+@st.composite
+def typed_graphs(draw):
+    """Small graphs over up to five root types, few words — so most
+    draws have shared vocabulary, and K often exceeds the populated
+    types."""
+    types = ["TA", "TB", "TC", "TD", "TE"][: draw(st.integers(1, 5))]
+    words = ["alpha", "beta", "gamma"]
+    num_nodes = draw(st.integers(min_value=1, max_value=8))
+    graph = KnowledgeGraph()
+    for _ in range(num_nodes):
+        text = " ".join(
+            draw(st.lists(st.sampled_from(words), min_size=1, max_size=2,
+                          unique=True))
+        )
+        graph.add_node(draw(st.sampled_from(types)), text)
+    possible = [
+        (u, v, attr)
+        for u in range(num_nodes)
+        for v in range(num_nodes)
+        if u != v
+        for attr in ("ra", "rb")
+    ]
+    for u, v, attr in draw(
+        st.lists(st.sampled_from(possible), max_size=12, unique=True)
+    ) if possible else []:
+        graph.add_edge(u, attr, v)
+    return graph
+
+
+class TestShardsAreSlices:
+    """A shard is the set of root types that hash to it: its run is the
+    unsharded run restricted to those types, on the one store."""
+
+    #: Enough to retain every pattern, so no run prunes and every
+    #: counter is a plain sum over root types.
+    ALL = 10**6
+
+    @pytest.mark.parametrize("num_shards", (1, 2, 3, 5, 8))
+    def test_shard_runs_are_the_unsharded_run_by_root_type(
+        self, wiki_indexes, wiki_queries, num_shards
+    ):
+        sharded = partition_indexes(wiki_indexes, num_shards)
+        interner = wiki_indexes.interner
+        checked = 0
+        for algorithm in sorted(SHARDABLE_ALGORITHMS):
+            for query in wiki_queries[:-1]:
+                plan = plan_search(
+                    wiki_indexes, query, k=self.ALL, algorithm=algorithm
+                )
+                whole = execute_plan(wiki_indexes, plan)
+                expected = [{} for _ in range(num_shards)]
+                for key, row in rows_of(whole).items():
+                    owner = shard_of_type(
+                        interner.pattern(key[0]).root_type, num_shards
+                    )
+                    expected[owner][key] = row
+                runs = [search_shard(shard, plan) for shard in sharded.shards]
+                assert [rows_of(run) for run in runs] == expected
+                # Ranked like the unsharded run ranks them.
+                order = [a.pattern_key for a in whole.answers]
+                for run in runs:
+                    keys = [a.pattern_key for a in run.answers]
+                    assert keys == sorted(keys, key=order.index)
+                for counter in _ADDITIVE_COUNTERS + ("candidate_roots",):
+                    assert sum(
+                        getattr(run.stats, counter) for run in runs
+                    ) == getattr(whole.stats, counter), (counter, algorithm)
+                checked += len(whole.answers)
+        assert checked > 0
+
+    def test_partitioning_touches_no_store(
+        self, wiki_indexes, wiki_queries, store_births
+    ):
+        store = wiki_indexes.store
+        plan = plan_search(wiki_indexes, wiki_queries[0], k=5)
+        execute_plan(wiki_indexes, plan)  # boxes the query's paths
+        before = (store.version, store.words_remerged, store.query_paths_boxed)
+        sharded = partition_indexes(wiki_indexes, 3)
+        assert sharded.base.store is store
+        for shard in sharded.shards:
+            for answer in search_shard(shard, plan).answers:
+                assert {combo._store for combo in answer.subtrees} == {store}
+        assert fingerprint(scatter_in_process(wiki_indexes, plan, 3)) == (
+            fingerprint(execute_plan(wiki_indexes, plan))
+        )
+        assert store_births == []
+        assert before == (
+            store.version, store.words_remerged, store.query_paths_boxed
+        )
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        graph=typed_graphs(),
+        num_shards=st.integers(min_value=1, max_value=9),
+        k=st.sampled_from([1, 2, 50]),
+        width=st.sampled_from([1, 3]),
+        data=st.data(),
+    )
+    def test_random_graphs_and_shard_counts(
+        self, graph, num_shards, k, width, data
+    ):
+        """Empty shards and K above the populated types included."""
+        indexes = build_indexes(graph, d=3)
+        vocab = sorted(indexes.store.words())
+        if not vocab:
+            return
+        words = data.draw(
+            st.lists(st.sampled_from(vocab), min_size=1, max_size=2,
+                     unique=True)
+        )
+        for algorithm in sorted(SHARDABLE_ALGORITHMS):
+            plan = plan_search(
+                indexes, " ".join(words), k=k, algorithm=algorithm
+            )
+            whole = execute_plan(indexes, plan)
+            merged = scatter_in_process(indexes, plan, num_shards, width)
+            assert fingerprint(merged) == fingerprint(whole)
+            assert merged.stats.shards_total == num_shards
+
+
+class TestOneStore:
+    """The process holds one store per bundle however it is served, and
+    a write costs a pool-backed service a fork, nothing O(index)."""
+
+    @pytest.fixture()
+    def mapped_path(self, small_bundle, tmp_path):
+        path = tmp_path / "kb.idx"
+        save_sharded_indexes(partition_indexes(small_bundle, 2), path)
+        return path
+
+    @staticmethod
+    def open_services(path):
+        return [
+            SearchService.from_file(path),
+            ShardedSearchService.from_file(path, num_shards=3),
+            PooledSearchService.from_file(path, processes=1, num_shards=3),
+        ]
+
+    def test_one_store_per_served_bundle(
+        self, small_bundle, mapped_path, store_births
+    ):
+        query = " ".join(sorted(small_bundle.store.words())[:2])
+        services = self.open_services(mapped_path)
+        try:
+            assert store_births == ["MappedPostingStore"] * 3
+            answers = [fingerprint(s.search(query, k=5)) for s in services]
+            assert answers[0] == answers[1] == answers[2] != []
+            assert store_births == ["MappedPostingStore"] * 3
+        finally:
+            for service in services:
+                service.close()
+
+    def test_a_write_rebuilds_the_pool_with_a_fork(
+        self, small_bundle, mapped_path, store_births
+    ):
+        """No store is built for the new version, and the live store
+        re-merges exactly what the unsharded service's does."""
+        query = " ".join(sorted(small_bundle.store.words())[:2])
+        services = self.open_services(mapped_path)
+        try:
+            for service in services:
+                service.search(query, k=5)
+            del store_births[:]
+            remerged = []
+            for service in services:
+                store = service.indexes.store
+                before = store.words_remerged
+                add_entity(service.indexes, "company", f"freshword {query}")
+                assert fingerprint(service.search(query, k=5)) != []
+                remerged.append(store.words_remerged - before)
+            assert remerged[0] == remerged[1] == remerged[2] > 0
+            assert [s.stats.pool_rebuilds for s in services] == [0, 2, 2]
+            assert store_births == []
+        finally:
+            for service in services:
+                service.close()
+
+    def test_sharded_compaction_is_the_unsharded_one(
+        self, small_bundle, mapped_path
+    ):
+        """Same words rebuilt — the overlay's — and the same work under
+        ``store.lock``, whatever the service's K."""
+        outcomes = []
+        services = self.open_services(mapped_path)
+        try:
+            for service in services:
+                add_entity(service.indexes, "company", "freshword")
+                overlay = service.indexes.store.overlay_words
+                outcome = service.compact(
+                    mapped_path.with_name(type(service).__name__)
+                )
+                assert outcome["words_rebuilt"] == overlay > 0
+                outcomes.append(outcome)
+        finally:
+            for service in services:
+                service.close()
+        plain = outcomes[0]
+        for outcome in outcomes[1:]:
+            assert {
+                name: outcome[name]
+                for name in ("bytes", "words_copied", "words_rebuilt")
+            } == {
+                name: plain[name]
+                for name in ("bytes", "words_copied", "words_rebuilt")
+            }
+        assert (
+            mapped_path.with_name("ShardedSearchService").read_bytes()
+            == mapped_path.with_name("SearchService").read_bytes()
+        )
+
+    SRC = Path(sharding.__file__).resolve().parent.parent
+
+    @staticmethod
+    def calls_in(tree, names):
+        return [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            in names
+        ]
+
+    @pytest.mark.parametrize(
+        "module",
+        ["index/shards.py", "search/sharding.py", "search/workers.py",
+         "serve/pool.py"],
+    )
+    def test_the_shard_layer_constructs_no_store(self, module):
+        source = (self.SRC / module).read_text()
+        tree = ast.parse(source)
+        assert not self.calls_in(
+            tree, {"PostingStore", "MappedPostingStore", "from_payload"}
+        )
+        assert "PostingStore" not in {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+
+    def test_a_file_is_written_with_one_store(self):
+        source = (self.SRC / "index/serialize.py").read_text()
+        # One function lays a store out and one call site uses it; the
+        # header names that one store; the v2 envelope holds one payload.
+        assert source.count("_v3_store_sections(") == 2
+        assert source.count('"stores": [store_meta],') == 1
+        assert source.count("store.to_payload(") == 1
+        # ... and only describe_index_file still knows older files' key.
+        assert source.count("shard_stores") == 1
+
+    def test_the_shard_restriction_is_applied_in_one_function(self):
+        narrowing = []
+        for path in sorted(self.SRC.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            for node in ast.walk(tree):
+                if isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef)
+                ) and self.calls_in(node, {"restricted_to", "owns_type"}):
+                    narrowing.append(
+                        f"{path.relative_to(self.SRC)}:{node.name}"
+                    )
+        assert narrowing == ["search/sharding.py:search_shard"]
+        # ... which hands the narrowed context to the unmodified
+        # algorithms: none of them knows about shards.
+        for module in ("pattern_enum", "linear_topk", "linear_enum",
+                       "expand", "bounds"):
+            assert "shard" not in (
+                self.SRC / "search" / f"{module}.py"
+            ).read_text().lower()
 
 
 class TestBitIdentity:
@@ -404,15 +749,21 @@ class TestWorkerRobustness:
 
 
 class TestShardedPersistence:
+    """K is a serving parameter, not file content."""
+
     def test_round_trip(self, small_bundle, tmp_path):
-        sharded = partition_indexes(small_bundle, 4)
         path = tmp_path / "kb.sharded.idx"
-        save_sharded_indexes(sharded, path)
-        loaded = load_sharded_indexes(path)
+        other = tmp_path / "kb.idx"
+        nbytes = save_sharded_indexes(partition_indexes(small_bundle, 4), path)
+        assert nbytes == save_sharded_indexes(
+            partition_indexes(small_bundle, 2), other
+        )
+        assert path.read_bytes() == other.read_bytes()
+        info = describe_index_file(path)
+        assert info["kind"] == "single" and info["num_shards"] == 0
+        assert [entry["name"] for entry in info["stores"]] == ["base"]
+        loaded = partition_indexes(load_indexes(path), 4)
         assert loaded.num_shards == 4
-        assert [s.store.num_paths for s in loaded.shards] == [
-            s.store.num_paths for s in sharded.shards
-        ]
         assert loaded.base.num_entries == small_bundle.num_entries
 
     def test_plain_load_returns_base(self, small_bundle, tmp_path):
@@ -422,24 +773,18 @@ class TestShardedPersistence:
         assert base.num_entries == small_bundle.num_entries
         assert base.store.num_paths == small_bundle.store.num_paths
 
-    def test_load_sharded_rejects_plain_file(self, small_bundle, tmp_path):
-        path = tmp_path / "kb.idx"
-        save_indexes(small_bundle, path)
-        with pytest.raises(PathIndexError, match="not a sharded"):
-            load_sharded_indexes(path)
-
     def test_service_from_sharded_file(self, small_bundle, tmp_path):
         path = tmp_path / "kb.sharded.idx"
         save_sharded_indexes(partition_indexes(small_bundle, 3), path)
         vocab = sorted(small_bundle.store.words())
         query = " ".join(vocab[:2])
         reference = SearchService(small_bundle).search(query, k=5)
+        # The file does not carry its writer's K: the service's is used.
         with ShardedSearchService.from_file(path) as service:
-            assert service.num_shards == 3  # stored partition honored
+            assert service.num_shards == DEFAULT_NUM_SHARDS != 3
             assert fingerprint(service.search(query, k=5)) == fingerprint(
                 reference
             )
-        # A different K repartitions instead of using the stored shards.
         with ShardedSearchService.from_file(path, num_shards=2) as service:
             assert service.num_shards == 2
             assert fingerprint(service.search(query, k=5)) == fingerprint(
@@ -478,10 +823,3 @@ class TestPoolLifecycle:
         again = service.search(query, k=3)
         assert fingerprint(again) == fingerprint(first)
         service.close()
-
-    def test_rejects_mismatched_preload(self, small_bundle):
-        sharded = partition_indexes(small_bundle, 2)
-        with pytest.raises(SearchError, match="shards"):
-            ShardedSearchService(
-                small_bundle, num_shards=3, sharded=sharded
-            )

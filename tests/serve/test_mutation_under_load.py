@@ -199,13 +199,14 @@ class TestCompactionUnderServing:
                 add_entity(service.indexes, "company", word)
                 add_entity(twin, "company", word)
             service.invalidate()
+            overlay_words = service.indexes.store.overlay_words
             outcome = service.compact()
-            # The compaction wrote a 2-shard file and handed the service
-            # a live mapped partition: the next rebuild adopts it rather
-            # than re-partitioning a heap copy.
+            # The compaction wrote the one store — the two shards are
+            # slices of it — so only the overlay's words were derived,
+            # and the next rebuild forks over the re-mapped generation.
             assert outcome["generation"] == 1
-            assert outcome["sharded"] is not None
-            assert service._preloaded is outcome["sharded"]
+            assert "sharded" not in outcome
+            assert outcome["words_rebuilt"] == overlay_words > 0
             assert service.indexes.store.generation == 1
             assert service.indexes.store.overlay_postings == 0
 

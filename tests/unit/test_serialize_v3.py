@@ -19,6 +19,7 @@ contracts the format exists for:
 """
 
 import os
+import pathlib
 import pickle
 import shutil
 import stat
@@ -46,7 +47,6 @@ from repro.index.serialize import (
     compact_indexes,
     describe_index_file,
     load_indexes,
-    load_sharded_indexes,
     save_indexes,
     save_sharded_indexes,
 )
@@ -56,6 +56,15 @@ from repro.search.baseline import baseline_search
 from repro.search.linear_topk import linear_topk_search
 from repro.search.pattern_enum import pattern_enum_search
 from test_serialize_v2 import make_legacy_v1_bytes
+
+#: The example graph (``repro.datasets.example``, d=3) as commit e47ad38
+#: — the last that copied a bundle into K shard stores and wrote them as
+#: K more store sections — saved it with ``save_sharded_indexes`` at K=2.
+_DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
+LEGACY_SHARDED = {
+    "v2": _DATA / "legacy_sharded_k2.v2.idx",
+    "v3": _DATA / "legacy_sharded_k2.v3.idx",
+}
 
 WIKI_CONFIG = WikiConfig(
     num_entities=400, num_types=16, num_attrs=24, vocabulary_size=160, seed=31
@@ -233,13 +242,11 @@ def _file_store_sections(path):
 
 
 def _derived_store_sections(stores):
-    """What the v3 writer *derives* for heap ``stores`` (base first, then
-    shards), in the shape of :func:`_file_store_sections`."""
+    """What the v3 writer *derives* for the heap store in ``stores`` (a
+    file holds one), in the shape of :func:`_file_store_sections`."""
     writer = _SectionWriter()
-    metas = [
-        _v3_store_sections(writer, f"s{i}/", store)
-        for i, store in enumerate(stores)
-    ]
+    (store,) = stores
+    metas = [_v3_store_sections(writer, store)]
     assert writer.words_copied == 0  # the reference side copies nothing
     assert writer.words_rebuilt == sum(len(m["words"]) for m in metas)
     data = b"".join(writer.chunks)
@@ -368,7 +375,6 @@ class TestCompaction:
         version_before = store.version
         result = compact_indexes(mapped, path)
         assert result["generation"] == 1
-        assert result["sharded"] is None
         assert store.generation == 1
         assert store.version == version_before + 1
         assert store._backed
@@ -448,47 +454,46 @@ class TestCompaction:
     def test_sharded_compaction_identical(
         self, wiki_indexes, tmp_path, num_shards
     ):
-        """Sharded compaction preserves per-shard extents: the written
-        file restores a partition whose coordinator answers match the
-        heap oracle for the updated content."""
+        """A sharded service's compaction is the unsharded one: one
+        store written, nothing re-partitioned, and the re-forked shards
+        answer like the heap oracle for the updated content."""
         from repro.search.engine import TableAnswerEngine
         from repro.search.sharding import ShardedSearchService
 
-        path = tmp_path / "wiki.idx"
-        save_indexes(wiki_indexes, path, version=3)
-        mapped = load_indexes(path)
-        oracle = load_indexes(path)
-        oracle.store.thaw()
-        assert _apply_updates(mapped) == _apply_updates(oracle)
-        result = compact_indexes(mapped, path, num_shards=num_shards)
-        sharded = result["sharded"]
-        assert sharded is not None
-        assert sharded.num_shards == num_shards
-        assert sharded.store_version == mapped.store.version
-        assert all(
-            isinstance(shard.store, MappedPostingStore)
-            for shard in sharded.shards
-        )
-        restored = load_sharded_indexes(path)
-        assert restored.num_shards == num_shards
+        path, _mapped, oracle = _mapped_and_oracle(wiki_indexes, tmp_path)
         engine = TableAnswerEngine(oracle.graph, indexes=oracle)
-        service = ShardedSearchService(
-            mapped, num_shards=num_shards, sharded=sharded
-        )
+        searches = [
+            (terms, algorithm)
+            for terms in (list(_query_for(wiki_indexes)), ["overlayton"])
+            for algorithm in ("pattern_enum", "linear")
+        ]
+        service = ShardedSearchService.from_file(path, num_shards=num_shards)
         try:
-            for terms in (
-                list(_query_for(wiki_indexes)),
-                ["overlayton"],
-            ):
-                for algorithm in ("pattern_enum", "linear"):
+            assert _apply_updates(service.indexes) == _apply_updates(oracle)
+            dirty = service.indexes.store.overlay_words
+            for compacted in (False, True):
+                if compacted:
+                    outcome = service.compact()
+                    assert sorted(outcome) == [
+                        "bytes", "generation", "seconds",
+                        "words_copied", "words_rebuilt",
+                    ]
+                    assert outcome["words_rebuilt"] == dirty
+                    assert service.indexes.store.overlay_words == 0
+                for terms, algorithm in searches:
                     expected = engine.search(
                         terms, k=10, algorithm=algorithm
                     )
                     got = service.search(terms, k=10, algorithm=algorithm)
+                    assert got.stats.shards_total == num_shards
                     assert got.scores() == expected.scores()
                     assert got.pattern_keys() == expected.pattern_keys()
+            assert service.stats.pool_rebuilds == 2
         finally:
             service.close()
+        info = describe_index_file(path)
+        assert info["kind"] == "single"
+        assert [entry["name"] for entry in info["stores"]] == ["base"]
 
 
 class TestCompactionCopiesCleanWords:
@@ -534,19 +539,21 @@ class TestCompactionCopiesCleanWords:
         assert _file_store_sections(other) == before
 
     def test_sharded_copied_equals_derived(self, wiki_indexes, tmp_path):
-        """The base store is copied, the freshly partitioned shard
-        stores are derived; all of it matches the heap twin's."""
-        path, mapped, oracle = _mapped_and_oracle(wiki_indexes, tmp_path)
-        assert _apply_updates(mapped) == _apply_updates(oracle)
-        dirty = mapped.store.overlay_words
-        outcome = compact_indexes(mapped, path, num_shards=2)
-        partition = partition_indexes(oracle, 2)
-        derived, metas = _derived_store_sections(
-            [oracle.store] + [shard.store for shard in partition.shards]
-        )
+        """Under a sharded service too: one store is written, its clean
+        words copied, its dirty ones derived, nothing else; the bytes
+        match the heap twin's."""
+        from repro.search.sharding import ShardedSearchService
+
+        path, _mapped, oracle = _mapped_and_oracle(wiki_indexes, tmp_path)
+        with ShardedSearchService.from_file(path, num_shards=2) as service:
+            store = service.indexes.store
+            assert _apply_updates(service.indexes) == _apply_updates(oracle)
+            service.search(list(_query_for(wiki_indexes)), k=5)
+            dirty = store.overlay_words
+            outcome = service.compact()
+        derived, metas = _derived_store_sections([oracle.store])
         assert _file_store_sections(path) == (derived, metas)
-        shard_words = sum(len(meta["words"]) for meta in metas[1:])
-        assert outcome["words_rebuilt"] == dirty + shard_words
+        assert outcome["words_rebuilt"] == dirty > 0
         assert outcome["words_copied"] == len(metas[0]["words"]) - dirty
 
     def test_only_overlay_words_are_rebuilt(
@@ -787,15 +794,12 @@ class TestMigrationChains:
         sharded = partition_indexes(wiki_indexes, 2)
         v2 = tmp_path / "s2.idx"
         save_sharded_indexes(sharded, v2, version=2)
-        restored = load_sharded_indexes(v2)
+        restored = partition_indexes(load_indexes(v2), 2)
         v3 = tmp_path / "s3.idx"
         save_sharded_indexes(restored, v3, version=3)
-        back = load_sharded_indexes(v3)
+        back = partition_indexes(load_indexes(v3), 2)
         assert back.num_shards == 2
-        assert all(
-            isinstance(shard.store, MappedPostingStore)
-            for shard in back.shards
-        )
+        assert isinstance(back.base.store, MappedPostingStore)
         query = _query_for(wiki_indexes)
         assert _all_algorithms(back.base, query) == _all_algorithms(
             wiki_indexes, query
@@ -843,13 +847,59 @@ class TestShardedV3:
             wiki_indexes, query
         )
 
-    def test_single_file_rejected_by_sharded_loader(
-        self, wiki_indexes, tmp_path
-    ):
-        path = tmp_path / "single.idx"
-        save_indexes(wiki_indexes, path, version=3)
-        with pytest.raises(PathIndexError, match="not a sharded index"):
-            load_sharded_indexes(path)
+
+class TestLegacyShardedFiles:
+    """Files written sharded by earlier builds still open: their base
+    store is the index, their shard-store sections are never read."""
+
+    QUERY = "database software company revenue"
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        from repro.datasets.example import EXAMPLE_NORMALIZER, example_graph
+
+        fresh = build_indexes(
+            example_graph(), d=3, normalizer=EXAMPLE_NORMALIZER
+        )
+        return fresh, _all_algorithms(fresh, self.QUERY.split())
+
+    @pytest.mark.parametrize("version", ["v2", "v3"])
+    def test_loads_as_its_base(self, expected, version):
+        fresh, answers = expected
+        loaded = load_indexes(LEGACY_SHARDED[version])
+        assert loaded.num_entries == fresh.num_entries
+        assert loaded.store.num_paths == fresh.store.num_paths
+        assert _all_algorithms(loaded, self.QUERY.split()) == answers
+
+    @pytest.mark.parametrize("version", ["v2", "v3"])
+    def test_serves_sharded(self, expected, version):
+        from repro.search.service import SearchService
+        from repro.search.sharding import ShardedSearchService
+
+        reference = SearchService(expected[0]).search(self.QUERY, k=5)
+        with ShardedSearchService.from_file(
+            LEGACY_SHARDED[version], num_shards=2
+        ) as service:
+            got = service.search(self.QUERY, k=5)
+            assert got.stats.shards_total == 2
+            assert got.scores() == reference.scores()
+            assert got.pattern_keys() == reference.pattern_keys()
+            assert [
+                [tuple(c) for c in a.subtrees] for a in got.answers
+            ] == [[tuple(c) for c in a.subtrees] for a in reference.answers]
+
+    def test_compaction_writes_one_store(self, expected, tmp_path):
+        path = tmp_path / "legacy.idx"
+        shutil.copy(LEGACY_SHARDED["v3"], path)
+        mapped = load_indexes(path)
+        outcome = compact_indexes(mapped, path)
+        assert outcome["words_rebuilt"] == 0 < outcome["words_copied"]
+        info = describe_index_file(path)
+        assert info["kind"] == "single" and info["generation"] == 1
+        assert [entry["name"] for entry in info["stores"]] == ["base"]
+        assert info["file_bytes"] < LEGACY_SHARDED["v3"].stat().st_size
+        for bundle in (mapped, load_indexes(path)):
+            assert _all_algorithms(bundle, self.QUERY.split()) == expected[1]
 
 
 class TestSnapshotSaveRejected:
@@ -874,10 +924,9 @@ class TestDescribeIndexFile:
         assert base["num_postings"] == wiki_indexes.num_entries
         assert 0 < base["store_bytes"] <= info["file_bytes"]
 
-    def test_v3_sharded(self, wiki_indexes, tmp_path):
-        path = tmp_path / "s2.idx"
-        save_sharded_indexes(partition_indexes(wiki_indexes, 2), path)
-        info = describe_index_file(path)
+    def test_v3_sharded(self):
+        """A file an earlier build wrote sharded: what it holds."""
+        info = describe_index_file(LEGACY_SHARDED["v3"])
         assert info["kind"] == "sharded"
         assert info["num_shards"] == 2
         names = [entry["name"] for entry in info["stores"]]
@@ -885,12 +934,8 @@ class TestDescribeIndexFile:
         base, *shards = info["stores"]
         assert sum(s["num_postings"] for s in shards) == base["num_postings"]
 
-    def test_v2_sharded(self, wiki_indexes, tmp_path):
-        path = tmp_path / "s2v2.idx"
-        save_sharded_indexes(
-            partition_indexes(wiki_indexes, 2), path, version=2
-        )
-        info = describe_index_file(path)
+    def test_v2_sharded(self):
+        info = describe_index_file(LEGACY_SHARDED["v2"])
         assert info["version"] == 2
         assert info["kind"] == "sharded"
         assert len(info["stores"]) == 3

@@ -484,16 +484,14 @@ class TestPipeRoundTrip:
             inline = service.search(self.QUERY, k=10)
             assert inline.stats.shard_failovers >= 1
             assert_same_combos(inline, expected)
-            # Same form from both: pairs bound to the coordinator's
-            # copy of the shard the worker ran on.
-            shard_stores = [
-                shard.store for shard in service._sharded.shards
-            ]
+            # Same form from both: pairs bound to the snapshot the
+            # workers were forked from.
+            snapshot_store = service._sharded.base.store
             for result in (remote, inline):
                 for answer in result.answers:
                     assert {
                         combo._store for combo in answer.subtrees
-                    } <= set(shard_stores)
+                    } <= {snapshot_store}
             for ours, theirs in zip(remote.answers, inline.answers):
                 assert [c.pairs for c in ours.subtrees] == [
                     c.pairs for c in theirs.subtrees
@@ -537,13 +535,13 @@ class TestPipeRoundTrip:
             for reply in replies:
                 assert any(row[3] for row in reply[0])
                 assert pickle.loads(pickle.dumps(reply))[0] == reply[0]
-            # Pooled x sharded: each answer names the shard it is the
-            # verbatim reply row of.
-            rows, _stats, shards = replies[-1]
-            assert shards and all(
-                row in replies[shard][0] for row, shard in zip(rows, shards)
+            # Pooled x sharded: each answer is the verbatim reply row
+            # of one shard, path ids the snapshot's like all the rest.
+            shard_rows = [row for reply in replies[:2] for row in reply[0]]
+            assert replies[-1][0] and all(
+                row in shard_rows for row in replies[-1][0]
             )
-            assert replies[-2][2] is None
+            assert replies[-1][0] == replies[-2][0]
         # The guard itself: a bound combo would have dragged the store.
         with pytest.raises(AssertionError, match="cross a pipe"):
             pickle.dumps(service.search(self.QUERY, k=10))
