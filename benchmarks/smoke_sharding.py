@@ -1,8 +1,9 @@
 """BENCH_5: sharded scatter–gather serving — work reduction + exactness.
 
-Serves the wiki synthetic (d=3) index as K shards — the root types that
-hash to each, read from the one posting store (pattern containment, see
-``docs/sharding.md``) —, runs the same heavy 1-3 keyword workload
+Serves the wiki synthetic (d=3) index as K shards — per query, the root
+types the shard map puts in each, read from the one posting store
+(pattern containment, see ``docs/sharding.md``) —, runs the same heavy
+1-3 keyword workload
 BENCH_3/BENCH_4 use through a :class:`ShardedSearchService` worker pool,
 and measures **bound-driven
 shard skipping**: how much posting work the per-shard score upper bounds
@@ -15,12 +16,17 @@ at ``k=1`` (tight thresholds are where skipping bites):
   subtree rows) must be bit-identical to a cold single-store
   ``TableAnswerEngine`` run; any mismatch fails the bench (exit 1);
 * **shards skipped / dispatched** — totals from ``SearchStats``, with
-  the wave width the box gives each K (``min(K, usable cores)``) and the
+  the wave width the box gives each K (``min(K, usable cores)``, also
+  the number of shards a query's types are spread over) and the
   waves the dispatches were sent in (recorded, ungated: a wider wave
   gives up some threshold skips for concurrency, see ``docs/sharding.md``);
 * **postings work avoided** — for each skipped shard, the posting-list
-  entries under its candidate roots that were never scanned, as a
-  fraction of the query's total posting work;
+  entries under its candidate roots (the roots of the types the query's
+  shard map put there) that were never scanned, as a fraction of the
+  query's total posting work;
+* **shard subtrees** — per shard id, the ``N_R`` the shard maps gave it,
+  summed over the searches (ungated; shards at or beyond the wave width
+  hold none);
 * **count gate** — answering a request with its kept subtree rows and
   rendering ten rows per table rebuilds no ``PathEntry`` in the
   coordinator (workers ship ``(path_id, sim)`` pairs; rows render from
@@ -50,7 +56,7 @@ from repro.index.store import PostingStore
 from repro.search.context import EnumerationContext
 from repro.search.engine import TableAnswerEngine
 from repro.search.linear_enum import count_answers
-from repro.search.sharding import ShardedSearchService, usable_cores
+from repro.search.sharding import ShardedSearchService
 
 SHARD_COUNTS = (2, 4, 7)
 
@@ -148,15 +154,20 @@ def run(profile_name: str, k: int, out_path: str) -> int:
         dispatched = skipped = failovers = waves = 0
         work_total = work_avoided = 0
         materialized = 0
+        shard_subtrees = [0] * num_shards
         latencies = []
         reply_rows = []
         with ShardedSearchService(indexes, num_shards=num_shards) as service:
             for query in queries:
                 plan_words = service.plan(query, k=k).words
-                candidates = EnumerationContext(
-                    snap, ResolvedQuery(plan_words)
-                ).candidate_roots
-                parts = sharded.partition_roots(candidates)
+                context = EnumerationContext(snap, ResolvedQuery(plan_words))
+                by_type = context.roots_by_type(snap.graph)
+                counts = context.subtree_counts()
+                parts = [[] for _ in range(num_shards)]
+                for root_type, shard in sharded.assign(context).items():
+                    parts[shard].extend(by_type[root_type])
+                    shard_subtrees[shard] += counts[root_type] * len(k_values)
+                candidates = context.candidate_roots
                 query_work = posting_work(snap, plan_words, candidates)
                 for kk in k_values:
                     service._results.clear()  # measure execution, not cache
@@ -198,18 +209,9 @@ def run(profile_name: str, k: int, out_path: str) -> int:
                         for shard in skipped_ids
                     )
         per_k[num_shards] = {
-            # Paths of the one store whose root type each shard owns.
-            "shard_paths": [
-                len(part)
-                for part in sharded.partition_roots(
-                    [
-                        snap.store.path_root(path_id)
-                        for path_id in range(snap.store.num_paths)
-                    ]
-                )
-            ],
+            "shard_subtrees": shard_subtrees,
             "searches": len(queries) * len(k_values),
-            "wave_width": min(num_shards, usable_cores()),
+            "wave_width": sharded.width,
             "shard_waves": waves,
             "shards_dispatched": dispatched,
             "shards_skipped": skipped,

@@ -13,7 +13,10 @@ bench pins the new story on a saved-and-reloaded bundle at scale:
   old path (explicit ``thaw()`` + one mutation), timed and RSS-metered:
   the denominator of the **speedup gate** (>= 10x on the smoke scale,
   >= 100x on the 50k full scale) and of the **RSS gate** (the overlay
-  stream must stay within a fraction of the thaw copy's footprint);
+  stream must stay within a fraction of the thaw copy's footprint).
+  Both metered phases run in a fresh forked child each, as BENCH_7's
+  cold loads do, so neither reading depends on what the other phase
+  left on the heap;
 * **read after write** — on a second mapping with the workload's words
   boxed, a search follows each of the first mutations (and every edge):
   the **count gate** allows it to box no more query-column paths than
@@ -40,7 +43,9 @@ Emits ``BENCH_10.json``; exit 1 if any gate fails.  CI runs ``smoke``::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import multiprocessing
 import random
 import statistics
 import sys
@@ -130,6 +135,59 @@ def apply_plan(indexes, plan, timings=None):
     return first_node
 
 
+def in_child(phase, *args):
+    """``phase(*args)`` in a fresh forked child; returns its result.
+
+    The child freezes the objects it inherited first, so a collection
+    in it does not copy the parent's pages onto its RSS.
+    """
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+
+    def target():
+        gc.freeze()
+        sender.send(phase(*args))
+        sender.close()
+
+    proc = ctx.Process(target=target)
+    proc.start()
+    sender.close()
+    payload = receiver.recv()
+    proc.join()
+    return payload
+
+
+def overlay_stream(index_path, plan):
+    """The timed mutation stream on a fresh mapping (run in a child)."""
+    thawed_base = MappedPostingStore.backed_stores_thawed
+    bundle = load_indexes(index_path)
+    rss_before = _rss_kb()
+    timings = {"entity": [], "edge": []}
+    apply_plan(bundle, plan, timings)
+    return {
+        "timings": timings,
+        "rss_delta_kb": max(0, _rss_kb() - rss_before),
+        "thawed": MappedPostingStore.backed_stores_thawed - thawed_base,
+        "overlay_postings": bundle.store.overlay_postings,
+    }
+
+
+def thaw_first_mutation(index_path, text):
+    """The pre-overlay first-mutation cost on a fresh mapping: explicit
+    ``thaw()`` + one mutation, timed and RSS-metered (run in a child)."""
+    thawed_base = MappedPostingStore.backed_stores_thawed
+    bundle = load_indexes(index_path)
+    rss_before = _rss_kb()
+    started = time.perf_counter()
+    bundle.store.thaw()
+    add_entity(bundle, "delta_type", text)
+    return {
+        "seconds": time.perf_counter() - started,
+        "rss_delta_kb": max(1, _rss_kb() - rss_before),
+        "thawed": MappedPostingStore.backed_stores_thawed - thawed_base,
+    }
+
+
 def warm(engine, queries, k):
     """Search every workload query once (boxes its words' paths)."""
     for query in queries:
@@ -216,23 +274,22 @@ def run(profile_name, k, out_path, keep_dir=None):
     )
 
     # ---- overlay stream: O(delta) writes against the mapped bundle ---
-    overlay_bundle = load_indexes(index_path)
     thawed_before = MappedPostingStore.backed_stores_thawed
-    rss_before = _rss_kb()
-    timings = {"entity": [], "edge": []}
-    apply_plan(overlay_bundle, plan, timings)
-    overlay_rss_delta = max(0, _rss_kb() - rss_before)
-    overlay_thawed = (
-        MappedPostingStore.backed_stores_thawed - thawed_before
-    )
+    overlay = in_child(overlay_stream, index_path, plan)
+    overlay_rss_delta = overlay["rss_delta_kb"]
+    overlay_thawed = overlay["thawed"]
     assert overlay_thawed == 0, (
         f"overlay mutation phase thawed {overlay_thawed} mapped stores"
     )
+    timings = overlay["timings"]
     entity_ms = sorted(seconds * 1000.0 for seconds in timings["entity"])
     p50_ms = statistics.median(entity_ms)
     p95_ms = entity_ms[int(0.95 * (len(entity_ms) - 1))]
     edge_p50_ms = statistics.median(timings["edge"]) * 1000.0
-    overlay_postings = overlay_bundle.store.overlay_postings
+    overlay_postings = overlay["overlay_postings"]
+    # The same writes, untimed, on the mapping the compaction folds.
+    overlay_bundle = load_indexes(index_path)
+    apply_plan(overlay_bundle, plan)
     print(
         f"overlay: {len(entity_ms)} entities p50 {p50_ms:.3f} ms "
         f"p95 {p95_ms:.3f} ms, {RELATIONSHIP_MUTATIONS} edges p50 "
@@ -241,23 +298,16 @@ def run(profile_name, k, out_path, keep_dir=None):
     )
 
     # ---- thaw baseline: the pre-overlay first-mutation cost ----------
-    thaw_bundle = load_indexes(index_path)
-    rss_before = _rss_kb()
-    started = time.perf_counter()
-    thaw_bundle.store.thaw()
-    add_entity(thaw_bundle, "delta_type", plan[0][2])
-    thaw_seconds = time.perf_counter() - started
-    thaw_rss_delta = max(1, _rss_kb() - rss_before)
-    thaw_count = (
-        MappedPostingStore.backed_stores_thawed - thawed_before
-    )
+    thaw = in_child(thaw_first_mutation, index_path, plan[0][2])
+    thaw_seconds = thaw["seconds"]
+    thaw_rss_delta = thaw["rss_delta_kb"]
+    thaw_count = thaw["thawed"]
     speedup = (thaw_seconds * 1000.0) / max(p50_ms, 1e-9)
     print(
         f"thaw baseline: first mutation {thaw_seconds * 1000.0:.1f} ms "
         f"(+{thaw_rss_delta} KB RSS) -> overlay speedup {speedup:.0f}x "
         f"(floor {profile['speedup']:.0f}x)"
     )
-    del thaw_bundle
 
     # ---- read after write: what the first search after a write boxes -
     raw_ms, raw_violations = read_after_write(index_path, plan, queries, k)
@@ -319,6 +369,8 @@ def run(profile_name, k, out_path, keep_dir=None):
             service.close()
     total_thawed = (
         MappedPostingStore.backed_stores_thawed - thawed_before
+        + overlay_thawed
+        + thaw_count
     )
     print(
         f"parity: {len(queries)} queries x {len(ALGORITHMS)} algorithms "

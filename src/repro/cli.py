@@ -167,7 +167,8 @@ def _explain_pruning(stats) -> str:
             f"/{stats.shards_total} shards "
             f"(skipped={stats.shards_skipped}, "
             f"order={list(stats.shard_dispatch_order)}) "
-            f"{stats.format_waves()}"
+            f"{stats.format_waves()} "
+            f"subtrees={list(stats.shard_subtrees)}"
         )
         if stats.shard_failovers:
             line += f" failovers={stats.shard_failovers}"
@@ -682,9 +683,11 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--shards", type=int, default=None, metavar="K",
             help="serve through a K-shard scatter-gather worker pool "
-            "with bound-driven shard skipping (bit-identical answers; a "
-            "shard is the set of root types that hash to it, read from "
-            "the one store in the file)",
+            "with bound-driven shard skipping (bit-identical answers; "
+            "each query's root types are balanced by subtree count over "
+            "min(K, usable cores) shards, read from the one store in the "
+            "file; K beyond the usable cores adds no parallelism, those "
+            "workers get no work)",
         )
 
     search = commands.add_parser("search", help="answer a keyword query")

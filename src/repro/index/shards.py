@@ -1,10 +1,10 @@
-"""Shards of one index bundle: root-type slices of the one store.
+"""Shards of one index bundle: per-query root-type slices of the one store.
 
 Scatter–gather serving (:mod:`repro.search.sharding`) splits a query's
-work K ways so a pool of forked workers can each search a fraction of
-the candidate roots.  A shard is not a second store.  It is **the set
-of root types that hash to it**: shard *i* of a bundle is the bundle
-itself, read through a query context narrowed to those types
+work over the workers that run at once.  A shard is not a second store.
+It is **the set of the query's root types the shard map puts in it**:
+shard *i* of a bundle is the bundle itself, read through a query
+context narrowed to those types
 (:meth:`~repro.search.context.EnumerationContext.restricted_to`).  One
 invariant makes the gathered per-shard top-k lists merge
 **bit-identically** into the unsharded answer:
@@ -14,94 +14,84 @@ invariant makes the gathered per-shard top-k lists merge
 
 A path pattern's first label is its root's *type* (see
 :func:`repro.index.path_enum.interleaved_labels`), so two roots can only
-ever share a pattern when they share a type.  Roots are therefore
-assigned to shards by a stable hash of their type id — the finest
-root-id partition that keeps patterns whole.  Hashing raw root ids
-instead would split a pattern's roots across shards and break both exact
-merging (pattern scores aggregate subtree scores *across* roots, in
-ascending-root float order) and bound-driven shard skipping (a skipped
-shard would silently drop its root contributions from patterns retained
-elsewhere).  ``docs/sharding.md`` walks through the argument.
+ever share a pattern when they share a type.  Any map from root types
+to shards therefore keeps patterns whole — a type is the finest unit
+that does.  Splitting by raw root id instead would split a pattern's
+roots across shards and break both exact merging (pattern scores
+aggregate subtree scores *across* roots, in ascending-root float order)
+and bound-driven shard skipping (a skipped shard would silently drop
+its root contributions from patterns retained elsewhere).
+``docs/sharding.md`` walks through the argument.
 
 The paper's algorithms are already organised by root type — PATTERNENUM
 loops over ``Patterns_C(w)`` per type ``C``, LINEARENUM-TOPK partitions
-the candidate roots by type (§4.2.1) — so a shard run is the unmodified
-algorithm over fewer types: it reads the same leaves, in the same order,
-with the same float operations as the unsharded run does for those
-types, and computes *exact global* scores for its patterns.  That is
-what makes the coordinator's merge a pure top-k union.
+the candidate roots by type and sizes each type's work as its subtree
+count ``N_R = sum_r prod_i |Paths(w_i, r)|`` (§4.2.1) — so a shard run
+is the unmodified algorithm over fewer types: it reads the same leaves,
+in the same order, with the same float operations as the unsharded run
+does for those types, and computes *exact global* scores for its
+patterns.  That is what makes the coordinator's merge a pure top-k
+union.
 
-The hash is deliberately not Python's ``hash()`` (salted per process):
-workers and coordinator must agree on the assignment across process
-boundaries and releases.
+Which types go together is chosen per query, from that same ``N_R``
+(:meth:`ShardedIndexes.assign`): longest-processing-time-first over as
+many shards as run at once, so a wave — which costs its slowest shard —
+is as even as the query's types allow.  The map is a pure function of
+the snapshot and the query, so the coordinator and every worker derive
+the same one from their own contexts; nothing about it crosses a pipe
+or a file.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Sequence
+import heapq
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple
 
 from repro.core.errors import PathIndexError
-from repro.core.types import NodeId, TypeId
+from repro.core.types import TypeId
 from repro.index.builder import PathIndexes
 
-_MASK64 = (1 << 64) - 1
 
-
-def shard_of_type(type_id: TypeId, num_shards: int) -> int:
-    """Stable shard assignment for one root type.
-
-    SplitMix64's finalizer: deterministic across processes and platforms
-    (unlike the salted builtin ``hash``), and avalanching, so consecutive
-    type ids spread evenly over small shard counts.
-    """
-    x = (int(type_id) + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    x ^= x >> 31
-    return x % num_shards
-
-
-@dataclass
+@dataclass(frozen=True)
 class ShardedIndexes:
     """One index bundle seen as ``num_shards`` pattern-disjoint shards.
 
-    ``base`` is the bundle (live or snapshot) every shard reads; the
-    type→shard assignment — :func:`shard_of_type`, remembered per type —
-    is the whole partition.  Shards may be empty when the graph has
-    fewer populated types than shards; an empty shard answers every
-    query with no candidates.
+    ``base`` is the bundle (live or snapshot) every shard reads.
+    ``width`` is how many shards run at once — ``min(num_shards, usable
+    cores)``, read when the bundle is partitioned — and the number of
+    shards a query's types are spread over (:meth:`assign`).  Shards at
+    or beyond ``width``, and shards a query has too few types to fill,
+    are empty for it: they answer with no candidates and are skipped.
     """
 
     base: PathIndexes
     num_shards: int
-    _type_shards: Dict[TypeId, int] = field(default_factory=dict)
+    width: int
 
     @property
     def shards(self) -> List["Shard"]:
         return [Shard(self, shard_id) for shard_id in range(self.num_shards)]
 
-    def shard_of_type(self, type_id: TypeId) -> int:
-        """The shard owning root type ``type_id``."""
-        shard = self._type_shards.get(type_id)
-        if shard is None:
-            shard = self._type_shards[type_id] = shard_of_type(
-                type_id, self.num_shards
-            )
-        return shard
+    def assign(self, context) -> Dict[TypeId, int]:
+        """The query's shard map: each candidate root type → its shard.
 
-    def shard_of_root(self, root: NodeId) -> int:
-        """The shard owning ``root`` (via its type)."""
-        return self.shard_of_type(self.base.graph.node_type(root))
-
-    def partition_roots(
-        self, roots: Sequence[NodeId]
-    ) -> List[List[NodeId]]:
-        """Split a (sorted) root list into per-shard lists, order kept."""
-        parts: List[List[NodeId]] = [[] for _ in range(self.num_shards)]
-        for root in roots:
-            parts[self.shard_of_root(root)].append(root)
-        return parts
+        LPT over the per-type subtree counts ``N_R``
+        (:meth:`~repro.search.context.EnumerationContext.subtree_counts`):
+        types in ``(-N_R, type id)`` order, each onto the least-loaded
+        of the first ``width`` shards, lowest shard id on ties.  The
+        one place the map is computed; a pure function of
+        ``(snapshot, query)``, so a fresh context on the same snapshot
+        gives the same map.
+        """
+        counts = context.subtree_counts()
+        loads = [(0, shard_id) for shard_id in range(self.width)]
+        shard_map: Dict[TypeId, int] = {}
+        for root_type in sorted(counts, key=lambda t: (-counts[t], t)):
+            load, shard_id = loads[0]
+            shard_map[root_type] = shard_id
+            heapq.heapreplace(loads, (load + counts[root_type], shard_id))
+        return shard_map
 
 
 class Shard(NamedTuple):
@@ -111,16 +101,24 @@ class Shard(NamedTuple):
     sharded: ShardedIndexes
     shard_id: int
 
-    def owns_type(self, type_id: TypeId) -> bool:
-        return self.sharded.shard_of_type(type_id) == self.shard_id
-
 
 def partition_indexes(
     indexes: PathIndexes, num_shards: int
 ) -> ShardedIndexes:
-    """``indexes`` as ``num_shards`` shards: O(1), nothing is copied."""
+    """``indexes`` as ``num_shards`` shards: O(1), nothing is copied.
+
+    The usable cores are read here, once per partition; the coordinator
+    and the workers forked from it keep the width this call saw.
+    """
     if num_shards < 1:
         raise PathIndexError(
             f"num_shards must be >= 1, got {num_shards}"
         )
-    return ShardedIndexes(base=indexes, num_shards=num_shards)
+    # Imported here: the search layer imports this module.
+    from repro.search import sharding
+
+    return ShardedIndexes(
+        base=indexes,
+        num_shards=num_shards,
+        width=min(num_shards, sharding.usable_cores()),
+    )

@@ -68,6 +68,7 @@ class EnumerationContext:
         "_root_maps",
         "_candidates",
         "_by_type",
+        "_subtree_counts",
         "_viable_types",
         "_bounds",
         "_keep_type",
@@ -93,6 +94,7 @@ class EnumerationContext:
         self._root_maps: Optional[List[Mapping[NodeId, RootPatternMap]]] = None
         self._candidates: Optional[List[NodeId]] = candidate_roots
         self._by_type: Optional[Dict[TypeId, List[NodeId]]] = None
+        self._subtree_counts: Optional[Dict[TypeId, int]] = None
         self._viable_types: Optional[Set[TypeId]] = None
         self._bounds: Optional[tuple] = None
         self._keep_type: Optional[Callable[[TypeId], bool]] = None
@@ -121,6 +123,7 @@ class EnumerationContext:
         context._root_maps = root_maps
         context._candidates = candidate_roots
         context._by_type = None
+        context._subtree_counts = None
         context._viable_types = None
         context._bounds = None
         context._keep_type = None
@@ -137,7 +140,8 @@ class EnumerationContext:
         the kept types — so every algorithm, unmodified, enumerates
         exactly the patterns rooted at those types.  The roots are
         filtered through their grouping by type, which the algorithms
-        need anyway, not one call per root.
+        need anyway, not one call per root; the subtree counts, when
+        already computed, are carried over for the kept types.
         """
         by_type = {
             root_type: roots
@@ -154,6 +158,11 @@ class EnumerationContext:
             candidate_roots=sorted(chain.from_iterable(by_type.values())),
         )
         part._by_type = by_type
+        counts = self._subtree_counts
+        if counts is not None:
+            part._subtree_counts = {
+                root_type: counts[root_type] for root_type in by_type
+            }
         part._bounds = self._bounds
         part._keep_type = keep_type
         return part
@@ -200,6 +209,34 @@ class EnumerationContext:
                 by_type.setdefault(graph.node_type(root), []).append(root)
             self._by_type = by_type
         return by_type
+
+    def subtree_counts(self) -> Dict[TypeId, int]:
+        """``N_R`` per candidate root type: ``sum_r prod_i
+        |Paths(w_i, r)|`` over the type's roots (Algorithm 4, line 4) —
+        the subtrees the type enumerates, from path counts alone.
+
+        LINEARENUM-TOPK's sampling test reads it, and so does the shard
+        map (:meth:`~repro.index.shards.ShardedIndexes.assign`), as its
+        measure of a type's work.  Built fully before the memoizing
+        assignment, like :meth:`roots_by_type`.
+        """
+        counts = self._subtree_counts
+        if counts is None:
+            num_words = len(self.words)
+            path_count = self.path_count
+            counts = {}
+            for root_type, roots in self.roots_by_type(
+                self.indexes.graph
+            ).items():
+                subtrees = 0
+                for root in roots:
+                    per_root = 1
+                    for i in range(num_words):
+                        per_root *= path_count(i, root)
+                    subtrees += per_root
+                counts[root_type] = subtrees
+            self._subtree_counts = counts
+        return counts
 
     def pattern_maps(self, root: NodeId) -> List[RootPatternMap]:
         """``pattern -> postings`` per word at one root.

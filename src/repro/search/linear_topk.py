@@ -126,17 +126,13 @@ def linear_topk_search(
     # Per-type plans are prepared in the canonical (sorted type, sorted
     # root) order so the sampling RNG stream is identical with and
     # without pruning; pruning only reorders *processing*.
+    subtree_counts = context.subtree_counts()
     plans = []
     total_work = 0
     for root_type in sorted(by_type):
         roots = sorted(by_type[root_type])
 
-        subtree_count = 0
-        for root in roots:
-            per_root = 1
-            for i in range(len(words)):
-                per_root *= context.path_count(i, root)
-            subtree_count += per_root
+        subtree_count = subtree_counts[root_type]
         if subtree_count >= sampling_threshold:
             rate = sampling_rate
         else:

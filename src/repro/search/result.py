@@ -203,12 +203,17 @@ class SearchStats:
     #: inline run's for a failed-over shard), aligned with
     #: ``shard_dispatch_order`` — a wave costs its maximum, so a
     #: lopsided pair is the partition's skew, visible without a profiler.
+    #: ``shard_subtrees`` is, aligned the same way, each dispatched
+    #: shard's subtree count ``N_R`` — the work the shard map balanced
+    #: on, to hold against ``shard_busy_ms`` (a single shard run's stats
+    #: carry its own, as a 1-tuple).
     shards_total: int = 0
     shards_skipped: int = 0
     shard_dispatch_order: Tuple[int, ...] = ()
     shard_failovers: int = 0
     shard_waves: int = 0
     shard_busy_ms: Tuple[float, ...] = ()
+    shard_subtrees: Tuple[int, ...] = ()
 
     def format_waves(self) -> str:
         """``waves=1 busy=[11.8, 5.2]ms`` — the dispatch rounds and each

@@ -2,11 +2,12 @@
 
 :class:`ShardedSearchService` extends
 :class:`~repro.search.service.SearchService` with the fork-based scale-out
-path ``docs/serving.md`` promised: a query's root types are split over K
-pattern-disjoint shards (:mod:`repro.index.shards` — a shard is the set
-of root types that hash to it, read from the one store), each answered
-for by one long-lived forked worker process that inherited the serving
-snapshot (:func:`search_shard`).  A query's canonical
+path ``docs/serving.md`` promised: a query's root types are split over
+pattern-disjoint shards (:mod:`repro.index.shards` — per query, by
+longest-processing-time-first over each type's subtree count ``N_R``,
+into as many shards as run at once; every shard reads the one store),
+each answered for by one long-lived forked worker process that inherited
+the serving snapshot (:func:`search_shard`).  A query's canonical
 :class:`~repro.search.plan.QueryPlan` is scattered to the workers over
 ``multiprocessing`` pipes, the per-shard top-k lists are gathered, and the
 coordinator merges them under a single global
@@ -21,15 +22,18 @@ LETopK's type-skip uses, summed over the shard's slice of the candidate
 roots) is checked against the running k-th score.  Shards are walked
 best-bound-first; the next ``width`` shards the threshold still admits
 form a wave, the wave's workers compute concurrently (``width`` =
-``min(num_shards, usable cores)`` — more shards in flight than cores buys
-no time and gives up skips), their replies merge into the global queue in
-dispatch order, and only then is the next shard looked at — so trailing
-shards whose bound falls below the threshold the merged waves built are
-never sent the query at all, and their postings are never scanned by
-anyone.  ``SearchStats`` records ``shards_total`` / ``shards_skipped`` /
-``shard_dispatch_order`` / ``shard_waves`` / ``shard_busy_ms``;
-``benchmarks/smoke_sharding.py`` turns the counters into a
-postings-not-scanned work-reduction figure (BENCH_5).
+``min(num_shards, usable cores)``, read once per partition — more shards
+in flight than cores buys no time and gives up skips), their replies
+merge into the global queue in dispatch order, and only then is the
+next shard looked at — so trailing shards whose bound falls below the
+threshold the merged waves built are never sent the query at all, and
+their postings are never scanned by anyone.  The shard map fills only
+the first ``width`` shards, so with K above the usable cores the rest
+stay empty and are skipped: their workers get no work.
+``SearchStats`` records ``shards_total`` / ``shards_skipped`` /
+``shard_dispatch_order`` / ``shard_waves`` / ``shard_busy_ms`` /
+``shard_subtrees``; ``benchmarks/smoke_sharding.py`` turns the counters
+into a postings-not-scanned work-reduction figure (BENCH_5).
 
 Exactness is inherited from the partition (pattern containment: a whole
 pattern, with every root that contributes to its score, lives in exactly
@@ -151,19 +155,28 @@ def search_shard(
 ) -> SearchResult:
     """Run a plan on one shard: the unmodified algorithm, on the bundle
     every shard shares, through a context narrowed to the root types the
-    shard owns — the one place the shard restriction is applied.
+    query's shard map (:meth:`~repro.index.shards.ShardedIndexes.assign`)
+    puts in this shard — the one place the shard restriction is applied.
 
     ``context`` is the *whole* query's context on that bundle when the
     caller already has one; absent, it is derived here (the word-set
     intersection costs a few percent of a shard run, so a worker is
-    sent the bare plan and intersects for itself).
+    sent the bare plan and derives the map for itself).  The run's
+    ``stats.shard_subtrees`` is the shard's ``N_R``, a 1-tuple.
     """
     base = shard.sharded.base
     if context is None:
         context = EnumerationContext(base, plan.resolved_query())
-    return execute_plan(
-        base, plan, context=context.restricted_to(shard.owns_type)
+    shard_map = shard.sharded.assign(context)
+    shard_id = shard.shard_id
+    # A type with no candidate root is in no map: it can only yield
+    # empty patterns, and shard 0 checks them, as the unsharded run does.
+    part = context.restricted_to(
+        lambda root_type: shard_map.get(root_type, 0) == shard_id
     )
+    result = execute_plan(base, plan, context=part)
+    result.stats.shard_subtrees = (sum(part.subtree_counts().values()),)
+    return result
 
 
 def execute_shard_plan(
@@ -191,26 +204,33 @@ def shard_upper_bounds(
     The shard bound is LETopK's type bound lifted one level: an
     admissible (under all four aggregators) cap on any pattern score
     confined to the shard's slice of the candidate roots —
-    ``SAFETY * sum(root_mass(r))``, computed from the *global*
+    ``SAFETY * sum(root_mass(r))`` over the types the query's shard map
+    puts there, computed from the *global*
     :class:`~repro.search.bounds.QueryBounds` — the bounds object the
-    shard run itself prunes with.
-    ``inf`` per non-empty shard when the scoring function is outside the
-    bounded class — every shard is then dispatched, sharding stays
-    exact, nothing skips.
+    shard run itself prunes with.  ``0.0`` for a shard the map leaves
+    empty; ``inf`` per non-empty shard when the scoring function is
+    outside the bounded class — every such shard is then dispatched,
+    sharding stays exact, nothing skips.
     """
-    parts = sharded.partition_roots(context.candidate_roots)
+    shard_map = sharded.assign(context)
     bounds = context.query_bounds(scoring)
+    uppers = [0.0] * sharded.num_shards
     if bounds is None:
-        return [float("inf") if part else 0.0 for part in parts]
-    return [
-        SAFETY * sum(bounds.root_mass(root) for root in part)
-        for part in parts
-    ]
+        for shard_id in shard_map.values():
+            uppers[shard_id] = float("inf")
+        return uppers
+    root_mass = bounds.root_mass
+    by_type = context.roots_by_type(sharded.base.graph)
+    for root_type, shard_id in shard_map.items():
+        uppers[shard_id] += sum(root_mass(root) for root in by_type[root_type])
+    return [SAFETY * mass for mass in uppers]
 
 
 def usable_cores() -> int:
     """Cores this process may run on — the one place the scatter reads
-    its wave width from (tests patch it; nothing configures it)."""
+    its width from, once per partition
+    (:func:`~repro.index.shards.partition_indexes`; tests patch it,
+    nothing configures it)."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - no affinity API (macOS)
@@ -231,7 +251,7 @@ def execute_sharded_plan(
     with ``shard_ids``, each shard's ranked
     :class:`~repro.search.result.PatternAnswer` list and its stats —
     bound from the workers' replies or from inline failover
-    (:class:`ShardedSearchService`, ``width`` = cores), or straight
+    (:class:`ShardedSearchService`, ``width`` = ``sharded.width``), or straight
     from in-process runs (the fork-pool workers of
     :mod:`repro.serve.pool` run their inherited partition through this
     same function at ``width`` 1, so the two execution spines cannot
@@ -312,12 +332,15 @@ class ShardWorkerPool(WorkerPool):
     addressed by shard id.
 
     Each worker inherits the serving snapshot and its shard id (a
-    :class:`~repro.index.shards.Shard`) and runs
+    :class:`~repro.index.shards.Shard`, whose partition carries the
+    width the shard map is computed for) and runs
     :func:`execute_shard_plan`; nothing is warmed, a worker boxes the
-    paths of the words it is asked about.  A query is :meth:`send` to
-    each shard of a wave, then each reply is :meth:`collect`-ed; the
-    workers compute in between.  One *query* in flight per pool (the
-    caller serializes queries), any number of its shards.
+    paths of the words it is asked about.  Workers for shard ids at or
+    beyond the width are forked but never sent a query.  A query is
+    :meth:`send` to each shard of a wave, then each reply is
+    :meth:`collect`-ed; the workers compute in between.  One *query*
+    in flight per pool (the caller serializes queries), any number of
+    its shards.
     """
 
     def __init__(
@@ -365,13 +388,15 @@ class ShardedSearchService(PoolBackedService):
         #: flight per pool — its wave of shards runs concurrently inside
         #: it.  Non-shardable plans never take it.
         self._scatter_lock = self._pool_lock
-        #: (words, scoring) -> (store_version, per-shard uppers): the
-        #: precomputed per-shard score upper bounds per resolved keyword
-        #: set, shared across k / algorithm / repeats; LRU-capped at
-        #: ``max_cached_contexts`` like the context tier beside it.
-        self._shard_uppers: "OrderedDict[Tuple, Tuple[int, List[float]]]" = (
-            OrderedDict()
-        )
+        #: (words, scoring) -> ((store_version, width), per-shard
+        #: uppers): the precomputed per-shard score upper bounds per
+        #: resolved keyword set, shared across k / algorithm / repeats;
+        #: LRU-capped at ``max_cached_contexts`` like the context tier
+        #: beside it.  The width is in the tag because the shard map
+        #: depends on it.
+        self._shard_uppers: (
+            "OrderedDict[Tuple, Tuple[Tuple[int, int], List[float]]]"
+        ) = OrderedDict()
 
     def _start_pool(
         self, snap: PathIndexes, sharded: ShardedIndexes
@@ -389,15 +414,18 @@ class ShardedSearchService(PoolBackedService):
             sharded, pool = self._ensure_pool(snap)
             uppers = self._shard_bounds(snap, plan, context, sharded)
 
+            subtrees: List[int] = []
+
             def run_shards(shard_ids: List[int]):
                 # The workers were forked from this snapshot (a lost
                 # one is answered from it here), so their path ids are
                 # its store's.
+                replies = pool.execute_on(shard_ids, plan, lost)
+                for _rows, shard_stats in replies:
+                    subtrees.extend(shard_stats.shard_subtrees)
                 return [
                     (bind_answers(rows, snap), shard_stats)
-                    for rows, shard_stats in pool.execute_on(
-                        shard_ids, plan, lost
-                    )
+                    for rows, shard_stats in replies
                 ]
 
             try:
@@ -406,7 +434,7 @@ class ShardedSearchService(PoolBackedService):
                     sharded,
                     uppers,
                     run_shards,
-                    width=min(self.num_shards, usable_cores()),
+                    width=sharded.width,
                     candidate_roots=len(context.candidate_roots),
                 )
             finally:
@@ -414,6 +442,7 @@ class ShardedSearchService(PoolBackedService):
                 # wave's deadline or delays a live worker's reply.
                 self._heal(pool, lost)
         result.stats.shard_failovers = len(lost)
+        result.stats.shard_subtrees = tuple(subtrees)
         self._remember_candidates(plan, context)
         return result
 
@@ -425,9 +454,10 @@ class ShardedSearchService(PoolBackedService):
         sharded: ShardedIndexes,
     ) -> List[float]:
         """:func:`shard_upper_bounds`, cached per (words, scoring) under
-        the serving version; caller holds :attr:`_scatter_lock`."""
+        the serving version and the partition's width; caller holds
+        :attr:`_scatter_lock`."""
         key = (plan.words, plan.scoring)
-        version = snap.store.version
+        version = (snap.store.version, sharded.width)
         slot = self._shard_uppers.get(key)
         if slot is not None and slot[0] == version:
             self._shard_uppers.move_to_end(key)

@@ -42,8 +42,10 @@ slot is respawned afterwards (a failed respawn: ``respawn_failures``).
 Composing with ``--shards``: the chosen composition is **parent
 dispatch → fork worker → inline scatter over the inherited snapshot**.
 Each worker sees its snapshot as K shards
-(:class:`~repro.index.shards.ShardedIndexes` — root-type slices of the
-one store, nothing copied) and runs the bound-driven best-bound-first
+(:class:`~repro.index.shards.ShardedIndexes` — per-query root-type
+slices of the one store, nothing copied; the partition's width, read in
+the parent before the fork, is the map's shard count on both sides)
+and runs the bound-driven best-bound-first
 merge loop
 (:func:`~repro.search.sharding.execute_sharded_plan` — literally the
 same function the sharded service's coordinator runs) in-process, so
@@ -101,16 +103,20 @@ def _execute_portable(
     else:
         context = EnumerationContext(bundle, plan.resolved_query())
         shards = sharded.shards
+        subtrees: List[int] = []
 
         def run_shards(shard_ids: List[int]):
             runs = []
             for shard_id in shard_ids:
                 run = search_shard(shards[shard_id], plan, context)
+                subtrees.extend(run.stats.shard_subtrees)
                 runs.append((run.answers, run.stats))
             return runs
 
         # Width 1: this worker is one process on one core, and its
-        # siblings are busy with other requests.
+        # siblings are busy with other requests.  The query's types
+        # are still split over ``sharded.width`` shards — the map the
+        # shard coordinator would use — visited one after another.
         result = execute_sharded_plan(
             plan,
             sharded,
@@ -119,6 +125,7 @@ def _execute_portable(
             width=1,
             candidate_roots=len(context.candidate_roots),
         )
+        result.stats.shard_subtrees = tuple(subtrees)
     return portable_answers(result.answers), result.stats
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import ast
 import itertools
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,7 +27,7 @@ from repro.index.serialize import (
     save_sharded_indexes,
 )
 from repro.index.incremental import add_entity
-from repro.index.shards import partition_indexes, shard_of_type
+from repro.index.shards import partition_indexes
 from repro.index.store import PostingStore
 from repro.kg.graph import KnowledgeGraph
 from repro.search import sharding
@@ -114,68 +115,98 @@ def small_bundle():
     return build_indexes(graph, d=3)
 
 
+def patch_cores(monkeypatch, cores: int) -> None:
+    monkeypatch.setattr(sharding, "usable_cores", lambda: cores)
+
+
+def bin_loads(sharded, context, shard_map):
+    """``N_R`` summed per shard under ``shard_map``."""
+    counts = context.subtree_counts()
+    loads = [0] * sharded.num_shards
+    for root_type, shard_id in shard_map.items():
+        loads[shard_id] += counts[root_type]
+    return loads
+
+
 class TestPartition:
-    def test_shard_of_type_is_stable_and_in_range(self):
-        for num_shards in (1, 2, 4, 7, 16):
-            for type_id in range(64):
-                shard = shard_of_type(type_id, num_shards)
-                assert 0 <= shard < num_shards
-                assert shard == shard_of_type(type_id, num_shards)
+    """The shard map: per query, LPT over the types' ``N_R`` into
+    ``min(K, usable cores)`` shards."""
 
-    def test_shard_of_type_spreads(self):
-        # Avalanching: a handful of consecutive type ids must not all
-        # collapse onto one shard.
-        assert len({shard_of_type(t, 4) for t in range(12)}) > 1
+    SHARDS_AND_CORES = [(1, 2), (2, 2), (4, 2), (4, 8), (7, 3), (9, 64)]
 
-    def test_partition_covers_store_exactly(self, wiki_indexes):
-        # The shards are slices of the one store: every root type, so
-        # every path and every posting, belongs to exactly one of them.
-        sharded = partition_indexes(wiki_indexes, 4)
-        store = wiki_indexes.store
-        assert sharded.base is wiki_indexes and sharded.num_shards == 4
-        for type_id in wiki_indexes.graph.type_ids():
-            owners = [shard.owns_type(type_id) for shard in sharded.shards]
-            assert sum(owners) == 1
-            assert owners.index(True) == shard_of_type(type_id, 4)
-        paths = [0] * 4
-        for path_id in range(store.num_paths):
-            paths[sharded.shard_of_root(store.path_root(path_id))] += 1
-        assert sum(paths) == store.num_paths and min(paths) > 0
-        for word in store.words():
-            postings = [0] * 4
-            for path_id, _sim in store.postings(word):
-                postings[sharded.shard_of_root(store.path_root(path_id))] += 1
-            assert sum(postings) == store.num_postings(word)
+    @pytest.mark.parametrize("num_shards, cores", SHARDS_AND_CORES)
+    def test_every_candidate_type_in_one_bin(
+        self, wiki_indexes, wiki_queries, monkeypatch, num_shards, cores
+    ):
+        patch_cores(monkeypatch, cores)
+        sharded = partition_indexes(wiki_indexes, num_shards)
+        assert sharded.width == min(num_shards, cores)
+        assert sharded.base is wiki_indexes
+        assert sharded.num_shards == num_shards
+        for query in wiki_queries:
+            context = EnumerationContext(wiki_indexes, query)
+            shard_map = sharded.assign(context)
+            by_type = context.roots_by_type(wiki_indexes.graph)
+            assert set(shard_map) == set(by_type)
+            assert set(shard_map.values()) <= set(range(sharded.width))
 
-    def test_partition_keeps_patterns_whole(self, wiki_indexes):
-        # Pattern containment: every root of a path pattern has the
-        # pattern's root type, and a type hashes to one shard — so no
-        # pattern's root set spans shards.
-        sharded = partition_indexes(wiki_indexes, 4)
-        store = wiki_indexes.store
+    @pytest.mark.parametrize("num_shards, cores", SHARDS_AND_CORES)
+    def test_map_is_a_function_of_snapshot_and_query(
+        self, wiki_indexes, wiki_queries, monkeypatch, num_shards, cores
+    ):
+        patch_cores(monkeypatch, cores)
+        for query in wiki_queries:
+            maps = [
+                partition_indexes(wiki_indexes, num_shards).assign(
+                    EnumerationContext(wiki_indexes, query)
+                )
+                for _ in range(2)
+            ]
+            assert maps[0] == maps[1]
+
+    @pytest.mark.parametrize("num_shards, cores", SHARDS_AND_CORES)
+    def test_lpt_balances_within_the_largest_type(
+        self, wiki_indexes, wiki_queries, monkeypatch, num_shards, cores
+    ):
+        patch_cores(monkeypatch, cores)
+        sharded = partition_indexes(wiki_indexes, num_shards)
+        for query in wiki_queries:
+            context = EnumerationContext(wiki_indexes, query)
+            counts = context.subtree_counts()
+            loads = bin_loads(sharded, context, sharded.assign(context))
+            assert sum(loads) == sum(counts.values())
+            assert loads[sharded.width:] == [0] * (
+                num_shards - sharded.width
+            )
+            used = loads[: sharded.width]
+            assert max(used) - min(used) <= max(counts.values(), default=0)
+
+    @pytest.mark.parametrize("num_shards, cores", SHARDS_AND_CORES)
+    def test_shard_candidates_partition_the_query(
+        self, wiki_indexes, wiki_queries, monkeypatch, num_shards, cores
+    ):
+        patch_cores(monkeypatch, cores)
+        sharded = partition_indexes(wiki_indexes, num_shards)
         graph = wiki_indexes.graph
-        shard_of_pattern = {}
-        for path_id in range(store.num_paths):
-            root = store.path_root(path_id)
-            pid = store.path_pattern(path_id)
-            root_type = wiki_indexes.interner.pattern(pid).root_type
-            assert root_type == graph.node_type(root)
-            shard_id = sharded.shard_of_root(root)
-            assert shard_id == shard_of_type(root_type, 4)
-            assert shard_of_pattern.setdefault(pid, shard_id) == shard_id
-            assert sharded.shards[shard_id].owns_type(root_type)
+        for query in wiki_queries:
+            context = EnumerationContext(wiki_indexes, query)
+            shard_map = sharded.assign(context)
+            parts = [
+                context.restricted_to(
+                    lambda t, shard_id=shard_id: shard_map.get(t) == shard_id
+                ).candidate_roots
+                for shard_id in range(num_shards)
+            ]
+            assert sorted(sum(parts, [])) == context.candidate_roots
+            for shard_id, part in enumerate(parts):
+                assert part == sorted(part)
+                assert {
+                    shard_map[graph.node_type(root)] for root in part
+                } <= {shard_id}
 
     def test_partition_rejects_bad_shard_count(self, wiki_indexes):
         with pytest.raises(PathIndexError, match="num_shards"):
             partition_indexes(wiki_indexes, 0)
-
-    def test_partition_roots_preserves_order(self, wiki_indexes):
-        sharded = partition_indexes(wiki_indexes, 4)
-        roots = sorted(wiki_indexes.graph.nodes())[:50]
-        parts = sharded.partition_roots(roots)
-        assert sorted(sum(parts, [])) == roots
-        for part in parts:
-            assert part == sorted(part)
 
 
 @pytest.fixture()
@@ -254,8 +285,9 @@ def typed_graphs(draw):
 
 
 class TestShardsAreSlices:
-    """A shard is the set of root types that hash to it: its run is the
-    unsharded run restricted to those types, on the one store."""
+    """A shard is the set of root types the query's shard map puts in
+    it: its run is the unsharded run restricted to those types, on the
+    one store."""
 
     #: Enough to retain every pattern, so no run prunes and every
     #: counter is a plain sum over root types.
@@ -274,11 +306,12 @@ class TestShardsAreSlices:
                     wiki_indexes, query, k=self.ALL, algorithm=algorithm
                 )
                 whole = execute_plan(wiki_indexes, plan)
+                shard_map = sharded.assign(
+                    EnumerationContext(wiki_indexes, plan.resolved_query())
+                )
                 expected = [{} for _ in range(num_shards)]
                 for key, row in rows_of(whole).items():
-                    owner = shard_of_type(
-                        interner.pattern(key[0]).root_type, num_shards
-                    )
+                    owner = shard_map[interner.pattern(key[0]).root_type]
                     expected[owner][key] = row
                 runs = [search_shard(shard, plan) for shard in sharded.shards]
                 assert [rows_of(run) for run in runs] == expected
@@ -343,6 +376,48 @@ class TestShardsAreSlices:
             merged = scatter_in_process(indexes, plan, num_shards, width)
             assert fingerprint(merged) == fingerprint(whole)
             assert merged.stats.shards_total == num_shards
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        graph=typed_graphs(),
+        num_shards=st.integers(min_value=1, max_value=9),
+        cores=st.integers(min_value=1, max_value=8),
+        k=st.sampled_from([1, 2, 50]),
+        data=st.data(),
+    )
+    def test_random_graphs_at_any_core_count(
+        self, graph, num_shards, cores, k, data
+    ):
+        """The map's shard count follows the cores: merged equals
+        unsharded in process and through a pooled × sharded worker."""
+        indexes = build_indexes(graph, d=3)
+        vocab = sorted(indexes.store.words())
+        if not vocab:
+            return
+        words = data.draw(
+            st.lists(st.sampled_from(vocab), min_size=1, max_size=2,
+                     unique=True)
+        )
+        with mock.patch.object(sharding, "usable_cores", lambda: cores):
+            width = partition_indexes(indexes, num_shards).width
+            assert width == min(num_shards, cores)
+            with PooledSearchService(
+                indexes, processes=1, num_shards=num_shards,
+                max_cached_results=0,
+            ) as pooled:
+                for algorithm in sorted(SHARDABLE_ALGORITHMS):
+                    plan = plan_search(
+                        indexes, " ".join(words), k=k, algorithm=algorithm
+                    )
+                    whole = fingerprint(execute_plan(indexes, plan))
+                    merged = scatter_in_process(
+                        indexes, plan, num_shards, width
+                    )
+                    assert fingerprint(merged) == whole
+                    dispatched = merged.stats.shard_dispatch_order
+                    assert all(shard_id < width for shard_id in dispatched)
+                    assert fingerprint(pooled.search(plan=plan)) == whole
 
 
 class TestOneStore:
@@ -475,17 +550,29 @@ class TestOneStore:
         assert source.count("shard_stores") == 1
 
     def test_the_shard_restriction_is_applied_in_one_function(self):
-        narrowing = []
+        narrowing, mapping, defined = [], [], []
         for path in sorted(self.SRC.rglob("*.py")):
             tree = ast.parse(path.read_text())
             for node in ast.walk(tree):
-                if isinstance(
+                if not isinstance(
                     node, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ) and self.calls_in(node, {"restricted_to", "owns_type"}):
-                    narrowing.append(
-                        f"{path.relative_to(self.SRC)}:{node.name}"
-                    )
+                ):
+                    continue
+                where = f"{path.relative_to(self.SRC)}:{node.name}"
+                if node.name == "assign":
+                    defined.append(where)
+                if self.calls_in(node, {"restricted_to"}):
+                    narrowing.append(where)
+                if self.calls_in(node, {"assign"}):
+                    mapping.append(where)
         assert narrowing == ["search/sharding.py:search_shard"]
+        # One map, computed in one function, read by both sides of the
+        # pipe: the shard run and the coordinator's bounds.
+        assert defined == ["index/shards.py:assign"]
+        assert mapping == [
+            "search/sharding.py:search_shard",
+            "search/sharding.py:shard_upper_bounds",
+        ]
         # ... which hands the narrowed context to the unmodified
         # algorithms: none of them knows about shards.
         for module in ("pattern_enum", "linear_topk", "linear_enum",
@@ -615,6 +702,50 @@ class TestBoundSkipping:
             assert result.stats.shards_skipped == 4
             assert result.stats.shard_dispatch_order == ()
         assert result.answers == []
+
+
+class TestShardSubtrees:
+    def test_stats_carry_each_dispatched_shards_subtrees(
+        self, sharded_services, wiki_queries
+    ):
+        from repro.cli import _explain_pruning
+
+        service = sharded_services[4]
+        for query in wiki_queries:
+            service._results.clear()
+            stats = service.search(query, k=5).stats
+            snap = service.snapshot()
+            with service._scatter_lock:
+                sharded, _ = service._ensure_pool(snap)
+            context = EnumerationContext(snap, query)
+            loads = bin_loads(sharded, context, sharded.assign(context))
+            assert stats.shard_subtrees == tuple(
+                loads[shard_id] for shard_id in stats.shard_dispatch_order
+            )
+            assert f"subtrees={list(stats.shard_subtrees)}" in (
+                _explain_pruning(stats)
+            )
+
+    def test_a_letopk_shard_run_counts_subtrees_once(
+        self, wiki_indexes, wiki_queries, monkeypatch
+    ):
+        """The map and LETopK's sampling test read one memo."""
+        calls = []
+        real = EnumerationContext.path_count
+
+        def counting(self, word_index, root):
+            calls.append(root)
+            return real(self, word_index, root)
+
+        monkeypatch.setattr(EnumerationContext, "path_count", counting)
+        sharded = partition_indexes(wiki_indexes, 2)
+        plan = plan_search(
+            wiki_indexes, wiki_queries[0], k=5, algorithm="linear_topk"
+        )
+        context = EnumerationContext(wiki_indexes, plan.resolved_query())
+        for shard in sharded.shards:
+            search_shard(shard, plan, context)
+        assert len(calls) == len(context.candidate_roots) * len(plan.words)
 
 
 class TestInlineRouting:

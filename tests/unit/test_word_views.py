@@ -138,9 +138,12 @@ class TestEveryStoreState:
 
     def test_shard_stores(self, wiki_indexes):
         """Shards are not one more store state: they read the one
-        store's views, a word's leaves split among them by root type
-        with every pattern's leaves on one side."""
+        store's views, which any root-type shard map splits with every
+        pattern's leaves on one side — a pattern's roots share its root
+        type."""
         store = wiki_indexes.store
+        graph = wiki_indexes.graph
+        interner = wiki_indexes.interner
         version = store.version
         partition = partition_indexes(wiki_indexes, 2)
         assert store.version == version
@@ -148,12 +151,13 @@ class TestEveryStoreState:
             store
         }
         pattern_view = store.pattern_view()
-        leaves = [0, 0]
+        root_types = set()
         for word in store.words():
-            for by_root in pattern_view[word].values():
-                (owner,) = {partition.shard_of_root(root) for root in by_root}
-                leaves[owner] += len(by_root)
-        assert min(leaves) > 0
+            for pid, by_root in pattern_view[word].items():
+                (root_type,) = {graph.node_type(root) for root in by_root}
+                assert root_type == interner.pattern(pid).root_type
+                root_types.add(root_type)
+        assert len(root_types) > 1
         assert_views_match_reference(store)
 
 
