@@ -5,7 +5,9 @@ Each valid subtree becomes a row.  For each keyword path
 ``tau(v1) alpha(e1) tau(v2)``, ..., deduplicating columns when an edge
 appears in more than one root-to-leaf path.  We key columns by their
 *pattern prefix* — the typed path from the root down to the column's node —
-which realizes that dedup rule uniformly across rows.
+which realizes that dedup rule uniformly across rows.  A path pattern
+alone fixes its columns, so they are worked out once per pattern and
+graph and merged per table.
 
 Corner case the paper glosses over: two keyword paths can share a pattern
 prefix while binding different nodes in some row (the pattern cannot see
@@ -15,6 +17,7 @@ joined with `` | `` and flag the column as ``multivalued``.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -26,12 +29,18 @@ from typing import (
     Tuple,
 )
 
-from repro.core.pattern import TreePattern
+from repro.core.pattern import PathPattern, TreePattern
 from repro.core.subtree import ValidSubtree
 from repro.core.types import NodeId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.kg.graph import KnowledgeGraph
+
+#: What a path pattern contributes to every table it appears in, per node
+#: position: ``(header, qualified name, pattern prefix, depth)``.
+ColumnSpec = Tuple[str, str, Tuple[int, ...], int]
+#: One graph's column specs, by path-pattern labels.
+PathSpecs = Dict[Tuple[int, ...], Tuple[ColumnSpec, ...]]
 
 
 @dataclass
@@ -134,76 +143,122 @@ class TableAnswer:
         return "\n".join(lines)
 
 
-def _column_plan(
+#: Column specs ``(header, qualified, prefix, depth)`` of every path
+#: pattern rendered so far, per graph, keyed by the pattern's labels
+#: (their parity says whether it ends at an edge).  Filled on first
+#: render, never warmed; one entry per distinct path pattern, so it needs
+#: no cap.  Keyed weakly by the graph rather than held on it: the graph
+#: is pickled into index files, which must not change with what was
+#: rendered.  Type and attribute ids are append-only, so an entry stays
+#: right as the graph grows; snapshots share their bundle's graph and so
+#: its specs, and forked workers inherit them.
+_PATH_SPECS: "weakref.WeakKeyDictionary[KnowledgeGraph, PathSpecs]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def path_specs_memo(graph: "KnowledgeGraph") -> PathSpecs:
+    """``graph``'s column specs by path-pattern labels (made empty on
+    first use)."""
+    memo = _PATH_SPECS.get(graph)
+    if memo is None:
+        memo = _PATH_SPECS.setdefault(graph, {})
+    return memo
+
+
+def _path_specs(
+    path: PathPattern, graph: "KnowledgeGraph"
+) -> Tuple[ColumnSpec, ...]:
+    """One column spec per node position of ``path``, root first.
+
+    Node positions are prefix lengths 1, 3, 5, ... of the labels; an
+    edge-matched path adds its terminal target, keyed by the full labels
+    (they end with the matched attribute, so they name that edge's
+    column uniquely).
+    """
+    labels = path.labels
+    specs: List[ColumnSpec] = []
+    for depth, plen in enumerate(range(1, len(labels) + 1, 2)):
+        type_name = graph.type_name(labels[plen - 1])
+        if depth == 0:
+            header = qualified = type_name
+        else:
+            attr_name = graph.attr_name(labels[plen - 2])
+            prev_type = graph.type_name(labels[plen - 3])
+            header = type_name if type_name else attr_name
+            qualified = f"{prev_type}.{attr_name}.{type_name}"
+        specs.append((header, qualified, labels[:plen], depth))
+    if path.ends_at_edge:
+        attr_name = graph.attr_name(labels[-1])
+        prev_type = graph.type_name(labels[-2])
+        specs.append(
+            (attr_name, f"{prev_type}.{attr_name}", labels, len(labels) // 2)
+        )
+    return tuple(specs)
+
+
+def _typed_path(prefix: Tuple[int, ...], graph: "KnowledgeGraph") -> str:
+    """The column's full typed path from the root: ``T1.a1.T2.a2...``."""
+    return ".".join(
+        graph.attr_name(label) if i % 2 else graph.type_name(label)
+        for i, label in enumerate(prefix)
+    )
+
+
+def _disambiguate_headers(
+    columns: Sequence[TableColumn], graph: "KnowledgeGraph"
+) -> None:
+    """Make the headers unique.  Where short names collide, the columns
+    take their qualified ``tau(v_{i-1}) alpha(e_i) tau(v_i)`` names; where
+    those still collide (the same last hop under different ancestors),
+    the full typed path from the root, which the prefix makes unique."""
+    for fallback in (
+        lambda column: column.qualified_name,
+        lambda column: _typed_path(column.prefix, graph),
+    ):
+        counts: Dict[str, int] = {}
+        for column in columns:
+            counts[column.header] = counts.get(column.header, 0) + 1
+        if len(counts) == len(columns):
+            return
+        for column in columns:
+            if counts[column.header] > 1:
+                column.header = fallback(column)
+
+
+def _table_plan(
     pattern: TreePattern, graph: "KnowledgeGraph"
 ) -> Tuple[List[TableColumn], List[List[int]]]:
-    """Derive the deduplicated column list for a tree pattern.
+    """The deduplicated columns of a tree pattern, and what feeds them.
 
-    Walks every path pattern depth by depth; a column is created the first
-    time a pattern prefix is seen.  Edge-matched terminals contribute a
-    column for the matched edge's target value.  Also returns, per keyword
-    path, the column index of every node position on it: all rows of the
-    pattern share it, so no row looks a prefix up again.
+    Merges the paths' column specs by pattern prefix: a column is created
+    the first time its prefix is seen.  A row's nodes, laid end to end in
+    path order, have fixed positions under the pattern, so the second
+    list holds, per column, the positions of every node feeding it.
     """
+    memo = path_specs_memo(graph)
     columns: List[TableColumn] = []
+    sources: List[List[int]] = []
     seen: Dict[Tuple[int, ...], int] = {}
-    slots: List[List[int]] = []
+    headers = set()
+    position = 0
     for path in pattern.paths:
-        labels = path.labels
-        path_slots: List[int] = []
-        # Node positions: prefix lengths 1, 3, 5, ... in labels; for
-        # edge-matched paths the terminal target is prefix length
-        # len(labels) + 1 conceptually -- we key it by the full labels
-        # tuple which uniquely identifies that edge column.
-        for depth, plen in enumerate(range(1, len(labels) + 1, 2)):
-            prefix = labels[:plen]
+        path_specs = memo.get(path.labels)
+        if path_specs is None:
+            path_specs = memo[path.labels] = _path_specs(path, graph)
+        for header, qualified, prefix, depth in path_specs:
             index = seen.get(prefix)
             if index is None:
-                index = seen[prefix] = len(columns)
-                type_name = graph.type_name(labels[plen - 1])
-                if depth == 0:
-                    header = type_name
-                    qualified = type_name
-                else:
-                    attr_name = graph.attr_name(labels[plen - 2])
-                    prev_type = graph.type_name(labels[plen - 3])
-                    header = type_name if type_name else attr_name
-                    qualified = f"{prev_type}.{attr_name}.{type_name}"
-                columns.append(
-                    TableColumn(
-                        header=header,
-                        qualified_name=qualified,
-                        prefix=prefix,
-                        depth=depth,
-                    )
-                )
-            path_slots.append(index)
-        if path.ends_at_edge:
-            prefix = labels  # full labels end with the matched attr
-            index = seen.get(prefix)
-            if index is None:
-                index = seen[prefix] = len(columns)
-                attr_name = graph.attr_name(labels[-1])
-                prev_type = graph.type_name(labels[-2])
-                columns.append(
-                    TableColumn(
-                        header=attr_name,
-                        qualified_name=f"{prev_type}.{attr_name}",
-                        prefix=prefix,
-                        depth=len(labels) // 2,
-                    )
-                )
-            path_slots.append(index)
-        slots.append(path_slots)
-    # Disambiguate duplicate headers ("Company" appearing twice) by falling
-    # back to qualified names for the duplicates.
-    counts: Dict[str, int] = {}
-    for column in columns:
-        counts[column.header] = counts.get(column.header, 0) + 1
-    for column in columns:
-        if counts[column.header] > 1:
-            column.header = column.qualified_name
-    return columns, slots
+                seen[prefix] = len(columns)
+                columns.append(TableColumn(header, qualified, prefix, depth))
+                sources.append([position])
+                headers.add(header)
+            else:
+                sources[index].append(position)
+            position += 1
+    if len(headers) < len(columns):
+        _disambiguate_headers(columns, graph)
+    return columns, sources
 
 
 def compose_rows(
@@ -221,25 +276,42 @@ def compose_rows(
     what the store's path columns hold, so rows render without a subtree
     object in between.  Rows appear in input order; ``total_rows`` is
     recorded when the caller passes only the first few.
+
+    A column fed by one node takes its text; one fed by several (paths
+    sharing a prefix) holds each distinct text once, and is flagged
+    ``multivalued`` when some row binds it to more than one.
     """
-    columns, slots = _column_plan(pattern, graph)
+    columns, sources = _table_plan(pattern, graph)
     node_text = graph.node_text
+    firsts = [column_sources[0] for column_sources in sources]
+    # Every path of a subtree starts at its root, so only deeper columns
+    # fed by several paths can differ between them.
+    shared = [
+        (index, column_sources)
+        for index, column_sources in enumerate(sources)
+        if len(column_sources) > 1 and columns[index].depth
+    ]
     answer = TableAnswer(
         pattern=pattern, columns=columns, score=score, total_rows=total_rows
     )
     for chains in rows:
-        cells: List[List[str]] = [[] for _ in columns]
-        for nodes, path_slots in zip(chains, slots):
-            for node, column_index in zip(nodes, path_slots):
-                value = node_text(node)
-                values = cells[column_index]
+        nodes = [node for path_nodes in chains for node in path_nodes]
+        row = [node_text(nodes[position]) for position in firsts]
+        for index, column_sources in shared:
+            head = nodes[column_sources[0]]
+            for position in column_sources:
+                if nodes[position] != head:
+                    break
+            else:
+                continue
+            values: List[str] = []
+            for position in column_sources:
+                value = node_text(nodes[position])
                 if value not in values:
                     values.append(value)
-        row = []
-        for column, values in zip(columns, cells):
             if len(values) > 1:
-                column.multivalued = True
-            row.append(" | ".join(values))
+                columns[index].multivalued = True
+                row[index] = " | ".join(values)
         answer.rows.append(row)
     return answer
 

@@ -34,7 +34,7 @@ from repro.search.context import EnumerationContext, ensure_context
 from repro.scoring.function import PAPER_DEFAULT, ScoringFunction
 from repro.search.expand import expand_root, pair_scorer
 from repro.search.result import (
-    ComboRef,
+    KeptCombo,
     PatternAnswer,
     SearchResult,
     SearchStats,
@@ -182,7 +182,7 @@ def baseline_search(
             slot = tree_dict[key_combo] = (scoring.running(), [])
         slot[0].add(score(pairs))
         if keep_subtrees:
-            slot[1].append(ComboRef(scratch, pairs))
+            slot[1].append(KeptCombo(scratch, pairs))
 
     form_tree = scratch.pairs_checker()
     for root in walk_context.candidate_roots:
@@ -207,7 +207,7 @@ def baseline_search(
                 pattern=pattern_from_labels(key),
                 score=score,
                 num_subtrees=count,
-                # Materialize at the boundary: a lazy ComboRef would pin
+                # Materialize at the boundary: a lazy KeptCombo would pin
                 # the whole query-local scratch store (every candidate
                 # path) for the result's lifetime, while the k surviving
                 # answers' entry tuples are self-contained — the same

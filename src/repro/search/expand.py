@@ -16,7 +16,7 @@ lists), tree-validity goes through
 :meth:`~repro.index.store.PostingStore.score_terms`, both of which read
 the flat path columns directly.  Sinks receive the id and sim tuples and
 materialize nothing; kept subtrees become lazy
-:class:`~repro.search.result.ComboRef` objects at the result boundary.
+:class:`~repro.search.result.KeptCombo` objects at the result boundary.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.index.entry import PathEntry, combination_score_terms
 from repro.index.store import PostingStore
 from repro.scoring.components import SubtreeComponents
 from repro.scoring.function import ScoringFunction
-from repro.search.result import ComboRef, SearchStats
+from repro.search.result import KeptCombo, SearchStats
 
 
 def combo_score(
@@ -196,7 +196,7 @@ def join_pattern_roots(
     pattern's i-th path pattern* (i.e. ``Roots(w_i, P_i)`` from the
     pattern-first index).  Returns ``(aggregate, trees, roots)`` where
     ``aggregate`` is ``None`` when the pattern is empty and ``trees``
-    holds lazy :class:`~repro.search.result.ComboRef` subtrees.  This is
+    holds lazy :class:`~repro.search.result.KeptCombo` subtrees.  This is
     the inner join of Algorithm 2 (lines 5-8), also reused by
     LINEARENUM-TOPK's exact re-scoring step.  ``words`` are the query's
     keywords, in ``root_maps`` order (``None``: box every path).
@@ -211,7 +211,7 @@ def join_pattern_roots(
         stats.empty_patterns += 1
         return None, [], []
     aggregate = scoring.running()
-    trees: List[ComboRef] = []
+    trees: List[KeptCombo] = []
     form_tree = store.pairs_checker(words)
     score = pair_scorer(store, scoring, words)
     for root in sorted(roots):
@@ -223,7 +223,7 @@ def join_pattern_roots(
                 continue
             aggregate.add(score(pair_combo))
             if keep_subtrees:
-                trees.append(ComboRef(store, pair_combo))
+                trees.append(KeptCombo(store, pair_combo))
     if aggregate.count == 0:
         stats.empty_patterns += 1
         return None, [], roots

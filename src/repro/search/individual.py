@@ -22,8 +22,8 @@ from repro.scoring.function import PAPER_DEFAULT, ScoringFunction
 from repro.search.context import EnumerationContext, ensure_context
 from repro.search.expand import expand_root, expand_root_topk, pair_scorer
 from repro.search.result import (
-    ComboRef,
     EntryCombo,
+    KeptCombo,
     SearchResult,
     SearchStats,
     Stopwatch,
@@ -98,7 +98,7 @@ def individual_topk(
 
     def sink(key_combo, pairs) -> None:
         # Raw pairs into the queue; only the k survivors get wrapped in
-        # ComboRef below, not every enumerated subtree.  The tie key
+        # KeptCombo below, not every enumerated subtree.  The tie key
         # makes retention independent of enumeration order (pruning
         # reorders roots and posting runs).
         queue.push(score(pairs), (key_combo, pairs), tie_key=(key_combo, pairs))
@@ -140,7 +140,7 @@ def individual_topk(
         threshold.write_stats(stats)
 
     ranked = [
-        (subtree_score, key, ComboRef(store, pairs))
+        (subtree_score, key, KeptCombo(store, pairs))
         for subtree_score, (key, pairs) in queue.ranked()
     ]
     stats.elapsed_seconds = watch.elapsed()

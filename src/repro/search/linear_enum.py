@@ -10,7 +10,7 @@ aggregated in the ``TreeDict`` dictionary keyed by tree pattern.
 The enumeration is id-based: the expansion loop works on integer path ids
 straight from the columnar store (no :class:`~repro.index.entry.PathEntry`
 is built), and kept subtrees are lazy
-:class:`~repro.search.result.ComboRef` references.
+:class:`~repro.search.result.KeptCombo` references.
 
 This module exposes both the raw enumeration (used to count a query's
 patterns/subtrees for the experiment groupings of Figures 7-9, and as the
@@ -30,8 +30,8 @@ from repro.scoring.function import PAPER_DEFAULT, ScoringFunction
 from repro.search.context import EnumerationContext, ensure_context
 from repro.search.expand import expand_root, pair_scorer
 from repro.search.result import (
-    ComboRef,
     EntryCombo,
+    KeptCombo,
     PatternAnswer,
     SearchResult,
     SearchStats,
@@ -93,7 +93,7 @@ def linear_enum(
             trees_by_pattern[key_combo] = []
         aggregate.add(score(pairs))
         if keep_subtrees:
-            trees_by_pattern[key_combo].append(ComboRef(store, pairs))
+            trees_by_pattern[key_combo].append(KeptCombo(store, pairs))
 
     form_tree = store.pairs_checker(context.words)
     for root in candidates:

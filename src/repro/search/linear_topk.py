@@ -39,8 +39,8 @@ from repro.search.bounds import SAFETY
 from repro.search.context import EnumerationContext, ensure_context
 from repro.search.expand import expand_root, join_pattern_roots, pair_scorer
 from repro.search.result import (
-    ComboRef,
     EntryCombo,
+    KeptCombo,
     PatternAnswer,
     SearchResult,
     SearchStats,
@@ -179,7 +179,7 @@ def linear_topk_search(
                     trees_by_pattern[key_combo] = []
             aggregate.add(score(pairs))
             if store_trees:
-                trees_by_pattern[key_combo].append(ComboRef(store, pairs))
+                trees_by_pattern[key_combo].append(KeptCombo(store, pairs))
 
         pattern_filter = None
         key_filter = None

@@ -46,7 +46,7 @@ from repro.search.context import EnumerationContext, ensure_context
 from repro.scoring.function import PAPER_DEFAULT, ScoringFunction
 from repro.search.expand import pair_rows, pair_scorer
 from repro.search.result import (
-    ComboRef,
+    KeptCombo,
     PatternAnswer,
     SearchResult,
     SearchStats,
@@ -131,7 +131,7 @@ def pattern_enum_search(
                     continue
                 aggregate.add(score(pair_combo))
                 if trees is not None:
-                    trees.append(ComboRef(store, pair_combo))
+                    trees.append(KeptCombo(store, pair_combo))
         if aggregate.count == 0:
             # All path combinations failed the tree-validity check.
             stats.empty_patterns += 1

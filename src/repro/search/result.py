@@ -45,16 +45,27 @@ EntryCombo = Sequence[PathEntry]
 PathChain = Tuple[Tuple[NodeId, ...], Tuple[AttrId, ...]]
 
 
+def _tree_nodes(
+    chains: Sequence[PathChain],
+) -> Optional[List[Tuple[NodeId, ...]]]:
+    """The chains' node tuples if they form a tree, else ``None``."""
+    if chains and chains_form_tree(chains):
+        return [nodes for nodes, _attrs in chains]
+    return None
+
+
 class ComboRef(Sequence):
     """One valid subtree held as store-native scalars.
 
     The id-based enumeration loops never build :class:`PathEntry` objects;
     when a subtree must be *kept* (``keep_subtrees=True``) it is captured
-    as this reference — the backing :class:`~repro.index.store.PostingStore`
+    as a reference — the backing :class:`~repro.index.store.PostingStore`
     plus parallel ``(path_id, sim)`` tuples — and the entries are
     reconstructed lazily (and cached) on first element access.  Rendering
-    a table row does not need them: :meth:`chains` reads the node and
-    attribute chains straight from the store's path columns.  Equality
+    a table row does not need them: :meth:`tree_nodes` reads the node
+    chains straight from the store's path columns, tree-checking them
+    with the attribute chains first — except on a :class:`KeptCombo`, the
+    kind the enumerators keep, which passed that check already.  Equality
     and hashing are by materialized entry values, so combos from different
     stores (built vs loaded, index vs baseline scratch) and plain entry
     tuples all compare interchangeably.
@@ -103,6 +114,11 @@ class ComboRef(Sequence):
             for path_id, _sim in self.pairs
         ]
 
+    def tree_nodes(self) -> Optional[List[Tuple[NodeId, ...]]]:
+        """Every path's nodes — a table row's input — or ``None`` when
+        the paths do not form a tree (this combo was built by hand)."""
+        return _tree_nodes(self.chains())
+
     def __len__(self) -> int:
         return len(self.pairs)
 
@@ -128,7 +144,20 @@ class ComboRef(Sequence):
         return result
 
     def __repr__(self) -> str:
-        return f"ComboRef({self.pairs!r})"
+        return f"{type(self).__name__}({self.pairs!r})"
+
+
+class KeptCombo(ComboRef):
+    """A :class:`ComboRef` an enumerator kept, so one that passed the
+    store's ``form_tree`` check: its rows read the node columns alone,
+    with no second tree check.  Built only by the enumerator sinks and
+    by :func:`bind_combos` (a worker's kept combos, re-bound)."""
+
+    __slots__ = ()
+
+    def tree_nodes(self) -> List[Tuple[NodeId, ...]]:
+        path_nodes = self._store.path_nodes
+        return [path_nodes(path_id) for path_id, _sim in self.pairs]
 
 
 def portable_combos(subtrees: Sequence[EntryCombo]) -> List[tuple]:
@@ -155,7 +184,7 @@ def bind_combos(
     paths on both sides.
     """
     return [
-        combo if isinstance(combo[0], PathEntry) else ComboRef(store, combo)
+        combo if isinstance(combo[0], PathEntry) else KeptCombo(store, combo)
         for combo in combos
     ]
 
@@ -290,27 +319,26 @@ class PatternAnswer:
                 trees.append(tree)
         return trees
 
-    def _tree_chains(self) -> Iterator[List[PathChain]]:
-        """The kept subtrees as path chains, in order, skipping what
-        :meth:`materialize` skips (empty or non-tree combinations)."""
+    def _tree_rows(self) -> Iterator[List[Tuple[NodeId, ...]]]:
+        """The kept subtrees as per-path node chains, in order, skipping
+        what :meth:`materialize` skips (empty or non-tree combinations;
+        a :class:`KeptCombo` is neither)."""
         for combo in self.subtrees:
             if isinstance(combo, ComboRef):
-                chains = combo.chains()
+                nodes = combo.tree_nodes()
             else:
-                chains = [(entry.nodes, entry.attrs) for entry in combo]
-            if chains and chains_form_tree(chains):
-                yield chains
+                nodes = _tree_nodes(
+                    [(entry.nodes, entry.attrs) for entry in combo]
+                )
+            if nodes is not None:
+                yield nodes
 
     def to_table(self, graph, max_rows: Optional[int] = None) -> TableAnswer:
         """The table answer, reading only the combos of the rows asked
         for and building no entry, match path or subtree object."""
-        rows = (
-            [nodes for nodes, _attrs in chains]
-            for chains in islice(self._tree_chains(), max_rows)
-        )
         return compose_rows(
             self.pattern,
-            rows,
+            islice(self._tree_rows(), max_rows),
             graph,
             score=self.score,
             total_rows=len(self.subtrees),

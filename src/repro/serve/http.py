@@ -464,8 +464,10 @@ class HttpSearchServer:
 
     def _render_result(self, result, request: SearchRequest) -> bytes:
         """The ``answers`` array of a ``/search`` body, as JSON bytes."""
+        started = time.perf_counter()
         graph = self.service.snapshot().graph if request.include_rows else None
         answers = []
+        rows = 0
         for answer in result.answers:
             rendered = {
                 "score": answer.score,
@@ -474,10 +476,13 @@ class HttpSearchServer:
             }
             if request.include_rows:
                 table = answer.to_table(graph, request.max_rows)
-                rendered["columns"] = list(table.headers())
-                rendered["rows"] = [list(row) for row in table.rows]
+                rendered["columns"] = table.headers()
+                rendered["rows"] = table.rows
+                rows += table.num_rows
             answers.append(rendered)
-        return json.dumps(answers, sort_keys=True).encode("utf-8")
+        body = json.dumps(answers, sort_keys=True).encode("utf-8")
+        self.metrics.observe_render(time.perf_counter() - started, rows)
+        return body
 
     # ------------------------------------------------------------- metrics
 
@@ -504,6 +509,17 @@ class HttpSearchServer:
                 "Requests rejected 503 by admission control (misses "
                 "only, except while draining).",
             ).add({}, metrics.requests_shed),
+            MetricFamily(
+                "repro_http_render_seconds_total", "counter",
+                "Seconds spent rendering the answers of /search misses "
+                "(tables and JSON); a hit answered from stored bytes "
+                "renders nothing.",
+            ).add({}, metrics.render_seconds),
+            MetricFamily(
+                "repro_http_rendered_rows_total", "counter",
+                "Table rows rendered into /search miss bodies "
+                "(include_rows=1).",
+            ).add({}, metrics.rendered_rows),
             MetricFamily(
                 "repro_http_requests_coalesced_total", "counter",
                 "Requests served from an in-flight duplicate execution.",

@@ -129,6 +129,9 @@ class ServerMetrics:
         self.requests_shed = 0
         self.requests_coalesced = 0
         self.requests_expired = 0
+        #: Rendering of miss bodies (``HttpSearchServer._render_result``).
+        self.render_seconds = 0.0
+        self.rendered_rows = 0
         #: Admitted-and-answered (2xx /search) latencies only, so shed
         #: fast-failures cannot flatter the quantiles.
         self.latency = LatencyRecorder()
@@ -144,6 +147,11 @@ class ServerMetrics:
     def inc(self, counter: str, delta: int = 1) -> None:
         with self._lock:
             setattr(self, counter, getattr(self, counter) + delta)
+
+    def observe_render(self, seconds: float, rows: int) -> None:
+        with self._lock:
+            self.render_seconds += seconds
+            self.rendered_rows += rows
 
     def absorb_search_stats(self, stats) -> None:
         with self._lock:

@@ -728,6 +728,41 @@ class TestRenderedHits:
             server.stop()
             oracle.stop()
 
+    def test_render_counters_move_on_misses_only(
+        self, wiki_indexes, wiki_queries
+    ):
+        server = start_http_server(
+            SearchService(wiki_indexes), max_queue=8, workers=2
+        )
+        seconds = "repro_http_render_seconds_total"
+        rendered = "repro_http_rendered_rows_total"
+        try:
+            assert metric(server.address, seconds) == 0
+            assert metric(server.address, rendered) == 0
+            paths = [
+                search_path(query, k=4, include_rows=1, max_rows=3)
+                for query in wiki_queries
+            ]
+            rows = 0
+            for path in paths:
+                _, body, _ = get(server.address, path)
+                assert MISS_FLAG in body
+                rows += sum(
+                    len(answer["rows"])
+                    for answer in json.loads(body)["answers"]
+                )
+            assert rows > len(paths)
+            assert metric(server.address, rendered) == rows
+            spent = metric(server.address, seconds)
+            assert spent > 0
+            for path in paths:
+                _, body, _ = get(server.address, path)
+                assert MISS_FLAG not in body
+            assert metric(server.address, rendered) == rows
+            assert metric(server.address, seconds) == spent
+        finally:
+            server.stop()
+
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_repeat_composes_no_table(
         self, example_indexes, monkeypatch, backend

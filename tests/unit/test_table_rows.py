@@ -6,32 +6,43 @@ replaced — materialize every kept subtree into ``ValidSubtree`` objects,
 cut to ``n``, compose — on every path that serves rows: heap, mapped
 (overlay and compacted), sharded, pooled, pooled x sharded and the batch
 fork.  That route is frozen below so the renderer is never its own
-oracle.  On top sit the count contracts (no entry materialized, at most
-``n`` combos read), the tree check rendering kept, and the portable form
-kept subtrees take across a worker pipe.
+oracle; a second oracle, which states the header rule itself, checks
+random graphs.  On top sit the count contracts (no entry materialized,
+at most ``n`` combos read), the column-spec memo (bounded, lazy, shared
+by snapshots, outside the saved graph), the tree check hand-built
+combos keep and kept combos skip, and the portable form kept subtrees
+take across a worker pipe.
 """
 
 from __future__ import annotations
 
+import ast
 import pickle
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.core.pattern import TreePattern
+import repro
+from repro.core.pattern import PathPattern, TreePattern
 from repro.core.subtree import MatchPath
+from repro.core.table import path_specs_memo
 from repro.datasets.example import EXAMPLE_NORMALIZER, example_graph_with_nodes
+from repro.datasets.imdb import ImdbConfig, generate_imdb_graph
+from repro.datasets.wiki import WikiConfig, generate_wiki_graph
 from repro.index.builder import build_indexes
 from repro.index.entry import PathEntry
 from repro.index.incremental import add_entity
 from repro.index.interner import PatternInterner
 from repro.index.mmapstore import MappedPostingStore
-from repro.index.serialize import save_indexes
+from repro.index.serialize import load_indexes, save_indexes
 from repro.index.shards import partition_indexes
 from repro.index.store import PostingStore
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pagerank import uniform_scores
 from repro.search.engine import TableAnswerEngine
-from repro.search.result import ComboRef, PatternAnswer
+from repro.search.result import ComboRef, KeptCombo, PatternAnswer
 from repro.search.service import SearchService
 from repro.search.sharding import ShardedSearchService, execute_shard_plan
 from repro.serve.pool import PooledSearchService, _execute_portable
@@ -136,6 +147,73 @@ def assert_renders_like_frozen(result, graph):
             assert table.total_rows == len(answer.subtrees)
         whole.append(answer.to_table(graph))
     return whole
+
+
+def column_names(prefix, graph):
+    """A column's candidate headers, in the order the header rule tries
+    them: short name, qualified name, full typed path from the root."""
+    names = [
+        graph.attr_name(label) if i % 2 else graph.type_name(label)
+        for i, label in enumerate(prefix)
+    ]
+    if len(prefix) % 2 == 0:  # an edge match's target: named by the edge
+        short, qualified = names[-1], ".".join(names[-2:])
+    elif len(prefix) == 1:
+        short = qualified = names[0]
+    else:
+        short, qualified = names[-1] or names[-2], ".".join(names[-3:])
+    return short, qualified, ".".join(names)
+
+
+def oracle_compose(pattern, subtrees, graph):
+    """Composition from materialized subtrees, stating the header rule:
+    every column starts at its short name; each round, the columns whose
+    name another column also has move on to their next name; there are
+    three names.  Returns ``(columns, rows)`` like
+    :func:`frozen_compose`."""
+    prefixes = []
+    for path in pattern.paths:
+        labels = path.labels
+        ends = [2 * depth + 1 for depth in range((len(labels) + 1) // 2)]
+        for prefix in [labels[:end] for end in ends] + (
+            [labels] if path.ends_at_edge else []
+        ):
+            if prefix not in prefixes:
+                prefixes.append(prefix)
+    names = [column_names(prefix, graph) for prefix in prefixes]
+    level = [0] * len(prefixes)
+    for _round in range(2):
+        current = [name[at] for name, at in zip(names, level)]
+        level = [
+            at + (current.count(header) > 1)
+            for at, header in zip(level, current)
+        ]
+    cells_of = []
+    for subtree in subtrees:
+        cells = {prefix: [] for prefix in prefixes}
+        for path, path_pattern in zip(subtree.paths, pattern.paths):
+            labels = path_pattern.labels
+            for depth, node in enumerate(path.nodes):
+                last = depth == len(path.nodes) - 1
+                prefix = (
+                    labels if path.matched_on_edge and last
+                    else labels[: 2 * depth + 1]
+                )
+                if graph.node_text(node) not in cells[prefix]:
+                    cells[prefix].append(graph.node_text(node))
+        cells_of.append(cells)
+    columns = [
+        (
+            name[at], name[1], prefix, len(prefix) // 2,
+            any(len(cells[prefix]) > 1 for cells in cells_of),
+        )
+        for name, at, prefix in zip(names, level, prefixes)
+    ]
+    rows = [
+        [" | ".join(cells[prefix]) for prefix in prefixes]
+        for cells in cells_of
+    ]
+    return columns, rows
 
 
 def combos(result):
@@ -311,6 +389,200 @@ class TestDifferentialRenderer:
                 assert_renders_like_frozen(result, wiki_indexes.graph)
 
 
+@st.composite
+def random_bundle_and_query(draw):
+    """A small seeded wiki- or imdb-like graph, indexed, and a query of
+    one to three of its words.  Few types and attributes, so the same
+    last hop under different ancestors (the third header rule) and
+    prefixes shared by several paths (multi-valued cells) turn up."""
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    if draw(st.booleans()):
+        graph = generate_wiki_graph(WikiConfig(
+            num_entities=draw(st.integers(min_value=20, max_value=60)),
+            num_types=draw(st.integers(min_value=2, max_value=5)),
+            num_attrs=draw(st.integers(min_value=2, max_value=6)),
+            vocabulary_size=draw(st.integers(min_value=12, max_value=30)),
+            seed=seed,
+        ))
+    else:
+        graph = generate_imdb_graph(ImdbConfig(
+            num_movies=draw(st.integers(min_value=4, max_value=12)),
+            num_people=draw(st.integers(min_value=4, max_value=12)),
+            num_companies=2, num_countries=2, num_years=3,
+            vocabulary_size=draw(st.integers(min_value=12, max_value=30)),
+            seed=seed,
+        ))
+    d = draw(st.integers(min_value=2, max_value=3))
+    indexes = build_indexes(graph, d=d)
+    words = sorted(indexes.store.words())
+    query = draw(st.lists(
+        st.sampled_from(words), min_size=1, max_size=3, unique=True
+    ))
+    return indexes, " ".join(query)
+
+
+def assert_renders_like_oracle(indexes, query):
+    """Every answer of every algorithm, every limit, against
+    :func:`oracle_compose`; returns the tables rendered whole."""
+    graph = indexes.graph
+    engine = TableAnswerEngine(graph, indexes=indexes)
+    whole = []
+    for algorithm in ALGORITHMS:
+        result = engine.search(query, k=10, algorithm=algorithm)
+        for answer in result.answers:
+            trees = answer.materialize()
+            for limit in (None, 0, 1, 3):
+                table = answer.to_table(graph, limit)
+                columns, rows = oracle_compose(
+                    answer.pattern,
+                    trees if limit is None else trees[:limit],
+                    graph,
+                )
+                assert table.rows == rows
+                assert [
+                    (c.header, c.qualified_name, c.prefix, c.depth,
+                     c.multivalued)
+                    for c in table.columns
+                ] == columns
+                assert table.score == answer.score
+                assert table.total_rows == len(answer.subtrees)
+                headers = table.headers()
+                assert len(set(headers)) == len(headers)
+                assert all(
+                    len(record) == len(headers)
+                    for record in table.to_dicts()
+                )
+            whole.append(table)
+    assert len(path_specs_memo(graph)) <= len(indexes.interner)
+    return whole
+
+
+class TestRandomGraphs:
+    """``to_table`` against composition from ``materialize()``, with the
+    header rule stated by the oracle."""
+
+    @settings(
+        max_examples=30, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(random_bundle_and_query())
+    def test_renders_like_materialized(self, bundle_and_query):
+        assert_renders_like_oracle(*bundle_and_query)
+
+    def test_a_fixed_graph_reaches_every_rule(self):
+        graph = generate_wiki_graph(WikiConfig(
+            num_entities=40, num_types=3, num_attrs=4, vocabulary_size=20,
+            seed=0,
+        ))
+        indexes = build_indexes(graph, d=3)
+        tables = assert_renders_like_oracle(indexes, "reponu tapizu")
+        assert any(c.multivalued for t in tables for c in t.columns)
+        named = [
+            (column.header, column_names(column.prefix, graph))
+            for table in tables for column in table.columns
+        ]
+        assert any(
+            header == qualified != short
+            for header, (short, qualified, _typed) in named
+        )
+        assert any(
+            header == typed != qualified
+            for header, (_short, qualified, typed) in named
+        )
+
+
+#: The benchmark's search graph (wiki-800, d=3) and a query one of
+#: whose tables has two columns ``Vigopo.Risira deloma.Tapanu`` under
+#: different ancestors.
+WIKI_800 = WikiConfig(
+    num_entities=800, num_types=24, num_attrs=36, vocabulary_size=240,
+    seed=23,
+)
+COLLIDING_QUERY = "basoma salutu moguru loviza gecuva"
+
+
+class TestHeaderCollisions:
+    def test_same_last_hop_under_different_ancestors(self):
+        graph = generate_wiki_graph(WIKI_800)
+        indexes = build_indexes(graph, d=3)
+        engine = TableAnswerEngine(graph, indexes=indexes)
+        result = engine.search(COLLIDING_QUERY, k=20, algorithm="linear_topk")
+        tables = result.tables(graph, max_rows=3)
+        for table in tables:
+            headers = table.headers()
+            assert len(set(headers)) == len(headers)
+            assert all(len(d) == table.num_columns for d in table.to_dicts())
+        (table,) = [
+            table for table in tables
+            if {(3, 20, 7, 19, 8), (3, 2, 7, 19, 8)}
+            <= {column.prefix for column in table.columns}
+        ]
+        by_prefix = {column.prefix: column for column in table.columns}
+        for prefix, header in (
+            ((3, 20, 7, 19, 8),
+             "Pivope.Gomule tegobe.Vigopo.Risira deloma.Tapanu"),
+            ((3, 2, 7, 19, 8), "Pivope.Gufuze.Vigopo.Risira deloma.Tapanu"),
+        ):
+            column = by_prefix[prefix]
+            assert column.qualified_name == "Vigopo.Risira deloma.Tapanu"
+            assert column.header == header
+        assert table.to_csv().splitlines()[0].count(",") == (
+            table.num_columns - 1
+        )
+
+
+class TestColumnSpecsMemo:
+    """Column specs are computed once per path pattern and graph, on
+    first render, and live beside the graph, not in it."""
+
+    def test_bounded_by_the_interned_patterns(self, wiki_oracle, wiki_indexes):
+        for result in wiki_oracle.values():
+            result.tables(wiki_indexes.graph)
+        memo = path_specs_memo(wiki_indexes.graph)
+        assert 0 < len(memo) <= len(wiki_indexes.interner)
+        for labels in memo:
+            assert PathPattern(labels, len(labels) % 2 == 0) in (
+                wiki_indexes.interner
+            )
+
+    def test_empty_after_open_and_shared_with_snapshots(self, tmp_path):
+        path = tmp_path / "example.idx"
+        save_indexes(example_bundle(), path)
+        opened = load_indexes(path)
+        snapshot = opened.snapshot()
+        assert path_specs_memo(opened.graph) is path_specs_memo(snapshot.graph)
+        assert not path_specs_memo(opened.graph)
+        engine = TableAnswerEngine(snapshot.graph, indexes=snapshot)
+        engine.search(EXAMPLE_QUERIES[0], k=5).tables(snapshot.graph)
+        assert path_specs_memo(opened.graph)
+
+    def test_a_new_type_takes_the_grown_graphs_names(self):
+        indexes = example_bundle()
+        engine = TableAnswerEngine(indexes.graph, indexes=indexes)
+        engine.search("database", k=10).tables(indexes.graph)
+        add_entity(indexes, "Brandnew", "database")
+        new_type = indexes.graph.type_id("Brandnew")
+        result = engine.search("database", k=10)
+        (table,) = [
+            table for table in result.tables(indexes.graph)
+            if table.pattern.root_type == new_type
+        ]
+        assert table.headers() == ["Brandnew"]
+        assert table.rows == [["database"]]
+
+    def test_saved_bytes_do_not_depend_on_rendering(self, tmp_path):
+        indexes = example_bundle()
+        engine = TableAnswerEngine(indexes.graph, indexes=indexes)
+        results = [engine.search(query, k=5) for query in EXAMPLE_QUERIES]
+        before, after = tmp_path / "before.idx", tmp_path / "after.idx"
+        save_indexes(indexes, before)
+        for result in results:
+            result.tables(indexes.graph)
+        assert path_specs_memo(indexes.graph)
+        save_indexes(indexes, after)
+        assert before.read_bytes() == after.read_bytes()
+
+
 # ------------------------------------------------------------------ counts
 
 
@@ -452,6 +724,86 @@ class TestNonTreeCombosAreSkipped:
             ComboRef(store, ()),
         ]
         self.check(graph, PatternAnswer((), pattern, 1.0, 3, subtrees))
+
+
+SRC = Path(repro.__file__).parent
+
+#: Where a kept combo may be built: the six enumerator sinks, and the
+#: re-binding of a worker's kept combos.
+KEPT_COMBO_SITES = [
+    "search/baseline.py:baseline_search.sink",
+    "search/expand.py:join_pattern_roots",
+    "search/individual.py:individual_topk",
+    "search/linear_enum.py:linear_enum.sink",
+    "search/linear_topk.py:linear_topk_search.sink",
+    "search/pattern_enum.py:pattern_enum_search.evaluate_leaf",
+    "search/result.py:bind_combos",
+]
+
+
+def constructions(name):
+    """``file:qualname`` of every function under ``src/repro`` whose own
+    body (nested functions apart) calls ``name(...)``."""
+    found = []
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (
+                ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+            )):
+                visit(child, path, scope + [child.name])
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == name
+            ):
+                found.append(f"{path}:{'.'.join(scope)}")
+            visit(child, path, scope)
+
+    for source in sorted(SRC.rglob("*.py")):
+        path = source.relative_to(SRC).as_posix()
+        visit(ast.parse(source.read_text()), path, [])
+    return sorted(found)
+
+
+class TestKeptCombos:
+    """What the enumerators keep passed ``form_tree`` and renders from
+    the node column alone; only hand-built combos are checked again."""
+
+    def test_built_only_where_enumerators_keep_subtrees(self):
+        assert constructions("ComboRef") == []
+        assert constructions("KeptCombo") == KEPT_COMBO_SITES
+
+    def test_rows_read_no_attribute_chain(
+        self, wiki_oracle, wiki_indexes, monkeypatch
+    ):
+        store = wiki_indexes.store
+
+        def refuse(self, path_id):
+            raise AssertionError("a kept combo was tree-checked again")
+
+        monkeypatch.setattr(type(store), "path_attrs", refuse)
+        rendered = 0
+        for result in wiki_oracle.values():
+            for answer in result.answers:
+                kept = [
+                    combo for combo in answer.subtrees
+                    if isinstance(combo, KeptCombo)
+                ]
+                assert len(kept) in (0, len(answer.subtrees))
+                if kept:
+                    rendered += answer.to_table(wiki_indexes.graph).num_rows
+        assert rendered
+        # A plain ComboRef still reads them, for the check.
+        answer = wiki_oracle[WIKI_QUERIES[-1], "pattern_enum"].answers[0]
+        plain = PatternAnswer(
+            answer.pattern_key, answer.pattern, answer.score,
+            answer.num_subtrees,
+            [ComboRef(store, combo.pairs) for combo in answer.subtrees],
+        )
+        with pytest.raises(AssertionError, match="tree-checked again"):
+            plain.to_table(wiki_indexes.graph)
 
 
 # ------------------------------------------------------------ the pipe form
