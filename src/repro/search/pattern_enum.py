@@ -36,6 +36,7 @@ are produced all at once) but worst-case exponential, unlike LINEARENUM.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import product
 from typing import List, Mapping, Optional, Sequence
 
@@ -194,6 +195,15 @@ def pattern_enum_search(
                 evaluate_leaf(pid_combo, root_maps, roots)
                 return
             word = words[depth]
+            if depth:
+                # One pass over the surviving roots' root-first pattern
+                # maps names exactly the non-empty next patterns, each
+                # with its roots in surviving order.
+                at_pattern = defaultdict(list)
+                word_roots = context.root_maps[depth]
+                for root in roots:
+                    for pid in word_roots.get(root, ()):
+                        at_pattern[pid].append(root)
             for pid in per_word_patterns[depth]:
                 pruning = root_mass is not None and queue.is_full
                 if pruning and not threshold.admits(
@@ -204,21 +214,18 @@ def pattern_enum_search(
                     # intersection is even computed.
                     stats.prefixes_skipped += suffix_combos[depth + 1]
                     continue
-                root_map = pattern_first.roots(word, pid)
-                if pruning:
-                    # Fold the cheap per-root mass bound into the
-                    # intersection pass itself: one cached lookup and one
-                    # add per surviving root.
-                    new_roots = []
-                    mass = 0.0
-                    for root in (root_map if depth == 0 else roots):
-                        if depth == 0 or root in root_map:
-                            new_roots.append(root)
-                            mass += root_mass(root)
-                elif depth == 0:
-                    new_roots = list(root_map)
+                if depth:
+                    new_roots = at_pattern.get(pid)
+                    root_map = None
                 else:
-                    new_roots = [r for r in roots if r in root_map]
+                    root_map = pattern_first.roots(word, pid)
+                    new_roots = list(root_map)
+                if pruning and new_roots:
+                    # Fold the cheap per-root mass bound over the
+                    # pattern's roots: one cached lookup and one add each.
+                    mass = 0.0
+                    for root in new_roots:
+                        mass += root_mass(root)
                 if not new_roots:
                     # Every completion of this prefix is an empty pattern;
                     # account for them all to stay comparable with the
@@ -246,7 +253,7 @@ def pattern_enum_search(
                         if not threshold.admits(upper):
                             stats.prefixes_skipped += 1
                             continue
-                root_maps[depth] = root_map
+                root_maps[depth] = root_map or pattern_first.roots(word, pid)
                 descend(depth + 1, new_roots)
 
         descend(0, None)
