@@ -9,13 +9,18 @@ score, and maintain a size-k queue.
 
 Engineering refinements over the pseudo-code:
 
-* the cross product is walked depth-first with *incremental* root-set
-  intersection, so combinations sharing a pattern prefix share the
-  prefix's intersection work and a dead prefix prunes its whole subtree
-  (counted as checked-and-empty, keeping the statistics comparable).
-  Worst-case behaviour is unchanged — the Section 4.1 adversarial graph
-  still forces Theta(p^m) emptiness checks, which the tests assert — it
-  is the constant factor that drops;
+* the cross product is walked depth-first from the root type's
+  candidate roots, and each depth makes one *root pass*: the surviving
+  roots' root-first pattern maps (``Paths(w_i, r)`` grouped by pattern,
+  LINEARENUM's index) name exactly the non-empty next path patterns,
+  each with its surviving roots in ascending order.  So no root set is
+  intersected, ``Roots(w_i, P)`` is fetched only for a non-empty prefix
+  (the leaf join reads it), and a pattern missing from the pass is an
+  empty prefix whose whole subtree is counted as checked-and-empty,
+  keeping the statistics comparable.  Worst-case behaviour is unchanged
+  — the Section 4.1 adversarial graph still counts Theta(p^m) empty
+  combinations, which the tests assert — it is the constant factor that
+  drops;
 * the per-root path join is id-based: posting lists are iterated as
   ``(path_id, sim)`` scalar pairs, validity and scoring go through the
   columnar store, and no :class:`~repro.index.entry.PathEntry` is
@@ -121,7 +126,7 @@ def pattern_enum_search(
         seen_roots.update(roots)
         aggregate = scoring.running()
         trees = [] if keep_subtrees else None
-        for root in sorted(roots):
+        for root in roots:
             pair_lists = [
                 pair_rows(root_map[root]) for root_map in root_maps
             ]
@@ -150,10 +155,10 @@ def pattern_enum_search(
             tie_key=canonical,
         )
 
+    by_type = context.roots_by_type(indexes.graph)
     if bounds is not None:
         # Visit types best-first so the k-th score tightens fast; once a
         # type's bound falls below it, every pattern of that type is out.
-        by_type = context.roots_by_type(indexes.graph)
         type_uppers = {
             root_type: SAFETY * sum(
                 bounds.root_mass(root)
@@ -190,43 +195,30 @@ def pattern_enum_search(
         root_maps: List[Mapping[int, Sequence]] = [{}] * m
         root_mass = bounds.root_mass if bounds is not None else None
 
-        def descend(depth: int, roots) -> None:
+        def descend(depth: int, roots: Sequence[int]) -> None:
             if depth == m:
                 evaluate_leaf(pid_combo, root_maps, roots)
                 return
-            word = words[depth]
-            if depth:
-                # One pass over the surviving roots' root-first pattern
-                # maps names exactly the non-empty next patterns, each
-                # with its roots in surviving order.
-                at_pattern = defaultdict(list)
-                word_roots = context.root_maps[depth]
-                for root in roots:
-                    for pid in word_roots.get(root, ()):
-                        at_pattern[pid].append(root)
+            # One pass over the surviving roots' root-first pattern maps
+            # names exactly the non-empty next patterns, each with its
+            # roots in surviving (ascending) order.
+            at_pattern = defaultdict(list)
+            word_roots = context.root_maps[depth]
+            for root in roots:
+                for pid in word_roots[root]:
+                    at_pattern[pid].append(root)
             for pid in per_word_patterns[depth]:
                 pruning = root_mass is not None and queue.is_full
                 if pruning and not threshold.admits(
                     bounds.pid_upper(depth, pid)
                 ):
                     # No pattern through this path pattern can reach the
-                    # k-th score: the whole product slice dies before the
-                    # intersection is even computed.
+                    # k-th score: the whole product slice dies before its
+                    # roots are even looked at.
                     stats.prefixes_skipped += suffix_combos[depth + 1]
                     continue
-                if depth:
-                    new_roots = at_pattern.get(pid)
-                    root_map = None
-                else:
-                    root_map = pattern_first.roots(word, pid)
-                    new_roots = list(root_map)
-                if pruning and new_roots:
-                    # Fold the cheap per-root mass bound over the
-                    # pattern's roots: one cached lookup and one add each.
-                    mass = 0.0
-                    for root in new_roots:
-                        mass += root_mass(root)
-                if not new_roots:
+                new_roots = at_pattern.get(pid)
+                if new_roots is None:
                     # Every completion of this prefix is an empty pattern;
                     # account for them all to stay comparable with the
                     # paper's "p^m combinations checked".
@@ -237,9 +229,13 @@ def pattern_enum_search(
                 pid_combo[depth] = pid
                 if pruning:
                     # Cheap admissible bound over *every* completion of
-                    # this prefix: below the k-th score, the whole
-                    # subtree of pattern combinations is dead (counted,
-                    # not checked).
+                    # this prefix, one cached lookup and one add per
+                    # root: below the k-th score, the whole subtree of
+                    # pattern combinations is dead (counted, not
+                    # checked).
+                    mass = 0.0
+                    for root in new_roots:
+                        mass += root_mass(root)
                     if not threshold.admits(mass * SAFETY):
                         stats.prefixes_skipped += suffix_combos[depth + 1]
                         continue
@@ -253,10 +249,10 @@ def pattern_enum_search(
                         if not threshold.admits(upper):
                             stats.prefixes_skipped += 1
                             continue
-                root_maps[depth] = root_map or pattern_first.roots(word, pid)
+                root_maps[depth] = pattern_first.roots(words[depth], pid)
                 descend(depth + 1, new_roots)
 
-        descend(0, None)
+        descend(0, by_type.get(root_type, ()))
 
     if bounds is not None:
         threshold.write_stats(stats)
