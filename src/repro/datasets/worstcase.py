@@ -2,9 +2,12 @@
 
 * :func:`pattern_enum_adversarial_graph` — the Section 4.1 worst case for
   PATTERNENUM: two roots of the same type fan out to disjoint keyword sets,
-  so all p^2 (p^m in general) combined tree patterns are empty.  PETopK
-  burns Theta(p^m) set intersections; LETopK sees zero candidate roots and
-  finishes immediately.  Used by tests and the ablation bench.
+  so all p^2 (p^m in general) combined tree patterns are empty.  The
+  paper's PETopK burns Theta(p^m) set intersections; this one still
+  counts the Theta(p^m) empty combinations, but walks from the type's
+  candidate roots, of which there are none, so it intersects nothing.
+  LETopK sees zero candidate roots and finishes immediately.  Used by
+  tests and the ablation bench.
 
 * :func:`star_graph` — a root with f children sharing one keyword; gives a
   controllable number of valid subtrees (f per extra keyword occurrence)

@@ -180,12 +180,12 @@ class QueryBounds:
 
         Summing masses over a root set therefore bounds every pattern
         confined to it: the cheap, pow-free-after-first-touch prefix
-        bound the hot loops accumulate *during* their root-intersection
-        passes (one cached-dict lookup and one add per root).  Looser
-        than :meth:`prefix_upper` — per-keyword counts and extremes are
-        taken over all patterns at the root — but orders of magnitude
-        cheaper; callers re-check survivors with the tight bound where a
-        join is about to run.  Cached per root for the query's lifetime.
+        bound the hot loops accumulate over each prefix's roots (one
+        cached-dict lookup and one add per root).  Looser than
+        :meth:`prefix_upper` — per-keyword counts and extremes are taken
+        over all patterns at the root — but orders of magnitude cheaper;
+        callers re-check survivors with the tight bound where a join is
+        about to run.  Cached per root for the query's lifetime.
         """
         mass = self._root_mass.get(root)
         if mass is None:

@@ -232,7 +232,8 @@ def pattern_enum_search(
                     # this prefix, one cached lookup and one add per
                     # root: below the k-th score, the whole subtree of
                     # pattern combinations is dead (counted, not
-                    # checked).
+                    # checked).  A plain loop, because ``sum()`` rounds
+                    # floats differently from Python 3.12 on.
                     mass = 0.0
                     for root in new_roots:
                         mass += root_mass(root)
