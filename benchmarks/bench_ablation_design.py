@@ -57,9 +57,7 @@ def _gather_root_products(indexes, query, limit=200):
     combos = []
     for root in sorted(shared):
         entry_lists = [
-            [e for entries in indexes.root_first.pattern_map(w, root).values()
-             for e in entries]
-            for w in words
+            list(indexes.root_first.paths(w, root)) for w in words
         ]
         for combo in product(*entry_lists):
             combos.append(combo)

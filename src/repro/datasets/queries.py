@@ -57,30 +57,28 @@ def query_has_answer(indexes: PathIndexes, words: Query) -> bool:
     Keywords all being reachable from one root is necessary but not
     sufficient: every path combination at every shared root can still fail
     the tree-validity check (conflicting parents).  This verifier expands
-    candidate roots with an early exit on the first valid combination.
+    candidate roots with an early exit on the first valid combination,
+    checking ``(path_id, sim)`` pair combos with the store's
+    :meth:`~repro.index.store.PostingStore.pairs_checker` (the rule of
+    :func:`~repro.index.entry.entries_form_tree`, without materializing
+    a single entry).
     """
     from itertools import product
 
-    from repro.index.entry import entries_form_tree
-
-    root_first = indexes.root_first
-    root_maps = [root_first.roots(word) for word in words]
+    root_maps = [indexes.root_first.roots(word) for word in words]
     if any(not root_map for root_map in root_maps):
         return False
+    form_tree = indexes.store.pairs_checker(words)
     smallest = min(root_maps, key=len)
     for root in smallest:
         if not all(root in root_map for root_map in root_maps):
             continue
-        entry_lists = [
-            [
-                entry
-                for entries in root_first.pattern_map(word, root).values()
-                for entry in entries
-            ]
-            for word in words
+        pair_lists = [
+            [pair for leaf in root_map[root].values() for pair in leaf]
+            for root_map in root_maps
         ]
-        for combo in product(*entry_lists):
-            if entries_form_tree(combo):
+        for combo in product(*pair_lists):
+            if form_tree(combo):
                 return True
     return False
 

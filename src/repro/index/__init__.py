@@ -26,7 +26,7 @@ from repro.index.pattern_first import PatternFirstIndex
 from repro.index.root_first import RootFirstIndex
 from repro.index.serialize import load_indexes, save_indexes
 from repro.index.stats import IndexStatistics, index_statistics
-from repro.index.store import PostingList, PostingStore
+from repro.index.store import PostingStore
 
 __all__ = [
     "DEFAULT_HEIGHT",
@@ -39,7 +39,6 @@ __all__ = [
     "PathIndexes",
     "PatternFirstIndex",
     "PatternInterner",
-    "PostingList",
     "PostingStore",
     "RootFirstIndex",
     "build_indexes",

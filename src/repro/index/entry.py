@@ -7,9 +7,9 @@ the final edge rather than the final node, and the precomputed score terms
 length of the node chain).
 
 Since the columnar-store refactor, entries are *flyweights*: the physical
-path columns live once in :class:`~repro.index.store.PostingStore` and a
-``PathEntry`` is reconstructed lazily when an enumeration loop actually
-needs the node chain.  Being a ``NamedTuple``, equality and hashing are by
+path columns live once in :class:`~repro.index.store.PostingStore`, the
+search loops read ``(path_id, sim)`` pairs, and a ``PathEntry`` is
+reconstructed only when a caller asks for entries.  Being a ``NamedTuple``, equality and hashing are by
 value, so reconstructed entries behave exactly like the originals in sets,
 dict keys, and comparisons.
 """

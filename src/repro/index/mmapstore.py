@@ -230,14 +230,13 @@ class _MappedBaseViews:
             self.leaf_floats[4 * lo:4 * hi],
         )
 
-    def views(self, store: "MappedPostingStore", word: str) -> tuple:
+    def views(self, word: str) -> tuple:
         """One word's views, decoded from the file's rows on first touch
         (counted in :attr:`MappedPostingStore.words_materialized`)."""
         cached = self.cache.get(word)
         if cached is None:
             MappedPostingStore.words_materialized += 1
             cached = self.cache[word] = decode_leaf_rows(
-                store,
                 word,
                 self.posting_ids[word],
                 self.posting_sims[word],

@@ -14,8 +14,14 @@ the word's first touch, from the store's pattern view.
 Since the columnar-store refactor this class is a thin *view*: postings
 live in one shared :class:`~repro.index.store.PostingStore` (also behind
 :class:`~repro.index.root_first.RootFirstIndex`), and the nested dicts
-here hold only shared :class:`~repro.index.store.PostingList` flyweights,
-rebuilt lazily whenever the store has grown.
+here are the store's own, decoded word by word on first touch.  A leaf
+is a tuple of ``(path_id, sim)`` pairs (:data:`~repro.index.store.Leaf`,
+the same object the root-first view holds); ``roots`` hands leaves out
+as they are, for the search loops, while ``paths`` and ``iter_entries``
+materialize :class:`~repro.index.entry.PathEntry` tuples.  No accessor
+returns a shared mutable object: entry lists are new on every call, the
+root-type grouping holds tuples, and a miss elsewhere is ``()`` or a
+read-only empty mapping.
 """
 
 from __future__ import annotations
@@ -34,10 +40,7 @@ from typing import (
 from repro.core.types import NodeId, PatternId, TypeId
 from repro.index.entry import PathEntry
 from repro.index.interner import PatternInterner
-from repro.index.store import LazyWordDict, PostingList, PostingStore
-
-_EMPTY_DICT: Dict = {}
-_EMPTY_LIST: List = []
+from repro.index.store import EMPTY_MAP, LazyWordDict, Leaf, PostingStore
 
 
 class PatternFirstIndex:
@@ -55,8 +58,8 @@ RootFirstIndex` to share every posting between the two indexes.
         """
         self.interner = interner
         self.store = store if store is not None else PostingStore(interner)
-        self._data: Dict[str, Dict[PatternId, Mapping[NodeId, PostingList]]] = {}
-        self._by_root_type: Dict[str, Dict[TypeId, List[PatternId]]] = {}
+        self._data: Dict[str, Dict[PatternId, Mapping[NodeId, Leaf]]] = {}
+        self._by_root_type: Dict[str, Dict[TypeId, Tuple[PatternId, ...]]] = {}
         self._built_version = -1
 
     # -------------------------------------------------------------- building
@@ -84,13 +87,16 @@ RootFirstIndex` to share every posting between the two indexes.
         data = store.pattern_view()  # shared with the store, not copied
         pattern = self.interner.pattern
 
-        def grouping(word: str) -> Dict[TypeId, List[PatternId]]:
+        def grouping(word: str) -> Dict[TypeId, Tuple[PatternId, ...]]:
             by_root_type: Dict[TypeId, List[PatternId]] = {}
             for pid in data[word]:
                 by_root_type.setdefault(
                     pattern(pid).root_type, []
                 ).append(pid)
-            return by_root_type
+            return {
+                root_type: tuple(pids)
+                for root_type, pids in by_root_type.items()
+            }
 
         self._data = data
         # Lazy like the view it groups, over that view's own vocabulary:
@@ -113,30 +119,30 @@ RootFirstIndex` to share every posting between the two indexes.
     def patterns(self, word: str) -> Sequence[PatternId]:
         """Patterns(w): all path patterns reaching ``w``."""
         self._ensure()
-        return list(self._data.get(word, _EMPTY_DICT).keys())
+        return list(self._data.get(word, EMPTY_MAP).keys())
 
-    def roots(self, word: str, pid: PatternId) -> Mapping[NodeId, PostingList]:
-        """Roots(w, P) as a root -> entries mapping (keys are the roots).
+    def roots(self, word: str, pid: PatternId) -> Mapping[NodeId, Leaf]:
+        """Roots(w, P) as a root -> leaf mapping (keys are the roots).
 
         Returning the mapping rather than a key list lets callers intersect
         root sets and fetch paths without a second lookup.
         """
         self._ensure()
         try:  # a C-level dict hit once the word has been touched
-            return self._data[word].get(pid, _EMPTY_DICT)
+            return self._data[word].get(pid, EMPTY_MAP)
         except KeyError:
-            return _EMPTY_DICT
+            return EMPTY_MAP
 
     def paths(
         self, word: str, pid: PatternId, root: NodeId
     ) -> Sequence[PathEntry]:
-        """Paths(w, P, r)."""
+        """Paths(w, P, r), materialized into a new list."""
         self._ensure()
-        return (
-            self._data.get(word, _EMPTY_DICT)
-            .get(pid, _EMPTY_DICT)
-            .get(root, _EMPTY_LIST)
-        )
+        try:
+            leaf = self._data[word][pid][root]
+        except KeyError:
+            leaf = ()
+        return self.store.leaf_entries(leaf)
 
     def patterns_rooted_at(
         self, word: str, root_type: TypeId
@@ -144,14 +150,14 @@ RootFirstIndex` to share every posting between the two indexes.
         """Patterns_C(w): patterns whose root has type ``root_type``."""
         self._ensure()
         try:
-            return self._by_root_type[word].get(root_type, _EMPTY_LIST)
+            return self._by_root_type[word].get(root_type, ())
         except KeyError:
-            return _EMPTY_LIST
+            return ()
 
     def root_types(self, word: str) -> Set[TypeId]:
         """All root types among ``word``'s patterns."""
         self._ensure()
-        return set(self._by_root_type.get(word, _EMPTY_DICT).keys())
+        return set(self._by_root_type.get(word, EMPTY_MAP).keys())
 
     # ------------------------------------------------------------------ size
 
@@ -165,8 +171,9 @@ RootFirstIndex` to share every posting between the two indexes.
     def iter_entries(self) -> Iterable[Tuple[str, PatternId, PathEntry]]:
         """Every (word, pattern, entry) triple — used by stats/tests."""
         self._ensure()
+        make = self.store.make_entry
         for word, by_pattern in self._data.items():
             for pid, by_root in by_pattern.items():
-                for postings in by_root.values():
-                    for entry in postings:
-                        yield word, pid, entry
+                for leaf in by_root.values():
+                    for path_id, sim in leaf:
+                        yield word, pid, make(path_id, sim)

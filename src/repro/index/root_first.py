@@ -13,16 +13,19 @@ Access methods follow the paper:
 
 Since the columnar-store refactor this class is a thin *view*: postings
 live in one shared :class:`~repro.index.store.PostingStore` (also behind
-:class:`~repro.index.pattern_first.PatternFirstIndex`), the leaf posting
-lists here are the *same* :class:`~repro.index.store.PostingList` objects
-as the pattern-first view's, and count probes (``path_count``,
-``num_entries``) read the store's columns without materializing a single
-:class:`~repro.index.entry.PathEntry`.
+:class:`~repro.index.pattern_first.PatternFirstIndex`), the leaves here
+are the *same* ``(path_id, sim)`` pair tuples
+(:data:`~repro.index.store.Leaf`) as the pattern-first view's, and count
+probes (``path_count``, ``num_entries``) read the store's columns
+without materializing a single :class:`~repro.index.entry.PathEntry`.
+``roots`` and ``pattern_map`` hand leaves out as they are, for the
+search loops; ``paths``, ``paths_with_pattern`` and ``iter_entries``
+materialize entries into new lists.  A miss on a mapping accessor is a
+read-only empty mapping, never a shared mutable object.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import (
     Dict,
     Iterable,
@@ -36,10 +39,7 @@ from typing import (
 from repro.core.types import NodeId, PatternId
 from repro.index.entry import PathEntry
 from repro.index.interner import PatternInterner
-from repro.index.store import PostingList, PostingStore
-
-_EMPTY_DICT: Dict = {}
-_EMPTY_LIST: list = []
+from repro.index.store import EMPTY_MAP, Leaf, PostingStore
 
 
 class RootFirstIndex:
@@ -57,7 +57,7 @@ PatternFirstIndex` to share every posting between the two indexes.
         """
         self.interner = interner
         self.store = store if store is not None else PostingStore(interner)
-        self._data: Dict[str, Dict[NodeId, Mapping[PatternId, PostingList]]] = {}
+        self._data: Dict[str, Dict[NodeId, Mapping[PatternId, Leaf]]] = {}
         self._built_version = -1
 
     # -------------------------------------------------------------- building
@@ -98,24 +98,24 @@ PatternFirstIndex` to share every posting between the two indexes.
 
     def roots(
         self, word: str
-    ) -> Mapping[NodeId, Mapping[PatternId, PostingList]]:
-        """Roots(w) as a root -> (pattern -> entries) mapping."""
+    ) -> Mapping[NodeId, Mapping[PatternId, Leaf]]:
+        """Roots(w) as a root -> (pattern -> leaf) mapping."""
         self._ensure()
-        return self._data.get(word, _EMPTY_DICT)
+        return self._data.get(word, EMPTY_MAP)
 
     def patterns(self, word: str, root: NodeId) -> Sequence[PatternId]:
         """Patterns(w, r)."""
         self._ensure()
         return list(
-            self._data.get(word, _EMPTY_DICT).get(root, _EMPTY_DICT).keys()
+            self._data.get(word, EMPTY_MAP).get(root, EMPTY_MAP).keys()
         )
 
     def pattern_map(
         self, word: str, root: NodeId
-    ) -> Mapping[PatternId, PostingList]:
-        """Pattern -> entries mapping for one (word, root) pair."""
+    ) -> Mapping[PatternId, Leaf]:
+        """Pattern -> leaf mapping for one (word, root) pair."""
         self._ensure()
-        return self._data.get(word, _EMPTY_DICT).get(root, _EMPTY_DICT)
+        return self._data.get(word, EMPTY_MAP).get(root, EMPTY_MAP)
 
     def paths(self, word: str, root: NodeId) -> Iterator[PathEntry]:
         """Paths(w, r): every path from ``r`` to ``w`` (any pattern).
@@ -124,21 +124,24 @@ PatternFirstIndex` to share every posting between the two indexes.
         Paths(w, r, P) for each P".  Always returns an iterator.
         """
         self._ensure()
-        by_pattern = self._data.get(word, _EMPTY_DICT).get(root)
-        if not by_pattern:
-            return iter(())
-        return chain.from_iterable(by_pattern.values())
+        by_pattern = self._data.get(word, EMPTY_MAP).get(root, EMPTY_MAP)
+        make = self.store.make_entry
+        return (
+            make(path_id, sim)
+            for leaf in by_pattern.values()
+            for path_id, sim in leaf
+        )
 
     def paths_with_pattern(
         self, word: str, root: NodeId, pid: PatternId
     ) -> Sequence[PathEntry]:
-        """Paths(w, r, P)."""
+        """Paths(w, r, P), materialized into a new list."""
         self._ensure()
-        return (
-            self._data.get(word, _EMPTY_DICT)
-            .get(root, _EMPTY_DICT)
-            .get(pid, _EMPTY_LIST)
-        )
+        try:
+            leaf = self._data[word][root][pid]
+        except KeyError:
+            leaf = ()
+        return self.store.leaf_entries(leaf)
 
     def path_count(self, word: str, root: NodeId) -> int:
         """|Paths(w, r)| in O(1) from the store's precomputed counts."""
@@ -152,8 +155,9 @@ PatternFirstIndex` to share every posting between the two indexes.
 
     def iter_entries(self) -> Iterable[Tuple[str, PatternId, PathEntry]]:
         self._ensure()
+        make = self.store.make_entry
         for word, by_root in self._data.items():
             for by_pattern in by_root.values():
-                for pid, postings in by_pattern.items():
-                    for entry in postings:
-                        yield word, pid, entry
+                for pid, leaf in by_pattern.items():
+                    for path_id, sim in leaf:
+                        yield word, pid, make(path_id, sim)

@@ -18,10 +18,13 @@ building outweighing querying by orders of magnitude).
 
 Both :class:`~repro.index.pattern_first.PatternFirstIndex` and
 :class:`~repro.index.root_first.RootFirstIndex` are thin views over one
-store; their leaf posting lists are shared :class:`PostingList` flyweights
-that reconstruct :class:`PathEntry` tuples lazily (and cache them), so
-count-only probes — ``|Paths(w, r)|``, ``num_entries(w)``, candidate-root
-intersections — never materialize an entry at all.
+store.  Each index leaf is one tuple of ``(path_id, sim)`` pairs
+(:data:`Leaf`), the same object in both views; the search loops iterate
+it as it is, and only the entry-facing accessors (``paths``,
+``iter_entries``) turn pairs into :class:`PathEntry` tuples, through
+:meth:`PostingStore.make_entry`.  Count-only probes — ``|Paths(w, r)|``,
+``num_entries(w)``, candidate-root intersections — never materialize an
+entry at all.
 
 A word's **finalized form** is the same thing in every store state: its
 posting columns sorted by ``(pattern, root, path)`` plus its *leaf rows*
@@ -38,12 +41,13 @@ from __future__ import annotations
 
 import threading
 from array import array
+from types import MappingProxyType
 from typing import (
     Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -62,6 +66,10 @@ ID_TYPECODE = "i"
 OFFSET_TYPECODE = "q"
 FLAG_TYPECODE = "b"
 FLOAT_TYPECODE = "d"
+
+#: What the index accessors answer a miss with: read-only, so no caller
+#: can write into an "empty" result that every later miss shares.
+EMPTY_MAP: Mapping = MappingProxyType({})
 
 
 class _Unfilled:
@@ -113,124 +121,16 @@ class QueryColumnMemo:
         self.lock = threading.Lock()
 
 
-class PostingList(Sequence[PathEntry]):
-    """A flyweight, lazily-materialized sequence of :class:`PathEntry`.
-
-    One leaf of the index views — the postings of one ``(word, pattern,
-    root)`` triple — represented as a *slice* ``[start:stop)`` into the
-    word's sorted posting columns (the paper's "sort and store paths
-    sequentially in memory").  Full entries are reconstructed on first
-    element access and cached, so ``len()`` and emptiness checks stay
-    allocation-free.  The same object is shared by both index views.
-    """
-
-    __slots__ = (
-        "_store",
-        "_ids",
-        "_sims",
-        "_start",
-        "_stop",
-        "_entries",
-        "_id_slice",
-        "_sim_slice",
-        "_pairs",
-    )
-
-    def __init__(
-        self,
-        store: "PostingStore",
-        ids: array,
-        sims: array,
-        start: int,
-        stop: int,
-    ) -> None:
-        self._store = store
-        self._ids = ids
-        self._sims = sims
-        self._start = start
-        self._stop = stop
-        self._entries: Optional[List[PathEntry]] = None
-        self._id_slice: Optional[array] = None
-        self._sim_slice: Optional[array] = None
-        self._pairs: Optional[List[Tuple[int, float]]] = None
-
-    @property
-    def path_ids(self) -> array:
-        """The slice's path-id column (copied out of the word column once,
-        then cached — repeated access is O(1)).
-
-        A cached copy, not a ``memoryview``: the word columns are appended
-        to by incremental maintenance, and an exported buffer would turn
-        those appends into ``BufferError``s.
-        """
-        ids = self._id_slice
-        if ids is None:
-            ids = self._id_slice = self._ids[self._start:self._stop]
-        return ids
-
-    @property
-    def sims(self) -> array:
-        """The slice's similarity column (cached; see ``path_ids``)."""
-        sims = self._sim_slice
-        if sims is None:
-            sims = self._sim_slice = self._sims[self._start:self._stop]
-        return sims
-
-    def pairs(self) -> List[Tuple[int, float]]:
-        """The slice as ``(path_id, sim)`` scalar pairs (built once, cached).
-
-        This is what the id-based enumeration loops iterate — two machine
-        scalars per posting, no :class:`PathEntry` reconstruction.  Order
-        matches :meth:`entries` element-for-element.
-        """
-        pairs = self._pairs
-        if pairs is None:
-            pairs = self._pairs = list(zip(self.path_ids, self.sims))
-        return pairs
-
-    def entries(self) -> List[PathEntry]:
-        """The materialized entries (built once, then cached)."""
-        if self._entries is None:
-            make = self._store.make_entry
-            ids = self._ids
-            sims = self._sims
-            self._entries = [
-                make(ids[i], sims[i])
-                for i in range(self._start, self._stop)
-            ]
-        return self._entries
-
-    def __len__(self) -> int:
-        return self._stop - self._start
-
-    def __iter__(self) -> Iterator[PathEntry]:
-        entries = self._entries  # avoid a call in the enumeration hot loop
-        return iter(entries if entries is not None else self.entries())
-
-    def __getitem__(self, index):
-        entries = self._entries
-        return (entries if entries is not None else self.entries())[index]
-
-    def __eq__(self, other) -> bool:
-        # Always compare by materialized entry values: path ids are only
-        # meaningful within one store, so an id-level shortcut would make
-        # lists from different stores (e.g. built vs loaded) compare
-        # incorrectly.
-        if isinstance(other, PostingList):
-            return self.entries() == other.entries()
-        if isinstance(other, (list, tuple)):
-            return list(self.entries()) == list(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:  # pragma: no cover - not used as dict key
-        return hash(tuple(self.entries()))
-
-    def __repr__(self) -> str:
-        return f"PostingList({len(self)} postings)"
-
+#: One index leaf — the postings of one ``(word, pattern, root)`` triple
+#: — as its ``(path_id, sim)`` pairs in the word's sorted column order.
+#: A tuple of tuples of ints and floats: the garbage collector stops
+#: tracking the pairs at the first collection that sees them and the
+#: leaf at the next, so a decoded word leaves no per-leaf object for
+#: later collections to walk.
+Leaf = Tuple[Tuple[int, float], ...]
 
 #: Per-word grouping: leaves sorted by (pattern id, root).
-WordGroups = List[Tuple[PatternId, NodeId, PostingList]]
+WordGroups = List[Tuple[PatternId, NodeId, Leaf]]
 
 #: One word's leaf rows, in leaf (= pattern, then root) order — the five
 #: v3 leaf columns restricted to the word: ``(leaf_pids, leaf_roots,
@@ -360,7 +260,7 @@ def derive_leaf_rows(store: "PostingStore", ids, sims) -> LeafRows:
 
 
 def decode_leaf_rows(
-    store: "PostingStore", word: str, ids, sims, rows: LeafRows, origin: str
+    word: str, ids, sims, rows: LeafRows, origin: str
 ) -> tuple:
     """One word's views from its sorted posting columns and leaf rows.
 
@@ -371,17 +271,19 @@ def decode_leaf_rows(
     come in leaf order (pattern id, then root, ascending), so every dict
     insertion order — and with it every downstream iteration, float
     aggregation, and tie-break — is the same whether the rows were just
-    derived or are mapped slices of a file.  ``store`` is only threaded
-    into the leaves for entry materialization (path ids are stable
-    across generations, so the live store serves even old-generation
-    leaves exactly).
+    derived or are mapped slices of a file.  Each leaf is one
+    :data:`Leaf` tuple, held by both ``pattern_leaves[pid][root]`` and
+    ``root_leaves[root][pid]``: no wrapper object is made per leaf,
+    and every value the decoder stores is a tuple or dict of ints and
+    floats, which the garbage collector stops tracking once it has seen
+    them.
 
     The rows may be a file's bytes: stops that do not rise strictly from
     0 to the word's posting count are refused, naming ``origin``.
     """
     leaf_pids, leaf_roots, leaf_stops, leaf_sizes, leaf_floats = rows
-    word_pf: Dict[PatternId, Dict[NodeId, PostingList]] = {}
-    rf_leaves: List[Tuple[NodeId, PatternId, PostingList]] = []
+    word_pf: Dict[PatternId, Dict[NodeId, Leaf]] = {}
+    rf_leaves: List[Tuple[NodeId, PatternId, Leaf]] = []
     word_counts: Dict[NodeId, int] = {}
     word_root: Dict[NodeId, tuple] = {}
     word_pat: Dict[PatternId, Dict[NodeId, tuple]] = {}
@@ -389,6 +291,9 @@ def decode_leaf_rows(
         f"corrupt leaf rows in {origin}: the leaf stops of word {word!r} "
         f"do not rise strictly from 0 to its {len(ids)} postings"
     )
+    # One pass over the columns boxes every pair; a leaf is then a slice
+    # of the word's pairs, one allocation (most leaves hold one posting).
+    pairs = tuple(zip(ids, sims))
     start = 0
     for j in range(len(leaf_stops)):
         stop = leaf_stops[j]
@@ -396,7 +301,7 @@ def decode_leaf_rows(
             raise PathIndexError(corrupt)
         pid = leaf_pids[j]
         root = leaf_roots[j]
-        leaf = PostingList(store, ids, sims, start, stop)
+        leaf = pairs[start:stop]
         word_pf.setdefault(pid, {})[root] = leaf
         rf_leaves.append((root, pid, leaf))
         word_counts[root] = word_counts.get(root, 0) + (stop - start)
@@ -428,7 +333,7 @@ def decode_leaf_rows(
         start = stop
     if start != len(ids):
         raise PathIndexError(corrupt)
-    word_rf: Dict[NodeId, Dict[PatternId, PostingList]] = {}
+    word_rf: Dict[NodeId, Dict[PatternId, Leaf]] = {}
     rf_leaves.sort(key=lambda leaf: (leaf[0], leaf[1]))
     for root, pid, leaf in rf_leaves:
         word_rf.setdefault(root, {})[pid] = leaf
@@ -450,11 +355,11 @@ class WordRows:
         self.rows = rows
         self._views: Optional[tuple] = None
 
-    def views(self, store: "PostingStore", word: str) -> tuple:
+    def views(self, word: str) -> tuple:
         views = self._views
         if views is None:
             views = self._views = decode_leaf_rows(
-                store, word, self.ids, self.sims, self.rows, "the heap"
+                word, self.ids, self.sims, self.rows, "the heap"
             )
         return views
 
@@ -788,15 +693,13 @@ class PostingStore:
         finalize or re-map swaps ``self._rows`` / ``self._base`` without
         disturbing what older generations resolve to.
         """
-        store = self
         base = self._base
         rows = self._rows
         vocab = self._vocab
 
         def view(i: int) -> LazyWordDict:
             return LazyWordDict(
-                vocab,
-                lambda word: (rows.get(word) or base).views(store, word)[i],
+                vocab, lambda word: (rows.get(word) or base).views(word)[i]
             )
 
         self._pattern_view = view(0)
@@ -806,20 +709,21 @@ class PostingStore:
 
     def pattern_view(
         self,
-    ) -> Dict[str, Dict[PatternId, Dict[NodeId, PostingList]]]:
-        """word -> pid -> root -> postings (pids and roots ascending)."""
+    ) -> Dict[str, Dict[PatternId, Dict[NodeId, Leaf]]]:
+        """word -> pid -> root -> leaf (pids and roots ascending)."""
         self.finalize()
         return self._pattern_view
 
     def root_view(
         self,
-    ) -> Dict[str, Dict[NodeId, Dict[PatternId, PostingList]]]:
-        """word -> root -> pid -> postings (roots and pids ascending)."""
+    ) -> Dict[str, Dict[NodeId, Dict[PatternId, Leaf]]]:
+        """word -> root -> pid -> leaf (roots and pids ascending); the
+        leaf tuples are the pattern view's own objects."""
         self.finalize()
         return self._root_view
 
     def groups(self) -> Dict[str, WordGroups]:
-        """word -> [(pattern id, root, posting list)] sorted by (pid, root)."""
+        """word -> [(pattern id, root, leaf)] sorted by (pid, root)."""
         self.finalize()
         return {
             word: [
@@ -890,6 +794,12 @@ class PostingStore:
             self._prs[path_id],
             sim,
         )
+
+    def leaf_entries(self, leaf: Leaf) -> List[PathEntry]:
+        """One leaf's postings as a new list of :class:`PathEntry` —
+        what the indexes' entry-facing accessors hand out."""
+        make = self.make_entry
+        return [make(path_id, sim) for path_id, sim in leaf]
 
     # -------------------------------------------------------------- counting
 
@@ -1492,6 +1402,7 @@ class StoreSnapshot:
     path_pr = PostingStore.path_pr
     path_matched_on_edge = PostingStore.path_matched_on_edge
     path_sort_key = PostingStore.path_sort_key
+    leaf_entries = PostingStore.leaf_entries
     matched_node = PostingStore.matched_node
     path_columns = PostingStore.path_columns
     _query_columns = PostingStore._query_columns

@@ -39,14 +39,13 @@ from typing import (
 from repro.core.errors import SearchError
 from repro.core.types import NodeId, PatternId, TypeId
 from repro.index.builder import PathIndexes
-from repro.index.store import PostingStore
+from repro.index.store import EMPTY_MAP, PostingStore
 from repro.search.bounds import QueryBounds
 
-_EMPTY_MAP: Mapping = {}
-
-#: One keyword's postings at one root: pattern key -> pair rows (either a
-#: cached :meth:`~repro.index.store.PostingList.pairs` list or, for the
-#: baseline's scratch maps, a plain list of ``(path_id, sim)`` tuples).
+#: One keyword's postings at one root: pattern key -> ``(path_id, sim)``
+#: pairs (an index leaf tuple or, for the baseline's scratch maps, a
+#: plain list of pairs).  A root the keyword misses reads the read-only
+#: :data:`~repro.index.store.EMPTY_MAP`.
 RootPatternMap = Mapping[object, Sequence]
 
 
@@ -246,7 +245,7 @@ class EnumerationContext:
         traffic to the hot loop and pin the lists for the context's
         lifetime.
         """
-        return [root_map.get(root, _EMPTY_MAP) for root_map in self.root_maps]
+        return [root_map.get(root, EMPTY_MAP) for root_map in self.root_maps]
 
     def path_count(self, word_index: int, root: NodeId) -> int:
         """``|Paths(w_i, r)|`` without enumerating (Algorithm 4, line 4)."""
@@ -254,7 +253,7 @@ class EnumerationContext:
             return self.indexes.root_first.path_count(
                 self.words[word_index], root
             )
-        pattern_map = self.root_maps[word_index].get(root, _EMPTY_MAP)
+        pattern_map = self.root_maps[word_index].get(root, EMPTY_MAP)
         return sum(len(rows) for rows in pattern_map.values())
 
     # ------------------------------------------------------------- pruning

@@ -9,9 +9,10 @@ pattern-major variant of it.
 
 Since the id-based enumeration refactor the loop never touches a
 :class:`~repro.index.entry.PathEntry`: postings are iterated as
-``(path_id, sim)`` scalar pairs (cached id columns of
-:class:`~repro.index.store.PostingList`, or the baseline's scratch pair
-lists), tree-validity goes through
+``(path_id, sim)`` scalar pairs — an index leaf is already that pair
+tuple (:data:`~repro.index.store.Leaf`), and the baseline's scratch maps
+hold plain pair lists — so the loops read both as they are.
+Tree-validity goes through
 :meth:`~repro.index.store.PostingStore.form_tree` and scoring through
 :meth:`~repro.index.store.PostingStore.score_terms`, both of which read
 the flat path columns directly.  Sinks receive the id and sim tuples and
@@ -67,24 +68,12 @@ def pair_scorer(
     return score
 
 
-def pair_rows(postings) -> Sequence[Tuple[int, float]]:
-    """A posting sequence as ``(path_id, sim)`` pairs.
-
-    :class:`~repro.index.store.PostingList` leaves expose a cached pair
-    list; the baseline's scratch maps already hold plain pair lists and
-    pass through untouched.
-    """
-    pairs = getattr(postings, "pairs", None)
-    return postings if pairs is None else pairs()
-
-
 #: Per-keyword map from a pattern key to that keyword's postings at this
 #: root.  Keys are interned PatternIds for index-backed callers and raw
-#: (labels, flag) tuples for the baseline; values are posting-list
-#: flyweights for index-backed callers and plain ``(path_id, sim)`` pair
-#: lists for the baseline — the loop is agnostic to both (see
-#: :func:`pair_rows`).
-PatternMap = Mapping[object, Sequence]
+#: (labels, flag) tuples for the baseline; values are ``(path_id, sim)``
+#: pair sequences either way — index leaf tuples or the baseline's
+#: scratch pair lists.
+PatternMap = Mapping[object, Sequence[Tuple[int, float]]]
 
 #: sink(pattern_key_combo, pair_combo) -> None, where ``pair_combo`` is
 #: one ``(path_id, sim)`` pair per query keyword.
@@ -148,25 +137,18 @@ def expand_root(
     if form_tree is None:
         form_tree = store.pairs_checker()
     for key_combo in product(*key_lists):
+        pair_lists = [
+            pattern_maps[i][key] for i, key in enumerate(key_combo)
+        ]
         if pattern_filter is not None:
-            postings = [
-                pattern_maps[i][key] for i, key in enumerate(key_combo)
-            ]
             total = 1
-            for rows in postings:
+            for rows in pair_lists:
                 total *= len(rows)
             if not pattern_filter(key_combo, total):
                 stats.prefixes_skipped += 1
                 stats.pairs_skipped += total
                 continue
-            stats.patterns_checked += 1
-            pair_lists = [pair_rows(rows) for rows in postings]
-        else:
-            stats.patterns_checked += 1
-            pair_lists = [
-                pair_rows(pattern_maps[i][key])
-                for i, key in enumerate(key_combo)
-            ]
+        stats.patterns_checked += 1
         emitted = False
         for pair_combo in product(*pair_lists):
             stats.subtrees_enumerated += 1
@@ -215,7 +197,7 @@ def join_pattern_roots(
     form_tree = store.pairs_checker(words)
     score = pair_scorer(store, scoring, words)
     for root in sorted(roots):
-        pair_lists = [pair_rows(root_map[root]) for root_map in root_maps]
+        pair_lists = [root_map[root] for root_map in root_maps]
         for pair_combo in product(*pair_lists):
             stats.subtrees_enumerated += 1
             if not form_tree(pair_combo):
@@ -285,7 +267,7 @@ def expand_root_topk(
             # Queue not full yet: enumerate exactly like expand_root.
             stats.patterns_checked += 1
             emitted = False
-            for pair_combo in product(*[pair_rows(leaf) for leaf in leaves]):
+            for pair_combo in product(*leaves):
                 stats.subtrees_enumerated += 1
                 if form_tree(pair_combo):
                     sink(key_combo, pair_combo)
@@ -304,7 +286,6 @@ def expand_root_topk(
             stats.pairs_skipped += total
             continue
         stats.patterns_checked += 1
-        pair_lists = [pair_rows(leaf) for leaf in leaves]
         # Per-level extreme sums of the *remaining* leaves (suffixes), and
         # remaining-product sizes for the pairs_skipped accounting.
         suffix_size = [0] * (m + 1)
@@ -327,7 +308,7 @@ def expand_root_topk(
             # monotone).
             descending = bounds.scoring.z3 >= 0
             inner = sorted(
-                pair_lists[last],
+                leaves[last],
                 key=(lambda pair: -pair[1]) if descending
                 else (lambda pair: pair[1]),
             )
@@ -361,7 +342,7 @@ def expand_root_topk(
             tail_pr = suffix_pr[next_depth]
             tail_sim = suffix_sim[next_depth]
             tail_remaining = remaining[next_depth]
-            for pair in pair_lists[depth]:
+            for pair in leaves[depth]:
                 path_id, pair_sim = pair
                 new_size = size + sizes[path_id]
                 new_pr = pr + prs[path_id]
@@ -386,7 +367,7 @@ def count_root_subtrees(pattern_maps: Sequence[PatternMap]) -> int:
     """Upper bound on subtrees under one root: the path-count product.
 
     This is the paper's N_R contribution (Algorithm 4, line 4) — computed
-    from counts alone (posting-list lengths are O(1) slice widths), so
+    from counts alone (a leaf's length is O(1)), so
     combinations later rejected by the tree-validity check are included,
     exactly as in the paper.
     """

@@ -21,10 +21,11 @@ Engineering refinements over the pseudo-code:
   — the Section 4.1 adversarial graph still counts Theta(p^m) empty
   combinations, which the tests assert — it is the constant factor that
   drops;
-* the per-root path join is id-based: posting lists are iterated as
-  ``(path_id, sim)`` scalar pairs, validity and scoring go through the
-  columnar store, and no :class:`~repro.index.entry.PathEntry` is
-  materialized during enumeration;
+* the per-root path join is id-based: index leaves are tuples of
+  ``(path_id, sim)`` scalar pairs, iterated as they are; validity and
+  scoring go through the columnar store, and no
+  :class:`~repro.index.entry.PathEntry` is materialized during
+  enumeration;
 * with ``prune=True`` (default), admissible score upper bounds drive
   top-k early termination: root types are visited in descending
   upper-bound order (so the k-th score tightens fast) and skipped
@@ -50,7 +51,7 @@ from repro.index.builder import PathIndexes
 from repro.search.bounds import SAFETY
 from repro.search.context import EnumerationContext, ensure_context
 from repro.scoring.function import PAPER_DEFAULT, ScoringFunction
-from repro.search.expand import pair_rows, pair_scorer
+from repro.search.expand import pair_scorer
 from repro.search.result import (
     KeptCombo,
     PatternAnswer,
@@ -127,9 +128,7 @@ def pattern_enum_search(
         aggregate = scoring.running()
         trees = [] if keep_subtrees else None
         for root in roots:
-            pair_lists = [
-                pair_rows(root_map[root]) for root_map in root_maps
-            ]
+            pair_lists = [root_map[root] for root_map in root_maps]
             for pair_combo in product(*pair_lists):
                 stats.subtrees_enumerated += 1
                 if not form_tree(pair_combo):

@@ -44,6 +44,29 @@ from repro.search.result import (
 EntrySink = Callable[[Tuple[object, ...], Tuple[PathEntry, ...]], None]
 
 
+def entry_roots(
+    pattern_first, word: str, pid: int
+) -> Dict[int, List[PathEntry]]:
+    """``Roots(w, P)`` as root -> ``Paths(w, P, r)``, read through the
+    index's entry-facing accessor (the production loops read the leaf
+    pair tuples that ``roots`` maps to instead)."""
+    return {
+        root: pattern_first.paths(word, pid, root)
+        for root in pattern_first.roots(word, pid)
+    }
+
+
+def entry_pattern_map(
+    root_first, word: str, root: int
+) -> Dict[int, List[PathEntry]]:
+    """``Patterns(w, r)`` as pattern -> ``Paths(w, r, P)``, read through
+    the index's entry-facing accessor."""
+    return {
+        pid: root_first.paths_with_pattern(word, root, pid)
+        for pid in root_first.patterns(word, root)
+    }
+
+
 def expand_root_entries(
     pattern_maps: Sequence[Mapping[object, Sequence[PathEntry]]],
     sink: EntrySink,
@@ -182,7 +205,7 @@ def reference_pattern_enum_search(
                 return
             word = words[depth]
             for pid in per_word_patterns[depth]:
-                root_map = pattern_first.roots(word, pid)
+                root_map = entry_roots(pattern_first, word, pid)
                 if depth == 0:
                     new_roots = list(root_map)
                 else:
@@ -254,7 +277,7 @@ def reference_linear_enum_search(
     for root in candidates:
         stats.roots_expanded += 1
         expand_root_entries(
-            [root_first.pattern_map(word, root) for word in words],
+            [entry_pattern_map(root_first, word, root) for word in words],
             sink,
             stats,
         )
@@ -363,7 +386,7 @@ def reference_linear_topk_search(
                 continue
             stats.roots_expanded += 1
             expand_root_entries(
-                [root_first.pattern_map(word, root) for word in words],
+                [entry_pattern_map(root_first, word, root) for word in words],
                 sink,
                 stats,
             )
@@ -386,7 +409,7 @@ def reference_linear_topk_search(
             else:
                 stats.rescored_patterns += 1
                 pattern_roots = [
-                    indexes.pattern_first.roots(word, pid)
+                    entry_roots(indexes.pattern_first, word, pid)
                     for word, pid in zip(words, key)
                 ]
                 aggregate, trees, _roots = join_pattern_roots_entries(

@@ -238,9 +238,13 @@ def test_store_native_variants_agree(graph, d):
     for root in sorted(shared):
         lists = [root_first.pattern_map(word, root) for word in words]
         for by_pattern in product(*(sorted(m) for m in lists)):
-            plists = [m[pid] for m, pid in zip(lists, by_pattern)]
-            id_columns = [plist.path_ids for plist in plists]
-            sim_columns = [plist.sims for plist in plists]
+            leaves = [m[pid] for m, pid in zip(lists, by_pattern)]
+            id_columns = [[pair[0] for pair in leaf] for leaf in leaves]
+            sim_columns = [[pair[1] for pair in leaf] for leaf in leaves]
+            plists = [
+                root_first.paths_with_pattern(word, root, pid)
+                for word, pid in zip(words, by_pattern)
+            ]
             for combo_idx in product(*(range(len(p)) for p in plists)):
                 path_ids = [
                     column[i] for column, i in zip(id_columns, combo_idx)

@@ -261,10 +261,14 @@ class TestPostingStore:
         assert pf.num_entries() == rf.num_entries() == 1
         assert list(pf.roots("databas", pid_a)) == [10]
         assert rf.path_count("databas", 10) == 1
-        # Leaf posting lists are the same object in both views.
-        pf_leaf = pf.paths("databas", pid_a, 10)
-        rf_leaf = rf.paths_with_pattern("databas", 10, pid_a)
+        # Leaves are the same object in both views; the entry accessors
+        # materialize equal entries from it.
+        pf_leaf = pf.roots("databas", pid_a)[10]
+        rf_leaf = rf.pattern_map("databas", 10)[pid_a]
         assert pf_leaf is rf_leaf
+        assert pf.paths("databas", pid_a, 10) == rf.paths_with_pattern(
+            "databas", 10, pid_a
+        )
 
     def test_view_refreshes_after_store_mutation(self):
         from repro.index.root_first import RootFirstIndex
@@ -305,39 +309,53 @@ class TestPostingStore:
         assert store.form_tree([first, second])
 
 
-class TestPostingList:
-    def build(self):
-        from repro.index.root_first import RootFirstIndex
+class TestMissesShareNothing:
+    """No accessor hands out an object a later call hands out again for
+    writing: a miss is ``()`` or a read-only empty mapping, the root-type
+    grouping holds tuples, and entry lists are new on every call."""
 
-        interner = PatternInterner()
-        rf = RootFirstIndex(interner)
-        pid = interner.intern((0, 0, 1), False)
-        rf.add("databas", pid, make_entry((10, 11), (0,), pr=0.5, sim=1.0))
-        rf.add("databas", pid, make_entry((10, 12), (0,), pr=0.25, sim=1.0))
-        rf.finalize()
-        return rf.paths_with_pattern("databas", 10, pid)
+    def test_pattern_first(self, filled_indexes):
+        _interner, pf, _rf, (pid_a, _pid_b) = filled_indexes
+        for grouping in (
+            pf.patterns_rooted_at("nosuch", 0),
+            pf.patterns_rooted_at("databas", 9),
+            pf.patterns_rooted_at("databas", 0),
+        ):
+            with pytest.raises(AttributeError):
+                grouping.append(12345)
+        assert list(pf.patterns_rooted_at("softwar", 0)) == []
+        assert list(pf.patterns_rooted_at("databas", 0)) == [pid_a]
+        for miss in (pf.roots("nosuch", pid_a), pf.roots("databas", 999)):
+            with pytest.raises(TypeError):
+                miss[7] = ((1, 1.0),)
+        assert dict(pf.roots("ghost", pid_a)) == {}
+        pf.paths("nosuch", pid_a, 10).append("leak")
+        assert pf.paths("ghost", pid_a, 10) == []
+        pf.paths("databas", pid_a, 10).clear()
+        assert len(pf.paths("databas", pid_a, 10)) == 1
 
-    def test_len_and_counts_do_not_materialize(self):
-        postings = self.build()
-        assert len(postings) == 2
-        assert postings._entries is None, "len() must stay lazy"
+    def test_root_first(self, filled_indexes):
+        _interner, _pf, rf, (pid_a, _pid_b) = filled_indexes
+        for miss in (
+            rf.roots("nosuch"),
+            rf.pattern_map("nosuch", 10),
+            rf.pattern_map("databas", 999),
+        ):
+            with pytest.raises(TypeError):
+                miss[7] = {}
+        assert dict(rf.roots("ghost")) == {}
+        assert dict(rf.pattern_map("ghost", 10)) == {}
+        rf.paths_with_pattern("nosuch", 10, pid_a).append("leak")
+        assert rf.paths_with_pattern("ghost", 10, pid_a) == []
+        rf.paths_with_pattern("databas", 10, pid_a).clear()
+        assert len(rf.paths_with_pattern("databas", 10, pid_a)) == 1
 
-    def test_materializes_once_and_caches(self):
-        postings = self.build()
-        first = postings.entries()
-        assert postings.entries() is first
-        assert [e.nodes for e in postings] == [(10, 11), (10, 12)]
+    def test_context_root_miss(self, example_indexes):
+        from repro.search.context import EnumerationContext
 
-    def test_value_equality_with_plain_lists(self):
-        postings = self.build()
-        assert postings == [
-            PathEntry((10, 11), (0,), False, 0.5, 1.0),
-            PathEntry((10, 12), (0,), False, 0.25, 1.0),
-        ]
-        assert postings != []
-
-    def test_indexing_and_iteration(self):
-        postings = self.build()
-        assert postings[0].nodes == (10, 11)
-        assert postings[-1].nodes == (10, 12)
-        assert [e.pr for e in postings] == [0.5, 0.25]
+        context = EnumerationContext(example_indexes, "database software")
+        missing = example_indexes.graph.num_nodes + 1
+        for pattern_map in context.pattern_maps(missing):
+            with pytest.raises(TypeError):
+                pattern_map[7] = ((1, 1.0),)
+        assert all(not m for m in context.pattern_maps(missing))

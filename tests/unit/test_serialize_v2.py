@@ -44,8 +44,9 @@ def make_legacy_v1_bytes(indexes: PathIndexes) -> bytes:
     """
     pf_data, rf_data, rf_counts = {}, {}, {}
     for word, leaves in indexes.store.groups().items():
-        for pid, root, postings in leaves:
-            entries = list(postings)  # one materialized list, shared
+        for pid, root, _leaf in leaves:
+            # one materialized list, shared
+            entries = indexes.pattern_first.paths(word, pid, root)
             pf_data.setdefault(word, {}).setdefault(pid, {})[root] = entries
             rf_data.setdefault(word, {}).setdefault(root, {})[pid] = entries
     for word, by_root in rf_data.items():

@@ -11,6 +11,7 @@ one store, they are not a state of it).
 """
 
 import ast
+import gc
 import sys
 from itertools import groupby
 from pathlib import Path
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 import repro.index
 from repro.index.builder import build_indexes
+from repro.index.entry import PathEntry
 from repro.index.incremental import add_entity, add_relationship
 from repro.index.interner import PatternInterner
 from repro.index.serialize import compact_indexes, load_indexes, save_indexes
@@ -73,11 +75,11 @@ def reference_views(store, word, postings):
 
 def ordered(value):
     """Nested dicts as nested item lists (so ``==`` compares order too);
-    posting-list leaves as their ``(path_id, sim)`` pairs."""
+    leaf tuples as lists of their ``(path_id, sim)`` pairs."""
     if isinstance(value, dict):
         return [(key, ordered(inner)) for key, inner in value.items()]
-    if hasattr(value, "pairs"):
-        return value.pairs()
+    if isinstance(value, tuple) and value and isinstance(value[0], tuple):
+        return list(value)
     return value
 
 
@@ -159,6 +161,121 @@ class TestEveryStoreState:
                 root_types.add(root_type)
         assert len(root_types) > 1
         assert_views_match_reference(store)
+
+
+def store_states(graph, tmp_path):
+    """``(name, bundle, heap_twin)`` for every store state of one graph.
+
+    Each bundle is built or opened just before it is yielded, so none of
+    its words is decoded yet; the twin is a heap build holding the same
+    postings (with the same writes, once there are writes)."""
+    heap = build_indexes(graph, d=3)
+    yield "heap-built", heap, heap
+    path = tmp_path / "states.idx"
+    save_indexes(build_indexes(graph, d=3), path)
+    yield "mapped v3", load_indexes(path), heap
+    written_twin = build_indexes(graph, d=3)
+    _write(written_twin)
+    written = load_indexes(path)
+    _write(written)
+    yield "mapped + overlay writes", written, written_twin
+    compact_indexes(written, path)
+    yield "compacted", written, written_twin
+
+
+def decode_every_word(store):
+    """Touch every view of every word; returns the words."""
+    words = list(store.words())
+    pattern_view, root_view = store.pattern_view(), store.root_view()
+    root_bounds, pattern_bounds = store.bound_columns()
+    for word in words:
+        pattern_view[word], root_view[word], store.root_counts(word)
+        root_bounds[word], pattern_bounds[word]
+    return words
+
+
+class TestDecodedViewsAreUntracked:
+    """A decoded word leaves O(1) objects for the garbage collector to
+    walk.  Its leaves are tuples of ``(int, float)`` pairs, and its inner
+    view dicts hold only such tuples or numbers.  CPython stops tracking
+    a tuple whose items are all untracked when a collection examines
+    it: the pairs at the first collection they survive, the leaf at the
+    next (it is examined before its pairs), and a dict of untracked
+    values at that same full collection.  An interpreter whose
+    untracking rules change fails here instead of silently walking
+    every leaf again."""
+
+    def test_every_store_state(self, wiki_indexes, tmp_path):
+        for name, bundle, _twin in store_states(wiki_indexes.graph, tmp_path):
+            store = bundle.store
+            store.finalize()
+            gc.collect()
+            before = len(gc.get_objects())
+            words = decode_every_word(store)
+            gc.collect()  # untracks the pairs
+            gc.collect()  # then the leaves and the dicts holding them
+            grown = len(gc.get_objects()) - before
+            assert grown < 5 * len(words), (name, grown, len(words))
+            pattern_view, root_view = store.pattern_view(), store.root_view()
+            root_bounds, pattern_bounds = store.bound_columns()
+            for word in words:
+                for by_root in pattern_view[word].values():
+                    assert not gc.is_tracked(by_root), (name, word)
+                    for leaf in by_root.values():
+                        assert not gc.is_tracked(leaf), (name, word)
+                for by_pattern in root_view[word].values():
+                    assert not gc.is_tracked(by_pattern), (name, word)
+                for inner in pattern_bounds[word].values():
+                    assert not gc.is_tracked(inner), (name, word)
+                assert not gc.is_tracked(root_bounds[word]), (name, word)
+                assert not gc.is_tracked(store.root_counts(word)), (name, word)
+
+
+def assert_entry_accessors_match(bundle, twin):
+    """The entry-facing accessors hand out :class:`PathEntry` lists
+    equal to the heap twin's."""
+    pf, rf = bundle.pattern_first, bundle.root_first
+    twin_pf, twin_rf = twin.pattern_first, twin.root_first
+    entries = list(pf.iter_entries())
+    assert entries and all(
+        isinstance(entry, PathEntry) for _word, _pid, entry in entries
+    )
+    assert entries == list(twin_pf.iter_entries())
+    assert list(rf.iter_entries()) == list(twin_rf.iter_entries())
+    for word in pf.words():
+        for pid in pf.patterns(word):
+            for root in pf.roots(word, pid):
+                paths = pf.paths(word, pid, root)
+                assert type(paths) is list and paths
+                assert paths == twin_pf.paths(word, pid, root)
+                assert rf.paths_with_pattern(word, root, pid) == paths
+        for root in rf.roots(word):
+            assert list(rf.paths(word, root)) == list(
+                twin_rf.paths(word, root)
+            )
+
+
+class TestLeavesAreThePostingColumns:
+    """Every leaf is the ``(path_id, sim)`` pair tuple of its slice of
+    the word's sorted posting columns, in leaf order, and both views
+    hold that one tuple; the entry accessors keep their contract."""
+
+    def test_every_store_state(self, wiki_indexes, tmp_path):
+        for name, bundle, twin in store_states(wiki_indexes.graph, tmp_path):
+            store = bundle.store
+            pattern_view, root_view = store.pattern_view(), store.root_view()
+            for word in store.words():
+                pairs = list(store.postings(word))
+                start = 0
+                for pid, by_root in pattern_view[word].items():
+                    for root, leaf in by_root.items():
+                        stop = start + len(leaf)
+                        assert type(leaf) is tuple and leaf, (name, word)
+                        assert leaf == tuple(pairs[start:stop]), (name, word)
+                        assert root_view[word][root][pid] is leaf
+                        start = stop
+                assert start == len(pairs), (name, word)
+            assert_entry_accessors_match(bundle, twin)
 
 
 @settings(max_examples=40, deadline=None,
@@ -249,7 +366,19 @@ class TestOneOfEach:
         return matches
 
     def test_leaves_are_built_by_the_decoder_only(self):
-        assert self.functions_calling(self.calls("PostingList")) == [
+        # Leaves are slices of a word's pair tuple, ``tuple(zip(ids,
+        # sims))``: only the decoder may build one.
+        is_tuple, is_zip = self.calls("tuple"), self.calls("zip")
+
+        def builds_leaf(call):
+            return (
+                is_tuple(call)
+                and call.args
+                and isinstance(call.args[0], ast.Call)
+                and is_zip(call.args[0])
+            )
+
+        assert self.functions_calling(builds_leaf) == [
             "store.py:decode_leaf_rows"
         ]
 
