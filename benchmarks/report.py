@@ -73,9 +73,11 @@ def _headline(name: str, data: dict) -> str:
             f"{largest['cold_start_speedup']:.0f}x vs v2, serving p50 "
             f"{_fmt_ms(largest['serving']['p50_ms'])}"
         )
-    if "per_shard_count" in data:  # BENCH_5 (sharding)
-        skipped = data.get("total_shards_skipped")
-        return f"{skipped} shards skipped across the grid"
+    if "per_shard_count" in data:  # BENCH_5 (query splitting)
+        return (
+            f"{data.get('total_searches_split')} of "
+            f"{data.get('total_searches')} searches split across the grid"
+        )
     if "single_query" in data:  # BENCH_4 (serving)
         single = data["single_query"]
         warm = single.get("warm_p50_ms")

@@ -1,41 +1,32 @@
-"""BENCH_5: sharded scatter–gather serving — work reduction + exactness.
+"""BENCH_5: queries split over free fork-pool workers — exactness and
+row rendering.
 
-Serves the wiki synthetic (d=3) index as K shards — per query, the root
-types the shard map puts in each, read from the one posting store
-(pattern containment, see ``docs/sharding.md``) —, runs the same heavy
-1-3 keyword workload
-BENCH_3/BENCH_4 use through a :class:`ShardedSearchService` worker pool,
-and measures **bound-driven
-shard skipping**: how much posting work the per-shard score upper bounds
-prove away before a shard is ever sent the query.
+Serves the wiki synthetic (d=3) index through a
+:class:`ShardedSearchService` — a fork pool of K workers that splits
+each query's root types over up to ``min(K, usable cores, root types)``
+of them, each slice read from the one posting store (pattern
+containment, see ``docs/sharding.md``) — and runs the same heavy 1-3
+keyword workload BENCH_3/BENCH_4 use.
 
 Per shard count K in {2, 4, 7}, each query runs at the report ``k`` and
-at ``k=1`` (tight thresholds are where skipping bites):
+at ``k=1``:
 
-* **divergence gate** — every sharded answer list (scores, pattern keys,
+* **divergence gate** — every split answer list (scores, pattern keys,
   subtree rows) must be bit-identical to a cold single-store
   ``TableAnswerEngine`` run; any mismatch fails the bench (exit 1);
-* **shards skipped / dispatched** — totals from ``SearchStats``, with
-  the wave width the box gives each K (``min(K, usable cores)``, also
-  the number of shards a query's types are spread over) and the
-  waves the dispatches were sent in (recorded, ungated: a wider wave
-  gives up some threshold skips for concurrency, see ``docs/sharding.md``);
-* **postings work avoided** — for each skipped shard, the posting-list
-  entries under its candidate roots (the roots of the types the query's
-  shard map put there) that were never scanned, as a fraction of the
-  query's total posting work;
-* **shard subtrees** — per shard id, the ``N_R`` the shard maps gave it,
-  summed over the searches (ungated; shards at or beyond the wave width
-  hold none);
+* **split widths** — how many searches ran whole and how many were
+  split over how many slices, from ``SearchStats.shards_total``
+  (recorded, ungated: one caller on an idle pool splits every query
+  with two or more root types over ``min(K, usable cores)``);
+* **shard subtrees** — per slice, the ``N_R`` the splits gave it, summed
+  over the searches (ungated);
 * **count gate** — answering a request with its kept subtree rows and
-  rendering ten rows per table rebuilds no ``PathEntry`` in the
-  coordinator (workers ship ``(path_id, sim)`` pairs; rows render from
-  the path columns); the rows per reply are recorded beside it, ungated.
+  rendering ten rows per table rebuilds no ``PathEntry`` in the parent
+  (workers ship ``(path_id, sim)`` pairs; rows render from the path
+  columns); the rows per reply are recorded beside it, ungated.
 
-The bench also **fails (exit 1) if no shard is ever skipped** across the
-whole grid — the bound machinery regressing to "dispatch everything"
-must not pass silently.  CI runs the ``smoke`` profile and uploads the
-JSON; ``full`` is the acceptance configuration (800 entities)::
+CI runs the ``smoke`` profile and uploads the JSON; ``full`` is the
+acceptance configuration (800 entities)::
 
     PYTHONPATH=src python benchmarks/smoke_sharding.py --profile full \
         --out BENCH_5.json
@@ -50,10 +41,8 @@ import time
 
 from repro.datasets.queries import WorkloadConfig, generate_workload
 from repro.datasets.wiki import WikiConfig, generate_wiki_graph
-from repro.index.builder import ResolvedQuery, build_indexes
-from repro.index.shards import partition_indexes
+from repro.index.builder import build_indexes
 from repro.index.store import PostingStore
-from repro.search.context import EnumerationContext
 from repro.search.engine import TableAnswerEngine
 from repro.search.linear_enum import count_answers
 from repro.search.sharding import ShardedSearchService
@@ -116,16 +105,6 @@ def fingerprint(result):
     )
 
 
-def posting_work(indexes, words, roots):
-    """Posting entries a store-native scan touches under ``roots``."""
-    root_first = indexes.root_first
-    return sum(
-        root_first.path_count(word, root)
-        for root in roots
-        for word in words
-    )
-
-
 def run(profile_name: str, k: int, out_path: str) -> int:
     profile = PROFILES[profile_name]
     graph = generate_wiki_graph(profile["wiki"])
@@ -150,25 +129,14 @@ def run(profile_name: str, k: int, out_path: str) -> int:
     per_k = {}
 
     for num_shards in SHARD_COUNTS:
-        sharded = partition_indexes(indexes, num_shards)
-        dispatched = skipped = failovers = waves = 0
-        work_total = work_avoided = 0
+        widths = {}
+        failovers = 0
         materialized = 0
         shard_subtrees = [0] * num_shards
         latencies = []
         reply_rows = []
         with ShardedSearchService(indexes, num_shards=num_shards) as service:
             for query in queries:
-                plan_words = service.plan(query, k=k).words
-                context = EnumerationContext(snap, ResolvedQuery(plan_words))
-                by_type = context.roots_by_type(snap.graph)
-                counts = context.subtree_counts()
-                parts = [[] for _ in range(num_shards)]
-                for root_type, shard in sharded.assign(context).items():
-                    parts[shard].extend(by_type[root_type])
-                    shard_subtrees[shard] += counts[root_type] * len(k_values)
-                candidates = context.candidate_roots
-                query_work = posting_work(snap, plan_words, candidates)
                 for kk in k_values:
                     service._results.clear()  # measure execution, not cache
                     materialized_before = (
@@ -196,39 +164,27 @@ def run(profile_name: str, k: int, out_path: str) -> int:
                             }
                         )
                     stats = result.stats
-                    dispatched += len(stats.shard_dispatch_order)
-                    skipped += stats.shards_skipped
-                    waves += stats.shard_waves
+                    width = str(stats.shards_total)
+                    widths[width] = widths.get(width, 0) + 1
                     failovers += stats.shard_failovers
-                    work_total += query_work
-                    skipped_ids = set(range(num_shards)) - set(
-                        stats.shard_dispatch_order
-                    )
-                    work_avoided += sum(
-                        posting_work(snap, plan_words, parts[shard])
-                        for shard in skipped_ids
-                    )
+                    for slot, subtrees in enumerate(stats.shard_subtrees):
+                        shard_subtrees[slot] += subtrees
         per_k[num_shards] = {
             "shard_subtrees": shard_subtrees,
             "searches": len(queries) * len(k_values),
-            "wave_width": sharded.width,
-            "shard_waves": waves,
-            "shards_dispatched": dispatched,
-            "shards_skipped": skipped,
+            "split_widths": widths,
+            "searches_split": sum(
+                count for width, count in widths.items() if width != "0"
+            ),
             "shard_failovers": failovers,
             "coordinator_entries_materialized": materialized,
             "reply_rows": reply_rows,
-            "postings_work_total": work_total,
-            "postings_work_avoided": work_avoided,
-            "work_reduction": (
-                work_avoided / work_total if work_total else 0.0
-            ),
             "mean_latency_ms": (
                 sum(latencies) / len(latencies) * 1000 if latencies else None
             ),
         }
 
-    total_skipped = sum(row["shards_skipped"] for row in per_k.values())
+    total_split = sum(row["searches_split"] for row in per_k.values())
     total_materialized = sum(
         row["coordinator_entries_materialized"] for row in per_k.values()
     )
@@ -241,11 +197,11 @@ def run(profile_name: str, k: int, out_path: str) -> int:
         "num_entities": profile["wiki"].num_entities,
         "queries": [" ".join(query) for query in queries],
         "per_shard_count": {str(n): row for n, row in per_k.items()},
-        "total_shards_skipped": total_skipped,
+        "total_searches": sum(row["searches"] for row in per_k.values()),
+        "total_searches_split": total_split,
         "divergences": divergences,
         "acceptance": {
             "bit_identical_met": not divergences,
-            "shards_skipped_met": total_skipped > 0,
             "rows_entry_free_met": total_materialized == 0,
         },
     }
@@ -254,36 +210,26 @@ def run(profile_name: str, k: int, out_path: str) -> int:
 
     for num_shards, row in per_k.items():
         print(
-            f"K={num_shards}: wave width {row['wave_width']}, "
-            f"dispatched {row['shards_dispatched']} in "
-            f"{row['shard_waves']} waves, "
-            f"skipped {row['shards_skipped']} "
-            f"(work reduction {row['work_reduction']:.1%}, "
-            f"mean {row['mean_latency_ms']:.2f} ms)"
+            f"K={num_shards}: {row['searches_split']} of {row['searches']} "
+            f"searches split (widths {row['split_widths']}), "
+            f"mean {row['mean_latency_ms']:.2f} ms"
         )
     print(f"wrote {out_path}")
     if divergences:
         print(
-            f"FAIL: {len(divergences)} sharded results diverged from the "
+            f"FAIL: {len(divergences)} split results diverged from the "
             "cold single-store engine",
-            file=sys.stderr,
-        )
-        return 1
-    if total_skipped == 0:
-        print(
-            "FAIL: no shard was ever skipped — the per-shard bounds "
-            "stopped pruning",
             file=sys.stderr,
         )
         return 1
     if total_materialized:
         print(
             f"FAIL: serving rows materialized {total_materialized} path "
-            "entries in the coordinator",
+            "entries in the parent",
             file=sys.stderr,
         )
         return 1
-    print("all sharded results identical to the single-store engine")
+    print("all split results identical to the single-store engine")
     return 0
 
 

@@ -161,14 +161,10 @@ def _explain_pruning(stats) -> str:
         f"pairs_skipped={stats.pairs_skipped}"
     ]
     if stats.shards_total:
+        busy = ", ".join(f"{ms:.1f}" for ms in stats.shard_busy_ms)
         line = (
-            "sharding: "
-            f"dispatched={stats.shards_total - stats.shards_skipped}"
-            f"/{stats.shards_total} shards "
-            f"(skipped={stats.shards_skipped}, "
-            f"order={list(stats.shard_dispatch_order)}) "
-            f"{stats.format_waves()} "
-            f"subtrees={list(stats.shard_subtrees)}"
+            f"split: {stats.shards_total} slices "
+            f"busy=[{busy}]ms subtrees={list(stats.shard_subtrees)}"
         )
         if stats.shard_failovers:
             line += f" failovers={stats.shard_failovers}"
@@ -232,28 +228,24 @@ def _make_service(
     args: argparse.Namespace, pool_processes: Optional[int] = None
 ) -> SearchService:
     """The service a command serves through: a fork-pool service when
-    ``serve --processes`` asks for it (optionally composed with
-    ``--shards`` — each fork worker runs the sharded merge loop
-    inline), sharded when ``--shards`` alone asks for it, the plain
-    service otherwise.  K is this command's choice, never the file's."""
+    ``serve --processes N`` or ``--shards K`` asks for it — N workers
+    (K when only ``--shards`` is given), a shardable query split over
+    up to K of them that are free — the plain service otherwise.  K is
+    this command's choice, never the file's."""
     shards = getattr(args, "shards", None)
     if shards is not None and shards < 1:
         raise SearchError(f"--shards must be >= 1, got {shards}")
-    if pool_processes is not None:
-        from repro.serve.pool import PooledSearchService
+    if pool_processes is not None and pool_processes < 1:
+        raise SearchError(f"--processes must be >= 1, got {pool_processes}")
+    if pool_processes is None and shards is None:
+        return SearchService.from_file(args.index)
+    from repro.serve.pool import PooledSearchService
 
-        if pool_processes < 1:
-            raise SearchError(
-                f"--processes must be >= 1, got {pool_processes}"
-            )
-        return PooledSearchService.from_file(
-            args.index, processes=pool_processes, num_shards=shards or 0
-        )
-    if shards is not None:
-        from repro.search.sharding import ShardedSearchService
-
-        return ShardedSearchService.from_file(args.index, num_shards=shards)
-    return SearchService.from_file(args.index)
+    return PooledSearchService.from_file(
+        args.index,
+        processes=pool_processes or shards,
+        num_shards=shards or 0,
+    )
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
@@ -500,8 +492,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     queries = [request.query for request in requests]
     if args.processes and getattr(args, "shards", None):
         print(
-            "error: --processes and --shards are mutually exclusive: the "
-            "shard worker pool is the sharded service's parallel path",
+            "error: --processes and --shards are mutually exclusive: "
+            "--shards serves through a fork pool, which is already the "
+            "parallel path",
             file=sys.stderr,
         )
         return 2
@@ -682,12 +675,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_shards_flag(sub) -> None:
         sub.add_argument(
             "--shards", type=int, default=None, metavar="K",
-            help="serve through a K-shard scatter-gather worker pool "
-            "with bound-driven shard skipping (bit-identical answers; "
-            "each query's root types are balanced by subtree count over "
-            "min(K, usable cores) shards, read from the one store in the "
-            "file; K beyond the usable cores adds no parallelism, those "
-            "workers get no work)",
+            help="serve through a fork pool that splits each query over "
+            "up to K free workers (K workers unless --processes says "
+            "otherwise; bit-identical answers; the query's root types "
+            "are balanced by subtree count over min(K, usable cores, "
+            "root types) slices, read from the one store in the file; a "
+            "query that finds one free worker runs whole on it)",
         )
 
     search = commands.add_parser("search", help="answer a keyword query")
@@ -746,10 +739,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--processes", type=int, default=None, metavar="N",
-        help="execute cache-miss searches on N long-lived pre-warmed "
-        "fork workers instead of the GIL-bound executor threads "
-        "(multi-core serving over copy-free mmap pages; composes with "
-        "--shards: each worker runs the sharded merge loop inline; "
+        help="execute cache-miss searches on N long-lived fork workers "
+        "instead of the GIL-bound executor threads (multi-core serving "
+        "over copy-free mmap pages; composes with --shards K: a query "
+        "is split over up to K of the N workers that are free; "
         "bit-identical answers, inline failover on worker death)",
     )
     serve.set_defaults(handler=_cmd_serve)

@@ -1,7 +1,7 @@
 """Shards of one index bundle: per-query root-type slices of the one store.
 
-Scatter–gather serving (:mod:`repro.search.sharding`) splits a query's
-work over the workers that run at once.  A shard is not a second store.
+Query splitting (:mod:`repro.search.sharding`) spreads a query's work
+over the fork-pool workers that are free.  A shard is not a second store.
 It is **the set of the query's root types the shard map puts in it**:
 shard *i* of a bundle is the bundle itself, read through a query
 context narrowed to those types
@@ -18,9 +18,7 @@ ever share a pattern when they share a type.  Any map from root types
 to shards therefore keeps patterns whole — a type is the finest unit
 that does.  Splitting by raw root id instead would split a pattern's
 roots across shards and break both exact merging (pattern scores
-aggregate subtree scores *across* roots, in ascending-root float order)
-and bound-driven shard skipping (a skipped shard would silently drop
-its root contributions from patterns retained elsewhere).
+aggregate subtree scores *across* roots, in ascending-root float order).
 ``docs/sharding.md`` walks through the argument.
 
 The paper's algorithms are already organised by root type — PATTERNENUM
@@ -30,16 +28,15 @@ count ``N_R = sum_r prod_i |Paths(w_i, r)|`` (§4.2.1) — so a shard run
 is the unmodified algorithm over fewer types: it reads the same leaves,
 in the same order, with the same float operations as the unsharded run
 does for those types, and computes *exact global* scores for its
-patterns.  That is what makes the coordinator's merge a pure top-k
-union.
+patterns.  That is what makes the parent's merge a pure top-k union.
 
 Which types go together is chosen per query, from that same ``N_R``
 (:meth:`ShardedIndexes.assign`): longest-processing-time-first over as
-many shards as run at once, so a wave — which costs its slowest shard —
-is as even as the query's types allow.  The map is a pure function of
-the snapshot and the query, so the coordinator and every worker derive
-the same one from their own contexts; nothing about it crosses a pipe
-or a file.
+many shards as run at once, so a split — which costs its slowest shard
+— is as even as the query's types allow.  The map is a pure function of
+the snapshot, the query and the width, so every worker of a split
+derives the same one from its own context; only the width crosses the
+pipe, nothing about the map crosses a pipe or a file.
 """
 
 from __future__ import annotations
@@ -58,11 +55,11 @@ class ShardedIndexes:
     """One index bundle seen as ``num_shards`` pattern-disjoint shards.
 
     ``base`` is the bundle (live or snapshot) every shard reads.
-    ``width`` is how many shards run at once — ``min(num_shards, usable
-    cores)``, read when the bundle is partitioned — and the number of
-    shards a query's types are spread over (:meth:`assign`).  Shards at
-    or beyond ``width``, and shards a query has too few types to fill,
-    are empty for it: they answer with no candidates and are skipped.
+    ``width`` is how many shards run at once and the number of shards a
+    query's types are spread over (:meth:`assign`) — a split's width, or
+    ``min(num_shards, usable cores)`` for :func:`partition_indexes`.
+    Shards at or beyond ``width``, and shards a query has too few types
+    to fill, are empty for it: they answer with no candidates.
     """
 
     base: PathIndexes
@@ -95,8 +92,8 @@ class ShardedIndexes:
 
 
 class Shard(NamedTuple):
-    """One shard: what a shard worker inherits and
-    :func:`repro.search.sharding.search_shard` runs a plan on."""
+    """One shard: what :func:`repro.search.sharding.search_shard` runs a
+    plan on."""
 
     sharded: ShardedIndexes
     shard_id: int
@@ -107,8 +104,7 @@ def partition_indexes(
 ) -> ShardedIndexes:
     """``indexes`` as ``num_shards`` shards: O(1), nothing is copied.
 
-    The usable cores are read here, once per partition; the coordinator
-    and the workers forked from it keep the width this call saw.
+    The usable cores are read here, once per partition.
     """
     if num_shards < 1:
         raise PathIndexError(

@@ -37,7 +37,6 @@ from repro.search.result import (
 )
 
 from repro.search.service import SearchService, ServiceStats
-from repro.search.sharding import ShardedSearchService, ShardWorkerPool
 
 __all__ = [
     "ALGORITHMS",
@@ -46,8 +45,6 @@ __all__ = [
     "QueryPlan",
     "SearchService",
     "ServiceStats",
-    "ShardWorkerPool",
-    "ShardedSearchService",
     "canonical_algorithm",
     "execute_plan",
     "plan_search",

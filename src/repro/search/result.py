@@ -220,35 +220,25 @@ class SearchStats:
     #: stamps a stats *copy*, so the cached original (whose counters
     #: describe the actual execution) is never mutated.
     from_result_cache: bool = False
-    #: Scatter–gather counters, written only by
-    #: :class:`~repro.search.sharding.ShardedSearchService` (all-zero on
-    #: single-store runs).  ``shards_skipped`` counts shards never sent
-    #: the query because their score upper bound fell below the running
-    #: k-th score; ``shard_dispatch_order`` is the best-bound-first visit
-    #: order; ``shard_failovers`` counts worker deaths recovered by
-    #: inline re-execution.  ``shard_waves`` counts the concurrent
-    #: dispatch rounds the order was cut into, and ``shard_busy_ms`` is
-    #: each dispatched shard's own execution time (worker-side; the
-    #: inline run's for a failed-over shard), aligned with
-    #: ``shard_dispatch_order`` — a wave costs its maximum, so a
-    #: lopsided pair is the partition's skew, visible without a profiler.
-    #: ``shard_subtrees`` is, aligned the same way, each dispatched
-    #: shard's subtree count ``N_R`` — the work the shard map balanced
-    #: on, to hold against ``shard_busy_ms`` (a single shard run's stats
-    #: carry its own, as a 1-tuple).
+    #: Split counters, written only by
+    #: :class:`~repro.serve.pool.PooledSearchService` (all-zero on
+    #: single-store runs).  ``shards_total`` is the number of slices the
+    #: query was split over (0: it ran whole); ``shards_skipped`` is
+    #: always 0 (a split sends every slice; kept for readers of the
+    #: field); ``shard_failovers`` counts pool workers lost while serving
+    #: this query, whose part was answered inline instead.
+    #: ``shard_busy_ms`` is each slice's own execution time
+    #: (worker-side; the inline run's for a failed-over slice), in slice
+    #: order — a split costs its maximum, so a lopsided pair is the
+    #: split's skew, visible without a profiler.  ``shard_subtrees`` is,
+    #: aligned the same way, each slice's subtree count ``N_R`` — the
+    #: work the split balanced on, to hold against ``shard_busy_ms`` (a
+    #: single slice run's stats carry its own, as a 1-tuple).
     shards_total: int = 0
     shards_skipped: int = 0
-    shard_dispatch_order: Tuple[int, ...] = ()
     shard_failovers: int = 0
-    shard_waves: int = 0
     shard_busy_ms: Tuple[float, ...] = ()
     shard_subtrees: Tuple[int, ...] = ()
-
-    def format_waves(self) -> str:
-        """``waves=1 busy=[11.8, 5.2]ms`` — the dispatch rounds and each
-        dispatched shard's own time, in dispatch order."""
-        busy = ", ".join(f"{ms:.1f}" for ms in self.shard_busy_ms)
-        return f"waves={self.shard_waves} busy=[{busy}]ms"
 
     def format(self) -> str:
         parts = [f"{self.algorithm}: {self.elapsed_seconds * 1000:.1f} ms"]
@@ -271,12 +261,10 @@ class SearchStats:
             if value:
                 parts.append(f"{label}={value}")
         if self.shards_total:
-            parts.append(
-                f"shards={self.shards_total - self.shards_skipped}"
-                f"/{self.shards_total} {self.format_waves()}"
-            )
-            if self.shard_failovers:
-                parts.append(f"shard-failovers={self.shard_failovers}")
+            busy = ", ".join(f"{ms:.1f}" for ms in self.shard_busy_ms)
+            parts.append(f"shards={self.shards_total} busy=[{busy}]ms")
+        if self.shard_failovers:
+            parts.append(f"shard-failovers={self.shard_failovers}")
         if self.threshold_first is not None:
             parts.append(
                 f"kth={self.threshold_first:.6g}->{self.threshold_last:.6g}"

@@ -119,9 +119,9 @@ class ServiceStats:
     #: bundle (0.0 when it was built in-process rather than loaded).
     load_seconds: float = 0.0
     #: Execution backend self-description: ``inline`` (plain service),
-    #: ``sharded`` (scatter–gather worker pool), or ``fork-pool`` /
-    #: ``fork-pool+sharded`` (the HTTP process-pool bridge).  Workers is
-    #: the configured parallel width (0 = no pool).
+    #: or ``fork-pool`` / ``fork-pool+sharded`` (the fork pool, without
+    #: or with query splitting).  Workers is the configured parallel
+    #: width (0 = no pool).
     execution_backend: str = "inline"
     execution_workers: int = 0
     #: Pool-backed services: dead-worker inline failovers, respawns of
@@ -351,7 +351,7 @@ class SearchService:
 
     def close(self) -> None:
         """Release serving resources; a no-op here, overridden by
-        :class:`~repro.search.workers.PoolBackedService` (worker pool).
+        :class:`~repro.serve.pool.PooledSearchService` (worker pool).
         Callers that may hold any flavor (the CLI) can call it
         unconditionally."""
 

@@ -1,19 +1,17 @@
-"""The one fork-worker mechanism, and the service lifecycle built on it.
+"""The one fork-worker mechanism.
 
-A worker is *inherited state plus* ``run(state, plan)``: the parent forks
-one long-lived process per entry of ``states``, the child keeps its entry
-through the forked address space (nothing index-sized is pickled; mapped
-pages are shared, heap columns are copy-on-write) and answers canonical
-:class:`~repro.search.plan.QueryPlan` objects over one duplex pipe.
+A worker is *inherited state plus* ``run(state, request)``: the parent
+forks one long-lived process per entry of ``states``, the child keeps
+its entry through the forked address space (nothing index-sized is
+pickled; mapped pages are shared, heap columns are copy-on-write) and
+answers requests — canonical :class:`~repro.search.plan.QueryPlan`
+objects, or a plan with the slice of it to run — over one duplex pipe.
 :class:`WorkerPool` is the only code in ``src/`` that forks such a
 worker, speaks the pipe protocol (:func:`_worker_main`), detects a dead
-or silent one, respawns and reaps.  The two backends differ only in how
-a slot is *addressed*: :class:`~repro.search.sharding.ShardWorkerPool`
-by shard id, :class:`~repro.serve.pool.ForkWorkerPool` by leasing any
-free one.  Both kinds inherit the serving snapshot — a shard worker with
-its shard id beside it (:class:`~repro.index.shards.Shard`), which is
-all a shard is.  :class:`PoolBackedService` is the same consolidation
-one level up, for the two services over those pools.
+or silent one, respawns and reaps.  Its one subclass,
+:class:`~repro.serve.pool.ForkWorkerPool`, addresses a slot by leasing
+a free one; :class:`~repro.serve.pool.PooledSearchService` is the
+service over it.
 """
 
 from __future__ import annotations
@@ -22,13 +20,9 @@ import multiprocessing
 import os
 import threading
 import time
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from repro.core.errors import SearchError
-from repro.index.builder import PathIndexes
-from repro.index.shards import ShardedIndexes, partition_indexes
-from repro.search.plan import QueryPlan
-from repro.search.service import SearchService
 
 
 class WorkerError(SearchError):
@@ -36,27 +30,23 @@ class WorkerError(SearchError):
     could not be (re)started."""
 
 
-def _worker_main(state, run: Callable, warm: Optional[Callable], conn) -> None:
-    """One worker process: warm, handshake, then serve plans until told
-    to stop.
+def _worker_main(state, run: Callable, conn) -> None:
+    """One worker process: handshake, then serve requests until told to
+    stop.
 
-    Protocol (all tuples): receives ``("execute", tag, plan)`` and
-    answers ``("ok", tag, run(state, plan))`` or ``("error", tag,
+    Protocol (all tuples): receives ``("execute", tag, request)`` and
+    answers ``("ok", tag, run(state, request))`` or ``("error", tag,
     message)``; ``("stop",)`` exits cleanly; ``("exit",)`` hard-kills
     immediately and ``("arm_exit",)`` arms a hard kill *after the next
-    plan is received but before it is answered* — the deterministic
+    request is received but before it is answered* — the deterministic
     mid-request death hook the fault-injection tests use.  The tag is
     echoed so a stale response left in the pipe — by a request that
-    timed out, or by a wave another worker's error cut short — is
-    discarded, never mismatched.  ``warm(state)`` runs here, in the
-    child, so K workers warm K states side by side; a pool whose workers
-    share one state warms it once in the parent before the fork and
-    passes none.
+    timed out, or by a split another worker's error cut short — is
+    discarded, never mismatched.  Nothing is warmed here: a worker
+    boxes the paths of the words it is asked about.
     """
     die_on_next = False
     try:
-        if warm is not None:
-            warm(state)
         conn.send(("ready",))
         while True:
             message = conn.recv()
@@ -68,11 +58,11 @@ def _worker_main(state, run: Callable, warm: Optional[Callable], conn) -> None:
             if kind == "arm_exit":
                 die_on_next = True
             elif kind == "execute":
-                _, tag, plan = message
+                _, tag, request = message
                 if die_on_next:
                     os._exit(1)
                 try:
-                    payload = run(state, plan)
+                    payload = run(state, request)
                 except Exception as exc:  # noqa: BLE001 - report, don't die
                     conn.send(("error", tag, f"{type(exc).__name__}: {exc}"))
                 else:
@@ -99,11 +89,10 @@ class WorkerPool:
     """``len(states)`` long-lived forked workers, spoken to over pipes.
 
     Fork-only by design (module docstring).  Startup blocks until every
-    worker has sent its ``("ready",)`` handshake, so the first plan never
-    pays a one-time warm.  A plan is :meth:`send` to a slot, then its
-    reply is :meth:`collect`-ed; the worker computes in between.  The
-    pipes are not multiplexed: one request in flight per *slot*, which
-    the subclasses' addressing guarantees.
+    worker has sent its ``("ready",)`` handshake.  A request is
+    :meth:`send` to a slot, then its reply is :meth:`collect`-ed; the
+    worker computes in between.  The pipes are not multiplexed: one
+    request in flight per *slot*, which the subclass's lease guarantees.
     """
 
     def __init__(
@@ -112,7 +101,6 @@ class WorkerPool:
         run: Callable,
         name: str,
         timeout: float,
-        warm: Optional[Callable] = None,
     ) -> None:
         try:
             self._ctx = multiprocessing.get_context("fork")
@@ -122,7 +110,6 @@ class WorkerPool:
             ) from exc
         self._states = list(states)
         self._run = run
-        self._warm = warm
         self._name = name
         self.timeout = timeout
         self.closed = False
@@ -152,7 +139,7 @@ class WorkerPool:
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_worker_main,
-            args=(self._states[slot], self._run, self._warm, child_conn),
+            args=(self._states[slot], self._run, child_conn),
             daemon=True,
             name=f"repro-{self._name}-{slot}",
         )
@@ -218,8 +205,9 @@ class WorkerPool:
 
     def arm_exit(self, slot: int) -> None:
         """Arm a deterministic mid-request death: the worker will
-        ``os._exit(1)`` after receiving its next plan, before answering
-        — so the killing request itself exercises inline failover."""
+        ``os._exit(1)`` after receiving its next request, before
+        answering — so the killing request itself exercises inline
+        failover."""
         worker = self._workers[slot]
         if worker is not None and worker.process.is_alive():
             worker.conn.send(("arm_exit",))
@@ -242,8 +230,8 @@ class WorkerPool:
 
     # ----------------------------------------------------------- execution
 
-    def send(self, slot: int, plan: QueryPlan) -> int:
-        """Hand ``plan`` to one slot's worker and return the tag its
+    def send(self, slot: int, request) -> int:
+        """Hand ``request`` to one slot's worker and return the tag its
         reply will carry; raises :class:`WorkerError` when the worker is
         dead or its pipe is broken."""
         worker = self._workers[slot]
@@ -253,7 +241,7 @@ class WorkerPool:
             self._tag += 1
             tag = self._tag
         try:
-            worker.conn.send(("execute", tag, plan))
+            worker.conn.send(("execute", tag, request))
         except OSError as exc:
             raise WorkerError(
                 f"{self._name} worker {slot} pipe is broken: {exc}"
@@ -266,7 +254,7 @@ class WorkerPool:
         :class:`WorkerError` when the worker died, hung up, or is still
         silent at ``deadline`` (``time.monotonic()`` based; the pool
         timeout from now when absent) — the caller then fails that slot
-        over inline.  A wave passes every slot the same deadline, so K
+        over inline.  A split passes every slot the same deadline, so K
         wedged workers cost one timeout, not K."""
         worker = self._workers[slot]
         if worker is None:
@@ -290,28 +278,30 @@ class WorkerPool:
             worker.busy = False
 
     def execute_on(
-        self, slots: Sequence[int], plan: QueryPlan, lost: List[int]
+        self, slots: Sequence[int], requests: Sequence, lost: List[int]
     ) -> list:
-        """``plan``'s reply from each of ``slots``, computed side by
-        side: every :meth:`send` goes out before the first
+        """The reply to ``requests[i]`` from ``slots[i]``, computed side
+        by side: every :meth:`send` goes out before the first
         :meth:`collect`, and one deadline covers them all.
 
-        First half of the failover rule
-        (:class:`PoolBackedService`): a slot whose worker is lost — at
-        ``send`` or at ``collect`` — is answered here, inline, by the
-        same ``run`` on the parent's own copy of that worker's state,
-        while the live workers keep computing, and is appended to
-        ``lost`` for the caller to respawn once it has its answer.
+        The **failover rule**, in its one place: a slot whose worker is
+        lost — dead at ``send``; dead, hung up or silent at ``collect``
+        — is answered here, inline, by the same ``run`` on the parent's
+        own copy of that worker's state, while the live workers keep
+        computing, and is appended to ``lost``.  The caller respawns
+        the lost slots only once it has its answer
+        (:meth:`~repro.serve.pool.PooledSearchService._heal`), so the
+        answer never depends on a respawn working, nor waits for it.
         """
         deadline = time.monotonic() + self.timeout
         tags: List[Optional[int]] = []
-        for slot in slots:
+        for slot, request in zip(slots, requests):
             try:
-                tags.append(self.send(slot, plan))
+                tags.append(self.send(slot, request))
             except WorkerError:
                 tags.append(None)
         replies = []
-        for slot, tag in zip(slots, tags):
+        for slot, request, tag in zip(slots, requests, tags):
             if tag is not None:
                 try:
                     replies.append(self.collect(slot, tag, deadline))
@@ -319,7 +309,7 @@ class WorkerPool:
                 except WorkerError:
                     pass
             lost.append(slot)
-            replies.append(self._run(self._states[slot], plan))
+            replies.append(self._run(self._states[slot], request))
         return replies
 
     def _recv(self, worker: _Worker, deadline: float, slot: int):
@@ -361,130 +351,3 @@ class WorkerPool:
 
     def alive_workers(self) -> int:
         return sum(row["alive"] for row in self.worker_snapshot())
-
-
-class PoolBackedService(SearchService):
-    """What :class:`~repro.search.sharding.ShardedSearchService` and
-    :class:`~repro.serve.pool.PooledSearchService` share.
-
-    The pool — over the snapshot seen as ``num_shards`` shards when K is
-    non-zero — is built lazily by the first execution that needs it and
-    rebuilt whenever the store version moves: the service's
-    version-guard protocol, one level up, so workers can never serve a
-    stale snapshot.  A rebuild is a fork: a shard is a root-type slice
-    of the snapshot (:mod:`repro.index.shards`), so there is nothing to
-    re-partition.  Call :meth:`close` (or use as a context manager) to
-    reap the workers.
-
-    A subclass supplies :meth:`_start_pool` and its ``_execute_on``,
-    under one **failover rule**: a request whose worker is lost — dead
-    at ``send``; dead, hung up or silent at ``collect`` — is answered
-    inline, by the parent, from its own copy of what the worker
-    inherited (:meth:`WorkerPool.execute_on`); only with the answer in
-    hand (a scatter: after its last wave) does :meth:`_heal` respawn the
-    worker.  The answer therefore never depends on the respawn working,
-    nor waits for it.
-    """
-
-    def __init__(
-        self,
-        indexes: PathIndexes,
-        num_shards: int,
-        worker_timeout: float,
-        **kwargs,
-    ) -> None:
-        super().__init__(indexes, **kwargs)
-        self.num_shards = num_shards
-        self.worker_timeout = worker_timeout
-        #: The shards the live pool was forked over (None: no pool, or
-        #: an unsharded one).
-        self._sharded: Optional[ShardedIndexes] = None
-        self._pool: Optional[WorkerPool] = None
-        #: Guards pool lifecycle (build, rebuild, close).
-        self._pool_lock = threading.Lock()
-
-    # ----------------------------------------------------------- lifecycle
-
-    def close(self) -> None:
-        """Reap the worker pool (the service stays usable; the next
-        execution that needs one forks a fresh pool)."""
-        with self._pool_lock:
-            pool, self._pool, self._sharded = self._pool, None, None
-            if pool is not None:
-                pool.close()
-
-    def _ensure_pool(
-        self, snap: PathIndexes
-    ) -> Tuple[Optional[ShardedIndexes], WorkerPool]:
-        """The shards + pool for the serving version (caller holds
-        :attr:`_pool_lock`); rebuilt when the store moved."""
-        pool = self._pool
-        if pool is None or pool.store_version != snap.store.version:
-            # Unpublished before it is closed: ``_pool`` is only ever
-            # None or an open pool, also to the lock-free readers below.
-            self._pool = None
-            if pool is not None:
-                pool.close()
-            sharded = (
-                partition_indexes(snap, self.num_shards)
-                if self.num_shards
-                else None
-            )
-            self._pool = self._start_pool(snap, sharded)
-            self._sharded = sharded
-            self.stats.bump(pool_rebuilds=1)
-        return self._sharded, self._pool
-
-    def _start_pool(self, snap, sharded) -> WorkerPool:
-        """Fork the subclass's pool over ``snap`` / its shards; the
-        pool carries the ``store_version`` it was forked at."""
-        raise NotImplementedError
-
-    # ----------------------------------------------------------- execution
-
-    def _execute_forked(self, snap, pending, processes):
-        raise SearchError(
-            f"search_many(processes=N) is disabled on "
-            f"{type(self).__name__}: forked batch children would share "
-            "the pool workers' pipes; the standing worker pool is already "
-            "the parallel path (use threads= for batch overlap)"
-        )
-
-    def _heal(self, pool: WorkerPool, lost: List[int]) -> None:
-        """Second half of the failover rule (class docstring): count
-        and respawn the workers whose requests were answered inline.  A
-        respawn that itself fails leaves the slot empty for the next
-        request to fail over and retry; it is counted, never raised."""
-        self.stats.bump(worker_failovers=len(lost))
-        for slot in lost:
-            try:
-                pool.respawn(slot)
-            except WorkerError:
-                self.stats.bump(respawn_failures=1)
-
-    # ----------------------------------------------------------- reporting
-
-    def worker_snapshot(self) -> List[dict]:
-        """Per-worker pool gauges (empty before the first pooled
-        execution — the pool is lazy)."""
-        pool = self._pool
-        return [] if pool is None else pool.worker_snapshot()
-
-    def kill_worker(self, slot: int) -> None:
-        """Fault-injection passthrough (tests, BENCH_9)."""
-        if self._pool is not None:
-            self._pool.kill_worker(slot)
-
-    def arm_exit(self, slot: int) -> None:
-        """Fault-injection passthrough: deterministic mid-request death."""
-        if self._pool is not None:
-            self._pool.arm_exit(slot)
-
-    def __repr__(self) -> str:
-        pool = "down" if self._pool is None else "up"
-        return (
-            f"{type(self).__name__}("
-            f"workers={self.stats.execution_workers}, "
-            f"num_shards={self.num_shards}, pool={pool}, "
-            f"{super().__repr__()[len('SearchService('):]}"
-        )

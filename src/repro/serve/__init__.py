@@ -10,9 +10,10 @@ needs:
   in-flight duplicate coalescing keyed on
   :attr:`~repro.search.plan.QueryPlan.cache_key`;
 * :mod:`repro.serve.pool` — the fork-pool execution backend
-  (``--processes N``): N long-lived pre-warmed fork workers executing
-  cache-miss plans over tagged pipes for true multi-core HTTP serving,
-  with inline failover + respawn on worker death;
+  (``--processes N`` / ``--shards K``): long-lived fork workers
+  executing cache-miss plans over tagged pipes for true multi-core HTTP
+  serving, a query split over the free ones under ``--shards``, with
+  inline failover + respawn on worker death;
 * :mod:`repro.serve.metrics` — latency quantiles, QPS windows, and the
   Prometheus text rendering behind ``/metrics``;
 * :mod:`repro.serve.params` — request-parameter parsing and the

@@ -33,9 +33,8 @@ True CPU parallelism lives underneath: front a
 :class:`~repro.serve.pool.PooledSearchService` (``repro serve --http
 ... --processes N``) and each executor thread drives one long-lived
 fork worker — the loop keeps owning admission, deadlines, coalescing,
-and the result LRU, only cache-miss executions cross a pipe — or a
-:class:`~repro.search.sharding.ShardedSearchService` for intra-request
-scatter–gather.
+and the result LRU, only cache-miss executions cross a pipe; with
+``--shards K`` a miss is also split over up to K workers that are free.
 
 Endpoints: ``GET /search``, ``GET /metrics`` (Prometheus text),
 ``GET /healthz``, ``POST /admin/invalidate`` (writer tick).
@@ -110,7 +109,6 @@ def _search_body(plan, stats, answers: bytes) -> bytes:
             "pairs_skipped": stats.pairs_skipped,
             "shards_total": stats.shards_total,
             "shards_skipped": stats.shards_skipped,
-            "shard_waves": stats.shard_waves,
             "shard_busy_ms": list(stats.shard_busy_ms),
         },
     }, sort_keys=True)

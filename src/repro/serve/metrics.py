@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 #: SearchStats counters the server aggregates across requests — the
-#: pruning and scatter-gather work counters ``/metrics`` re-exports.
+#: pruning and split work counters ``/metrics`` re-exports.
 SEARCH_COUNTERS = (
     "candidate_roots",
     "roots_expanded",
@@ -34,7 +34,6 @@ SEARCH_COUNTERS = (
     "pairs_skipped",
     "shards_total",
     "shards_skipped",
-    "shard_waves",
     "shard_failovers",
 )
 

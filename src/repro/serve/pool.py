@@ -1,10 +1,10 @@
-"""Fork-pool execution backend for the HTTP serving tier.
+"""Fork-pool execution backend: the one pool-backed service.
 
 The asyncio dispatch loop (:mod:`repro.serve.http`) bridges request
 execution to a ``ThreadPoolExecutor``, which the GIL caps at ~1×
 single-thread throughput for the pure-Python top-k loops.  This module
-adds the multi-core path ``docs/serving.md`` flags as the next capacity
-unlock: :class:`PooledSearchService` is a drop-in
+adds the multi-core path ``docs/serving.md`` describes:
+:class:`PooledSearchService` is a drop-in
 :class:`~repro.search.service.SearchService` whose cache-miss
 executions cross to N long-lived **fork workers** instead of running
 inline.
@@ -26,59 +26,52 @@ Division of labor — the parent keeps every piece of dispatch state:
   (path_id, sim)-pair combos, estimated_score)`` rows of
   :func:`~repro.search.result.portable_answers`; the parent re-binds
   the pairs to its own snapshot's store, so ``include_rows=True`` works
-  across the pipe without an entry being built on either side.
+  across the pipe without an entry being built on either side.  Nothing
+  is warmed in the parent before the fork: each worker boxes the paths
+  of the words it is asked about (``docs/serving.md`` has the
+  measurement).
 
 The workers are a :class:`~repro.search.workers.WorkerPool` behind a
-free-slot lease; the fork, the pipe protocol, death detection and
-respawn live in :mod:`repro.search.workers`, with the two rules this
-service shares with the sharded one.  Invalidation: a pool is tagged
-with the store version it was forked at, and a mismatch at execution
-time forks a fresh pool from the new snapshot — workers can never serve
-a stale one.  Failover: a dead worker's request (crash, OOM-kill,
-SIGKILL fault injection) is answered **inline** in the parent first,
-bit-identically, and counted in ``ServiceStats.worker_failovers``; the
-slot is respawned afterwards (a failed respawn: ``respawn_failures``).
+free-slot lease; the fork, the pipe protocol, death detection, respawn
+and the failover rule live in :mod:`repro.search.workers`.
+Invalidation: a pool is tagged with the store version it was forked
+at, and a mismatch at execution time forks a fresh pool from the new
+snapshot — workers can never serve a stale one.  Failover: a dead
+worker's request (crash, OOM-kill, SIGKILL fault injection) is answered
+**inline** in the parent first, bit-identically, and counted in
+``ServiceStats.worker_failovers``; the slot is respawned afterwards (a
+failed respawn: ``respawn_failures``).
 
-Composing with ``--shards``: the chosen composition is **parent
-dispatch → fork worker → inline scatter over the inherited snapshot**.
-Each worker sees its snapshot as K shards
-(:class:`~repro.index.shards.ShardedIndexes` — per-query root-type
-slices of the one store, nothing copied; the partition's width, read in
-the parent before the fork, is the map's shard count on both sides)
-and runs the bound-driven best-bound-first
-merge loop
-(:func:`~repro.search.sharding.execute_sharded_plan` — literally the
-same function the sharded service's coordinator runs) in-process, so
-shard skip counters flow unchanged.  The coordinator runs that loop in
-core-wide waves over its shard workers; a pool worker is one process on
-one core, so it passes wave width 1 and visits its shards one after
-another, keeping every threshold skip.  The alternative — nested
-per-worker shard pools — would put N×K processes on the box,
-oversubscribing every core for *intra*-request parallelism when the
-HTTP tier's scarce resource is *inter*-request throughput; one process
-per concurrent request parallelizes the stream without oversubscription
-and keeps the failure domain one pipe wide.  See ``docs/serving.md``.
+Splitting (``num_shards = K >= 2``, ``--shards K``): a shardable plan
+leases one worker, blocking, then takes further workers only if they
+are free right now, up to :func:`~repro.search.sharding.split_width`.
+Holding two or more, it sends each one slice of the query's root types
+and merges the replies (:mod:`repro.search.sharding`); holding one, it
+runs the plan whole there.  A split therefore never waits for a worker
+another request holds, and concurrent requests never queue behind one
+another's split.
 """
 
 from __future__ import annotations
 
 import queue
+import threading
 from typing import List, Optional
 
 from repro.core.errors import SearchError
 from repro.index.builder import PathIndexes
-from repro.index.shards import ShardedIndexes
+from repro.index.shards import Shard, ShardedIndexes
 from repro.scoring.function import PAPER_DEFAULT, ScoringFunction
-from repro.search.context import EnumerationContext
+from repro.search import sharding
 from repro.search.plan import QueryPlan, execute_plan
-from repro.search.result import SearchResult, bind_answers, portable_answers
-from repro.search.sharding import (
-    execute_sharded_plan,
-    plan_shardable,
-    search_shard,
-    shard_upper_bounds,
+from repro.search.result import (
+    SearchResult,
+    Stopwatch,
+    bind_answers,
+    portable_answers,
 )
-from repro.search.workers import PoolBackedService, WorkerError, WorkerPool
+from repro.search.service import SearchService
+from repro.search.workers import WorkerError, WorkerPool
 
 DEFAULT_POOL_PROCESSES = 2
 
@@ -86,68 +79,32 @@ DEFAULT_POOL_PROCESSES = 2
 PoolWorkerError = WorkerError
 
 
-def _execute_portable(
-    bundle: PathIndexes, sharded: Optional[ShardedIndexes], plan: QueryPlan
-):
-    """Worker-side execution: a plan in, ``(portable answers, stats)``
-    out, path ids the inherited snapshot's.
-
-    Plain pools (and non-shardable plans on sharded pools) run the whole
-    plan against the inherited snapshot.  Sharded pools run the inline
-    scatter–gather merge loop over its shards — the same
-    :func:`execute_sharded_plan` the sharded coordinator uses, so the
-    two spines produce bit-identical answers by construction.
-    """
-    if sharded is None or not plan_shardable(plan):
+def _execute_portable(bundle: PathIndexes, request):
+    """Worker-side (and inline-failover) execution: ``(plan, part)`` in,
+    ``(portable answers, stats)`` out, path ids the inherited
+    snapshot's.  ``part`` is None for the whole plan, else the
+    ``(slice, width)`` of a split."""
+    plan, part = request
+    if part is None:
         result = execute_plan(bundle, plan)
-    else:
-        context = EnumerationContext(bundle, plan.resolved_query())
-        shards = sharded.shards
-        subtrees: List[int] = []
-
-        def run_shards(shard_ids: List[int]):
-            runs = []
-            for shard_id in shard_ids:
-                run = search_shard(shards[shard_id], plan, context)
-                subtrees.extend(run.stats.shard_subtrees)
-                runs.append((run.answers, run.stats))
-            return runs
-
-        # Width 1: this worker is one process on one core, and its
-        # siblings are busy with other requests.  The query's types
-        # are still split over ``sharded.width`` shards — the map the
-        # shard coordinator would use — visited one after another.
-        result = execute_sharded_plan(
-            plan,
-            sharded,
-            shard_upper_bounds(sharded, context, plan.scoring),
-            run_shards,
-            width=1,
-            candidate_roots=len(context.candidate_roots),
-        )
-        result.stats.shard_subtrees = tuple(subtrees)
-    return portable_answers(result.answers), result.stats
+        return portable_answers(result.answers), result.stats
+    shard_id, width = part
+    return sharding.execute_shard_plan(
+        Shard(ShardedIndexes(bundle, width, width), shard_id), plan
+    )
 
 
 class ForkWorkerPool(WorkerPool):
     """N interchangeable :class:`~repro.search.workers.WorkerPool`
     workers behind a free-slot lease.
 
-    Unlike :class:`~repro.search.sharding.ShardWorkerPool` (one worker
-    *per shard*, one in-flight *query* per pool, its shards sent in
-    concurrent waves), every worker here can execute every plan, and N
-    requests execute concurrently — one executor thread leases one
-    worker slot for the duration of a request, so each duplex pipe
-    still has exactly one user at a time.  The caller warms the snapshot
-    once in the parent before the fork, not N times in the children.
+    Every worker can execute every request, and N requests execute
+    concurrently — a request leases the worker slots it runs on for its
+    duration, so each duplex pipe still has exactly one user at a time.
     """
 
     def __init__(
-        self,
-        bundle: PathIndexes,
-        num_workers: int,
-        sharded: Optional[ShardedIndexes] = None,
-        timeout: float = 60.0,
+        self, bundle: PathIndexes, num_workers: int, timeout: float = 60.0
     ) -> None:
         if num_workers < 1:
             raise SearchError(
@@ -156,10 +113,7 @@ class ForkWorkerPool(WorkerPool):
         self.store_version = bundle.store.version
         self._free: "queue.Queue[int]" = queue.Queue()
         super().__init__(
-            [(bundle, sharded)] * num_workers,
-            lambda state, plan: _execute_portable(*state, plan),
-            "pool",
-            timeout,
+            [bundle] * num_workers, _execute_portable, "pool", timeout
         )
         for slot in range(num_workers):
             self._free.put(slot)
@@ -175,17 +129,24 @@ class ForkWorkerPool(WorkerPool):
                 f"no free pool worker within {self.timeout:g}s"
             ) from None
 
+    def lease_free(self) -> Optional[int]:
+        """A slot that is free right now, or None; never waits."""
+        try:
+            return self._free.get_nowait()
+        except queue.Empty:
+            return None
+
     def release(self, slot: int) -> None:
         self._free.put(slot)
 
     def execute(self, plan: QueryPlan):
-        """Run ``plan`` on any free worker; raises
+        """Run ``plan`` whole on any free worker; raises
         :class:`~repro.search.workers.WorkerError` when the leased
         slot's worker is dead, hangs up mid-request, or stays silent
         past the pool timeout (the caller then fails over inline)."""
         slot = self.lease()
         try:
-            return self.collect(slot, self.send(slot, plan))
+            return self.collect(slot, self.send(slot, (plan, None)))
         finally:
             self.release(slot)
 
@@ -193,17 +154,20 @@ class ForkWorkerPool(WorkerPool):
         return self._free.qsize()
 
 
-class PooledSearchService(PoolBackedService):
+class PooledSearchService(SearchService):
     """Drop-in service whose executions run on a fork-worker pool.
 
     Same caches, same snapshot protocol, bit-identical answers as
     :class:`~repro.search.service.SearchService` — with cache-miss
-    executions crossing to :class:`ForkWorkerPool` workers.  Pool
-    lifecycle and the failover rule are
-    :class:`~repro.search.workers.PoolBackedService`'s.  Pass
-    ``num_shards=K`` to compose with sharding: workers then run the
-    inline scatter–gather merge loop over the inherited snapshot's K
-    shards (module docstring).
+    executions crossing to :class:`ForkWorkerPool` workers.  Pass
+    ``num_shards=K`` (K >= 2) to split a shardable plan over up to K
+    free workers (module docstring).
+
+    The pool is built lazily by the first execution that needs it and
+    rebuilt whenever the store version moves: the service's
+    version-guard protocol, one level up, so workers can never serve a
+    stale snapshot.  Call :meth:`close` (or use as a context manager)
+    to reap the workers.
 
     Only the ``baseline`` algorithm routes inline: it walks the live
     graph, which a forked worker froze at pool-build time.  Every
@@ -224,41 +188,55 @@ class PooledSearchService(PoolBackedService):
             raise SearchError(f"processes must be >= 1, got {processes}")
         if num_shards < 0:
             raise SearchError(f"num_shards must be >= 0, got {num_shards}")
-        super().__init__(
-            indexes, num_shards, worker_timeout, scoring=scoring, **kwargs
-        )
+        super().__init__(indexes, scoring=scoring, **kwargs)
         self.processes = processes
+        self.num_shards = num_shards
+        self.worker_timeout = worker_timeout
+        self._pool: Optional[ForkWorkerPool] = None
+        #: Guards pool lifecycle (build, rebuild, close) only —
+        #: executions run outside it, N at a time.
+        self._pool_lock = threading.Lock()
         self.stats.execution_backend = (
-            "fork-pool+sharded" if self.num_shards else "fork-pool"
+            "fork-pool+sharded" if num_shards else "fork-pool"
         )
         self.stats.execution_workers = processes
 
-    def _start_pool(
-        self, snap: PathIndexes, sharded: Optional[ShardedIndexes]
-    ) -> ForkWorkerPool:
-        # Warm in the parent, once, before the fork: every worker
-        # inherits the boxed query columns and the bound columns
-        # copy-on-write (a mapped store's bound columns stay lazy
-        # per queried word; warming never thaws it).  The query
-        # memo outlives the version bump that forced this rebuild,
-        # so only the paths written since the last one are boxed.
-        snap.store.warm_query_caches()
-        self._mirror_store_counters()
-        return ForkWorkerPool(
-            snap, self.processes, sharded=sharded, timeout=self.worker_timeout
-        )
+    # ----------------------------------------------------------- lifecycle
+
+    def close(self) -> None:
+        """Reap the worker pool (the service stays usable; the next
+        execution that needs one forks a fresh pool)."""
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+            if pool is not None:
+                pool.close()
+
+    def _ensure_pool(self, snap: PathIndexes) -> ForkWorkerPool:
+        """The pool for the serving version (caller holds
+        :attr:`_pool_lock`); forked afresh when the store moved."""
+        pool = self._pool
+        if pool is None or pool.store_version != snap.store.version:
+            # Unpublished before it is closed: ``_pool`` is only ever
+            # None or an open pool, also to the lock-free readers below.
+            self._pool = None
+            if pool is not None:
+                pool.close()
+            self._pool = ForkWorkerPool(
+                snap, self.processes, timeout=self.worker_timeout
+            )
+            self.stats.bump(pool_rebuilds=1)
+        return self._pool
 
     # ----------------------------------------------------------- execution
 
     def _execute_on(self, snap: PathIndexes, plan: QueryPlan) -> SearchResult:
         if plan.algorithm == "baseline":
             return super()._execute_on(snap, plan)
-        # The lock guards pool lifecycle only — executions run outside
-        # it, N at a time, each owning one worker slot.
         with self._pool_lock:
-            _sharded, pool = self._ensure_pool(snap)
+            pool = self._ensure_pool(snap)
+        watch = Stopwatch()
         try:
-            slot = pool.lease()
+            slots = [pool.lease()]
         except WorkerError:
             # Every worker stayed busy past the pool timeout: none is
             # lost, and the request still gets its answer.
@@ -266,23 +244,84 @@ class PooledSearchService(PoolBackedService):
             return super()._execute_on(snap, plan)
         lost: List[int] = []
         try:
-            ((rows, stats),) = pool.execute_on([slot], plan, lost)
+            context = None
+            if self.num_shards >= 2 and sharding.plan_shardable(plan):
+                context = self._context_for(snap, plan)
+                wanted = sharding.split_width(self.num_shards, context)
+                while len(slots) < wanted:
+                    slot = pool.lease_free()
+                    if slot is None:
+                        break
+                    slots.append(slot)
+            width = len(slots)
+            requests = (
+                [(plan, None)] if width == 1
+                else [(plan, (i, width)) for i in range(width)]
+            )
+            replies = pool.execute_on(slots, requests, lost)
         finally:
-            # Healed with the slot still leased, so that no other
+            # Healed with the slots still leased, so that no other
             # request is handed the hole.
             self._heal(pool, lost)
-            pool.release(slot)
+            for slot in slots:
+                pool.release(slot)
         # The workers were forked from this snapshot, so their path ids
         # are its store's.
-        return SearchResult(
-            query=plan.words,
-            k=plan.k,
-            d=plan.d,
-            answers=bind_answers(rows, snap),
-            stats=stats,
+        runs = [(bind_answers(rows, snap), stats) for rows, stats in replies]
+        if width == 1:
+            ((answers, stats),) = runs
+            result = SearchResult(
+                query=plan.words, k=plan.k, d=plan.d,
+                answers=answers, stats=stats,
+            )
+        else:
+            result = sharding.merge_shard_runs(
+                plan, runs, len(context.candidate_roots)
+            )
+            result.stats.elapsed_seconds = watch.elapsed()
+        result.stats.shard_failovers = len(lost)
+        if context is not None:
+            self._remember_candidates(plan, context)
+        return result
+
+    def _execute_forked(self, snap, pending, processes):
+        raise SearchError(
+            f"search_many(processes=N) is disabled on "
+            f"{type(self).__name__}: forked batch children would share "
+            "the pool workers' pipes; the standing worker pool is already "
+            "the parallel path (use threads= for batch overlap)"
         )
 
+    def _heal(self, pool: WorkerPool, lost: List[int]) -> None:
+        """Second half of the failover rule
+        (:meth:`~repro.search.workers.WorkerPool.execute_on`): count and
+        respawn the workers whose requests were answered inline.  A
+        respawn that itself fails leaves the slot empty for the next
+        request to fail over and retry; it is counted, never raised."""
+        self.stats.bump(worker_failovers=len(lost))
+        for slot in lost:
+            try:
+                pool.respawn(slot)
+            except WorkerError:
+                self.stats.bump(respawn_failures=1)
+
     # ----------------------------------------------------------- reporting
+
+    def worker_snapshot(self) -> List[dict]:
+        """Per-worker pool gauges (empty before the first pooled
+        execution — the pool is lazy)."""
+        pool = self._pool
+        return [] if pool is None else pool.worker_snapshot()
+
+    def kill_worker(self, slot: int) -> None:
+        """Fault-injection passthrough (tests, BENCH_9)."""
+        if self._pool is not None:
+            self._pool.kill_worker(slot)
+
+    def arm_exit(self, slot: int) -> None:
+        """Fault-injection passthrough: deterministic mid-request death."""
+        if self._pool is not None:
+            self._pool.arm_exit(slot)
 
     def pool_info(self) -> dict:
         pool = self._pool
@@ -296,3 +335,25 @@ class PooledSearchService(PoolBackedService):
                 pool.store_version if pool is not None else None
             ),
         }
+
+    def __repr__(self) -> str:
+        pool = "down" if self._pool is None else "up"
+        return (
+            f"{type(self).__name__}("
+            f"workers={self.stats.execution_workers}, "
+            f"num_shards={self.num_shards}, pool={pool}, "
+            f"{super().__repr__()[len('SearchService('):]}"
+        )
+
+
+class ShardedSearchService(PooledSearchService):
+    """``PooledSearchService(processes=K, num_shards=K)``: one worker
+    per slice of the widest split ``--shards K`` allows."""
+
+    def __init__(
+        self, indexes: PathIndexes,
+        num_shards: int = sharding.DEFAULT_NUM_SHARDS, **kwargs,
+    ) -> None:
+        super().__init__(
+            indexes, processes=num_shards, num_shards=num_shards, **kwargs
+        )

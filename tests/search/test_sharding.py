@@ -1,16 +1,20 @@
-"""Sharded scatter–gather serving: partition invariants, bit-identity,
-bound-driven shard skipping, and worker-pool robustness.
+"""Query splitting over free fork-pool workers: partition invariants,
+bit-identity, the merge, and worker-pool robustness.
 
 The load-bearing contract is differential: for every shardable algorithm
-and every shard count, :class:`ShardedSearchService` must return answers
-**bit-identical** to the plain single-store service — scores, pattern
-keys, subtree rows, ordering, everything (see ``docs/sharding.md``).
+and every shard count, :class:`ShardedSearchService` — the fork pool
+with K workers, splitting each query over up to K of them — must return
+answers **bit-identical** to the plain single-store service — scores,
+pattern keys, subtree rows, ordering, everything (see
+``docs/sharding.md``).
 """
 
 from __future__ import annotations
 
 import ast
 import itertools
+import sys
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -24,15 +28,16 @@ from repro.index.builder import ResolvedQuery, build_indexes
 from repro.index.serialize import (
     describe_index_file,
     load_indexes,
+    save_indexes,
     save_sharded_indexes,
 )
 from repro.index.incremental import add_entity
-from repro.index.shards import partition_indexes
+from repro.index.shards import ShardedIndexes, partition_indexes
 from repro.index.store import PostingStore
 from repro.kg.graph import KnowledgeGraph
 from repro.search import sharding
 from repro.search.context import EnumerationContext
-from repro.search.plan import execute_plan, plan_search
+from repro.search.plan import QueryPlan, execute_plan, plan_search
 from repro.search.service import SearchService
 from repro.search.sharding import (
     _ADDITIVE_COUNTERS,
@@ -41,10 +46,10 @@ from repro.search.sharding import (
     ShardedSearchService,
     ShardWorkerError,
     execute_shard_plan,
-    execute_sharded_plan,
+    merge_shard_runs,
     plan_shardable,
     search_shard,
-    shard_upper_bounds,
+    split_width,
 )
 from repro.serve.pool import PooledSearchService
 
@@ -117,6 +122,21 @@ def small_bundle():
 
 def patch_cores(monkeypatch, cores: int) -> None:
     monkeypatch.setattr(sharding, "usable_cores", lambda: cores)
+
+
+def idle_split_width(service, query, **params) -> int:
+    """How many slices ``service`` splits ``query`` (a plan, or a query
+    string with its search parameters) over when every worker of its
+    pool is free: ``min(processes, K, usable cores, root types)`` — or
+    0, the query runs whole, when that is below 2."""
+    plan = query if isinstance(query, QueryPlan) else service.plan(
+        query, **params
+    )
+    if service.num_shards < 2 or not plan_shardable(plan):
+        return 0
+    context = EnumerationContext(service.snapshot(), plan.resolved_query())
+    width = min(service.processes, split_width(service.num_shards, context))
+    return width if width >= 2 else 0
 
 
 def bin_loads(sharded, context, shard_map):
@@ -236,23 +256,17 @@ def rows_of(result):
     }
 
 
-def scatter_in_process(indexes, plan, num_shards, width=1):
-    """The merge loop over in-process shard runs, loose bounds."""
-    sharded = partition_indexes(indexes, num_shards)
-    context = EnumerationContext(indexes, plan.resolved_query())
-    shards = sharded.shards
-    return execute_sharded_plan(
+def split_in_process(indexes, plan, width):
+    """A ``width``-way split run in process: each slice's run, and the
+    merge of them all."""
+    sharded = ShardedIndexes(indexes, width, width)
+    runs = [search_shard(shard, plan) for shard in sharded.shards]
+    merged = merge_shard_runs(
         plan,
-        sharded,
-        shard_upper_bounds(sharded, context, plan.scoring),
-        lambda shard_ids: [
-            (result.answers, result.stats)
-            for result in (
-                search_shard(shards[shard_id], plan) for shard_id in shard_ids
-            )
-        ],
-        width,
+        [(run.answers, run.stats) for run in runs],
+        len(EnumerationContext(indexes, plan.resolved_query()).candidate_roots),
     )
+    return runs, merged
 
 
 @st.composite
@@ -339,7 +353,7 @@ class TestShardsAreSlices:
         for shard in sharded.shards:
             for answer in search_shard(shard, plan).answers:
                 assert {combo._store for combo in answer.subtrees} == {store}
-        assert fingerprint(scatter_in_process(wiki_indexes, plan, 3)) == (
+        assert fingerprint(split_in_process(wiki_indexes, plan, 3)[1]) == (
             fingerprint(execute_plan(wiki_indexes, plan))
         )
         assert store_births == []
@@ -353,13 +367,12 @@ class TestShardsAreSlices:
         graph=typed_graphs(),
         num_shards=st.integers(min_value=1, max_value=9),
         k=st.sampled_from([1, 2, 50]),
-        width=st.sampled_from([1, 3]),
         data=st.data(),
     )
-    def test_random_graphs_and_shard_counts(
-        self, graph, num_shards, k, width, data
-    ):
-        """Empty shards and K above the populated types included."""
+    def test_random_graphs_and_shard_counts(self, graph, num_shards, k, data):
+        """Merged equals unsharded and the merged counters are the
+        slices' sums; empty slices and K above the populated types
+        included."""
         indexes = build_indexes(graph, d=3)
         vocab = sorted(indexes.store.words())
         if not vocab:
@@ -373,9 +386,17 @@ class TestShardsAreSlices:
                 indexes, " ".join(words), k=k, algorithm=algorithm
             )
             whole = execute_plan(indexes, plan)
-            merged = scatter_in_process(indexes, plan, num_shards, width)
+            runs, merged = split_in_process(indexes, plan, num_shards)
             assert fingerprint(merged) == fingerprint(whole)
             assert merged.stats.shards_total == num_shards
+            assert merged.stats.candidate_roots == whole.stats.candidate_roots
+            for counter in _ADDITIVE_COUNTERS:
+                assert getattr(merged.stats, counter) == sum(
+                    getattr(run.stats, counter) for run in runs
+                ), counter
+            assert merged.stats.shard_subtrees == tuple(
+                run.stats.shard_subtrees[0] for run in runs
+            )
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -389,8 +410,8 @@ class TestShardsAreSlices:
     def test_random_graphs_at_any_core_count(
         self, graph, num_shards, cores, k, data
     ):
-        """The map's shard count follows the cores: merged equals
-        unsharded in process and through a pooled × sharded worker."""
+        """The split's width follows the cores: merged equals unsharded
+        in process and through a splitting fork pool."""
         indexes = build_indexes(graph, d=3)
         vocab = sorted(indexes.store.words())
         if not vocab:
@@ -403,7 +424,7 @@ class TestShardsAreSlices:
             width = partition_indexes(indexes, num_shards).width
             assert width == min(num_shards, cores)
             with PooledSearchService(
-                indexes, processes=1, num_shards=num_shards,
+                indexes, processes=2, num_shards=num_shards,
                 max_cached_results=0,
             ) as pooled:
                 for algorithm in sorted(SHARDABLE_ALGORITHMS):
@@ -411,13 +432,14 @@ class TestShardsAreSlices:
                         indexes, " ".join(words), k=k, algorithm=algorithm
                     )
                     whole = fingerprint(execute_plan(indexes, plan))
-                    merged = scatter_in_process(
-                        indexes, plan, num_shards, width
-                    )
+                    _runs, merged = split_in_process(indexes, plan, width)
                     assert fingerprint(merged) == whole
-                    dispatched = merged.stats.shard_dispatch_order
-                    assert all(shard_id < width for shard_id in dispatched)
-                    assert fingerprint(pooled.search(plan=plan)) == whole
+                    served = pooled.search(plan=plan)
+                    assert fingerprint(served) == whole
+                    assert served.stats.shards_total == idle_split_width(
+                        pooled, plan
+                    ) <= min(2, width)
+                    assert pooled._pool.free_slots() == 2
 
 
 class TestOneStore:
@@ -566,13 +588,9 @@ class TestOneStore:
                 if self.calls_in(node, {"assign"}):
                     mapping.append(where)
         assert narrowing == ["search/sharding.py:search_shard"]
-        # One map, computed in one function, read by both sides of the
-        # pipe: the shard run and the coordinator's bounds.
+        # One map, computed in one function, read by the slice run alone.
         assert defined == ["index/shards.py:assign"]
-        assert mapping == [
-            "search/sharding.py:search_shard",
-            "search/sharding.py:shard_upper_bounds",
-        ]
+        assert mapping == ["search/sharding.py:search_shard"]
         # ... which hands the narrowed context to the unmodified
         # algorithms: none of them knows about shards.
         for module in ("pattern_enum", "linear_topk", "linear_enum",
@@ -599,10 +617,10 @@ class TestBitIdentity:
                     algorithm,
                     query,
                 )
-                if algorithm in SHARDABLE_ALGORITHMS and not (
-                    sharded.stats.from_result_cache
-                ):
-                    assert sharded.stats.shards_total == num_shards
+                if not sharded.stats.from_result_cache:
+                    assert sharded.stats.shards_total == idle_split_width(
+                        service, query, k=5, algorithm=algorithm
+                    ), (num_shards, algorithm, query)
 
     def test_no_subtrees_matches_too(
         self, sharded_services, plain_service, wiki_queries
@@ -655,52 +673,15 @@ class TestHypothesisDifferential:
 
 
 class TestBoundSkipping:
-    def test_small_k_skips_shards(
-        self, sharded_services, plain_service, wiki_queries
-    ):
-        service = sharded_services[7]
-        skipped = 0
-        for query in wiki_queries:
-            result = service.search(
-                query, k=1, keep_subtrees=False, algorithm="pattern_enum"
-            )
-            reference = plain_service.search(
-                query, k=1, keep_subtrees=False, algorithm="pattern_enum"
-            )
-            assert fingerprint(result) == fingerprint(reference)
-            stats = result.stats
-            if stats.from_result_cache:
-                continue
-            skipped += stats.shards_skipped
-            assert stats.shards_total == 7
-            assert (
-                len(stats.shard_dispatch_order) + stats.shards_skipped == 7
-            )
-        assert skipped > 0, "k=1 over 7 shards never skipped a shard"
-
-    def test_dispatch_order_is_best_bound_first(
-        self, sharded_services, wiki_queries
-    ):
-        service = sharded_services[4]
-        service._results.clear()
-        result = service.search(wiki_queries[0], k=5)
-        stats = result.stats
-        order = stats.shard_dispatch_order
-        snap = service.snapshot()
-        plan = service.plan(wiki_queries[0], k=5)
-        context = service._context_for(snap, plan)
-        with service._scatter_lock:
-            sharded, _ = service._ensure_pool(snap)
-            uppers = service._shard_bounds(snap, plan, context, sharded)
-        bounds = [uppers[shard_id] for shard_id in order]
-        assert bounds == sorted(bounds, reverse=True)
+    """What is left of shard skipping: a query with no candidate root
+    type has nothing to split, and no slice is sent anywhere."""
 
     def test_unknown_words_skip_everything(self, sharded_services):
         service = sharded_services[4]
         result = service.search("xyzzy unknown", k=5)
         if not result.stats.from_result_cache:
-            assert result.stats.shards_skipped == 4
-            assert result.stats.shard_dispatch_order == ()
+            assert result.stats.shards_total == 0
+            assert result.stats.shard_subtrees == ()
         assert result.answers == []
 
 
@@ -711,20 +692,24 @@ class TestShardSubtrees:
         from repro.cli import _explain_pruning
 
         service = sharded_services[4]
+        split = 0
         for query in wiki_queries:
             service._results.clear()
             stats = service.search(query, k=5).stats
-            snap = service.snapshot()
-            with service._scatter_lock:
-                sharded, _ = service._ensure_pool(snap)
-            context = EnumerationContext(snap, query)
+            width = stats.shards_total
+            if not width:
+                assert stats.shard_subtrees == ()
+                continue
+            split += 1
+            sharded = ShardedIndexes(service.snapshot(), width, width)
+            context = EnumerationContext(service.snapshot(), query)
             loads = bin_loads(sharded, context, sharded.assign(context))
-            assert stats.shard_subtrees == tuple(
-                loads[shard_id] for shard_id in stats.shard_dispatch_order
-            )
+            assert stats.shard_subtrees == tuple(loads)
+            assert len(stats.shard_busy_ms) == width
             assert f"subtrees={list(stats.shard_subtrees)}" in (
                 _explain_pruning(stats)
             )
+        assert split or min(4, sharding.usable_cores()) < 2
 
     def test_a_letopk_shard_run_counts_subtrees_once(
         self, wiki_indexes, wiki_queries, monkeypatch
@@ -786,6 +771,31 @@ class TestInlineRouting:
         assert not plan_shardable(baseline)
 
 
+def kill_the_next_lease(pool, monkeypatch):
+    """Kill the worker of the slot the pool's next blocking lease hands
+    out — a victim the next query is sure to send to; returns the list
+    the victim's slot is appended to."""
+    real_lease, victims = pool.lease, []
+
+    def lease():
+        slot = real_lease()
+        if not victims:
+            victims.append(slot)
+            pool.kill_worker(slot)
+        return slot
+
+    monkeypatch.setattr(pool, "lease", lease)
+    return victims
+
+
+def widest_query(service, bundle):
+    """A query ``service`` splits over every one of its workers."""
+    for word in sorted(bundle.store.words()):
+        if idle_split_width(service, word, k=5) == service.processes:
+            return word
+    raise AssertionError("no query spans every worker")
+
+
 class TestWorkerRobustness:
     def test_killed_worker_fails_over_and_respawns(
         self, small_bundle, monkeypatch
@@ -795,11 +805,10 @@ class TestWorkerRobustness:
         query = " ".join(vocab[:2])
         with ShardedSearchService(small_bundle, num_shards=4) as service:
             first = service.search(query, k=5)
-            assert first.stats.shard_dispatch_order, "query dispatched nothing"
-            victim = first.stats.shard_dispatch_order[0]
-            service._pool.kill_worker(victim)
+            victims = kill_the_next_lease(service._pool, monkeypatch)
             service._results.clear()  # force re-execution, not a cache hit
             recovered = service.search(query, k=5)
+            assert len(victims) == 1
             assert fingerprint(recovered) == fingerprint(first)
             assert recovered.stats.shard_failovers >= 1
             # The pool respawned the worker: the next query runs fully
@@ -814,16 +823,17 @@ class TestWorkerRobustness:
     def test_failed_respawn_does_not_fail_the_query(
         self, small_bundle, monkeypatch
     ):
-        # The lost shard is answered inline *before* the respawn is
+        # The lost slice is answered inline *before* the respawn is
         # tried; a respawn that fails is counted and retried by the
-        # next query, never raised.
-        vocab = sorted(small_bundle.store.words())
-        query = " ".join(vocab[:2])
+        # next query, never raised.  Every query here is split over all
+        # four workers, so each one sends to the victim's slot.
+        patch_cores(monkeypatch, 64)
         with ShardedSearchService(
             small_bundle, num_shards=4, max_cached_results=0
         ) as service:
+            query = widest_query(service, small_bundle)
             healthy = service.search(query, k=5)
-            victim = healthy.stats.shard_dispatch_order[0]
+            assert healthy.stats.shards_total == 4
             pool = service._pool
             real_spawn = pool._spawn
             failures = [1]
@@ -835,14 +845,15 @@ class TestWorkerRobustness:
                 return real_spawn(shard_id)
 
             monkeypatch.setattr(pool, "_spawn", flaky_spawn)
-            pool.kill_worker(victim)
+            victims = kill_the_next_lease(pool, monkeypatch)
             lost = service.search(query, k=5)
+            (victim,) = victims
             assert fingerprint(lost) == fingerprint(healthy)
             assert lost.stats.shard_failovers == 1
             assert service.stats.respawn_failures == 1
             assert pool._workers[victim] is None  # slot left empty
             with pytest.raises(ShardWorkerError):
-                pool.send(victim, service.plan(query, k=5))
+                pool.send(victim, (service.plan(query, k=5), None))
             # The next query fails over again and the retry succeeds.
             retried = service.search(query, k=5)
             assert fingerprint(retried) == fingerprint(healthy)
@@ -853,6 +864,7 @@ class TestWorkerRobustness:
             assert whole.stats.shard_failovers == 0
             assert fingerprint(whole) == fingerprint(healthy)
             assert "1 failed respawns" in service.stats.format()
+            assert pool.free_slots() == 4
 
     def test_inline_execution_matches_worker(self, small_bundle):
         # The failover path runs the same function the workers run.
@@ -877,6 +889,157 @@ class TestWorkerRobustness:
                 service.search_many(
                     ["anything"], k=3, processes=2, keep_subtrees=False
                 )
+
+
+class TestConcurrentMisses:
+    """One splitting pool serves concurrent misses side by side: a
+    split takes only the workers that are free, so no miss waits for
+    another's."""
+
+    def test_two_cold_misses_execute_at_once(
+        self, small_bundle, tmp_path, monkeypatch
+    ):
+        from repro.cli import _make_service, build_parser
+
+        patch_cores(monkeypatch, 2)
+        path = tmp_path / "kb.idx"
+        save_indexes(small_bundle, path)
+        args = build_parser().parse_args(
+            ["serve", str(path), "--http", "127.0.0.1:0", "--shards", "2"]
+        )
+        service = _make_service(
+            args, pool_processes=getattr(args, "processes", None)
+        )
+        try:
+            assert isinstance(service, PooledSearchService)
+            assert (service.processes, service.num_shards) == (2, 2)
+            # Three words an idle pool splits over both workers: one
+            # builds the pool, two are the concurrent cold misses.
+            words = [
+                word for word in sorted(small_bundle.store.words())
+                if idle_split_width(service, word, k=5) == 2
+            ][:3]
+            assert len(words) == 3
+            assert service.search(words[0], k=5).stats.shards_total == 2
+            pool = service._pool
+            # Each caller holds one worker before either looks for a
+            # free one, and both requests are in flight before either
+            # reply is collected.
+            leased = threading.Barrier(2, timeout=10)
+            sent = threading.Barrier(2, timeout=10)
+            real_lease, real_send = pool.lease, pool.send
+
+            def lease():
+                slot = real_lease()
+                leased.wait()
+                return slot
+
+            def send(slot, request):
+                tag = real_send(slot, request)
+                sent.wait()
+                return tag
+
+            monkeypatch.setattr(pool, "lease", lease)
+            monkeypatch.setattr(pool, "send", send)
+            results, errors = {}, []
+
+            def miss(word):
+                try:
+                    results[word] = service.search(word, k=5)
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=miss, args=(word,))
+                for word in words[1:]
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            plain = SearchService(small_bundle)
+            for word in words[1:]:
+                result = results[word]
+                assert not result.stats.from_result_cache
+                # It found no second free worker, so it ran whole.
+                assert result.stats.shards_total == 0
+                assert fingerprint(result) == fingerprint(
+                    plain.search(word, k=5)
+                )
+            assert pool.free_slots() == service.processes
+            assert service.stats.worker_failovers == 0
+        finally:
+            service.close()
+
+
+    def test_many_callers_never_share_a_worker(
+        self, small_bundle, monkeypatch
+    ):
+        """More callers than workers, switching threads often: every
+        answer is the unsplit one, no worker is ever sent a second
+        request before its first reply is collected, and every slot is
+        free afterwards."""
+        patch_cores(monkeypatch, 3)
+        words = sorted(small_bundle.store.words())[:12]
+        plain = SearchService(small_bundle)
+        expected = {
+            word: fingerprint(plain.search(word, k=5)) for word in words
+        }
+        with PooledSearchService(
+            small_bundle, processes=3, num_shards=3, max_cached_results=0
+        ) as service:
+            service.search(words[0], k=5)  # builds the pool
+            pool = service._pool
+            held, clashes, guard = set(), [], threading.Lock()
+            real_send, real_collect = pool.send, pool.collect
+
+            def send(slot, request):
+                with guard:
+                    if slot in held:
+                        clashes.append(slot)
+                    held.add(slot)
+                return real_send(slot, request)
+
+            def collect(slot, tag, deadline=None):
+                try:
+                    return real_collect(slot, tag, deadline)
+                finally:
+                    with guard:
+                        held.discard(slot)
+
+            monkeypatch.setattr(pool, "send", send)
+            monkeypatch.setattr(pool, "collect", collect)
+            wrong, errors = [], []
+
+            def caller(offset):
+                try:
+                    for i in range(2 * len(words)):
+                        word = words[(offset + i) % len(words)]
+                        result = service.search(word, k=5)
+                        if fingerprint(result) != expected[word]:
+                            wrong.append(word)
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [
+                    threading.Thread(target=caller, args=(offset,))
+                    for offset in range(6)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == [] and wrong == [] and clashes == []
+            assert pool.free_slots() == 3
+            assert service.stats.worker_failovers == 0
 
 
 class TestShardedPersistence:

@@ -1,7 +1,7 @@
 """The one fork-worker mechanism, driven with a toy ``run`` (no index).
 
-:class:`~repro.search.workers.WorkerPool` is everything the shard pool
-and the fork pool have in common: fork + ready handshake, tagged
+:class:`~repro.search.workers.WorkerPool` is everything under the fork
+pool's lease: fork + ready handshake, tagged
 request/response, liveness- and deadline-aware waiting, SIGKILL
 detection, respawn, inline failover, close.  These tests pin that
 protocol on its own, so a fault in it fails here and not three layers up
@@ -23,6 +23,7 @@ import pytest
 
 import repro
 from repro.core.errors import SearchError
+from repro.search import workers
 from repro.search.workers import WorkerError, WorkerPool
 from repro.search.sharding import ShardWorkerError
 from repro.serve.pool import PoolWorkerError
@@ -51,6 +52,19 @@ def pids(pool):
     return [worker.process.pid for worker in pool._workers]
 
 
+def die_before_ready(monkeypatch, dies):
+    """Forked workers whose state ``dies(state)`` accepts raise before
+    their ready handshake."""
+    real_main = workers._worker_main
+
+    def worker_main(state, run, conn):
+        if dies(state):
+            raise RuntimeError("cannot start")
+        real_main(state, run, conn)
+
+    monkeypatch.setattr(workers, "_worker_main", worker_main)
+
+
 def reap(pool, slot):
     """A self-exited worker's pipe closes a moment before the process
     can be waited for; liveness counts are asserted after that moment."""
@@ -68,31 +82,12 @@ class TestHandshake:
         assert [pid for _state, pid, _plan in replies] == pids(pool)
         assert os.getpid() not in pids(pool)
 
-    def test_warm_runs_in_the_child_before_ready(self):
-        def warm(state):
-            state.append(os.getpid())
-
-        states = [[], []]
-        pool = WorkerPool(states, toy_run, "toy", TIMEOUT, warm=warm)
-        try:
-            for slot in range(2):
-                state, pid, _plan = pool.collect(
-                    slot, pool.send(slot, ("echo",))
-                )
-                assert state == [pid]  # warmed there ...
-            assert states == [[], []]  # ... not here
-        finally:
-            pool.close()
-
     def test_a_warm_that_raises_fails_the_pool_and_leaves_no_child(
-        self, capfd
+        self, capfd, monkeypatch
     ):
-        def warm(state):
-            if state == "bad":
-                raise RuntimeError("cannot warm")
-
+        die_before_ready(monkeypatch, lambda state: state == "bad")
         with pytest.raises(WorkerError):
-            WorkerPool(["ok", "bad"], toy_run, "toy", TIMEOUT, warm=warm)
+            WorkerPool(["ok", "bad"], toy_run, "toy", TIMEOUT)
         assert multiprocessing.active_children() == []
         capfd.readouterr()  # the child's traceback
 
@@ -208,8 +203,11 @@ class TestExecuteOn:
         monkeypatch.setattr(pool, "send", send)
         monkeypatch.setattr(pool, "collect", collect)
         lost = []
-        replies = pool.execute_on([2, 0], ("echo",), lost)
+        replies = pool.execute_on([2, 0], [("echo", 2), ("echo", 0)], lost)
         assert [state for state, _pid, _plan in replies] == ["c", "a"]
+        assert [plan for _state, _pid, plan in replies] == [
+            ("echo", 2), ("echo", 0),
+        ]
         assert lost == []
         assert events == [
             ("send", 2), ("send", 0), ("collect", 2), ("collect", 0),
@@ -219,8 +217,10 @@ class TestExecuteOn:
         pool.kill_worker(0)  # lost at send
         pool.arm_exit(2)  # lost at collect
         lost = []
-        replies = pool.execute_on([0, 1, 2], ("echo",), lost)
+        requests = [("echo", slot) for slot in range(3)]
+        replies = pool.execute_on([0, 1, 2], requests, lost)
         assert [state for state, _pid, _plan in replies] == ["a", "b", "c"]
+        assert [plan for _state, _pid, plan in replies] == requests
         here = os.getpid()
         assert [pid == here for _state, pid, _plan in replies] == [
             True, False, True,
@@ -234,10 +234,10 @@ class TestExecuteOn:
     def test_an_error_reply_is_not_a_lost_worker(self, pool):
         lost = []
         with pytest.raises(SearchError, match="failed executing the plan"):
-            pool.execute_on([0, 1], ("boom",), lost)
+            pool.execute_on([0, 1], [("boom",), ("boom",)], lost)
         assert lost == []
         # Worker 1's reply to the failed call is discarded by tag.
-        assert pool.execute_on([1], ("echo", 2), lost)[0][2] == ("echo", 2)
+        assert pool.execute_on([1], [("echo", 2)], lost)[0][2] == ("echo", 2)
 
 
 class TestRespawn:
@@ -282,14 +282,12 @@ class TestRespawn:
         assert pool.collect(1, pool.send(1, ("echo",)))[0] == "b"
         assert pool.worker_snapshot()[1]["respawns"] == 1
 
-    def test_a_worker_dying_before_ready_is_a_failed_respawn(self, capfd):
+    def test_a_worker_dying_before_ready_is_a_failed_respawn(
+        self, capfd, monkeypatch
+    ):
         armed = []
-
-        def warm(state):
-            if armed:
-                raise RuntimeError("cannot warm twice")
-
-        pool = WorkerPool(["a"], toy_run, "toy", TIMEOUT, warm=warm)
+        die_before_ready(monkeypatch, lambda _state: bool(armed))
+        pool = WorkerPool(["a"], toy_run, "toy", TIMEOUT)
         try:
             armed.append(True)  # inherited by the next fork only
             with pytest.raises(WorkerError, match="could not be respawned"):

@@ -27,6 +27,7 @@ from repro.core.errors import SearchError
 from repro.serve import start_http_server
 from repro.serve.pool import ForkWorkerPool, PooledSearchService
 
+from tests.search.test_sharding import idle_split_width
 from tests.serve.test_http import get, post
 
 QUERY = "database software company revenue"
@@ -109,9 +110,12 @@ class TestDifferential:
             )
             assert fingerprint(served) == fingerprint(expected)
             if algorithm != "baseline":
-                # The worker ran the inline scatter loop: shard counters
-                # must flow back across the pipe.
-                assert served.stats.shards_total == 3
+                # The query was split over the free workers (or ran
+                # whole when it has one root type): the split counters
+                # flow back across the pipe.
+                assert served.stats.shards_total == idle_split_width(
+                    pooled_sharded_service, query, algorithm=algorithm
+                )
 
     def test_seeded_sampling_crosses_the_pipe(
         self, plain_service, pooled_service
@@ -402,10 +406,12 @@ class TestPooledShardedHttp:
             status, body, _ = get(thread.address, path)
             ref_status, ref_body, _ = get(reference.address, path)
             assert (status, ref_status) == (200, 200)
-            # Work counters legitimately differ across spines (shard
-            # skipping prunes patterns); the answers are the contract.
+            # Work counters legitimately differ across spines (slices
+            # prune against their own k-th score); the answers are the
+            # contract.
             served, ref = body_fingerprint(body), body_fingerprint(ref_body)
-            assert served["stats"]["shards_total"] == 3
+            width = idle_split_width(service, QUERY, k=3)
+            assert served["stats"]["shards_total"] == width
             served.pop("stats"), ref.pop("stats")
             assert served == ref
             _status, metrics, _ = get(thread.address, "/metrics")
@@ -414,7 +420,10 @@ class TestPooledShardedHttp:
                 'repro_execution_workers{backend="fork-pool+sharded"} 2'
                 in text
             )
-            assert 'repro_search_counter_total{counter="shards_total"} 3' in text
+            assert (
+                f'repro_search_counter_total{{counter="shards_total"}} {width}'
+                in text
+            )
         finally:
             thread.stop()
             reference.stop()

@@ -456,19 +456,25 @@ class TestStats:
 
 
 class TestSharding:
-    def test_search_with_shards_explains_dispatch(self, index_file, capsys):
+    def test_search_with_shards_explains_dispatch(
+        self, index_file, capsys, monkeypatch
+    ):
+        from repro.search import sharding
+
+        monkeypatch.setattr(sharding, "usable_cores", lambda: 2)
         code = main(
             ["search", str(index_file), "software company",
              "--shards", "2", "--explain"]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "sharding: dispatched=" in out
-        assert "/2 shards" in out
-        # The stats line and the --explain line both show the waves and
-        # each dispatched shard's own busy time.
-        assert re.search(r"shards=\d/2 waves=\d busy=\[[\d., ]*\]ms", out)
-        assert re.search(r"order=\[[\d, ]*\]\) waves=\d busy=\[", out)
+        # The stats line and the --explain line both show the split and
+        # each slice's own busy time.
+        assert re.search(r"shards=2 busy=\[[\d.]+, [\d.]+\]ms", out)
+        assert re.search(
+            r"split: 2 slices busy=\[[\d.]+, [\d.]+\]ms "
+            r"subtrees=\[\d+, \d+\]", out
+        )
 
     def test_search_matches_unsharded(self, index_file, capsys):
         assert main(["search", str(index_file), "software company"]) == 0
@@ -550,7 +556,7 @@ class TestSharding:
         assert code == 0
         out = capsys.readouterr().out
         assert "--- #1" in out
-        assert "execution backend: sharded (2 workers)" in out
+        assert "execution backend: fork-pool+sharded (2 workers)" in out
 
     def test_serve_with_processes(self, index_file, capsys, monkeypatch):
         import io

@@ -459,6 +459,7 @@ class TestCompaction:
         answer like the heap oracle for the updated content."""
         from repro.search.engine import TableAnswerEngine
         from repro.search.sharding import ShardedSearchService
+        from tests.search.test_sharding import idle_split_width
 
         path, _mapped, oracle = _mapped_and_oracle(wiki_indexes, tmp_path)
         engine = TableAnswerEngine(oracle.graph, indexes=oracle)
@@ -485,7 +486,9 @@ class TestCompaction:
                         terms, k=10, algorithm=algorithm
                     )
                     got = service.search(terms, k=10, algorithm=algorithm)
-                    assert got.stats.shards_total == num_shards
+                    assert got.stats.shards_total == idle_split_width(
+                        service, terms, k=10, algorithm=algorithm
+                    )
                     assert got.scores() == expected.scores()
                     assert got.pattern_keys() == expected.pattern_keys()
             assert service.stats.pool_rebuilds == 2
@@ -878,13 +881,16 @@ class TestLegacyShardedFiles:
     def test_serves_sharded(self, expected, version):
         from repro.search.service import SearchService
         from repro.search.sharding import ShardedSearchService
+        from tests.search.test_sharding import idle_split_width
 
         reference = SearchService(expected[0]).search(self.QUERY, k=5)
         with ShardedSearchService.from_file(
             LEGACY_SHARDED[version], num_shards=2
         ) as service:
             got = service.search(self.QUERY, k=5)
-            assert got.stats.shards_total == 2
+            assert got.stats.shards_total == idle_split_width(
+                service, self.QUERY, k=5
+            )
             assert got.scores() == reference.scores()
             assert got.pattern_keys() == reference.pattern_keys()
             assert [

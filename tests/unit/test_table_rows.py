@@ -37,7 +37,7 @@ from repro.index.incremental import add_entity
 from repro.index.interner import PatternInterner
 from repro.index.mmapstore import MappedPostingStore
 from repro.index.serialize import load_indexes, save_indexes
-from repro.index.shards import partition_indexes
+from repro.index.shards import ShardedIndexes
 from repro.index.store import PostingStore
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pagerank import uniform_scores
@@ -823,7 +823,11 @@ def assert_same_combos(result, expected):
 class TestPipeRoundTrip:
     QUERY = "curela lemacu"
 
-    def test_shard_worker_failover_and_engine_agree(self, wiki_indexes):
+    def test_shard_worker_failover_and_engine_agree(
+        self, wiki_indexes, monkeypatch
+    ):
+        from tests.search.test_sharding import kill_the_next_lease
+
         expected = SearchService(wiki_indexes).search(self.QUERY, k=10)
         with ShardedSearchService(
             wiki_indexes, num_shards=2, max_cached_results=0
@@ -831,14 +835,14 @@ class TestPipeRoundTrip:
             remote = service.search(self.QUERY, k=10)
             assert remote.stats.shard_failovers == 0
             assert_same_combos(remote, expected)
-            victim = remote.stats.shard_dispatch_order[0]
-            service._pool.kill_worker(victim)
+            # The victim is the slot the next query leases first.
+            kill_the_next_lease(service._pool, monkeypatch)
             inline = service.search(self.QUERY, k=10)
             assert inline.stats.shard_failovers >= 1
             assert_same_combos(inline, expected)
             # Same form from both: pairs bound to the snapshot the
             # workers were forked from.
-            snapshot_store = service._sharded.base.store
+            snapshot_store = service.snapshot().store
             for result in (remote, inline):
                 for answer in result.answers:
                     assert {
@@ -875,25 +879,29 @@ class TestPipeRoundTrip:
 
         monkeypatch.setattr(PostingStore, "__getstate__", refuse)
         snap = wiki_indexes.snapshot()
-        sharded = partition_indexes(snap, 2)
+        sharded = ShardedIndexes(snap, 2, 2)
         service = SearchService(wiki_indexes)
         for algorithm in ("pattern_enum", "linear_topk", "linear_full"):
             plan = service.plan(self.QUERY, k=10, algorithm=algorithm)
             replies = [
                 execute_shard_plan(shard, plan) for shard in sharded.shards
             ]
-            replies.append(_execute_portable(snap, None, plan))
-            replies.append(_execute_portable(snap, sharded, plan))
+            replies.append(_execute_portable(snap, (plan, (0, 2))))
+            replies.append(_execute_portable(snap, (plan, (1, 2))))
+            replies.append(_execute_portable(snap, (plan, None)))
             for reply in replies:
                 assert any(row[3] for row in reply[0])
                 assert pickle.loads(pickle.dumps(reply))[0] == reply[0]
-            # Pooled x sharded: each answer is the verbatim reply row
-            # of one shard, path ids the snapshot's like all the rest.
+            # A split's slice reply is its shard's, verbatim, and each
+            # answer of the whole run is the verbatim reply row of one
+            # slice, path ids the snapshot's like all the rest.
+            assert [reply[0] for reply in replies[2:4]] == [
+                reply[0] for reply in replies[:2]
+            ]
             shard_rows = [row for reply in replies[:2] for row in reply[0]]
             assert replies[-1][0] and all(
                 row in shard_rows for row in replies[-1][0]
             )
-            assert replies[-1][0] == replies[-2][0]
         # The guard itself: a bound combo would have dragged the store.
         with pytest.raises(AssertionError, match="cross a pipe"):
             pickle.dumps(service.search(self.QUERY, k=10))
