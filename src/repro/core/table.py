@@ -263,18 +263,19 @@ def _table_plan(
 
 def compose_rows(
     pattern: TreePattern,
-    rows: Iterable[Sequence[Sequence[NodeId]]],
+    rows: Iterable[Sequence[NodeId]],
     graph: "KnowledgeGraph",
     score: float = 0.0,
     total_rows: Optional[int] = None,
 ) -> TableAnswer:
-    """Build the :class:`TableAnswer` for ``pattern`` from node chains.
+    """Build the :class:`TableAnswer` for ``pattern`` from node rows.
 
     The one row composer.  Each of ``rows`` is a valid subtree of
-    ``pattern`` in its barest form: per keyword path, in pattern order,
-    the node ids from the root down (an edge match's target included) —
-    what the store's path columns hold, so rows render without a subtree
-    object in between.  Rows appear in input order; ``total_rows`` is
+    ``pattern`` in its barest form: its keyword paths end to end, in
+    pattern order, each as the node ids from the root down (an edge
+    match's target included) — what the store's node column holds
+    (:meth:`~repro.index.store.PostingStore.row_nodes`), so rows render
+    without a subtree object or a per-path tuple in between.  Rows appear in input order; ``total_rows`` is
     recorded when the caller passes only the first few.
 
     A column fed by one node takes its text; one fed by several (paths
@@ -294,8 +295,7 @@ def compose_rows(
     answer = TableAnswer(
         pattern=pattern, columns=columns, score=score, total_rows=total_rows
     )
-    for chains in rows:
-        nodes = [node for path_nodes in chains for node in path_nodes]
+    for nodes in rows:
         row = [node_text(nodes[position]) for position in firsts]
         for index, column_sources in shared:
             head = nodes[column_sources[0]]
@@ -329,7 +329,10 @@ def compose_table(
     """
     return compose_rows(
         pattern,
-        ([path.nodes for path in subtree.paths] for subtree in subtrees),
+        (
+            [node for path in subtree.paths for node in path.nodes]
+            for subtree in subtrees
+        ),
         graph,
         score=score,
     )

@@ -175,33 +175,47 @@ class TopKThreshold:
     (False, True)
     """
 
-    __slots__ = ("queue", "first_threshold", "last_threshold")
+    __slots__ = ("queue", "first_threshold", "last_threshold", "_heap", "_k")
 
     def __init__(self, queue: TopKQueue) -> None:
         self.queue = queue
         self.first_threshold: Optional[float] = None
         self.last_threshold: Optional[float] = None
+        # The queue's own heap list (mutated in place, never replaced):
+        # its first entry's score is the k-th score once it holds k.
+        self._heap = queue._heap
+        self._k = queue.k
 
     @property
     def is_active(self) -> bool:
         """Whether the queue is full (only then can anything be pruned)."""
-        return self.queue.is_full
+        return len(self._heap) >= self._k
 
     def observe(self) -> Optional[float]:
         """Record the current k-th score into the trajectory."""
-        if not self.queue.is_full:
+        heap = self._heap
+        if len(heap) < self._k:
             return None
-        kth = self.queue.threshold()
+        kth = heap[0][0]
         if self.first_threshold is None:
             self.first_threshold = kth
         self.last_threshold = kth
         return kth
 
     def admits(self, upper_bound: float) -> bool:
-        """Whether work bounded by ``upper_bound`` could change the queue."""
-        kth = self.observe()
-        if kth is None:
+        """Whether work bounded by ``upper_bound`` could change the queue.
+
+        :meth:`observe` inlined — the hot loops ask once per unit of
+        work — with the same trajectory: every call on a full queue
+        records its k-th score.
+        """
+        heap = self._heap
+        if len(heap) < self._k:
             return True
+        kth = heap[0][0]
+        if self.first_threshold is None:
+            self.first_threshold = kth
+        self.last_threshold = kth
         return upper_bound >= kth
 
     def write_stats(self, stats) -> None:

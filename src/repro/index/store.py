@@ -754,6 +754,17 @@ class PostingStore:
         end = self._node_offsets[path_id + 1]
         return tuple(self._nodes[start:end])
 
+    def row_nodes(self, pairs: Iterable[Tuple[int, float]]) -> List[NodeId]:
+        """A table row's input: the nodes of every path of ``pairs``,
+        end to end, in one list read from the node column (no per-path
+        tuple)."""
+        offsets = self._node_offsets
+        nodes = self._nodes
+        row: List[NodeId] = []
+        for path_id, _sim in pairs:
+            row += nodes[offsets[path_id]:offsets[path_id + 1]]
+        return row
+
     def path_attrs(self, path_id: int) -> Tuple[AttrId, ...]:
         start = self._node_offsets[path_id] - path_id
         end = self._node_offsets[path_id + 1] - (path_id + 1)
@@ -990,18 +1001,17 @@ class PostingStore:
         self.finalize()
         self._query_columns()
 
-    def path_columns(
-        self, words: Optional[Sequence[str]] = None
-    ) -> Tuple[List[int], List[float]]:
-        """``(sizes, prs)`` boxed per-path columns for bound arithmetic.
+    def path_columns(self, words: Optional[Sequence[str]] = None) -> tuple:
+        """``(sizes, prs, edges, self_invalid)``: the boxed per-path
+        columns the enumeration kernel reads.
 
-        The same lists the query-column memo holds, filled for ``words``
-        like :meth:`pairs_checker`; exposed so the bound-driven
-        enumeration loops can accumulate partial subtree sums without
-        re-boxing array elements per access.
+        The lists the query-column memo holds (see
+        :meth:`_query_columns`), filled for ``words`` like
+        :meth:`pairs_checker`: a subtree's score sums and its
+        tree-validity check both read them, with no per-element boxing.
         """
-        _roots, sizes, prs, _edges, _self_invalid = self._query_columns(words)
-        return sizes, prs
+        _roots, sizes, prs, edges, self_invalid = self._query_columns(words)
+        return sizes, prs, edges, self_invalid
 
     def bound_columns(self) -> tuple:
         """Aggregate columns backing admissible score upper bounds.
@@ -1079,36 +1089,19 @@ class PostingStore:
         """Store-native :func:`~repro.index.entry.combination_score_terms`.
 
         Summed (size, pr, sim) for a subtree given as parallel posting
-        columns (Equations 4-6), skipping entry materialization.  A
-        convenience wrapper over :meth:`pairs_scorer` (the hot loops'
-        form, and the single implementation of the sums — identical float
-        order to the entry-based helper, so scores are bit-identical
-        across the two pipelines).
+        columns (Equations 4-6), skipping entry materialization — in the
+        float order of the enumeration kernel and of the entry-based
+        helper, so scores are bit-identical across the pipelines.
         """
-        return self.pairs_scorer()(list(zip(path_ids, sims)))
-
-    def pairs_scorer(self, words: Optional[Sequence[str]] = None):
-        """``pairs -> (size, pr, sim)`` bound to the query columns.
-
-        The pair-combo companion of :meth:`score_terms` (identical sums
-        and float order); fetch once per enumeration run, for the
-        query's ``words``, like :meth:`pairs_checker`.
-        """
-        _roots, sizes, prs, _edges, _self_invalid = self._query_columns(words)
-
-        def score_pairs(
-            pairs: Sequence[Tuple[int, float]]
-        ) -> Tuple[int, float, float]:
-            size = 0
-            pr = 0.0
-            sim = 0.0
-            for path_id, posting_sim in pairs:
-                size += sizes[path_id]
-                pr += prs[path_id]
-                sim += posting_sim
-            return size, pr, sim
-
-        return score_pairs
+        sizes, prs, _edges, _self_invalid = self.path_columns()
+        size = 0
+        pr = 0.0
+        sim = 0.0
+        for path_id, posting_sim in zip(path_ids, sims):
+            size += sizes[path_id]
+            pr += prs[path_id]
+            sim += posting_sim
+        return size, pr, sim
 
     def matched_node(self, path_id: int) -> NodeId:
         """The node whose PageRank is the path's ``pr`` term.
@@ -1396,6 +1389,7 @@ class StoreSnapshot:
     bound_columns = PostingStore.bound_columns
     path_nodes = PostingStore.path_nodes
     path_attrs = PostingStore.path_attrs
+    row_nodes = PostingStore.row_nodes
     path_size = PostingStore.path_size
     path_root = PostingStore.path_root
     path_pattern = PostingStore.path_pattern
@@ -1410,7 +1404,6 @@ class StoreSnapshot:
     release_query_columns = PostingStore.release_query_columns
     warm_query_caches = PostingStore.warm_query_caches
     pairs_checker = PostingStore.pairs_checker
-    pairs_scorer = PostingStore.pairs_scorer
     form_tree = PostingStore.form_tree
     score_terms = PostingStore.score_terms
     total_path_nodes = PostingStore.total_path_nodes

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 from repro.core.errors import ScoringError
 from repro.scoring.aggregate import (
@@ -80,43 +80,44 @@ class ScoringFunction:
     def _base_subtree_score(self, size: int, pr: float, sim: float) -> float:
         """Equation 3's power product over the three base components.
 
-        The single source of the subtree-score arithmetic — both
-        :meth:`subtree_score` (entry-based pipeline) and
-        :meth:`subtree_score_terms` (id-based hot loop) delegate here, so
-        the two pipelines' scores are bit-identical by construction.
+        The entry-based pipeline's form (:meth:`subtree_score`, the
+        reference enumeration): one call of a fresh :meth:`subtree_scorer`
+        closure, the same one the id-based hot loops and the bounds hoist
+        once per query, so the two pipelines' scores are bit-identical by
+        construction.
         """
-        score = 1.0
-        for value, weight in (
-            (size, self.z1),
-            (pr, self.z2),
-            (sim, self.z3),
-        ):
-            if weight == 0.0:
-                continue
-            if value <= 0.0:
-                raise ScoringError(
-                    f"non-positive score component {value!r}; components "
-                    "must be positive (is a keyword unmatched?)"
-                )
-            score *= math.pow(value, weight)
+        return self.subtree_scorer()(size, pr, sim)
+
+    def subtree_scorer(self) -> Callable[[int, float, float], float]:
+        """``(size, pr, sim) -> score(T, q)``: Equation 3 as one closure.
+
+        Built per query (never cached on the instance: plans carrying a
+        scoring function are pickled to worker processes) and shared by
+        the enumeration kernel and :class:`~repro.search.bounds.QueryBounds`.
+        The product is ``pow(size, z1) * pow(pr, z2) * pow(sim, z3)``, left
+        to right, bit-identical to multiplying only the non-zero-weight
+        factors into ``1.0``: ``pow(x, 0.0)`` is ``1.0`` for every ``x``
+        and ``a * 1.0 == a`` (``docs/pruning.md``).  A non-positive
+        component raises only under a non-zero weight, as it always did.
+        Extra components are not scored here (:meth:`subtree_score`
+        multiplies them in).
+        """
+        weights = (self.z1, self.z2, self.z3)
+        z1, z2, z3 = weights
+        power = math.pow
+
+        def score(size: int, pr: float, sim: float) -> float:
+            if size <= 0 or pr <= 0.0 or sim <= 0.0:
+                for value, weight in zip((size, pr, sim), weights):
+                    if weight != 0.0 and value <= 0.0:
+                        raise ScoringError(
+                            f"non-positive score component {value!r}; "
+                            "components must be positive (is a keyword "
+                            "unmatched?)"
+                        )
+            return power(size, z1) * power(pr, z2) * power(sim, z3)
+
         return score
-
-    def subtree_score_terms(
-        self, size: int, pr: float, sim: float
-    ) -> float:
-        """Hot-path :meth:`subtree_score` taking the component scalars.
-
-        Skips the :class:`SubtreeComponents` allocation for the id-based
-        enumeration loops.  Extra components are not supported here —
-        configurations with ``extra_weights`` must go through
-        :meth:`subtree_score`.
-        """
-        if self.extra_weights:
-            raise ScoringError(
-                f"expected {len(self.extra_weights)} extra components, "
-                "got 0"
-            )
-        return self._base_subtree_score(size, pr, sim)
 
     def subtree_score_from_paths(
         self, parts: Sequence[PathComponents]

@@ -32,9 +32,8 @@ from repro.index.store import PostingStore
 from repro.scoring.aggregate import RunningAggregate
 from repro.search.context import EnumerationContext, ensure_context
 from repro.scoring.function import PAPER_DEFAULT, ScoringFunction
-from repro.search.expand import expand_root, pair_scorer
+from repro.search.expand import Pairs, expand_root, join_kernel
 from repro.search.result import (
-    KeptCombo,
     PatternAnswer,
     SearchResult,
     SearchStats,
@@ -173,33 +172,31 @@ def baseline_search(
     )
     stats.candidate_roots = len(walk_context.candidate_roots)
 
-    tree_dict: Dict[RawKey, Tuple[RunningAggregate, List]] = {}
-    score = pair_scorer(scratch, scoring)
-
-    def sink(key_combo, pairs) -> None:
-        slot = tree_dict.get(key_combo)
-        if slot is None:
-            slot = tree_dict[key_combo] = (scoring.running(), [])
-        slot[0].add(score(pairs))
-        if keep_subtrees:
-            slot[1].append(KeptCombo(scratch, pairs))
-
-    form_tree = scratch.pairs_checker()
+    aggregates: Dict[RawKey, RunningAggregate] = {}
+    trees_by_key: Dict[RawKey, List[Pairs]] = {}
+    join = join_kernel(scratch, scoring)
     for root in walk_context.candidate_roots:
         stats.roots_expanded += 1
         expand_root(
-            scratch, walk_context.pattern_maps(root), sink, stats, form_tree
+            join,
+            walk_context.pattern_maps(root),
+            aggregates,
+            trees_by_key if keep_subtrees else None,
+            stats,
         )
 
-    stats.nonempty_patterns = len(tree_dict)
+    stats.nonempty_patterns = len(aggregates)
     queue: TopKQueue = TopKQueue(k)
-    for key in sorted(tree_dict):
-        aggregate, trees = tree_dict[key]
+    for key in sorted(aggregates):
+        aggregate = aggregates[key]
         queue.push(
-            aggregate.value(), (key, aggregate.count, trees), tie_key=key
+            aggregate.value(),
+            (key, aggregate.count, trees_by_key.get(key, [])),
+            tie_key=key,
         )
 
     answers = []
+    make_entry = scratch.make_entry
     for score, (key, count, trees) in queue.ranked():
         answers.append(
             PatternAnswer(
@@ -212,7 +209,10 @@ def baseline_search(
                 # path) for the result's lifetime, while the k surviving
                 # answers' entry tuples are self-contained — the same
                 # memory profile as the pre-refactor baseline.
-                subtrees=[combo.entries() for combo in trees],
+                subtrees=[
+                    tuple(make_entry(path_id, sim) for path_id, sim in pairs)
+                    for pairs in trees
+                ],
             )
         )
     order_answers(answers)

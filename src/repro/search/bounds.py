@@ -96,7 +96,7 @@ class QueryBounds:
         self._size_pick = 1 if scoring.z1 < 0 else 2
         self._pr_pick = 3 if scoring.z2 < 0 else 4
         self._sim_pick = 5 if scoring.z3 < 0 else 6
-        self._score_terms = scoring.subtree_score_terms
+        self._score_terms = scoring.subtree_scorer()
         self._root_mass: Dict[NodeId, float] = {}
         self._pid_upper: List[Dict[PatternId, float]] = [{} for _ in words]
 

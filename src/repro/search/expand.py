@@ -3,33 +3,54 @@
 Given, for a fixed candidate root, the per-keyword ``pattern -> postings``
 maps, enumerate the *pattern product* and, inside each tree pattern, the
 *path product*; every path combination passing the tree-validity check is
-one valid subtree.  Both LINEARENUM variants, the baseline, and the
-individual-subtree ranker drive this loop; PATTERNENUM inlines a
-pattern-major variant of it.
+one valid subtree.  LINEARENUM (both variants) and the baseline drive
+:func:`expand_root`; PATTERNENUM and LINEARENUM-TOPK's exact re-scoring
+join one pattern at many roots (:func:`join_pattern_roots`); all of them
+score, tree-check and aggregate through the one kernel of
+:func:`join_kernel`.  The individual-subtree ranker, which ranks
+combinations one by one instead of aggregating them, has its own
+bound-driven loop (:func:`expand_root_topk`).
 
-Since the id-based enumeration refactor the loop never touches a
-:class:`~repro.index.entry.PathEntry`: postings are iterated as
-``(path_id, sim)`` scalar pairs — an index leaf is already that pair
-tuple (:data:`~repro.index.store.Leaf`), and the baseline's scratch maps
-hold plain pair lists — so the loops read both as they are.
-Tree-validity goes through
-:meth:`~repro.index.store.PostingStore.form_tree` and scoring through
-:meth:`~repro.index.store.PostingStore.score_terms`, both of which read
-the flat path columns directly.  Sinks receive the id and sim tuples and
-materialize nothing; kept subtrees become lazy
-:class:`~repro.search.result.KeptCombo` objects at the result boundary.
+The loops never touch a :class:`~repro.index.entry.PathEntry`: postings
+are iterated as ``(path_id, sim)`` scalar pairs — an index leaf is
+already that pair tuple (:data:`~repro.index.store.Leaf`), and the
+baseline's scratch maps hold plain pair lists — and read the store's
+boxed path columns (:meth:`~repro.index.store.PostingStore.path_columns`).
+Kept subtrees stay those bare pair tuples until the answers are built;
+only the returned answers wrap them, as
+:class:`~repro.search.result.KeptCombo` (:func:`~repro.search.result.\
+bind_combos`).
 """
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from itertools import product, repeat
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
+from repro.core.errors import ScoringError
 from repro.index.entry import PathEntry, combination_score_terms
 from repro.index.store import PostingStore
+from repro.scoring.aggregate import RunningAggregate
 from repro.scoring.components import SubtreeComponents
 from repro.scoring.function import ScoringFunction
-from repro.search.result import KeptCombo, SearchStats
+from repro.search.result import SearchStats
+
+#: One valid subtree as the enumerators keep it: a ``(path_id, sim)``
+#: pair per query keyword.
+Pairs = Tuple[Tuple[int, float], ...]
+
+#: One unit of join work: a pattern key and, per keyword, the postings
+#: to cross at one root.
+Job = Tuple[object, Sequence[Sequence[Tuple[int, float]]]]
 
 
 def combo_score(
@@ -45,27 +66,148 @@ def combo_score(
     return scoring.subtree_score(SubtreeComponents(size, pr, sim))
 
 
+def _check_base_scoring(scoring: ScoringFunction) -> None:
+    if scoring.extra_weights:
+        raise ScoringError(
+            f"expected {len(scoring.extra_weights)} extra components, got 0"
+        )
+
+
 def pair_scorer(
     store: PostingStore,
     scoring: ScoringFunction,
     words: Optional[Sequence[str]] = None,
 ) -> Callable[[Sequence[Tuple[int, float]]], float]:
-    """``pairs -> score(T, q)`` bound to store columns + scoring weights.
+    """``pairs -> score(T, q)`` for combinations ranked one by one.
 
-    The hot-loop scorer the algorithms hoist before their sinks: one
-    closure call per valid combination, no component object and no id/sim
-    tuples.  Bit-identical to :func:`combo_score` over the materialized
-    entries.  ``words`` are the query's keywords (see
-    :meth:`~repro.index.store.PostingStore.pairs_checker`).
+    Sums the per-path ``(size, pr, sim)`` terms from the store's boxed
+    columns (for the query's ``words``, like
+    :meth:`~repro.index.store.PostingStore.path_columns`) in keyword
+    order and scores them with the query's
+    :meth:`~repro.scoring.function.ScoringFunction.subtree_scorer`
+    closure — the arithmetic of :func:`join_kernel`, so bit-identical to
+    it and to :func:`combo_score` over the materialized entries.
     """
-    score_pairs = store.pairs_scorer(words)
-    subtree_score_terms = scoring.subtree_score_terms
+    _check_base_scoring(scoring)
+    sizes, prs, _edges, _self_invalid = store.path_columns(words)
+    subtree_score = scoring.subtree_scorer()
 
     def score(pairs: Sequence[Tuple[int, float]]) -> float:
-        size, pr, sim = score_pairs(pairs)
-        return subtree_score_terms(size, pr, sim)
+        size = 0
+        pr = 0.0
+        sim = 0.0
+        for path_id, posting_sim in pairs:
+            size += sizes[path_id]
+            pr += prs[path_id]
+            sim += posting_sim
+        return subtree_score(size, pr, sim)
 
     return score
+
+
+#: The per-query kernel :func:`join_kernel` returns:
+#: ``join(jobs, aggregates, trees, stats) -> empty jobs``.
+Join = Callable[
+    [
+        Iterable[Job],
+        Dict[object, RunningAggregate],
+        Optional[Dict[object, List[Pairs]]],
+        SearchStats,
+    ],
+    int,
+]
+
+
+def join_kernel(
+    store: PostingStore,
+    scoring: ScoringFunction,
+    words: Optional[Sequence[str]] = None,
+) -> Join:
+    """The one join-and-aggregate kernel, bound to one query.
+
+    ``join(jobs, aggregates, trees, stats)`` crosses each job's posting
+    lists; each path combination is tree-checked, scored (Equation 3)
+    and added to ``aggregates[key]`` (Equation 2) in one pass over its
+    pairs.  A pattern's :class:`~repro.scoring.aggregate.RunningAggregate`
+    is created at its first valid combination (so a pattern no
+    combination survived for never appears), together with its
+    ``trees[key]`` list of kept pair tuples unless ``trees`` is ``None``.
+    Counters live in locals: ``stats`` is written once per call
+    (``subtrees_enumerated``, ``tree_check_rejections``), and the
+    number of jobs that joined no valid combination is returned.
+
+    The tree check is :meth:`~repro.index.store.PostingStore.\
+pairs_checker`'s rule on the same columns: no path re-enters its root
+    or gives a node two parent edges (the boxed ``self_invalid`` flag),
+    and no node gets two distinct parent edges across paths.  The shared
+    root is not re-checked: every list of a job is one index leaf at one
+    root.  The sums run in keyword order and the score is the query's
+    :meth:`~repro.scoring.function.ScoringFunction.subtree_scorer`, so
+    every score is bit-identical to :func:`pair_scorer`'s and to the
+    entry pipeline's.  ``words`` are the query's keywords (``None``: box
+    every path).
+    """
+    _check_base_scoring(scoring)
+    sizes, prs, edges, self_invalid = store.path_columns(words)
+    subtree_score = scoring.subtree_scorer()
+    new_aggregate = scoring.running
+
+    def join(jobs, aggregates, trees, stats) -> int:
+        enumerated = rejected = empty = 0
+        total = best = 0.0
+        count = 0
+        keep = None
+        for key, pair_lists in jobs:
+            aggregate = None
+            for pairs in product(*pair_lists):
+                enumerated += 1
+                size = 0
+                pr = 0.0
+                sim = 0.0
+                parent = {}
+                for path_id, pair_sim in pairs:
+                    if self_invalid[path_id]:
+                        break
+                    for child, edge in edges[path_id]:
+                        if parent.setdefault(child, edge) != edge:
+                            break
+                    else:
+                        size += sizes[path_id]
+                        pr += prs[path_id]
+                        sim += pair_sim
+                        continue
+                    break
+                else:
+                    value = subtree_score(size, pr, sim)
+                    if aggregate is None:
+                        aggregate = aggregates.get(key)
+                        if aggregate is None:
+                            aggregate = aggregates[key] = new_aggregate()
+                            if trees is not None:
+                                trees[key] = []
+                        total = aggregate.total
+                        count = aggregate.count
+                        best = aggregate.best
+                        keep = None if trees is None else trees[key].append
+                    total += value
+                    count += 1
+                    if value > best:
+                        best = value
+                    if keep is not None:
+                        keep(pairs)
+                    continue
+                rejected += 1
+            if aggregate is None:
+                empty += 1
+            else:
+                aggregate.total = total
+                aggregate.count = count
+                aggregate.best = best
+        stats.subtrees_enumerated += enumerated
+        stats.tree_check_rejections += rejected
+        return empty
+
+    return join
 
 
 #: Per-keyword map from a pattern key to that keyword's postings at this
@@ -83,24 +225,25 @@ Sink = Callable[
 
 
 def expand_root(
-    store: PostingStore,
+    join: Join,
     pattern_maps: Sequence[PatternMap],
-    sink: Sink,
+    aggregates: Dict[object, RunningAggregate],
+    trees: Optional[Dict[object, List[Pairs]]],
     stats: SearchStats,
-    form_tree: Optional[Callable] = None,
-    pattern_filter: Optional[Callable[[Tuple[object, ...]], bool]] = None,
+    pattern_filter: Optional[Callable[[Tuple[object, ...], int], bool]] = None,
     key_filter: Optional[Callable[[int, object], bool]] = None,
 ) -> None:
-    """Enumerate all valid subtrees under one root into ``sink``.
+    """Enumerate all valid subtrees under one root into ``aggregates``.
 
     ``pattern_maps[i]`` is keyword i's ``pattern -> postings`` map at the
-    root; ``store`` is the posting store the path ids refer to.  Every
-    emitted combination is a tree (the check that the paper's pseudo-code
-    leaves implicit); rejected combinations are counted in
-    ``stats.tree_check_rejections``.  Callers looping over many roots
-    should hoist ``form_tree = store.pairs_checker(words)`` once per
-    query and pass it in (like they hoist :func:`pair_scorer`); it
-    defaults to a fresh fetch over every path for one-off calls.
+    root.  Each pattern key combination is one job of ``join`` (the
+    query's :func:`join_kernel`), which scores every valid subtree into
+    ``aggregates[key_combo]`` and keeps its pairs in ``trees[key_combo]``
+    (``trees=None``: keep none).  Every aggregated combination is a tree
+    (the check that the paper's pseudo-code leaves implicit); rejected
+    combinations are counted in ``stats.tree_check_rejections``, and a
+    pattern combination none of whose combinations is a tree in
+    ``stats.empty_patterns``.
 
     ``pattern_filter`` and ``key_filter`` are the bound-driven pruning
     hooks.  ``key_filter(word_index, key)`` returning ``False`` removes
@@ -113,15 +256,17 @@ def expand_root(
     ``stats.prefixes_skipped`` (one per pattern×root skip) and
     ``stats.pairs_skipped`` (the path combinations never enumerated);
     the size lets the filter decline to bound patterns whose join is
-    cheaper than the bound.  The caller owns admissibility: exclude a
-    key or pattern only when an *admissible* upper bound on everything
-    it could still contribute falls below the running k-th score (see
+    cheaper than the bound.  The filter may drop ``aggregates`` entries
+    between jobs.  The caller owns admissibility: exclude a key or
+    pattern only when an *admissible* upper bound on everything it could
+    still contribute falls below the running k-th score (see
     ``docs/pruning.md``).
     """
-    if any(not pattern_map for pattern_map in pattern_maps):
-        return
+    for pattern_map in pattern_maps:
+        if not pattern_map:
+            return
     if key_filter is None:
-        key_lists = [list(pattern_map.keys()) for pattern_map in pattern_maps]
+        key_lists = pattern_maps
     else:
         key_lists = []
         for i, pattern_map in enumerate(pattern_maps):
@@ -134,82 +279,71 @@ def expand_root(
             if not keys:
                 return
             key_lists.append(keys)
-    if form_tree is None:
-        form_tree = store.pairs_checker()
-    for key_combo in product(*key_lists):
-        pair_lists = [
-            pattern_maps[i][key] for i, key in enumerate(key_combo)
-        ]
-        if pattern_filter is not None:
+    # Keys and their leaves crossed in lockstep: the same product order.
+    jobs = zip(
+        product(*key_lists),
+        product(*[
+            [pattern_map[key] for key in keys]
+            for pattern_map, keys in zip(pattern_maps, key_lists)
+        ]),
+    )
+    if pattern_filter is None:
+        checked = 1
+        for keys in key_lists:
+            checked *= len(keys)
+    else:
+        admitted = []
+        skipped = pairs_skipped = 0
+        for key_combo, pair_lists in jobs:
             total = 1
             for rows in pair_lists:
                 total *= len(rows)
-            if not pattern_filter(key_combo, total):
-                stats.prefixes_skipped += 1
-                stats.pairs_skipped += total
-                continue
-        stats.patterns_checked += 1
-        emitted = False
-        for pair_combo in product(*pair_lists):
-            stats.subtrees_enumerated += 1
-            if form_tree(pair_combo):
-                sink(key_combo, pair_combo)
-                emitted = True
+            if pattern_filter(key_combo, total):
+                admitted.append((key_combo, pair_lists))
             else:
-                stats.tree_check_rejections += 1
-        if not emitted:
-            # Possible only through tree-check rejections: by construction
-            # every pattern product at a shared root joins at least one
-            # path combination (Section 4.2's non-emptiness argument).
-            stats.empty_patterns += 1
+                skipped += 1
+                pairs_skipped += total
+        stats.prefixes_skipped += skipped
+        stats.pairs_skipped += pairs_skipped
+        jobs = admitted
+        checked = len(admitted)
+    stats.patterns_checked += checked
+    # Possible only through tree-check rejections: by construction every
+    # pattern product at a shared root joins at least one path
+    # combination (Section 4.2's non-emptiness argument).
+    stats.empty_patterns += join(jobs, aggregates, trees, stats)
 
 
 def join_pattern_roots(
-    store: PostingStore,
+    join: Join,
+    key: object,
     root_maps: Sequence[Mapping[int, Sequence]],
-    scoring: ScoringFunction,
+    roots: Sequence[int],
     keep_subtrees: bool,
     stats: SearchStats,
-    words: Optional[Sequence[str]] = None,
-):
-    """Evaluate one candidate tree pattern by joining paths at shared roots.
+) -> Tuple[Optional[RunningAggregate], List[Pairs]]:
+    """Evaluate one tree pattern by joining its paths at ``roots``.
 
     ``root_maps[i]`` maps roots to keyword i's postings *with this
-    pattern's i-th path pattern* (i.e. ``Roots(w_i, P_i)`` from the
-    pattern-first index).  Returns ``(aggregate, trees, roots)`` where
-    ``aggregate`` is ``None`` when the pattern is empty and ``trees``
-    holds lazy :class:`~repro.search.result.KeptCombo` subtrees.  This is
-    the inner join of Algorithm 2 (lines 5-8), also reused by
-    LINEARENUM-TOPK's exact re-scoring step.  ``words`` are the query's
-    keywords, in ``root_maps`` order (``None``: box every path).
+    pattern's i-th path pattern* (``Roots(w_i, P_i)`` from the
+    pattern-first index), and every root of ``roots`` is in all of them.
+    Returns ``(aggregate, trees)``: ``aggregate`` is ``None`` when no
+    combination is a tree (counted in ``stats.empty_patterns``), and
+    ``trees`` holds the kept pair tuples.  This is the inner join of
+    Algorithm 2 (lines 5-8), also LINEARENUM-TOPK's exact re-scoring
+    step; ``join`` is the query's :func:`join_kernel`.
     """
-    smallest = min(root_maps, key=len)
-    roots = [
-        root
-        for root in smallest
-        if all(root in root_map for root_map in root_maps)
-    ]
-    if not roots:
+    aggregates: Dict[object, RunningAggregate] = {}
+    trees: Optional[Dict[object, List[Pairs]]] = (
+        {} if keep_subtrees else None
+    )
+    per_root = zip(*[map(leaves.__getitem__, roots) for leaves in root_maps])
+    join(zip(repeat(key), per_root), aggregates, trees, stats)
+    aggregate = aggregates.get(key)
+    if aggregate is None:
         stats.empty_patterns += 1
-        return None, [], []
-    aggregate = scoring.running()
-    trees: List[KeptCombo] = []
-    form_tree = store.pairs_checker(words)
-    score = pair_scorer(store, scoring, words)
-    for root in sorted(roots):
-        pair_lists = [root_map[root] for root_map in root_maps]
-        for pair_combo in product(*pair_lists):
-            stats.subtrees_enumerated += 1
-            if not form_tree(pair_combo):
-                stats.tree_check_rejections += 1
-                continue
-            aggregate.add(score(pair_combo))
-            if keep_subtrees:
-                trees.append(KeptCombo(store, pair_combo))
-    if aggregate.count == 0:
-        stats.empty_patterns += 1
-        return None, [], roots
-    return aggregate, trees, roots
+        return None, []
+    return aggregate, trees[key] if trees is not None else []
 
 
 def expand_root_topk(
@@ -246,7 +380,8 @@ def expand_root_topk(
       (``pairs_skipped`` counts the rest of the run).
 
     While the queue is not yet full nothing can be pruned, and the plain
-    product loop runs with zero bound overhead.  ``bounds`` is the
+    product loop runs with zero bound overhead; with ``bounds=None``
+    (an unpruned ranking) it always runs.  ``bounds`` is the
     query's :class:`~repro.search.bounds.QueryBounds`; ``pattern_maps``
     must be index-backed (keys are interned pattern ids); ``words`` are
     the query's keywords, as given to ``form_tree``'s
@@ -256,14 +391,13 @@ def expand_root_topk(
         return
     m = len(pattern_maps)
     last = m - 1
-    sizes, prs = store.path_columns(words)
-    score_upper = bounds.score_upper
+    sizes, prs, _edges, _self_invalid = store.path_columns(words)
     admits = threshold.admits
     key_lists = [list(pattern_map.keys()) for pattern_map in pattern_maps]
     for key_combo in product(*key_lists):
         leaves = [pattern_maps[i][key] for i, key in enumerate(key_combo)]
         lens = [len(leaf) for leaf in leaves]
-        if not threshold.is_active:
+        if bounds is None or not threshold.is_active:
             # Queue not full yet: enumerate exactly like expand_root.
             stats.patterns_checked += 1
             emitted = False
@@ -277,6 +411,7 @@ def expand_root_topk(
             if not emitted:
                 stats.empty_patterns += 1
             continue
+        score_upper = bounds.score_upper
         leaf_bounds = bounds.leaf_bounds(key_combo, root)
         total = 1
         for n in lens:
@@ -373,7 +508,9 @@ def count_root_subtrees(pattern_maps: Sequence[PatternMap]) -> int:
     """
     total = 1
     for pattern_map in pattern_maps:
-        count = sum(len(postings) for postings in pattern_map.values())
+        count = 0
+        for postings in pattern_map.values():
+            count += len(postings)
         if count == 0:
             return 0
         total *= count

@@ -20,13 +20,13 @@ from repro.core.topk import TopKQueue, TopKThreshold
 from repro.index.builder import PathIndexes
 from repro.scoring.function import PAPER_DEFAULT, ScoringFunction
 from repro.search.context import EnumerationContext, ensure_context
-from repro.search.expand import expand_root, expand_root_topk, pair_scorer
+from repro.search.expand import expand_root_topk, pair_scorer
 from repro.search.result import (
     EntryCombo,
-    KeptCombo,
     SearchResult,
     SearchStats,
     Stopwatch,
+    bind_combos,
     pattern_from_key,
 )
 
@@ -107,8 +107,17 @@ def individual_topk(
     if bounds is None:
         for root in candidates:
             stats.roots_expanded += 1
-            expand_root(
-                store, context.pattern_maps(root), sink, stats, form_tree
+            expand_root_topk(
+                store,
+                root,
+                context.pattern_maps(root),
+                None,
+                threshold,
+                sink,
+                stats,
+                form_tree,
+                {},
+                context.words,
             )
     else:
         ordered = []
@@ -139,9 +148,11 @@ def individual_topk(
             )
         threshold.write_stats(stats)
 
+    entries = queue.ranked()
+    combos = bind_combos([pairs for _score, (_key, pairs) in entries], store)
     ranked = [
-        (subtree_score, key, KeptCombo(store, pairs))
-        for subtree_score, (key, pairs) in queue.ranked()
+        (subtree_score, key, combo)
+        for (subtree_score, (key, _pairs)), combo in zip(entries, combos)
     ]
     stats.elapsed_seconds = watch.elapsed()
     return IndividualResult(

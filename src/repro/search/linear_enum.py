@@ -9,7 +9,8 @@ aggregated in the ``TreeDict`` dictionary keyed by tree pattern.
 
 The enumeration is id-based: the expansion loop works on integer path ids
 straight from the columnar store (no :class:`~repro.index.entry.PathEntry`
-is built), and kept subtrees are lazy
+is built), and kept subtrees are bare ``(path_id, sim)`` pair tuples
+until the output is built, where they become lazy
 :class:`~repro.search.result.KeptCombo` references.
 
 This module exposes both the raw enumeration (used to count a query's
@@ -28,14 +29,14 @@ from repro.index.builder import PathIndexes
 from repro.scoring.aggregate import RunningAggregate
 from repro.scoring.function import PAPER_DEFAULT, ScoringFunction
 from repro.search.context import EnumerationContext, ensure_context
-from repro.search.expand import expand_root, pair_scorer
+from repro.search.expand import Pairs, expand_root, join_kernel
 from repro.search.result import (
     EntryCombo,
-    KeptCombo,
     PatternAnswer,
     SearchResult,
     SearchStats,
     Stopwatch,
+    bind_combos,
     order_answers,
     pattern_from_key,
 )
@@ -67,6 +68,36 @@ class Enumeration:
         return self.aggregates[key].value()
 
 
+def _enumerate(
+    context: EnumerationContext,
+    scoring: ScoringFunction,
+    keep_subtrees: bool,
+) -> Tuple[
+    Dict[PatternKey, RunningAggregate],
+    Dict[PatternKey, List[Pairs]],
+    SearchStats,
+]:
+    """LINEARENUM's loop: every pattern's aggregate and, with
+    ``keep_subtrees``, its valid subtrees as bare pair tuples."""
+    stats = SearchStats(algorithm="linear_enum")
+    candidates = context.candidate_roots
+    stats.candidate_roots = len(candidates)
+    aggregates: Dict[PatternKey, RunningAggregate] = {}
+    trees: Dict[PatternKey, List[Pairs]] = {}
+    join = join_kernel(context.store, scoring, context.words)
+    for root in candidates:
+        stats.roots_expanded += 1
+        expand_root(
+            join,
+            context.pattern_maps(root),
+            aggregates,
+            trees if keep_subtrees else None,
+            stats,
+        )
+    stats.nonempty_patterns = len(aggregates)
+    return aggregates, trees, stats
+
+
 def linear_enum(
     indexes: PathIndexes,
     query,
@@ -76,40 +107,20 @@ def linear_enum(
 ) -> Enumeration:
     """Enumerate every tree pattern and valid subtree for ``query``."""
     watch = Stopwatch()
-    stats = SearchStats(algorithm="linear_enum")
     context = ensure_context(indexes, query, context)
+    aggregates, trees, stats = _enumerate(context, scoring, keep_subtrees)
     store = context.store
-    candidates = context.candidate_roots
-    stats.candidate_roots = len(candidates)
-
-    trees_by_pattern: Dict[PatternKey, List[EntryCombo]] = {}
-    aggregates: Dict[PatternKey, RunningAggregate] = {}
-    score = pair_scorer(store, scoring, context.words)
-
-    def sink(key_combo, pairs) -> None:
-        aggregate = aggregates.get(key_combo)
-        if aggregate is None:
-            aggregate = aggregates[key_combo] = scoring.running()
-            trees_by_pattern[key_combo] = []
-        aggregate.add(score(pairs))
-        if keep_subtrees:
-            trees_by_pattern[key_combo].append(KeptCombo(store, pairs))
-
-    form_tree = store.pairs_checker(context.words)
-    for root in candidates:
-        stats.roots_expanded += 1
-        expand_root(store, context.pattern_maps(root), sink, stats, form_tree)
-
-    stats.nonempty_patterns = len(aggregates)
     stats.elapsed_seconds = watch.elapsed()
     return Enumeration(
         query=context.words,
         d=indexes.d,
-        trees_by_pattern=trees_by_pattern,
+        trees_by_pattern={
+            key: bind_combos(kept, store) for key, kept in trees.items()
+        },
         aggregates=aggregates,
         stats=stats,
         keep_subtrees=keep_subtrees,
-        candidate_roots=list(candidates),
+        candidate_roots=list(context.candidate_roots),
     )
 
 
@@ -127,12 +138,12 @@ def linear_enum_search(
     full enumeration); LINEARENUM-TOPK improves on it by partitioning by
     root type and sampling — see :mod:`repro.search.linear_topk`.
     """
-    enumeration = linear_enum(
-        indexes, query, scoring, keep_subtrees, context=context
-    )
+    watch = Stopwatch()
+    context = ensure_context(indexes, query, context)
+    aggregates, trees, stats = _enumerate(context, scoring, keep_subtrees)
     queue: TopKQueue = TopKQueue(k)
-    for key in sorted(enumeration.aggregates):
-        aggregate = enumeration.aggregates[key]
+    for key in sorted(aggregates):
+        aggregate = aggregates[key]
         canonical = tuple(
             (indexes.interner.pattern(pid).labels,
              indexes.interner.pattern(pid).ends_at_edge)
@@ -140,24 +151,24 @@ def linear_enum_search(
         )
         queue.push(
             aggregate.value(),
-            (key, aggregate.count, enumeration.trees_by_pattern.get(key, [])),
+            (key, aggregate.count, trees.get(key, [])),
             tie_key=canonical,
         )
     answers = []
-    for score, (key, count, trees) in queue.ranked():
+    for score, (key, count, kept) in queue.ranked():
         answers.append(
             PatternAnswer(
                 pattern_key=key,
                 pattern=pattern_from_key(indexes, key),
                 score=score,
                 num_subtrees=count,
-                subtrees=trees,
+                subtrees=bind_combos(kept, context.store),
             )
         )
     order_answers(answers)
-    stats = enumeration.stats
+    stats.elapsed_seconds = watch.elapsed()
     return SearchResult(
-        query=enumeration.query,
+        query=context.words,
         k=k,
         d=indexes.d,
         answers=answers,

@@ -15,7 +15,8 @@ Extends LINEARENUM with two ideas from Sections 4.2.1-4.2.2:
 
 Enumeration is id-based end-to-end (see ``docs/enumeration.md``): the
 EXPANDROOT loop and the exact re-scoring join both run on integer path
-ids against the columnar store, materializing no path entries.
+ids through the query's one join kernel, materializing no path entries;
+kept subtrees stay bare pair tuples until the answers are built.
 
 With ``sampling_threshold=inf`` (or ``sampling_rate=1``) the output is the
 exact top-k (Theorem 4's correctness case); with sampling, Theorem 5 bounds
@@ -37,14 +38,18 @@ from repro.scoring.aggregate import AVG, RunningAggregate
 from repro.scoring.function import PAPER_DEFAULT, ScoringFunction
 from repro.search.bounds import SAFETY
 from repro.search.context import EnumerationContext, ensure_context
-from repro.search.expand import expand_root, join_pattern_roots, pair_scorer
+from repro.search.expand import (
+    Pairs,
+    expand_root,
+    join_kernel,
+    join_pattern_roots,
+)
 from repro.search.result import (
-    EntryCombo,
-    KeptCombo,
     PatternAnswer,
     SearchResult,
     SearchStats,
     Stopwatch,
+    bind_combos,
     order_answers,
     pattern_from_key,
 )
@@ -112,8 +117,7 @@ def linear_topk_search(
 
     stats.candidate_roots = len(context.candidate_roots)
     by_type = context.roots_by_type(graph)
-    score = pair_scorer(store, scoring, words)
-    form_tree = store.pairs_checker(words)
+    join = join_kernel(store, scoring, words)
 
     queue: TopKQueue = TopKQueue(k)
     threshold = TopKThreshold(queue)
@@ -151,9 +155,12 @@ def linear_topk_search(
         # Best types first: the k-th score tightens before the bulk of
         # the candidate roots is ever expanded.
         for plan in plans:
-            plan[4] = SAFETY * sum(
-                bounds.root_mass(root) for root in plan[1]
-            )
+            # A plain loop, because ``sum()`` rounds floats differently
+            # from Python 3.12 on.
+            mass = 0.0
+            for root in plan[1]:
+                mass += bounds.root_mass(root)
+            plan[4] = SAFETY * mass
         plans.sort(key=lambda plan: (-plan[4], plan[0]))
 
     for root_type, roots, rate, expanded, type_upper in plans:
@@ -168,18 +175,8 @@ def linear_topk_search(
         # plain loop (the type-level skip above still applies).
 
         aggregates: Dict[PatternKey, RunningAggregate] = {}
-        trees_by_pattern: Dict[PatternKey, List[EntryCombo]] = {}
-        store_trees = keep_subtrees and rate >= 1.0
-
-        def sink(key_combo, pairs) -> None:
-            aggregate = aggregates.get(key_combo)
-            if aggregate is None:
-                aggregate = aggregates[key_combo] = scoring.running()
-                if store_trees:
-                    trees_by_pattern[key_combo] = []
-            aggregate.add(score(pairs))
-            if store_trees:
-                trees_by_pattern[key_combo].append(KeptCombo(store, pairs))
+        trees_by_pattern: Dict[PatternKey, List[Pairs]] = {}
+        kept = trees_by_pattern if keep_subtrees and rate >= 1.0 else None
 
         pattern_filter = None
         key_filter = None
@@ -270,11 +267,11 @@ def linear_topk_search(
                     cut = kth_partial
             stats.roots_expanded += 1
             expand_root(
-                store,
+                join,
                 context.pattern_maps(root),
-                sink,
+                aggregates,
+                kept,
                 stats,
-                form_tree,
                 pattern_filter=pattern_filter,
                 key_filter=key_filter,
             )
@@ -315,9 +312,17 @@ def linear_topk_search(
                     indexes.pattern_first.roots(word, pid)
                     for word, pid in zip(words, key)
                 ]
-                aggregate, trees, _roots = join_pattern_roots(
-                    store, pattern_roots, scoring, keep_subtrees, stats,
-                    words,
+                smallest = min(pattern_roots, key=len)
+                aggregate, trees = join_pattern_roots(
+                    join,
+                    key,
+                    pattern_roots,
+                    sorted(
+                        root for root in smallest
+                        if all(root in roots for roots in pattern_roots)
+                    ),
+                    keep_subtrees,
+                    stats,
                 )
                 if aggregate is None:  # pragma: no cover - see comment above
                     continue
@@ -345,7 +350,7 @@ def linear_topk_search(
                 pattern=pattern_from_key(indexes, key),
                 score=score,
                 num_subtrees=count,
-                subtrees=trees,
+                subtrees=bind_combos(trees, store),
                 estimated_score=estimate,
             )
         )

@@ -22,8 +22,10 @@ Engineering refinements over the pseudo-code:
   combinations, which the tests assert — it is the constant factor that
   drops;
 * the per-root path join is id-based: index leaves are tuples of
-  ``(path_id, sim)`` scalar pairs, iterated as they are; validity and
-  scoring go through the columnar store, and no
+  ``(path_id, sim)`` scalar pairs, iterated as they are, through the
+  query's one join kernel (:func:`~repro.search.expand.join_kernel`:
+  tree check, score and aggregate in one pass); kept subtrees stay bare
+  pair tuples and only the returned answers wrap them, so no
   :class:`~repro.index.entry.PathEntry` is materialized during
   enumeration;
 * with ``prune=True`` (default), admissible score upper bounds drive
@@ -43,7 +45,6 @@ are produced all at once) but worst-case exponential, unlike LINEARENUM.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import product
 from typing import List, Mapping, Optional, Sequence
 
 from repro.core.topk import TopKQueue, TopKThreshold
@@ -51,10 +52,10 @@ from repro.index.builder import PathIndexes
 from repro.search.bounds import SAFETY
 from repro.search.context import EnumerationContext, ensure_context
 from repro.scoring.function import PAPER_DEFAULT, ScoringFunction
-from repro.search.expand import pair_scorer
+from repro.search.expand import join_kernel, join_pattern_roots
 from repro.search.result import (
-    KeptCombo,
     PatternAnswer,
+    bind_combos,
     SearchResult,
     SearchStats,
     Stopwatch,
@@ -91,8 +92,7 @@ def pattern_enum_search(
     words = context.words
     store = context.store
     pattern_first = indexes.pattern_first
-    form_tree = store.pairs_checker(words)
-    score = pair_scorer(store, scoring, words)
+    join = join_kernel(store, scoring, words)
     m = len(words)
 
     # Root types viable for *all* keywords; equivalent to the paper's loop
@@ -125,24 +125,14 @@ def pattern_enum_search(
     ) -> None:
         stats.patterns_checked += 1
         seen_roots.update(roots)
-        aggregate = scoring.running()
-        trees = [] if keep_subtrees else None
-        for root in roots:
-            pair_lists = [root_map[root] for root_map in root_maps]
-            for pair_combo in product(*pair_lists):
-                stats.subtrees_enumerated += 1
-                if not form_tree(pair_combo):
-                    stats.tree_check_rejections += 1
-                    continue
-                aggregate.add(score(pair_combo))
-                if trees is not None:
-                    trees.append(KeptCombo(store, pair_combo))
-        if aggregate.count == 0:
+        key = tuple(pid_combo)
+        aggregate, trees = join_pattern_roots(
+            join, key, root_maps, roots, keep_subtrees, stats
+        )
+        if aggregate is None:
             # All path combinations failed the tree-validity check.
-            stats.empty_patterns += 1
             return
         stats.nonempty_patterns += 1
-        key = tuple(pid_combo)
         canonical = tuple(
             (indexes.interner.pattern(pid).labels,
              indexes.interner.pattern(pid).ends_at_edge)
@@ -150,7 +140,7 @@ def pattern_enum_search(
         )
         queue.push(
             aggregate.value(),
-            (key, aggregate.count, trees if trees is not None else []),
+            (key, aggregate.count, trees),
             tie_key=canonical,
         )
 
@@ -158,13 +148,14 @@ def pattern_enum_search(
     if bounds is not None:
         # Visit types best-first so the k-th score tightens fast; once a
         # type's bound falls below it, every pattern of that type is out.
-        type_uppers = {
-            root_type: SAFETY * sum(
-                bounds.root_mass(root)
-                for root in by_type.get(root_type, ())
-            )
-            for root_type in viable_types
-        }
+        # Plain loops, because ``sum()`` rounds floats differently from
+        # Python 3.12 on.
+        type_uppers = {}
+        for root_type in viable_types:
+            mass = 0.0
+            for root in by_type.get(root_type, ()):
+                mass += bounds.root_mass(root)
+            type_uppers[root_type] = SAFETY * mass
         type_order = sorted(
             viable_types, key=lambda t: (-type_uppers[t], t)
         )
@@ -193,6 +184,10 @@ def pattern_enum_search(
         pid_combo: List[int] = [0] * m
         root_maps: List[Mapping[int, Sequence]] = [{}] * m
         root_mass = bounds.root_mass if bounds is not None else None
+        pid_caches = (
+            [bounds.pid_upper_cache(i) for i in range(m)]
+            if bounds is not None else None
+        )
 
         def descend(depth: int, roots: Sequence[int]) -> None:
             if depth == m:
@@ -206,11 +201,14 @@ def pattern_enum_search(
             for root in roots:
                 for pid in word_roots[root]:
                     at_pattern[pid].append(root)
+            pid_cache = pid_caches[depth] if pid_caches is not None else None
             for pid in per_word_patterns[depth]:
-                pruning = root_mass is not None and queue.is_full
-                if pruning and not threshold.admits(
-                    bounds.pid_upper(depth, pid)
-                ):
+                pruning = pid_cache is not None and queue.is_full
+                if pruning:
+                    upper = pid_cache.get(pid)
+                    if upper is None:
+                        upper = bounds.pid_upper(depth, pid)
+                if pruning and not threshold.admits(upper):
                     # No pattern through this path pattern can reach the
                     # k-th score: the whole product slice dies before its
                     # roots are even looked at.
@@ -265,7 +263,7 @@ def pattern_enum_search(
                 pattern=pattern_from_key(indexes, pid_combo_key),
                 score=score,
                 num_subtrees=count,
-                subtrees=trees,
+                subtrees=bind_combos(trees, store),
             )
         )
     order_answers(answers)

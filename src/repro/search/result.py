@@ -45,12 +45,10 @@ EntryCombo = Sequence[PathEntry]
 PathChain = Tuple[Tuple[NodeId, ...], Tuple[AttrId, ...]]
 
 
-def _tree_nodes(
-    chains: Sequence[PathChain],
-) -> Optional[List[Tuple[NodeId, ...]]]:
-    """The chains' node tuples if they form a tree, else ``None``."""
+def _row_nodes(chains: Sequence[PathChain]) -> Optional[List[NodeId]]:
+    """The chains' nodes end to end if they form a tree, else ``None``."""
     if chains and chains_form_tree(chains):
-        return [nodes for nodes, _attrs in chains]
+        return [node for nodes, _attrs in chains for node in nodes]
     return None
 
 
@@ -62,8 +60,8 @@ class ComboRef(Sequence):
     as a reference — the backing :class:`~repro.index.store.PostingStore`
     plus parallel ``(path_id, sim)`` tuples — and the entries are
     reconstructed lazily (and cached) on first element access.  Rendering
-    a table row does not need them: :meth:`tree_nodes` reads the node
-    chains straight from the store's path columns, tree-checking them
+    a table row does not need them: :meth:`row_nodes` reads the nodes
+    straight from the store's path columns, tree-checking them
     with the attribute chains first — except on a :class:`KeptCombo`, the
     kind the enumerators keep, which passed that check already.  Equality
     and hashing are by materialized entry values, so combos from different
@@ -114,10 +112,11 @@ class ComboRef(Sequence):
             for path_id, _sim in self.pairs
         ]
 
-    def tree_nodes(self) -> Optional[List[Tuple[NodeId, ...]]]:
-        """Every path's nodes — a table row's input — or ``None`` when
-        the paths do not form a tree (this combo was built by hand)."""
-        return _tree_nodes(self.chains())
+    def row_nodes(self) -> Optional[List[NodeId]]:
+        """Every path's nodes end to end — a table row's input — or
+        ``None`` when the paths do not form a tree (this combo was built
+        by hand)."""
+        return _row_nodes(self.chains())
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -150,14 +149,14 @@ class ComboRef(Sequence):
 class KeptCombo(ComboRef):
     """A :class:`ComboRef` an enumerator kept, so one that passed the
     store's ``form_tree`` check: its rows read the node columns alone,
-    with no second tree check.  Built only by the enumerator sinks and
-    by :func:`bind_combos` (a worker's kept combos, re-bound)."""
+    with no second tree check, in one store call.  Built only by
+    :func:`bind_combos`, from the pair tuples an enumerator's join kernel
+    kept (or a worker sent back), for the answers it returns."""
 
     __slots__ = ()
 
-    def tree_nodes(self) -> List[Tuple[NodeId, ...]]:
-        path_nodes = self._store.path_nodes
-        return [path_nodes(path_id) for path_id, _sim in self.pairs]
+    def row_nodes(self) -> List[NodeId]:
+        return self._store.row_nodes(self.pairs)
 
 
 def portable_combos(subtrees: Sequence[EntryCombo]) -> List[tuple]:
@@ -181,12 +180,13 @@ def bind_combos(
     ``store`` must be the receiver's copy of the store the sender ran
     on: path ids are append-only and every worker is forked from (and
     re-forked with) the version it serves, so the ids name the same
-    paths on both sides.
+    paths on both sides.  Also how an enumerator wraps the pair tuples
+    it kept, for the answers it returns.  An answer's combos are all of
+    one kind (one algorithm kept them), so the first decides.
     """
-    return [
-        combo if isinstance(combo[0], PathEntry) else KeptCombo(store, combo)
-        for combo in combos
-    ]
+    if not combos or isinstance(combos[0][0], PathEntry):
+        return list(combos)
+    return [KeptCombo(store, pairs) for pairs in combos]
 
 
 @dataclass
@@ -307,15 +307,15 @@ class PatternAnswer:
                 trees.append(tree)
         return trees
 
-    def _tree_rows(self) -> Iterator[List[Tuple[NodeId, ...]]]:
-        """The kept subtrees as per-path node chains, in order, skipping
-        what :meth:`materialize` skips (empty or non-tree combinations;
-        a :class:`KeptCombo` is neither)."""
+    def _tree_rows(self) -> Iterator[List[NodeId]]:
+        """The kept subtrees as rows of nodes, in order, skipping what
+        :meth:`materialize` skips (empty or non-tree combinations; a
+        :class:`KeptCombo` is neither)."""
         for combo in self.subtrees:
             if isinstance(combo, ComboRef):
-                nodes = combo.tree_nodes()
+                nodes = combo.row_nodes()
             else:
-                nodes = _tree_nodes(
+                nodes = _row_nodes(
                     [(entry.nodes, entry.attrs) for entry in combo]
                 )
             if nodes is not None:

@@ -728,16 +728,20 @@ class TestNonTreeCombosAreSkipped:
 
 SRC = Path(repro.__file__).parent
 
-#: Where a kept combo may be built: the six enumerator sinks, and the
-#: re-binding of a worker's kept combos.
-KEPT_COMBO_SITES = [
-    "search/baseline.py:baseline_search.sink",
-    "search/expand.py:join_pattern_roots",
+#: Where a kept combo may be built: only in ``bind_combos``, which wraps
+#: kept pair tuples ...
+KEPT_COMBO_SITES = ["search/result.py:bind_combos"]
+
+#: ... called where the enumerators build their answers from the pairs
+#: their join kernel kept, and where a worker's kept combos are re-bound.
+BIND_COMBO_SITES = [
     "search/individual.py:individual_topk",
-    "search/linear_enum.py:linear_enum.sink",
-    "search/linear_topk.py:linear_topk_search.sink",
-    "search/pattern_enum.py:pattern_enum_search.evaluate_leaf",
-    "search/result.py:bind_combos",
+    "search/linear_enum.py:linear_enum",
+    "search/linear_enum.py:linear_enum_search",
+    "search/linear_topk.py:linear_topk_search",
+    "search/pattern_enum.py:pattern_enum_search",
+    "search/result.py:bind_answers",
+    "search/service.py:SearchService._execute_forked",
 ]
 
 
@@ -774,6 +778,7 @@ class TestKeptCombos:
     def test_built_only_where_enumerators_keep_subtrees(self):
         assert constructions("ComboRef") == []
         assert constructions("KeptCombo") == KEPT_COMBO_SITES
+        assert constructions("bind_combos") == BIND_COMBO_SITES
 
     def test_rows_read_no_attribute_chain(
         self, wiki_oracle, wiki_indexes, monkeypatch
