@@ -275,8 +275,9 @@ def compose_rows(
     pattern order, each as the node ids from the root down (an edge
     match's target included) — what the store's node column holds
     (:meth:`~repro.index.store.PostingStore.row_nodes`), so rows render
-    without a subtree object or a per-path tuple in between.  Rows appear in input order; ``total_rows`` is
-    recorded when the caller passes only the first few.
+    with no subtree object or per-path tuple in between.  Rows appear in
+    input order; ``total_rows`` is recorded when the caller passes only
+    the first few.
 
     A column fed by one node takes its text; one fed by several (paths
     sharing a prefix) holds each distinct text once, and is flagged

@@ -191,23 +191,11 @@ class TopKThreshold:
         """Whether the queue is full (only then can anything be pruned)."""
         return len(self._heap) >= self._k
 
-    def observe(self) -> Optional[float]:
-        """Record the current k-th score into the trajectory."""
-        heap = self._heap
-        if len(heap) < self._k:
-            return None
-        kth = heap[0][0]
-        if self.first_threshold is None:
-            self.first_threshold = kth
-        self.last_threshold = kth
-        return kth
-
     def admits(self, upper_bound: float) -> bool:
         """Whether work bounded by ``upper_bound`` could change the queue.
 
-        :meth:`observe` inlined — the hot loops ask once per unit of
-        work — with the same trajectory: every call on a full queue
-        records its k-th score.
+        One step (the hot loops ask once per unit of work): every call on
+        a full queue records its k-th score into the trajectory.
         """
         heap = self._heap
         if len(heap) < self._k:
@@ -220,6 +208,6 @@ class TopKThreshold:
 
     def write_stats(self, stats) -> None:
         """Snapshot the final threshold trajectory into ``SearchStats``."""
-        self.observe()
+        self.admits(0.0)  # records the final k-th score, if the queue is full
         stats.threshold_first = self.first_threshold
         stats.threshold_last = self.last_threshold

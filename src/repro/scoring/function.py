@@ -16,7 +16,7 @@ accepts arbitrary extra component values via ``extra_weights``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence, Tuple
 
 from repro.core.errors import ScoringError
@@ -82,11 +82,12 @@ class ScoringFunction:
 
         The entry-based pipeline's form (:meth:`subtree_score`, the
         reference enumeration): one call of a fresh :meth:`subtree_scorer`
-        closure, the same one the id-based hot loops and the bounds hoist
-        once per query, so the two pipelines' scores are bit-identical by
-        construction.
+        closure (extra weights aside), the one the id-based hot loops and
+        the bounds hoist once per query, so the two pipelines' scores are
+        bit-identical by construction.
         """
-        return self.subtree_scorer()(size, pr, sim)
+        base = replace(self, extra_weights=())
+        return base.subtree_scorer()(size, pr, sim)
 
     def subtree_scorer(self) -> Callable[[int, float, float], float]:
         """``(size, pr, sim) -> score(T, q)``: Equation 3 as one closure.
@@ -99,9 +100,14 @@ class ScoringFunction:
         factors into ``1.0``: ``pow(x, 0.0)`` is ``1.0`` for every ``x``
         and ``a * 1.0 == a`` (``docs/pruning.md``).  A non-positive
         component raises only under a non-zero weight, as it always did.
-        Extra components are not scored here (:meth:`subtree_score`
-        multiplies them in).
+        Extra components are not supported here — configurations with
+        ``extra_weights`` must go through :meth:`subtree_score`.
         """
+        if self.extra_weights:
+            raise ScoringError(
+                f"expected {len(self.extra_weights)} extra components, "
+                "got 0"
+            )
         weights = (self.z1, self.z2, self.z3)
         z1, z2, z3 = weights
         power = math.pow

@@ -174,15 +174,12 @@ def baseline_search(
 
     aggregates: Dict[RawKey, RunningAggregate] = {}
     trees_by_key: Dict[RawKey, List[Pairs]] = {}
+    kept = trees_by_key if keep_subtrees else None
     join = join_kernel(scratch, scoring)
     for root in walk_context.candidate_roots:
         stats.roots_expanded += 1
         expand_root(
-            join,
-            walk_context.pattern_maps(root),
-            aggregates,
-            trees_by_key if keep_subtrees else None,
-            stats,
+            join, walk_context.pattern_maps(root), aggregates, kept, stats
         )
 
     stats.nonempty_patterns = len(aggregates)

@@ -3,40 +3,26 @@
 Given, for a fixed candidate root, the per-keyword ``pattern -> postings``
 maps, enumerate the *pattern product* and, inside each tree pattern, the
 *path product*; every path combination passing the tree-validity check is
-one valid subtree.  LINEARENUM (both variants) and the baseline drive
-:func:`expand_root`; PATTERNENUM and LINEARENUM-TOPK's exact re-scoring
-join one pattern at many roots (:func:`join_pattern_roots`); all of them
-score, tree-check and aggregate through the one kernel of
-:func:`join_kernel`.  The individual-subtree ranker, which ranks
-combinations one by one instead of aggregating them, has its own
-bound-driven loop (:func:`expand_root_topk`).
+one valid subtree.  LINEARENUM, LINEARENUM-TOPK and the baseline expand
+roots (:func:`expand_root`); PATTERNENUM and LINEARENUM-TOPK's exact
+re-scoring join one pattern at its roots (:func:`join_pattern_roots`);
+all of them tree-check, score and aggregate through the one kernel of
+:func:`join_kernel`.  The individual-subtree ranker ranks combinations
+one by one instead (:func:`expand_root_topk`).
 
-The loops never touch a :class:`~repro.index.entry.PathEntry`: postings
-are iterated as ``(path_id, sim)`` scalar pairs — an index leaf is
-already that pair tuple (:data:`~repro.index.store.Leaf`), and the
-baseline's scratch maps hold plain pair lists — and read the store's
-boxed path columns (:meth:`~repro.index.store.PostingStore.path_columns`).
-Kept subtrees stay those bare pair tuples until the answers are built;
-only the returned answers wrap them, as
-:class:`~repro.search.result.KeptCombo` (:func:`~repro.search.result.\
-bind_combos`).
+No loop touches a :class:`~repro.index.entry.PathEntry`: postings are
+``(path_id, sim)`` scalar pairs — an index leaf is already that pair
+tuple (:data:`~repro.index.store.Leaf`), the baseline's scratch maps
+hold pair lists — read against the store's boxed path columns.  Kept
+subtrees stay bare pair tuples; only returned answers wrap them, as
+:class:`~repro.search.result.KeptCombo` (``bind_combos``).
 """
 
 from __future__ import annotations
 
 from itertools import product, repeat
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.errors import ScoringError
 from repro.index.entry import PathEntry, combination_score_terms
 from repro.index.store import PostingStore
 from repro.scoring.aggregate import RunningAggregate
@@ -47,10 +33,6 @@ from repro.search.result import SearchStats
 #: One valid subtree as the enumerators keep it: a ``(path_id, sim)``
 #: pair per query keyword.
 Pairs = Tuple[Tuple[int, float], ...]
-
-#: One unit of join work: a pattern key and, per keyword, the postings
-#: to cross at one root.
-Job = Tuple[object, Sequence[Sequence[Tuple[int, float]]]]
 
 
 def combo_score(
@@ -66,29 +48,15 @@ def combo_score(
     return scoring.subtree_score(SubtreeComponents(size, pr, sim))
 
 
-def _check_base_scoring(scoring: ScoringFunction) -> None:
-    if scoring.extra_weights:
-        raise ScoringError(
-            f"expected {len(scoring.extra_weights)} extra components, got 0"
-        )
-
-
 def pair_scorer(
     store: PostingStore,
     scoring: ScoringFunction,
     words: Optional[Sequence[str]] = None,
 ) -> Callable[[Sequence[Tuple[int, float]]], float]:
-    """``pairs -> score(T, q)`` for combinations ranked one by one.
-
-    Sums the per-path ``(size, pr, sim)`` terms from the store's boxed
-    columns (for the query's ``words``, like
-    :meth:`~repro.index.store.PostingStore.path_columns`) in keyword
-    order and scores them with the query's
-    :meth:`~repro.scoring.function.ScoringFunction.subtree_scorer`
-    closure — the arithmetic of :func:`join_kernel`, so bit-identical to
-    it and to :func:`combo_score` over the materialized entries.
-    """
-    _check_base_scoring(scoring)
+    """``pairs -> score(T, q)`` for combinations ranked one by one: the
+    sums and :meth:`~repro.scoring.function.ScoringFunction.\
+subtree_scorer` closure of :func:`join_kernel`, so bit-identical to it
+    and to :func:`combo_score` over the materialized entries."""
     sizes, prs, _edges, _self_invalid = store.path_columns(words)
     subtree_score = scoring.subtree_scorer()
 
@@ -105,58 +73,32 @@ def pair_scorer(
     return score
 
 
-#: The per-query kernel :func:`join_kernel` returns:
-#: ``join(jobs, aggregates, trees, stats) -> empty jobs``.
-Join = Callable[
-    [
-        Iterable[Job],
-        Dict[object, RunningAggregate],
-        Optional[Dict[object, List[Pairs]]],
-        SearchStats,
-    ],
-    int,
-]
-
-
 def join_kernel(
     store: PostingStore,
     scoring: ScoringFunction,
     words: Optional[Sequence[str]] = None,
-) -> Join:
-    """The one join-and-aggregate kernel, bound to one query.
+) -> Callable:
+    """The one join-and-aggregate kernel, bound to one query's columns.
 
-    ``join(jobs, aggregates, trees, stats)`` crosses each job's posting
-    lists; each path combination is tree-checked, scored (Equation 3)
-    and added to ``aggregates[key]`` (Equation 2) in one pass over its
-    pairs.  A pattern's :class:`~repro.scoring.aggregate.RunningAggregate`
-    is created at its first valid combination (so a pattern no
-    combination survived for never appears), together with its
-    ``trees[key]`` list of kept pair tuples unless ``trees`` is ``None``.
-    Counters live in locals: ``stats`` is written once per call
-    (``subtrees_enumerated``, ``tree_check_rejections``), and the
-    number of jobs that joined no valid combination is returned.
-
-    The tree check is :meth:`~repro.index.store.PostingStore.\
-pairs_checker`'s rule on the same columns: no path re-enters its root
-    or gives a node two parent edges (the boxed ``self_invalid`` flag),
-    and no node gets two distinct parent edges across paths.  The shared
-    root is not re-checked: every list of a job is one index leaf at one
-    root.  The sums run in keyword order and the score is the query's
-    :meth:`~repro.scoring.function.ScoringFunction.subtree_scorer`, so
-    every score is bit-identical to :func:`pair_scorer`'s and to the
-    entry pipeline's.  ``words`` are the query's keywords (``None``: box
-    every path).
+    ``join(jobs, aggregates, trees, stats)`` takes ``(key, pair_lists)``
+    jobs and, for every combination of a job's product, tree-checks,
+    scores (Equation 3) and adds it to ``aggregates[key]`` (Equation 2)
+    in one pass over its pairs.  An aggregate is created at its
+    pattern's first valid combination, with its ``trees[key]`` list of
+    kept pair tuples (``trees=None``: keep none).  It counts in locals,
+    writes ``stats`` once, and returns the number of jobs that joined
+    nothing.  The tree rule is ``pairs_checker``'s, minus its shared-root
+    test (each list of a job is one index leaf at one root); the sums run
+    in keyword order, so scores are bit-identical to :func:`pair_scorer`
+    and to the entry pipeline (``docs/enumeration.md``).  ``words`` are
+    the query's keywords (``None``: box every path).
     """
-    _check_base_scoring(scoring)
     sizes, prs, edges, self_invalid = store.path_columns(words)
     subtree_score = scoring.subtree_scorer()
     new_aggregate = scoring.running
 
     def join(jobs, aggregates, trees, stats) -> int:
         enumerated = rejected = empty = 0
-        total = best = 0.0
-        count = 0
-        keep = None
         for key, pair_lists in jobs:
             aggregate = None
             for pairs in product(*pair_lists):
@@ -217,15 +159,9 @@ pairs_checker`'s rule on the same columns: no path re-enters its root
 #: scratch pair lists.
 PatternMap = Mapping[object, Sequence[Tuple[int, float]]]
 
-#: sink(pattern_key_combo, pair_combo) -> None, where ``pair_combo`` is
-#: one ``(path_id, sim)`` pair per query keyword.
-Sink = Callable[
-    [Tuple[object, ...], Tuple[Tuple[int, float], ...]], None
-]
-
 
 def expand_root(
-    join: Join,
+    join: Callable,
     pattern_maps: Sequence[PatternMap],
     aggregates: Dict[object, RunningAggregate],
     trees: Optional[Dict[object, List[Pairs]]],
@@ -236,14 +172,11 @@ def expand_root(
     """Enumerate all valid subtrees under one root into ``aggregates``.
 
     ``pattern_maps[i]`` is keyword i's ``pattern -> postings`` map at the
-    root.  Each pattern key combination is one job of ``join`` (the
-    query's :func:`join_kernel`), which scores every valid subtree into
-    ``aggregates[key_combo]`` and keeps its pairs in ``trees[key_combo]``
-    (``trees=None``: keep none).  Every aggregated combination is a tree
-    (the check that the paper's pseudo-code leaves implicit); rejected
-    combinations are counted in ``stats.tree_check_rejections``, and a
-    pattern combination none of whose combinations is a tree in
-    ``stats.empty_patterns``.
+    root; each pattern key combination is one job of ``join`` (the
+    query's :func:`join_kernel`), aggregated into ``aggregates`` and kept
+    in ``trees``.  Every aggregated combination is a tree (the check the
+    paper's pseudo-code leaves implicit); a pattern combination with no
+    tree counts in ``stats.empty_patterns``.
 
     ``pattern_filter`` and ``key_filter`` are the bound-driven pruning
     hooks.  ``key_filter(word_index, key)`` returning ``False`` removes
@@ -280,20 +213,13 @@ def expand_root(
                 return
             key_lists.append(keys)
     # Keys and their leaves crossed in lockstep: the same product order.
-    jobs = zip(
-        product(*key_lists),
-        product(*[
-            [pattern_map[key] for key in keys]
-            for pattern_map, keys in zip(pattern_maps, key_lists)
-        ]),
-    )
-    if pattern_filter is None:
-        checked = 1
-        for keys in key_lists:
-            checked *= len(keys)
-    else:
+    leaf_lists = [
+        [pattern_map[key] for key in keys]
+        for pattern_map, keys in zip(pattern_maps, key_lists)
+    ]
+    jobs = list(zip(product(*key_lists), product(*leaf_lists)))
+    if pattern_filter is not None:
         admitted = []
-        skipped = pairs_skipped = 0
         for key_combo, pair_lists in jobs:
             total = 1
             for rows in pair_lists:
@@ -301,13 +227,10 @@ def expand_root(
             if pattern_filter(key_combo, total):
                 admitted.append((key_combo, pair_lists))
             else:
-                skipped += 1
-                pairs_skipped += total
-        stats.prefixes_skipped += skipped
-        stats.pairs_skipped += pairs_skipped
+                stats.prefixes_skipped += 1
+                stats.pairs_skipped += total
         jobs = admitted
-        checked = len(admitted)
-    stats.patterns_checked += checked
+    stats.patterns_checked += len(jobs)
     # Possible only through tree-check rejections: by construction every
     # pattern product at a shared root joins at least one path
     # combination (Section 4.2's non-emptiness argument).
@@ -315,35 +238,32 @@ def expand_root(
 
 
 def join_pattern_roots(
-    join: Join,
+    join: Callable,
     key: object,
     root_maps: Sequence[Mapping[int, Sequence]],
     roots: Sequence[int],
     keep_subtrees: bool,
     stats: SearchStats,
 ) -> Tuple[Optional[RunningAggregate], List[Pairs]]:
-    """Evaluate one tree pattern by joining its paths at ``roots``.
+    """Evaluate tree pattern ``key`` by joining its paths at ``roots``.
 
-    ``root_maps[i]`` maps roots to keyword i's postings *with this
-    pattern's i-th path pattern* (``Roots(w_i, P_i)`` from the
-    pattern-first index), and every root of ``roots`` is in all of them.
-    Returns ``(aggregate, trees)``: ``aggregate`` is ``None`` when no
-    combination is a tree (counted in ``stats.empty_patterns``), and
-    ``trees`` holds the kept pair tuples.  This is the inner join of
-    Algorithm 2 (lines 5-8), also LINEARENUM-TOPK's exact re-scoring
-    step; ``join`` is the query's :func:`join_kernel`.
+    ``root_maps[i]`` is ``Roots(w_i, P_i)`` (pattern-first index) and
+    holds every root of ``roots``.  Returns ``(aggregate, kept pairs)``,
+    ``(None, [])`` when no combination is a tree (an empty pattern).  The
+    inner join of Algorithm 2 (lines 5-8), also LINEARENUM-TOPK's exact
+    re-scoring step; ``join`` is the query's :func:`join_kernel`.
     """
     aggregates: Dict[object, RunningAggregate] = {}
-    trees: Optional[Dict[object, List[Pairs]]] = (
-        {} if keep_subtrees else None
-    )
+    trees: Dict[object, List[Pairs]] = {}
     per_root = zip(*[map(leaves.__getitem__, roots) for leaves in root_maps])
-    join(zip(repeat(key), per_root), aggregates, trees, stats)
+    join(
+        zip(repeat(key), per_root), aggregates,
+        trees if keep_subtrees else None, stats,
+    )
     aggregate = aggregates.get(key)
     if aggregate is None:
         stats.empty_patterns += 1
-        return None, []
-    return aggregate, trees[key] if trees is not None else []
+    return aggregate, trees.get(key, [])
 
 
 def expand_root_topk(
@@ -352,7 +272,7 @@ def expand_root_topk(
     pattern_maps: Sequence[PatternMap],
     bounds,
     threshold,
-    sink: Sink,
+    sink: Callable[[Tuple[object, ...], Pairs], None],
     stats: SearchStats,
     form_tree: Callable,
     sorted_pairs_memo: dict,

@@ -108,16 +108,8 @@ def individual_topk(
         for root in candidates:
             stats.roots_expanded += 1
             expand_root_topk(
-                store,
-                root,
-                context.pattern_maps(root),
-                None,
-                threshold,
-                sink,
-                stats,
-                form_tree,
-                {},
-                context.words,
+                store, root, context.pattern_maps(root), None, threshold,
+                sink, stats, form_tree, {}, context.words,
             )
     else:
         ordered = []

@@ -68,32 +68,18 @@ class Enumeration:
         return self.aggregates[key].value()
 
 
-def _enumerate(
-    context: EnumerationContext,
-    scoring: ScoringFunction,
-    keep_subtrees: bool,
-) -> Tuple[
-    Dict[PatternKey, RunningAggregate],
-    Dict[PatternKey, List[Pairs]],
-    SearchStats,
-]:
-    """LINEARENUM's loop: every pattern's aggregate and, with
-    ``keep_subtrees``, its valid subtrees as bare pair tuples."""
+def _enumerate(context: EnumerationContext, scoring, keep_subtrees) -> tuple:
+    """LINEARENUM's loop: ``(aggregates, trees, stats)`` by pattern key,
+    ``trees`` holding kept subtrees as bare pair tuples."""
     stats = SearchStats(algorithm="linear_enum")
-    candidates = context.candidate_roots
-    stats.candidate_roots = len(candidates)
+    stats.candidate_roots = len(context.candidate_roots)
     aggregates: Dict[PatternKey, RunningAggregate] = {}
     trees: Dict[PatternKey, List[Pairs]] = {}
+    kept = trees if keep_subtrees else None
     join = join_kernel(context.store, scoring, context.words)
-    for root in candidates:
+    for root in context.candidate_roots:
         stats.roots_expanded += 1
-        expand_root(
-            join,
-            context.pattern_maps(root),
-            aggregates,
-            trees if keep_subtrees else None,
-            stats,
-        )
+        expand_root(join, context.pattern_maps(root), aggregates, kept, stats)
     stats.nonempty_patterns = len(aggregates)
     return aggregates, trees, stats
 

@@ -38,12 +38,8 @@ from repro.scoring.aggregate import AVG, RunningAggregate
 from repro.scoring.function import PAPER_DEFAULT, ScoringFunction
 from repro.search.bounds import SAFETY
 from repro.search.context import EnumerationContext, ensure_context
-from repro.search.expand import (
-    Pairs,
-    expand_root,
-    join_kernel,
-    join_pattern_roots,
-)
+from repro.search.expand import Pairs, expand_root, join_kernel
+from repro.search.expand import join_pattern_roots
 from repro.search.result import (
     PatternAnswer,
     SearchResult,
@@ -155,9 +151,7 @@ def linear_topk_search(
         # Best types first: the k-th score tightens before the bulk of
         # the candidate roots is ever expanded.
         for plan in plans:
-            # A plain loop, because ``sum()`` rounds floats differently
-            # from Python 3.12 on.
-            mass = 0.0
+            mass = 0.0  # no sum(): it rounds differently from Python 3.12
             for root in plan[1]:
                 mass += bounds.root_mass(root)
             plan[4] = SAFETY * mass
@@ -312,16 +306,9 @@ def linear_topk_search(
                     indexes.pattern_first.roots(word, pid)
                     for word, pid in zip(words, key)
                 ]
-                smallest = min(pattern_roots, key=len)
+                roots = set(pattern_roots[0]).intersection(*pattern_roots)
                 aggregate, trees = join_pattern_roots(
-                    join,
-                    key,
-                    pattern_roots,
-                    sorted(
-                        root for root in smallest
-                        if all(root in roots for roots in pattern_roots)
-                    ),
-                    keep_subtrees,
+                    join, key, pattern_roots, sorted(roots), keep_subtrees,
                     stats,
                 )
                 if aggregate is None:  # pragma: no cover - see comment above

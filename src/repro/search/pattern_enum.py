@@ -148,9 +148,7 @@ def pattern_enum_search(
     if bounds is not None:
         # Visit types best-first so the k-th score tightens fast; once a
         # type's bound falls below it, every pattern of that type is out.
-        # Plain loops, because ``sum()`` rounds floats differently from
-        # Python 3.12 on.
-        type_uppers = {}
+        type_uppers = {}  # no sum(): it rounds differently from 3.12 on
         for root_type in viable_types:
             mass = 0.0
             for root in by_type.get(root_type, ()):
@@ -184,10 +182,6 @@ def pattern_enum_search(
         pid_combo: List[int] = [0] * m
         root_maps: List[Mapping[int, Sequence]] = [{}] * m
         root_mass = bounds.root_mass if bounds is not None else None
-        pid_caches = (
-            [bounds.pid_upper_cache(i) for i in range(m)]
-            if bounds is not None else None
-        )
 
         def descend(depth: int, roots: Sequence[int]) -> None:
             if depth == m:
@@ -201,14 +195,13 @@ def pattern_enum_search(
             for root in roots:
                 for pid in word_roots[root]:
                     at_pattern[pid].append(root)
-            pid_cache = pid_caches[depth] if pid_caches is not None else None
+            if root_mass is not None:
+                pid_cache = bounds.pid_upper_cache(depth)
             for pid in per_word_patterns[depth]:
-                pruning = pid_cache is not None and queue.is_full
-                if pruning:
-                    upper = pid_cache.get(pid)
-                    if upper is None:
-                        upper = bounds.pid_upper(depth, pid)
-                if pruning and not threshold.admits(upper):
+                pruning = root_mass is not None and queue.is_full
+                if pruning and not threshold.admits(
+                    pid_cache.get(pid) or bounds.pid_upper(depth, pid)
+                ):
                     # No pattern through this path pattern can reach the
                     # k-th score: the whole product slice dies before its
                     # roots are even looked at.
