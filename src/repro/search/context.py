@@ -10,10 +10,10 @@ root sets twice for one user request.
 
 :class:`EnumerationContext` computes each piece lazily, at most once, and
 is shared across however many algorithms run for one query.  It also
-carries the backing :class:`~repro.index.store.PostingStore`, which is
-what the hot loops call for tree-validity (``form_tree``) and scoring
-(``score_terms``) — path entries are never materialized during
-enumeration (see ``docs/enumeration.md``).
+carries the backing :class:`~repro.index.store.PostingStore`, whose
+boxed path columns the join kernel reads for tree-validity and scoring
+— path entries are never materialized during enumeration (see
+``docs/enumeration.md``).
 
 The baseline works over paths discovered online by backward walks rather
 than over the index; it builds its context with :meth:`from_root_maps`
