@@ -217,8 +217,13 @@ def expand_root(
         [pattern_map[key] for key in keys]
         for pattern_map, keys in zip(pattern_maps, key_lists)
     ]
-    jobs = list(zip(product(*key_lists), product(*leaf_lists)))
-    if pattern_filter is not None:
+    # Never materialized: a root's pattern product can be p^m long.
+    jobs = zip(product(*key_lists), product(*leaf_lists))
+    if pattern_filter is None:
+        checked = 1
+        for keys in key_lists:
+            checked *= len(keys)
+    else:
         admitted = []
         for key_combo, pair_lists in jobs:
             total = 1
@@ -230,7 +235,8 @@ def expand_root(
                 stats.prefixes_skipped += 1
                 stats.pairs_skipped += total
         jobs = admitted
-    stats.patterns_checked += len(jobs)
+        checked = len(admitted)
+    stats.patterns_checked += checked
     # Possible only through tree-check rejections: by construction every
     # pattern product at a shared root joins at least one path
     # combination (Section 4.2's non-emptiness argument).
