@@ -10,8 +10,9 @@ the way a service sees traffic (queries repeat):
   workload, caches flushed between runs (CPython threads interleave
   CPU-bound execution, so thread QPS measures overhead + cache sharing,
   not parallelism — the honest number is printed either way);
-* **batch QPS at 1/4/8 fork workers** — the genuinely parallel path
-  (``processes=``, ``keep_subtrees=False``);
+* **batch QPS at 1/4/8 fork workers** — the genuinely parallel path:
+  a ``PooledSearchService`` of n workers kept busy by n batch threads,
+  subtree rows included;
 * **cache hit rates** from ``ServiceStats``.
 
 Emits ``BENCH_4.json`` and **fails (exit 1) if any served result — warm,
@@ -37,6 +38,7 @@ from repro.index.builder import build_indexes
 from repro.search.engine import TableAnswerEngine
 from repro.search.linear_enum import count_answers
 from repro.search.service import SearchService
+from repro.serve.pool import PooledSearchService
 
 PROFILES = {
     # ~seconds in CI; mirrors the BENCH_3 smoke graph.
@@ -116,13 +118,19 @@ def run(profile_name: str, k: int, out_path: str) -> int:
     # The no-cache oracle: cold engine on a pinned snapshot per query.
     snap = indexes.snapshot()
     engine = TableAnswerEngine(snap.graph, indexes=snap)
+
+    def served(result):
+        # Rows too: the fork-pool runs ship them across a pipe.
+        rows = [list(answer.subtrees) for answer in result.answers]
+        return fingerprint(result), rows
+
     oracle = {
-        query: fingerprint(engine.search(query, k=k)) for query in queries
+        query: served(engine.search(query, k=k)) for query in queries
     }
     divergences = []
 
     def check(label, query, result):
-        if fingerprint(result) != oracle[query]:
+        if served(result) != oracle[query]:
             divergences.append({"stage": label, "query": " ".join(query)})
 
     service = SearchService(indexes)
@@ -156,32 +164,30 @@ def run(profile_name: str, k: int, out_path: str) -> int:
     ]
 
     def batch_run(threads=0, processes=0):
-        service.invalidate()
-        service.stats = type(service.stats)()  # fresh counters per config
-        kwargs = {"threads": threads, "processes": processes}
         if processes:
-            kwargs["keep_subtrees"] = False
-        started = time.perf_counter()
-        results = service.search_many(stream, k=k, **kwargs)
-        elapsed = time.perf_counter() - started
-        for query, result in zip(stream, results):
+            runner = PooledSearchService(indexes, processes=processes)
+        else:
+            runner = service
+            runner.invalidate()
+            runner.stats = type(runner.stats)()  # fresh counters per config
+        try:
+            started = time.perf_counter()
+            results = runner.search_many(
+                stream, k=k, threads=threads or processes
+            )
+            elapsed = time.perf_counter() - started
+        finally:
             if processes:
-                # keep_subtrees=False drops rows; compare scores/patterns.
-                got = (result.scores(), result.pattern_keys())
-                want = (oracle[query][0], oracle[query][1])
-                if got != want:
-                    divergences.append(
-                        {"stage": f"processes={processes}",
-                         "query": " ".join(query)}
-                    )
-            else:
-                check(f"threads={threads}", query, result)
+                runner.close()
+        label = f"processes={processes}" if processes else f"threads={threads}"
+        for query, result in zip(stream, results):
+            check(label, query, result)
         return {
             "queries": len(stream),
             "seconds": elapsed,
             "qps": len(stream) / elapsed if elapsed > 0 else None,
-            "result_hit_rate": service.stats.result_hit_rate(),
-            "deduped": service.stats.batch_deduped,
+            "result_hit_rate": runner.stats.result_hit_rate(),
+            "deduped": runner.stats.batch_deduped,
         }
 
     thread_runs = {n: batch_run(threads=n) for n in (1, 4, 8)}

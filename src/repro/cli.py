@@ -228,10 +228,10 @@ def _make_service(
     args: argparse.Namespace, pool_processes: Optional[int] = None
 ) -> SearchService:
     """The service a command serves through: a fork-pool service when
-    ``serve --processes N`` or ``--shards K`` asks for it — N workers
-    (K when only ``--shards`` is given), a shardable query split over
-    up to K of them that are free — the plain service otherwise.  K is
-    this command's choice, never the file's."""
+    ``--processes N`` (``serve``, ``batch``) or ``--shards K`` asks for
+    it — N workers (K when only ``--shards`` is given), a shardable
+    query split over up to K of them that are free — the plain service
+    otherwise.  K is this command's choice, never the file's."""
     shards = getattr(args, "shards", None)
     if shards is not None and shards < 1:
         raise SearchError(f"--shards must be >= 1, got {shards}")
@@ -472,6 +472,8 @@ def _load_batch_requests(args: argparse.Namespace):
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    if args.threads < 0:
+        raise SearchError(f"--threads must be >= 0, got {args.threads}")
     requests, exit_code = _load_batch_requests(args)
     if requests is None:
         return exit_code
@@ -490,15 +492,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if not uniform:
         return _batch_replay(args, requests)
     queries = [request.query for request in requests]
-    if args.processes and getattr(args, "shards", None):
-        print(
-            "error: --processes and --shards are mutually exclusive: "
-            "--shards serves through a fork pool, which is already the "
-            "parallel path",
-            file=sys.stderr,
-        )
-        return 2
-    service = _make_service(args)
+    # N pool workers are kept busy by N batch threads.
+    threads = args.threads or args.processes
+    service = _make_service(args, pool_processes=args.processes or None)
     params = _search_params(args)
     if args.no_subtrees:
         params["keep_subtrees"] = False
@@ -508,8 +504,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             queries,
             k=args.k,
             algorithm=args.algorithm,
-            threads=args.threads,
-            processes=args.processes,
+            threads=threads,
             **params,
         )
     finally:
@@ -525,7 +520,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     qps = len(queries) / elapsed if elapsed > 0 else float("inf")
     print(
         f"batch: {len(queries)} queries in {elapsed:.3f} s "
-        f"({qps:.1f} QPS, threads={args.threads}, "
+        f"({qps:.1f} QPS, threads={threads}, "
         f"processes={args.processes})"
     )
     print(service.stats.format())
@@ -765,9 +760,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="thread-pool size for batch execution (0 = inline)",
     )
     batch.add_argument(
-        "--processes", type=int, default=0,
-        help="fork-pool size for parallel execution (0 = off; kept "
-        "subtree rows cross back as (path id, sim) pairs)",
+        "--processes", type=int, default=0, metavar="N",
+        help="N fork-pool workers; composes with --shards K",
     )
     batch.add_argument(
         "--no-subtrees", action="store_true",

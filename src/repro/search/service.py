@@ -39,11 +39,11 @@ can at worst cause recomputation, never a stale answer.
 
 Batch execution (:meth:`SearchService.search_many`) plans every query
 up front, deduplicates equal plans, and executes the remainder on a
-thread pool over one shared snapshot (CPython threads interleave rather
-than parallelize CPU-bound work, but the shared snapshot and caches are
-what matter; pass ``processes=N`` on fork-capable platforms for true
-parallel execution — kept subtrees cross back as ``(path_id, sim)``
-pairs and are re-bound to the parent's snapshot store).
+thread pool over one shared snapshot.  CPython threads interleave
+rather than parallelize CPU-bound work; for parallel execution, run the
+batch on :class:`~repro.serve.pool.PooledSearchService`, whose
+executions cross to its fork workers, so ``threads=N`` keeps N of them
+busy at once.
 
 Everything served is **bit-identical** to a cold
 ``TableAnswerEngine.search()`` — caches only ever short-circuit pure
@@ -71,12 +71,7 @@ from repro.search.plan import (
     plan_search,
     reject_plan_overrides,
 )
-from repro.search.result import (
-    SearchResult,
-    SearchStats,
-    bind_combos,
-    portable_combos,
-)
+from repro.search.result import SearchResult, SearchStats
 
 
 @dataclass
@@ -217,24 +212,6 @@ class ServiceStats:
             f"{self.query_paths_boxed} query paths boxed, "
             f"{self.entries_materialized} entries materialized"
         )
-
-
-#: Module global for fork-based batch execution: workers inherit the
-#: service (snapshot, caches, and all) through the forked address space;
-#: nothing is pickled on the way in.
-_FORK_SERVICE: Optional["SearchService"] = None
-
-
-def _fork_execute(plan: QueryPlan) -> SearchResult:
-    result = _FORK_SERVICE.execute(plan)
-    for answer in result.answers:
-        # Kept subtree combos are ComboRef views holding a store
-        # reference; strip them to their (path_id, sim) pairs in the
-        # child — the same portable form the shard and HTTP fork pools
-        # ship — so the result can be pickled back to the parent, which
-        # re-binds them to the snapshot this child was forked with.
-        answer.subtrees = portable_combos(answer.subtrees)
-    return result
 
 
 #: Renderings one result-tier entry remembers (the HTTP tier's
@@ -531,7 +508,6 @@ TableAnswerEngine.search>`; on a result-cache hit the returned object
         algorithm: Optional[str] = None,
         scoring: Optional[ScoringFunction] = None,
         threads: int = 0,
-        processes: int = 0,
         **params,
     ) -> List[SearchResult]:
         """Answer a batch of queries, returning results in input order.
@@ -540,14 +516,11 @@ TableAnswerEngine.search>`; on a result-cache hit the returned object
         equal plans are deduplicated (executed once, fanned out), result-
         cache hits are served immediately, and the remaining unique plans
         execute on a thread pool of ``threads`` workers (``0``/``1`` =
-        inline).  ``processes=N`` (N >= 1; always forks, so ``1`` is a
-        single isolated worker, not inline) instead forks workers for
-        genuinely parallel execution on a platform with ``fork``; kept
-        subtrees cross the pipe as ``(path_id, sim)`` pairs and come
-        back bound to the batch's snapshot, like an inline execution's.
+        inline).  On :class:`~repro.serve.pool.PooledSearchService` each
+        thread's execution runs on a fork worker, so ``threads=N`` over
+        N workers is parallel; kept subtrees come back bound to the
+        batch's snapshot, like an inline execution's.
         """
-        if processes and threads:
-            raise SearchError("pass threads= or processes=, not both")
         self.stats.bump(batches=1, batch_queries=len(queries))
         snap = self.snapshot()
         plans = [
@@ -573,14 +546,10 @@ TableAnswerEngine.search>`; on a result-cache hit the returned object
 
         if pending:
             run = lambda plan: self._execute_on(snap, plan)  # noqa: E731
-            if processes > 0 or threads > 1:
+            if threads > 1:
                 # One-time per-snapshot column builds happen before the
-                # fan-out: forked children would each rebuild them, and
-                # threads would race the same (idempotent) work.
+                # fan-out: threads would race the same (idempotent) work.
                 snap.store.warm_query_caches()
-            if processes > 0:
-                results = self._execute_forked(snap, pending, processes)
-            elif threads > 1:
                 with ThreadPoolExecutor(max_workers=threads) as pool:
                     results = list(pool.map(run, pending))
             else:
@@ -593,27 +562,6 @@ TableAnswerEngine.search>`; on a result-cache hit the returned object
                 for position in positions[1:]:
                     slots[position] = self._flag_cached(result)
         return slots
-
-    def _execute_forked(
-        self, snap: PathIndexes, pending: List[QueryPlan], processes: int
-    ) -> List[SearchResult]:
-        import multiprocessing
-
-        global _FORK_SERVICE
-        try:
-            fork = multiprocessing.get_context("fork")
-        except ValueError as exc:  # pragma: no cover - non-fork platform
-            raise SearchError(f"processes= requires fork: {exc}") from exc
-        _FORK_SERVICE = self
-        try:
-            with fork.Pool(processes=processes) as pool:
-                results = pool.map(_fork_execute, pending)
-        finally:
-            _FORK_SERVICE = None
-        for result in results:
-            for answer in result.answers:
-                answer.subtrees = bind_combos(answer.subtrees, snap.store)
-        return results
 
     # -------------------------------------------------------------- caching
 

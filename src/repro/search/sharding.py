@@ -56,10 +56,6 @@ from repro.search.result import (
     order_answers,
     portable_answers,
 )
-from repro.search.workers import WorkerError
-
-#: The one worker error class, under the name this module used to define.
-ShardWorkerError = WorkerError
 
 DEFAULT_NUM_SHARDS = 4
 

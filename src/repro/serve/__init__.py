@@ -27,11 +27,7 @@ See ``docs/serving.md`` (HTTP tier section) and ``benchmarks/loadgen.py``.
 """
 
 from repro.serve.http import HttpSearchServer, ServerThread, start_http_server
-from repro.serve.pool import (
-    ForkWorkerPool,
-    PooledSearchService,
-    PoolWorkerError,
-)
+from repro.serve.pool import ForkWorkerPool, PooledSearchService
 from repro.serve.params import (
     ParamError,
     SearchRequest,
@@ -53,7 +49,6 @@ __all__ = [
     "start_http_server",
     "ForkWorkerPool",
     "PooledSearchService",
-    "PoolWorkerError",
     "ParamError",
     "SearchRequest",
     "describe_inapplicable",

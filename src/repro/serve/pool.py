@@ -7,7 +7,8 @@ adds the multi-core path ``docs/serving.md`` describes:
 :class:`PooledSearchService` is a drop-in
 :class:`~repro.search.service.SearchService` whose cache-miss
 executions cross to N long-lived **fork workers** instead of running
-inline.
+inline.  A batch runs on the same workers: ``search_many(threads=N)``
+keeps N of them busy.
 
 Division of labor — the parent keeps every piece of dispatch state:
 
@@ -74,9 +75,6 @@ from repro.search.service import SearchService
 from repro.search.workers import WorkerError, WorkerPool
 
 DEFAULT_POOL_PROCESSES = 2
-
-#: The one worker error class, under the name this module used to define.
-PoolWorkerError = WorkerError
 
 
 def _execute_portable(bundle: PathIndexes, request):
@@ -283,14 +281,6 @@ class PooledSearchService(SearchService):
         if context is not None:
             self._remember_candidates(plan, context)
         return result
-
-    def _execute_forked(self, snap, pending, processes):
-        raise SearchError(
-            f"search_many(processes=N) is disabled on "
-            f"{type(self).__name__}: forked batch children would share "
-            "the pool workers' pipes; the standing worker pool is already "
-            "the parallel path (use threads= for batch overlap)"
-        )
 
     def _heal(self, pool: WorkerPool, lost: List[int]) -> None:
         """Second half of the failover rule

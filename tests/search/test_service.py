@@ -263,29 +263,34 @@ class TestBatch:
             fingerprint(r) for r in threaded
         ]
 
-    def test_processes_match_inline(self, example_indexes):
-        service = SearchService(example_indexes)
-        queries = [QUERY, "software company", "database revenue"]
-        inline = service.search_many(queries, k=3, keep_subtrees=False)
-        service.invalidate()
-        forked = service.search_many(
-            queries, k=3, keep_subtrees=False, processes=2
-        )
-        assert [(r.scores(), r.pattern_keys()) for r in inline] == [
-            (r.scores(), r.pattern_keys()) for r in forked
+    def test_processes_match_inline(self, wiki_indexes):
+        # Batch parallelism is a fork-worker pool kept busy by threads.
+        from repro.serve.pool import PooledSearchService
+
+        vocab = sorted(wiki_indexes.root_first.words())
+        queries = [
+            " ".join(vocab[i::7][:2]) for i in range(0, 21, 3)
+        ]
+        inline = SearchService(wiki_indexes).search_many(queries, k=5)
+        with PooledSearchService(wiki_indexes, processes=2) as pooled:
+            forked = pooled.search_many(queries, k=5, threads=2)
+            assert pooled.stats.pool_rebuilds == 1
+        assert [fingerprint(r) for r in inline] == [
+            fingerprint(r) for r in forked
         ]
 
     def test_processes_keep_subtrees_rows_match_inline(
         self, example_indexes
     ):
-        # Kept subtree combos are ComboRef store views in the child; the
-        # fork path ships their (path_id, sim) pairs and the parent
-        # re-binds them to its snapshot — value-equal to entry tuples.
-        service = SearchService(example_indexes)
+        # Kept subtree combos are ComboRef store views in the worker; the
+        # pool ships their (path_id, sim) pairs and the parent re-binds
+        # them to its snapshot — value-equal to entry tuples.
+        from repro.serve.pool import PooledSearchService
+
         queries = [QUERY, "software company", "database revenue"]
-        inline = service.search_many(queries, k=3)
-        service.invalidate()
-        forked = service.search_many(queries, k=3, processes=2)
+        inline = SearchService(example_indexes).search_many(queries, k=3)
+        with PooledSearchService(example_indexes, processes=2) as pooled:
+            forked = pooled.search_many(queries, k=3, threads=2)
         assert [fingerprint(r) for r in inline] == [
             fingerprint(r) for r in forked
         ]
@@ -295,12 +300,11 @@ class TestBatch:
                     tuple(combo) for combo in ref_answer.subtrees
                 ] == list(answer.subtrees)
 
-    def test_threads_and_processes_exclusive(self, example_indexes):
+    def test_processes_is_an_unknown_parameter(self, example_indexes):
         service = SearchService(example_indexes)
-        with pytest.raises(SearchError, match="not both"):
-            service.search_many(
-                [QUERY], threads=2, processes=2, keep_subtrees=False
-            )
+        with pytest.raises(SearchError, match="'processes'"):
+            service.search_many([QUERY], k=3, processes=2)
+        assert service.stats.searches == 0
 
 
 class TestConcurrentServing:

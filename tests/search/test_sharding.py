@@ -44,13 +44,13 @@ from repro.search.sharding import (
     DEFAULT_NUM_SHARDS,
     SHARDABLE_ALGORITHMS,
     ShardedSearchService,
-    ShardWorkerError,
     execute_shard_plan,
     merge_shard_runs,
     plan_shardable,
     search_shard,
     split_width,
 )
+from repro.search.workers import WorkerError
 from repro.serve.pool import PooledSearchService
 
 ALGORITHMS = ("pattern_enum", "linear_topk", "linear_full", "baseline")
@@ -852,7 +852,7 @@ class TestWorkerRobustness:
             assert lost.stats.shard_failovers == 1
             assert service.stats.respawn_failures == 1
             assert pool._workers[victim] is None  # slot left empty
-            with pytest.raises(ShardWorkerError):
+            with pytest.raises(WorkerError):
                 pool.send(victim, (service.plan(query, k=5), None))
             # The next query fails over again and the retry succeeds.
             retried = service.search(query, k=5)
@@ -882,13 +882,6 @@ class TestWorkerRobustness:
         assert set(a.pattern_key for a in reference.answers) <= set(
             merged_keys
         )
-
-    def test_processes_batch_is_rejected(self, small_bundle):
-        with ShardedSearchService(small_bundle, num_shards=2) as service:
-            with pytest.raises(SearchError, match="parallel path"):
-                service.search_many(
-                    ["anything"], k=3, processes=2, keep_subtrees=False
-                )
 
 
 class TestConcurrentMisses:

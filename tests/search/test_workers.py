@@ -25,8 +25,6 @@ import repro
 from repro.core.errors import SearchError
 from repro.search import workers
 from repro.search.workers import WorkerError, WorkerPool
-from repro.search.sharding import ShardWorkerError
-from repro.serve.pool import PoolWorkerError
 
 TIMEOUT = 5.0
 
@@ -91,9 +89,7 @@ class TestHandshake:
         assert multiprocessing.active_children() == []
         capfd.readouterr()  # the child's traceback
 
-    def test_one_error_class_under_both_old_names(self):
-        assert ShardWorkerError is WorkerError
-        assert PoolWorkerError is WorkerError
+    def test_worker_error_is_a_search_error(self):
         assert issubclass(WorkerError, SearchError)
 
 
@@ -336,11 +332,18 @@ class TestOneMechanism:
     def test_worker_protocol_calls_live_in_one_module(self, needle):
         assert self.files_containing(needle) == ["search/workers.py"]
 
-    def test_fork_context_is_taken_in_two_places(self):
-        # The long-lived workers, and SearchService._execute_forked's
-        # stdlib multiprocessing.Pool (no hand-written protocol).
+    @pytest.mark.parametrize(
+        "needle",
+        ["multiprocessing.Pool", ".Pool(", "ProcessPoolExecutor"],
+    )
+    def test_no_stdlib_process_pool(self, needle):
+        # Batch parallelism runs on the same fork workers as serving.
+        assert self.files_containing(needle) == []
+
+    def test_fork_context_is_taken_in_one_place(self):
+        # The long-lived workers; nothing else forks.
         assert self.files_containing('get_context("fork")') == [
-            "search/service.py", "search/workers.py",
+            "search/workers.py",
         ]
 
     def test_one_worker_main_one_record_one_error_class(self):

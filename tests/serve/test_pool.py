@@ -182,10 +182,6 @@ class TestLifecycle:
         finally:
             service.close()
 
-    def test_batch_fork_is_rejected(self, pooled_service):
-        with pytest.raises(SearchError, match="disabled"):
-            pooled_service.search_many([QUERY], k=7, processes=2)
-
     def test_batch_threads_drive_the_pool(self, private_bundle):
         service = PooledSearchService(private_bundle, processes=2)
         try:

@@ -534,17 +534,43 @@ class TestSharding:
         assert code == 0
         assert capsys.readouterr().out.count("answers") == 2
 
-    def test_batch_processes_and_shards_conflict(
+    def test_batch_processes_and_shards_compose(
         self, index_file, tmp_path, capsys
+    ):
+        # One pool of two workers that splits each query over up to two.
+        queries = tmp_path / "queries.txt"
+        queries.write_text("software company\ndatabase revenue\n")
+
+        def answer_lines(text):
+            # "'q': N answers, top=S" without the timing.
+            return [line.rsplit(",", 1)[0] for line in text.splitlines()
+                    if " answers, top=" in line]
+
+        assert main(["batch", str(index_file), str(queries)]) == 0
+        plain = capsys.readouterr().out
+        code = main(
+            ["batch", str(index_file), str(queries),
+             "--processes", "2", "--shards", "2"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "backend fork-pool+sharded x2" in out
+        assert "threads=2, processes=2" in out
+        assert len(answer_lines(out)) == 2
+        assert answer_lines(out) == answer_lines(plain)
+
+    @pytest.mark.parametrize("flag", ["--processes", "--threads"])
+    def test_batch_rejects_negative_counts(
+        self, index_file, tmp_path, capsys, flag
     ):
         queries = tmp_path / "queries.txt"
         queries.write_text("software company\n")
-        code = main(
-            ["batch", str(index_file), str(queries),
-             "--processes", "2", "--no-subtrees", "--shards", "2"]
-        )
+        code = main(["batch", str(index_file), str(queries), flag, "-1"])
         assert code == 2
-        assert "mutually exclusive" in capsys.readouterr().err
+        bound = "1" if flag == "--processes" else "0"
+        assert f"{flag} must be >= {bound}, got -1" in (
+            capsys.readouterr().err
+        )
 
     def test_serve_with_shards(self, index_file, capsys, monkeypatch):
         import io

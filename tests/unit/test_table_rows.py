@@ -220,6 +220,15 @@ def combos(result):
     return [list(answer.subtrees) for answer in result.answers]
 
 
+def fingerprint(result):
+    return (
+        result.scores(),
+        result.pattern_keys(),
+        [answer.num_subtrees for answer in result.answers],
+        combos(result),
+    )
+
+
 def searches(queries):
     return [
         (query, algorithm) for query in queries for algorithm in ALGORITHMS
@@ -377,16 +386,29 @@ class TestDifferentialRenderer:
                 assert_renders_like_frozen(result, wiki_indexes.graph)
 
     def test_batch_fork(self, wiki_oracle, wiki_indexes):
-        service = SearchService(wiki_indexes)
-        for algorithm in ALGORITHMS:
-            results = service.search_many(
-                list(WIKI_QUERIES), k=10, algorithm=algorithm, processes=2
-            )
-            for query, result in zip(WIKI_QUERIES, results):
-                assert combos(result) == combos(
-                    wiki_oracle[query, algorithm]
-                )
-                assert_renders_like_frozen(result, wiki_indexes.graph)
+        # Batch parallelism, as `repro batch --processes 2 [--shards 2]`
+        # runs it: two threads keep a two-worker pool busy.
+        plain = SearchService(wiki_indexes)
+        for num_shards in (0, 2):
+            with PooledSearchService(
+                wiki_indexes, processes=2, num_shards=num_shards
+            ) as service:
+                for algorithm in ALGORITHMS:
+                    batch = dict(k=10, algorithm=algorithm)
+                    results = service.search_many(
+                        list(WIKI_QUERIES), threads=2, **batch
+                    )
+                    inline = plain.search_many(list(WIKI_QUERIES), **batch)
+                    assert list(map(fingerprint, results)) == list(
+                        map(fingerprint, inline)
+                    )
+                    for query, result in zip(WIKI_QUERIES, results):
+                        assert combos(result) == combos(
+                            wiki_oracle[query, algorithm]
+                        )
+                        assert_renders_like_frozen(
+                            result, wiki_indexes.graph
+                        )
 
 
 @st.composite
@@ -741,7 +763,6 @@ BIND_COMBO_SITES = [
     "search/linear_topk.py:linear_topk_search",
     "search/pattern_enum.py:pattern_enum_search",
     "search/result.py:bind_answers",
-    "search/service.py:SearchService._execute_forked",
 ]
 
 
