@@ -190,30 +190,18 @@ class PathIndexes:
         for existing ids, so pinned path ids keep resolving identically.
 
         Cheap (reference captures under the store lock); take a fresh one
-        whenever ``store.version`` has moved.  Snapshotting a snapshot
+        whenever ``store.version`` has moved.  The index views hold no
+        state: the snapshot's read the pinned store's view dicts, which
+        for this version are the live store's own, so a word decoded or
+        grouped through either is done once.  Snapshotting a snapshot
         returns it unchanged.
         """
         store = self.store
         if isinstance(store, StoreSnapshot):
             return self
-        with store.lock:
-            store.finalize()
-            snap_store = StoreSnapshot(store)
-            pattern_first = PatternFirstIndex(self.interner, snap_store)
-            root_first = RootFirstIndex(self.interner, snap_store)
-            # Adopt the live view's grouping instead of starting an
-            # empty one: the per-word root-type groupings built so far
-            # for this version carry over to every snapshot of it.
-            # Bringing the live view up to date here is the same work
-            # the next live query would do anyway, and under the store
-            # lock it is race-free and guaranteed to land on the pinned
-            # version.
-            live_pf = self.pattern_first
-            live_pf.finalize()
-            pattern_first._data = live_pf._data
-            pattern_first._by_root_type = live_pf._by_root_type
-            pattern_first._built_version = snap_store.version
-            root_first.finalize()  # reference assignment, pinned store
+        snap_store = store.snapshot()
+        pattern_first = PatternFirstIndex(self.interner, snap_store)
+        root_first = RootFirstIndex(self.interner, snap_store)
         return replace(
             self,
             pattern_first=pattern_first,
@@ -311,8 +299,7 @@ def build_indexes(
                     for word, sim in attr_word_sims:
                         store.add_posting(word, path_id, sim)
 
-    pattern_first.finalize()
-    root_first.finalize()
+    store.finalize()
     return PathIndexes(
         graph=graph,
         d=d,

@@ -75,8 +75,7 @@ def add_entity(
             )
             for word, sim in word_sims:
                 indexes.store.add_posting(word, path_id, sim)
-            indexes.pattern_first.finalize()
-            indexes.root_first.finalize()
+            indexes.store.finalize()
     return node
 
 
@@ -150,6 +149,5 @@ def add_relationship(
                         store.add_posting(word, path_id, sim)
                         added += 1
         if added:
-            indexes.pattern_first.finalize()
-            indexes.root_first.finalize()
+            store.finalize()
     return added

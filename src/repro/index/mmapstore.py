@@ -71,7 +71,7 @@ class MappedIndexReader:
 
     The mapping is opened read-only and shared (``ACCESS_READ``), so a
     forked worker inherits it without copying; it stays alive as long as
-    any store/view/leaf built from it holds a reference to this reader.
+    any column view cut from it does (the reader itself may go first).
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -159,7 +159,10 @@ class _MappedBaseViews:
     built for an older generation close over *their* instance, so a
     word that goes dirty (or a store that re-maps) after a snapshot
     pinned those dicts still lazily resolves to the old generation's
-    correct content.
+    correct content.  This instance, the store's mapped columns and the
+    view dicts closing over it are all that reference a generation's
+    mapping: once the store has re-mapped and the last snapshot pinning
+    them is dropped, refcounting unmaps the file.
     """
 
     __slots__ = (
@@ -288,7 +291,6 @@ class MappedPostingStore(PostingStore):
         self, reader: MappedIndexReader, meta: Dict[str, object]
     ) -> None:
         """Point every column at ``reader``'s pages (init and re-map)."""
-        self._reader = reader
         prefix = meta["prefix"]
         view = reader.view
         self._node_offsets = view(prefix + "node_offsets", OFFSET_TYPECODE)
@@ -310,9 +312,6 @@ class MappedPostingStore(PostingStore):
         self._rows = {}
         self._pending = {}
 
-    #: The name the tests read ``has_mapped_base`` under.
-    _backed = PostingStore.has_mapped_base
-
     # --------------------------------------------------- re-map & escape
 
     def remap(self, reader: MappedIndexReader, meta: Dict[str, object]) -> None:
@@ -324,7 +323,11 @@ class MappedPostingStore(PostingStore):
         :func:`repro.index.serialize.compact_indexes`).  What was on the
         heap is dropped (its content is in the new base), every column
         becomes a mapped view again, and the old generation's pages stay
-        alive for as long as pinned snapshot views reference them.  Path
+        alive for as long as a snapshot pinned to an older version holds
+        its view dicts; nothing else does (the index classes cache no
+        view, the interner and the object section were decoded before
+        the write), so the replaced file is unmapped when the last such
+        snapshot goes.  Path
         ids are stable across generations (the compacted file preserves
         column order), so old-generation leaves materializing entries
         through the live store remain exact — and the query-column memo
@@ -335,8 +338,8 @@ class MappedPostingStore(PostingStore):
         The version advances monotonically — never reset to the new
         file's word count, which could collide with a historical tag and
         let a version-keyed cache serve a stale entry — so every
-        version-guarded consumer (view finalize, resolution caches, the
-        fork and shard pools) rebuilds from the re-mapped generation on
+        version-guarded consumer (resolution caches, service snapshots,
+        the fork and shard pools) rebuilds from the re-mapped generation on
         next access.
         """
         if self._base is None:
@@ -435,76 +438,86 @@ class MappedPostingStore(PostingStore):
         )
 
 
+def _decode_pattern(
+    mapped: Tuple[memoryview, ...], pid: PatternId
+) -> PathPattern:
+    """Pattern ``pid`` from the mapped interner columns."""
+    offsets, labels, flags = mapped
+    chain = tuple(labels[offsets[pid]:offsets[pid + 1]])
+    return PathPattern(chain, bool(flags[pid]))
+
+
 class MappedPatternInterner(PatternInterner):
     """A :class:`PatternInterner` decoding patterns from mapped columns.
 
     ``pattern(pid)`` decodes one pattern on demand (memoized) — the only
     interner access on the query path.  Everything keyed by pattern
     *value* (``intern``, ``lookup``, ``in``) needs the full bijection
-    and triggers a one-time full decode, as does ``to_payload``.
+    and triggers a one-time full decode, as does ``to_payload``; after
+    it the heap table answers and the mapped columns are dropped.
     """
 
     def __init__(
         self, offsets: memoryview, labels: memoryview, flags: memoryview
     ) -> None:
         super().__init__()
-        self._mapped_offsets = offsets
-        self._mapped_labels = labels
-        self._mapped_flags = flags
+        #: The mapped ``(offsets, labels, flags)`` columns until the full
+        #: decode, then ``None``: the heap table answers, the file is let
+        #: go.  Readers take it into a local once, so the release cannot
+        #: pull the columns out from under a decode in flight.
+        self._mapped: Optional[Tuple[memoryview, ...]] = (
+            offsets, labels, flags
+        )
         self._count = len(flags)
         self._cache: Dict[PatternId, PathPattern] = {}
-        self._full = False
 
-    def _decode(self, pid: PatternId) -> PathPattern:
-        offsets = self._mapped_offsets
-        chain = tuple(self._mapped_labels[offsets[pid]:offsets[pid + 1]])
-        return PathPattern(chain, bool(self._mapped_flags[pid]))
-
-    def _ensure_full(self) -> None:
-        if self._full:
+    def _decode_all(self) -> None:
+        mapped = self._mapped
+        if mapped is None:
             return
         for pid in range(self._count):
             pattern = self._cache.get(pid)
             if pattern is None:
-                pattern = self._decode(pid)
+                pattern = _decode_pattern(mapped, pid)
             PatternInterner.intern(self, pattern.labels, pattern.ends_at_edge)
         # Only now: a reader racing a writer's first intern() must keep
         # decoding on demand until the full table is there to answer.
-        self._full = True
+        self._mapped = None
         self._cache.clear()
 
     def pattern(self, pid: PatternId) -> PathPattern:
-        if self._full:
+        mapped = self._mapped
+        if mapped is None:
             return PatternInterner.pattern(self, pid)
         cached = self._cache.get(pid)
         if cached is not None:
             return cached
         if not 0 <= pid < self._count:
             raise PathIndexError(f"unknown pattern id {pid}")
-        pattern = self._cache[pid] = self._decode(pid)
+        pattern = self._cache[pid] = _decode_pattern(mapped, pid)
         return pattern
 
     def intern(self, labels, ends_at_edge) -> PatternId:
-        self._ensure_full()
+        self._decode_all()
         return PatternInterner.intern(self, labels, ends_at_edge)
 
     def intern_pattern(self, pattern: PathPattern) -> PatternId:
-        self._ensure_full()
+        self._decode_all()
         return PatternInterner.intern_pattern(self, pattern)
 
     def lookup(self, pattern: PathPattern) -> PatternId:
-        self._ensure_full()
+        self._decode_all()
         return PatternInterner.lookup(self, pattern)
 
     def __contains__(self, pattern: PathPattern) -> bool:
-        self._ensure_full()
+        self._decode_all()
         return PatternInterner.__contains__(self, pattern)
 
     def __len__(self) -> int:
-        return len(self._patterns) if self._full else self._count
+        return len(self._patterns) if self._mapped is None else self._count
 
     def to_payload(self) -> Dict[str, bytes]:
-        self._ensure_full()
+        self._decode_all()
         return PatternInterner.to_payload(self)
 
 
@@ -513,19 +526,27 @@ class _LazyObjects:
 
     Holds the pickled graph/lexicon blob closed over by
     :class:`LazyGraph` and :class:`_LazyLexicon`; one ``get()`` decodes
-    it for both (they share node/edge columns through the pickle memo).
+    it for both (they share node/edge columns through the pickle memo)
+    and then drops the reader, so the decoded objects do not keep the
+    file mapped.
     """
 
     __slots__ = ("_reader", "_value")
 
     def __init__(self, reader: MappedIndexReader) -> None:
-        self._reader = reader
+        self._reader: Optional[MappedIndexReader] = reader
         self._value: Optional[dict] = None
 
     def get(self) -> dict:
         value = self._value
         if value is None:
-            value = self._value = pickle.loads(self._reader.blob("objects"))
+            reader = self._reader
+            if reader is None:  # decoded by another thread since the check
+                return self._value
+            value = self._value = pickle.loads(reader.blob("objects"))
+            # Set the value first: a racing reader that finds no reader
+            # finds the value.  Dropping the reader lets the file go.
+            self._reader = None
         return value
 
 

@@ -8,16 +8,20 @@ grouped by *pattern first, then root*.  Access methods follow the paper:
 * ``Paths(w, P, r)`` — the matching paths themselves.
 
 PATTERNENUM (Algorithm 2) additionally needs patterns grouped by their root
-*type* (line 3, ``Patterns_C(w)``); that grouping is derived per word, on
-the word's first touch, from the store's pattern view.
+*type* (line 3, ``Patterns_C(w)``); the store derives that grouping per
+word, on the word's first touch, from its pattern view
+(:meth:`~repro.index.store.PostingStore.root_type_view`).
 
-Since the columnar-store refactor this class is a thin *view*: postings
-live in one shared :class:`~repro.index.store.PostingStore` (also behind
-:class:`~repro.index.root_first.RootFirstIndex`), and the nested dicts
-here are the store's own, decoded word by word on first touch.  A leaf
-is a tuple of ``(path_id, sim)`` pairs (:data:`~repro.index.store.Leaf`,
-the same object the root-first view holds); ``roots`` hands leaves out
-as they are, for the search loops, while ``paths`` and ``iter_entries``
+Since the columnar-store refactor this class is a stateless *facade*:
+postings live in one shared :class:`~repro.index.store.PostingStore`
+(also behind :class:`~repro.index.root_first.RootFirstIndex`), and each
+accessor reads the store's current view dicts, decoded word by word on
+first touch — over a :class:`~repro.index.store.StoreSnapshot`, the
+pinned generation's.  Nothing here caches or copies a view, so no
+generation outlives the store and snapshots that hold it.  A leaf is a
+tuple of ``(path_id, sim)`` pairs (:data:`~repro.index.store.Leaf`, the
+same object the root-first view holds); ``roots`` hands leaves out as
+they are, for the search loops, while ``paths`` and ``iter_entries``
 materialize :class:`~repro.index.entry.PathEntry` tuples.  No accessor
 returns a shared mutable object: entry lists are new on every call, the
 root-type grouping holds tuples, and a miss elsewhere is ``()`` or a
@@ -26,21 +30,12 @@ read-only empty mapping.
 
 from __future__ import annotations
 
-from typing import (
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Iterable, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.types import NodeId, PatternId, TypeId
 from repro.index.entry import PathEntry
 from repro.index.interner import PatternInterner
-from repro.index.store import EMPTY_MAP, LazyWordDict, Leaf, PostingStore
+from repro.index.store import EMPTY_MAP, Leaf, PostingStore
 
 
 class PatternFirstIndex:
@@ -58,9 +53,6 @@ RootFirstIndex` to share every posting between the two indexes.
         """
         self.interner = interner
         self.store = store if store is not None else PostingStore(interner)
-        self._data: Dict[str, Dict[PatternId, Mapping[NodeId, Leaf]]] = {}
-        self._by_root_type: Dict[str, Dict[TypeId, Tuple[PatternId, ...]]] = {}
-        self._built_version = -1
 
     # -------------------------------------------------------------- building
 
@@ -73,41 +65,6 @@ RootFirstIndex` to share every posting between the two indexes.
         """
         self.store.add_entry(word, pid, entry)
 
-    def finalize(self) -> None:
-        """(Re)build the nested view dicts from the store's grouping.
-
-        Sorting (patterns by id, roots ascending, paths lexicographically)
-        matches the paper's "sort and store paths sequentially in memory"
-        and makes every downstream iteration order deterministic.  Cheap
-        when nothing changed; safe to call repeatedly.
-        """
-        store = self.store
-        if self._built_version == store.version:
-            return
-        data = store.pattern_view()  # shared with the store, not copied
-        pattern = self.interner.pattern
-
-        def grouping(word: str) -> Dict[TypeId, Tuple[PatternId, ...]]:
-            by_root_type: Dict[TypeId, List[PatternId]] = {}
-            for pid in data[word]:
-                by_root_type.setdefault(
-                    pattern(pid).root_type, []
-                ).append(pid)
-            return {
-                root_type: tuple(pids)
-                for root_type, pids in by_root_type.items()
-            }
-
-        self._data = data
-        # Lazy like the view it groups, over that view's own vocabulary:
-        # grouping every word here would decode the whole index.
-        self._by_root_type = LazyWordDict(data.vocab, grouping)
-        self._built_version = store.version
-
-    def _ensure(self) -> None:
-        if self._built_version != self.store.version:
-            self.finalize()
-
     # ------------------------------------------------------------- accessors
 
     def words(self) -> Iterable[str]:
@@ -118,8 +75,7 @@ RootFirstIndex` to share every posting between the two indexes.
 
     def patterns(self, word: str) -> Sequence[PatternId]:
         """Patterns(w): all path patterns reaching ``w``."""
-        self._ensure()
-        return list(self._data.get(word, EMPTY_MAP).keys())
+        return list(self.store.pattern_view().get(word, EMPTY_MAP).keys())
 
     def roots(self, word: str, pid: PatternId) -> Mapping[NodeId, Leaf]:
         """Roots(w, P) as a root -> leaf mapping (keys are the roots).
@@ -127,9 +83,8 @@ RootFirstIndex` to share every posting between the two indexes.
         Returning the mapping rather than a key list lets callers intersect
         root sets and fetch paths without a second lookup.
         """
-        self._ensure()
         try:  # a C-level dict hit once the word has been touched
-            return self._data[word].get(pid, EMPTY_MAP)
+            return self.store.pattern_view()[word].get(pid, EMPTY_MAP)
         except KeyError:
             return EMPTY_MAP
 
@@ -137,9 +92,8 @@ RootFirstIndex` to share every posting between the two indexes.
         self, word: str, pid: PatternId, root: NodeId
     ) -> Sequence[PathEntry]:
         """Paths(w, P, r), materialized into a new list."""
-        self._ensure()
         try:
-            leaf = self._data[word][pid][root]
+            leaf = self.store.pattern_view()[word][pid][root]
         except KeyError:
             leaf = ()
         return self.store.leaf_entries(leaf)
@@ -148,16 +102,14 @@ RootFirstIndex` to share every posting between the two indexes.
         self, word: str, root_type: TypeId
     ) -> Sequence[PatternId]:
         """Patterns_C(w): patterns whose root has type ``root_type``."""
-        self._ensure()
         try:
-            return self._by_root_type[word].get(root_type, ())
+            return self.store.root_type_view()[word].get(root_type, ())
         except KeyError:
             return ()
 
     def root_types(self, word: str) -> Set[TypeId]:
         """All root types among ``word``'s patterns."""
-        self._ensure()
-        return set(self._by_root_type.get(word, EMPTY_MAP).keys())
+        return set(self.store.root_type_view().get(word, EMPTY_MAP).keys())
 
     # ------------------------------------------------------------------ size
 
@@ -170,9 +122,8 @@ RootFirstIndex` to share every posting between the two indexes.
 
     def iter_entries(self) -> Iterable[Tuple[str, PatternId, PathEntry]]:
         """Every (word, pattern, entry) triple — used by stats/tests."""
-        self._ensure()
         make = self.store.make_entry
-        for word, by_pattern in self._data.items():
+        for word, by_pattern in self.store.pattern_view().items():
             for pid, by_root in by_pattern.items():
                 for leaf in by_root.values():
                     for path_id, sim in leaf:

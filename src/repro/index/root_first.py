@@ -11,30 +11,25 @@ Access methods follow the paper:
 ``Paths(w, r)`` counts are precomputed: Algorithm 4 (line 4) needs
 ``N_R = sum_r prod_i |Paths(w_i, r)|`` *without* enumerating the paths.
 
-Since the columnar-store refactor this class is a thin *view*: postings
-live in one shared :class:`~repro.index.store.PostingStore` (also behind
-:class:`~repro.index.pattern_first.PatternFirstIndex`), the leaves here
-are the *same* ``(path_id, sim)`` pair tuples
-(:data:`~repro.index.store.Leaf`) as the pattern-first view's, and count
-probes (``path_count``, ``num_entries``) read the store's columns
-without materializing a single :class:`~repro.index.entry.PathEntry`.
-``roots`` and ``pattern_map`` hand leaves out as they are, for the
-search loops; ``paths``, ``paths_with_pattern`` and ``iter_entries``
-materialize entries into new lists.  A miss on a mapping accessor is a
-read-only empty mapping, never a shared mutable object.
+Since the columnar-store refactor this class is a stateless *facade*:
+postings live in one shared :class:`~repro.index.store.PostingStore`
+(also behind :class:`~repro.index.pattern_first.PatternFirstIndex`), and
+each accessor reads the store's current root view — over a
+:class:`~repro.index.store.StoreSnapshot`, the pinned generation's; no
+view is cached or copied here.  The leaves are the *same*
+``(path_id, sim)`` pair tuples (:data:`~repro.index.store.Leaf`) as the
+pattern-first view's, and count probes (``path_count``,
+``num_entries``) read the store's columns without materializing a
+single :class:`~repro.index.entry.PathEntry`.  ``roots`` and
+``pattern_map`` hand leaves out as they are, for the search loops;
+``paths``, ``paths_with_pattern`` and ``iter_entries`` materialize
+entries into new lists.  A miss on a mapping accessor is a read-only
+empty mapping, never a shared mutable object.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Dict,
-    Iterable,
-    Iterator,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.core.types import NodeId, PatternId
 from repro.index.entry import PathEntry
@@ -57,8 +52,6 @@ PatternFirstIndex` to share every posting between the two indexes.
         """
         self.interner = interner
         self.store = store if store is not None else PostingStore(interner)
-        self._data: Dict[str, Dict[NodeId, Mapping[PatternId, Leaf]]] = {}
-        self._built_version = -1
 
     # -------------------------------------------------------------- building
 
@@ -70,23 +63,6 @@ PatternFirstIndex` to share every posting between the two indexes.
         to both sides.
         """
         self.store.add_entry(word, pid, entry)
-
-    def finalize(self) -> None:
-        """(Re)build the nested view dicts from the store's grouping.
-
-        Roots ascend, patterns ascend within a root, and postings are
-        sorted lexicographically by (nodes, attrs) — the exact
-        pre-refactor order.  Cheap when nothing changed.
-        """
-        store = self.store
-        if self._built_version == store.version:
-            return
-        self._data = store.root_view()  # shared with the store, not copied
-        self._built_version = store.version
-
-    def _ensure(self) -> None:
-        if self._built_version != self.store.version:
-            self.finalize()
 
     # ------------------------------------------------------------- accessors
 
@@ -100,22 +76,17 @@ PatternFirstIndex` to share every posting between the two indexes.
         self, word: str
     ) -> Mapping[NodeId, Mapping[PatternId, Leaf]]:
         """Roots(w) as a root -> (pattern -> leaf) mapping."""
-        self._ensure()
-        return self._data.get(word, EMPTY_MAP)
+        return self.store.root_view().get(word, EMPTY_MAP)
 
     def patterns(self, word: str, root: NodeId) -> Sequence[PatternId]:
         """Patterns(w, r)."""
-        self._ensure()
-        return list(
-            self._data.get(word, EMPTY_MAP).get(root, EMPTY_MAP).keys()
-        )
+        return list(self.pattern_map(word, root).keys())
 
     def pattern_map(
         self, word: str, root: NodeId
     ) -> Mapping[PatternId, Leaf]:
         """Pattern -> leaf mapping for one (word, root) pair."""
-        self._ensure()
-        return self._data.get(word, EMPTY_MAP).get(root, EMPTY_MAP)
+        return self.store.root_view().get(word, EMPTY_MAP).get(root, EMPTY_MAP)
 
     def paths(self, word: str, root: NodeId) -> Iterator[PathEntry]:
         """Paths(w, r): every path from ``r`` to ``w`` (any pattern).
@@ -123,8 +94,7 @@ PatternFirstIndex` to share every posting between the two indexes.
         Implemented, as the paper notes, "by enumerating P and accessing
         Paths(w, r, P) for each P".  Always returns an iterator.
         """
-        self._ensure()
-        by_pattern = self._data.get(word, EMPTY_MAP).get(root, EMPTY_MAP)
+        by_pattern = self.pattern_map(word, root)
         make = self.store.make_entry
         return (
             make(path_id, sim)
@@ -136,9 +106,8 @@ PatternFirstIndex` to share every posting between the two indexes.
         self, word: str, root: NodeId, pid: PatternId
     ) -> Sequence[PathEntry]:
         """Paths(w, r, P), materialized into a new list."""
-        self._ensure()
         try:
-            leaf = self._data[word][root][pid]
+            leaf = self.store.root_view()[word][root][pid]
         except KeyError:
             leaf = ()
         return self.store.leaf_entries(leaf)
@@ -154,9 +123,8 @@ PatternFirstIndex` to share every posting between the two indexes.
         return self.store.num_postings(word)
 
     def iter_entries(self) -> Iterable[Tuple[str, PatternId, PathEntry]]:
-        self._ensure()
         make = self.store.make_entry
-        for word, by_root in self._data.items():
+        for word, by_root in self.store.root_view().items():
             for by_pattern in by_root.values():
                 for pid, leaf in by_pattern.items():
                     for path_id, sim in leaf:

@@ -458,8 +458,7 @@ def _load_v2(path: Path, envelope: dict) -> PathIndexes:
         )
         pattern_first = PatternFirstIndex(interner, store)
         root_first = RootFirstIndex(interner, store)
-        pattern_first.finalize()
-        root_first.finalize()
+        store.finalize()
         return PathIndexes(
             graph=envelope["graph"],
             d=envelope["d"],
@@ -506,8 +505,7 @@ def _migrate_v1(path: Path, payload: object) -> PathIndexes:
                     store.add_entry(word, pid, entry)
     pattern_first = PatternFirstIndex(interner, store)
     root_first = RootFirstIndex(interner, store)
-    pattern_first.finalize()
-    root_first.finalize()
+    store.finalize()
     return PathIndexes(
         graph=state["graph"],
         d=state["d"],
@@ -572,8 +570,6 @@ def _load_v3(path: Path):
         )
         pattern_first = PatternFirstIndex(interner, store)
         root_first = RootFirstIndex(interner, store)
-        pattern_first.finalize()
-        root_first.finalize()
         return header, PathIndexes(
             graph=graph,
             d=header["d"],

@@ -17,14 +17,18 @@ building outweighing querying by orders of magnitude).
   integer path id and the word-specific similarity term.
 
 Both :class:`~repro.index.pattern_first.PatternFirstIndex` and
-:class:`~repro.index.root_first.RootFirstIndex` are thin views over one
-store.  Each index leaf is one tuple of ``(path_id, sim)`` pairs
-(:data:`Leaf`), the same object in both views; the search loops iterate
-it as it is, and only the entry-facing accessors (``paths``,
-``iter_entries``) turn pairs into :class:`PathEntry` tuples, through
-:meth:`PostingStore.make_entry`.  Count-only probes — ``|Paths(w, r)|``,
-``num_entries(w)``, candidate-root intersections — never materialize an
-entry at all.
+:class:`~repro.index.root_first.RootFirstIndex` are stateless facades
+over one store: every accessor reads the store's current per-generation
+view (:meth:`PostingStore.pattern_view`, :meth:`~PostingStore.root_view`,
+:meth:`~PostingStore.root_type_view`), so the store — and each
+:class:`StoreSnapshot` pinning an older generation — is the one holder
+of decoded and mapped state.  Each index leaf is one tuple of
+``(path_id, sim)`` pairs (:data:`Leaf`), the same object in both views;
+the search loops iterate it as it is, and only the entry-facing
+accessors (``paths``, ``iter_entries``) turn pairs into
+:class:`PathEntry` tuples, through :meth:`PostingStore.make_entry`.
+Count-only probes — ``|Paths(w, r)|``, ``num_entries(w)``,
+candidate-root intersections — never materialize an entry at all.
 
 A word's **finalized form** is the same thing in every store state: its
 posting columns sorted by ``(pattern, root, path)`` plus its *leaf rows*
@@ -54,7 +58,7 @@ from typing import (
 )
 
 from repro.core.errors import PathIndexError
-from repro.core.types import AttrId, NodeId, PatternId
+from repro.core.types import AttrId, NodeId, PatternId, TypeId
 from repro.index.delta import ChainColumn
 from repro.index.entry import PathEntry
 from repro.index.interner import PatternInterner
@@ -691,7 +695,11 @@ class PostingStore:
         closure captures this generation's ``_rows`` dict and base:
         snapshots keep the view dicts by reference, and a later write,
         finalize or re-map swaps ``self._rows`` / ``self._base`` without
-        disturbing what older generations resolve to.
+        disturbing what older generations resolve to.  These six dicts
+        are the only holders of a generation's decoded state, and with
+        the posting and path columns the only references to its mapping:
+        once the store and every snapshot have moved past a generation,
+        refcounting frees it.
         """
         base = self._base
         rows = self._rows
@@ -702,10 +710,24 @@ class PostingStore:
                 vocab, lambda word: (rows.get(word) or base).views(word)[i]
             )
 
-        self._pattern_view = view(0)
+        pattern_view = self._pattern_view = view(0)
         self._root_view = view(1)
         self._root_counts = view(2)
         self._bounds = (view(3), view(4))
+        pattern = self.interner.pattern
+
+        def grouping(word: str) -> Dict[TypeId, Tuple[PatternId, ...]]:
+            by_root_type: Dict[TypeId, List[PatternId]] = {}
+            for pid in pattern_view[word]:
+                by_root_type.setdefault(
+                    pattern(pid).root_type, []
+                ).append(pid)
+            return {
+                root_type: tuple(pids)
+                for root_type, pids in by_root_type.items()
+            }
+
+        self._root_type_view = LazyWordDict(vocab, grouping)
 
     def pattern_view(
         self,
@@ -721,6 +743,15 @@ class PostingStore:
         leaf tuples are the pattern view's own objects."""
         self.finalize()
         return self._root_view
+
+    def root_type_view(
+        self,
+    ) -> Dict[str, Dict[TypeId, Tuple[PatternId, ...]]]:
+        """word -> root type -> pids (ascending): the pattern view
+        grouped by each pattern's root type, Algorithm 2's
+        ``Patterns_C(w)``, grouped per word on its first touch."""
+        self.finalize()
+        return self._root_type_view
 
     def groups(self) -> Dict[str, WordGroups]:
         """word -> [(pattern id, root, leaf)] sorted by (pid, root)."""
@@ -1340,9 +1371,10 @@ class StoreSnapshot:
     shallow copies of the posting-column dicts — so the two code paths
     cannot drift.  The query-column memo is the live store's own (same
     list objects; this view fills it at most up to its pinned
-    ``num_paths``); the view dicts, bound columns included, are the
-    pinned generation's, so a word first touched through the snapshot
-    is decoded once for the live store too.
+    ``num_paths``); the view dicts, root-type grouping and bound
+    columns included, are the pinned generation's, so a word first
+    touched through the snapshot is decoded and grouped once for the
+    live store too.
 
     Mutators raise :class:`~repro.core.errors.PathIndexError`; anything
     else (entry materialization, the counters it feeds) delegates to the
@@ -1374,6 +1406,7 @@ class StoreSnapshot:
         self._root_view = store._root_view
         self._root_counts = store._root_counts
         self._bounds = store._bounds
+        self._root_type_view = store._root_type_view
         # Path-keyed, so never stale: share the live store's memo.
         self._query_memo = store._query_memo
 
@@ -1384,6 +1417,7 @@ class StoreSnapshot:
 
     pattern_view = PostingStore.pattern_view
     root_view = PostingStore.root_view
+    root_type_view = PostingStore.root_type_view
     groups = PostingStore.groups
     root_counts = PostingStore.root_counts
     bound_columns = PostingStore.bound_columns

@@ -209,7 +209,7 @@ class PooledSearchService(SearchService):
             if pool is not None:
                 pool.close()
 
-    def _ensure_pool(self, snap: PathIndexes) -> ForkWorkerPool:
+    def _pool_for(self, snap: PathIndexes) -> ForkWorkerPool:
         """The pool for the serving version (caller holds
         :attr:`_pool_lock`); forked afresh when the store moved."""
         pool = self._pool
@@ -231,7 +231,7 @@ class PooledSearchService(SearchService):
         if plan.algorithm == "baseline":
             return super()._execute_on(snap, plan)
         with self._pool_lock:
-            pool = self._ensure_pool(snap)
+            pool = self._pool_for(snap)
         watch = Stopwatch()
         try:
             slots = [pool.lease()]

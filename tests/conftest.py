@@ -6,7 +6,9 @@ session-scoped; tests must not mutate them.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +45,43 @@ def no_leaked_worker_processes(request):
     assert not leaked, (
         f"{request.module.__name__} left child processes running: "
         f"{[process.name for process in leaked]}"
+    )
+
+
+_MAPS = Path("/proc/self/maps")
+
+
+def _unlinked_mappings():
+    """(inode, path) -> maps line of every mapped file that has since
+    been unlinked (the kernel marks it ``(deleted)``)."""
+    mappings = {}
+    for line in _MAPS.read_text().splitlines():
+        fields = line.split(None, 5)
+        if len(fields) == 6 and fields[5].endswith(" (deleted)"):
+            mappings[fields[4], fields[5]] = line
+    return mappings
+
+
+@pytest.fixture(scope="module", autouse=True)
+def no_leaked_unlinked_mappings(request):
+    """A test module lets go of every file it mapped and then replaced:
+    an index generation a compaction retired, still mapped once the
+    module's objects are collected, fails the module that kept it.
+    Linux only (reads ``/proc/self/maps``)."""
+    if not _MAPS.exists():
+        yield
+        return
+    before = _unlinked_mappings()
+    yield
+    gc.collect()
+    leaked = [
+        line
+        for key, line in _unlinked_mappings().items()
+        if key not in before
+    ]
+    assert not leaked, (
+        f"{request.module.__name__} left mappings of unlinked files: "
+        f"{leaked}"
     )
 
 

@@ -119,8 +119,8 @@ def filled_indexes():
     for word, pid, entry in entries:
         pattern_first.add(word, pid, entry)
         root_first.add(word, pid, entry)
-    pattern_first.finalize()
-    root_first.finalize()
+    pattern_first.store.finalize()
+    root_first.store.finalize()
     return interner, pattern_first, root_first, (pid_a, pid_b)
 
 

@@ -299,8 +299,7 @@ class TestUnfilledSlotsFailLoudly:
         )
         path_id = indexes.store.append_path(nodes, attrs, False, pid, 0.125)
         indexes.store.add_posting("loop", path_id, 1.0)
-        indexes.pattern_first.finalize()
-        indexes.root_first.finalize()
+        indexes.store.finalize()
         return indexes, path_id
 
     def test_self_invalid_single_pair_rejected_when_filled_by_word(self):

@@ -18,6 +18,7 @@ contracts the format exists for:
   heap engine that applied the same updates.
 """
 
+import gc
 import os
 import pathlib
 import pickle
@@ -115,7 +116,7 @@ class TestV3RoundTrip:
         save_indexes(wiki_indexes, path, version=3)
         loaded = load_indexes(path)
         assert isinstance(loaded.store, MappedPostingStore)
-        assert loaded.store._backed
+        assert loaded.store.has_mapped_base
         assert loaded.d == wiki_indexes.d
         assert loaded.num_entries == wiki_indexes.num_entries
         assert loaded.store.num_paths == wiki_indexes.store.num_paths
@@ -287,7 +288,7 @@ class TestDeltaOverlay:
         thawed = MappedPostingStore.backed_stores_thawed
         store.add_posting(word, 0, 0.5)
         assert MappedPostingStore.backed_stores_thawed == thawed
-        assert store._backed
+        assert store.has_mapped_base
         assert store.version > before_version
         assert not isinstance(store._posting_ids[word], memoryview)
         assert isinstance(store._posting_ids[untouched], memoryview)
@@ -313,10 +314,9 @@ class TestDeltaOverlay:
         word = query[0]
         before = loaded.store.num_postings(word)
         loaded.store.add_posting(word, 0, 1.0)
-        loaded.pattern_first.finalize()
-        loaded.root_first.finalize()
+        loaded.store.finalize()
         assert loaded.store.num_postings(word) == before + 1
-        assert loaded.store._backed
+        assert loaded.store.has_mapped_base
         result = pattern_enum_search(loaded, query, k=10)
         assert result.num_answers >= 1
 
@@ -329,7 +329,7 @@ class TestDeltaOverlay:
         thawed = MappedPostingStore.backed_stores_thawed
         store.thaw()
         assert MappedPostingStore.backed_stores_thawed == thawed + 1
-        assert not store._backed
+        assert not store.has_mapped_base
         assert store.overlay_words == 0
         store.thaw()  # idempotent
         assert MappedPostingStore.backed_stores_thawed == thawed + 1
@@ -360,7 +360,7 @@ class TestDeltaOverlay:
                 oracle, query
             )
         assert MappedPostingStore.backed_stores_thawed == thawed
-        assert mapped.store._backed
+        assert mapped.store.has_mapped_base
 
 
 class TestCompaction:
@@ -377,7 +377,7 @@ class TestCompaction:
         assert result["generation"] == 1
         assert store.generation == 1
         assert store.version == version_before + 1
-        assert store._backed
+        assert store.has_mapped_base
         assert store.overlay_words == 0
         assert isinstance(
             next(iter(store._posting_ids.values())), memoryview
@@ -753,6 +753,142 @@ class TestCompactionCopiesCleanWords:
             expected = _all_algorithms(oracle, query)
             assert _all_algorithms(mapped, query) == expected
             assert _all_algorithms(fresh, query) == expected
+
+
+_MAPS = pathlib.Path("/proc/self/maps")
+
+
+def _mappings(path):
+    """``(live, unlinked)``: this process's maps lines of ``path``, the
+    second list those of replaced files (marked ``(deleted)``)."""
+    real = os.path.realpath(path)
+    live, unlinked = [], []
+    for line in _MAPS.read_text().splitlines():
+        fields = line.split(None, 5)
+        if len(fields) < 6:
+            continue
+        if fields[5] == real:
+            live.append(line)
+        elif fields[5] == real + " (deleted)":
+            unlinked.append(line)
+    return live, unlinked
+
+
+@pytest.mark.skipif(not _MAPS.exists(), reason="needs /proc/self/maps")
+class TestOneMappingPerGeneration:
+    """The store's views (and snapshots pinning older ones) are the only
+    holders of a generation's mapping: once nothing pins a replaced
+    file, refcounting unmaps it."""
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pool"])
+    def test_compactions_leave_one_mapping(
+        self, wiki_indexes, tmp_path, pooled
+    ):
+        from repro.search.service import SearchService
+        from repro.serve.pool import PooledSearchService
+
+        path = tmp_path / "wiki.idx"
+        save_indexes(wiki_indexes, path, version=3)
+        if pooled:
+            service = PooledSearchService.from_file(path, processes=2)
+        else:
+            service = SearchService.from_file(path)
+        query = _query_for(wiki_indexes)
+        with service:
+            for i in range(5):
+                add_entity(service.indexes, "city", f"overlayton gen{i}")
+                service.compact()
+                assert service.search(query, k=5).num_answers
+        gc.collect()
+        live, unlinked = _mappings(path)
+        assert len(live) == 1 and not unlinked, (live, unlinked)
+
+    def test_a_held_snapshot_pins_its_generation(
+        self, wiki_indexes, tmp_path
+    ):
+        path = tmp_path / "wiki.idx"
+        save_indexes(wiki_indexes, path, version=3)
+        mapped = load_indexes(path)
+        snapshot = mapped.snapshot()
+        _apply_updates(mapped)
+        compact_indexes(mapped, path)
+        gc.collect()
+        live, unlinked = _mappings(path)
+        assert len(live) == 1 and len(unlinked) == 1, (live, unlinked)
+        del snapshot
+        gc.collect()
+        live, unlinked = _mappings(path)
+        assert len(live) == 1 and not unlinked, (live, unlinked)
+
+    def test_patterns_survive_the_interner_letting_go(
+        self, wiki_indexes, tmp_path
+    ):
+        """``pattern(pid)`` answers the same from the mapped columns and
+        from the heap table the full decode leaves behind."""
+        path = tmp_path / "wiki.idx"
+        save_indexes(wiki_indexes, path, version=3)
+        interner = load_indexes(path).interner
+        pids = range(len(wiki_indexes.interner))
+        decoded = [interner.pattern(pid) for pid in pids]
+        assert decoded == [wiki_indexes.interner.pattern(p) for p in pids]
+        assert interner.lookup(decoded[-1]) == len(decoded) - 1
+        assert interner._mapped is None  # the full decode let go
+        assert [interner.pattern(pid) for pid in pids] == decoded
+        with pytest.raises(PathIndexError):
+            interner.pattern(len(decoded))
+
+
+class TestSnapshotsShareTheStoreViews:
+    """A snapshot reads its version's view dicts, the live store's own:
+    a word grouped through one is grouped for all of them."""
+
+    def test_live_store_and_snapshot_share_the_grouping(
+        self, wiki_indexes, tmp_path
+    ):
+        path = tmp_path / "wiki.idx"
+        save_indexes(wiki_indexes, path, version=3)
+        loaded = load_indexes(path)
+        store = loaded.store
+        snap = loaded.snapshot()
+        assert snap.store.root_type_view() is store.root_type_view()
+        assert snap.store.pattern_view() is store.pattern_view()
+        assert snap.store.root_view() is store.root_view()
+
+    def test_second_snapshot_does_not_group_again(
+        self, wiki_indexes, tmp_path
+    ):
+        path = tmp_path / "wiki.idx"
+        save_indexes(wiki_indexes, path, version=3)
+        loaded = load_indexes(path)
+        word = _query_for(wiki_indexes, num_words=1)[0]
+        first = loaded.snapshot()
+        types = first.pattern_first.root_types(word)
+        assert types
+        grouped = first.store.root_type_view()[word]
+        materialized = MappedPostingStore.words_materialized
+        second = loaded.snapshot()
+        assert dict.__contains__(second.store.root_type_view(), word)
+        assert second.store.root_type_view()[word] is grouped
+        assert second.pattern_first.root_types(word) == types
+        for root_type in types:
+            assert second.pattern_first.patterns_rooted_at(
+                word, root_type
+            ) is grouped[root_type]
+        assert MappedPostingStore.words_materialized == materialized
+
+    def test_a_write_gives_the_next_snapshot_new_views(
+        self, wiki_indexes, tmp_path
+    ):
+        path = tmp_path / "wiki.idx"
+        save_indexes(wiki_indexes, path, version=3)
+        loaded = load_indexes(path)
+        before = loaded.snapshot()
+        loaded.store.add_posting(next(iter(loaded.store.words())), 0, 0.5)
+        after = loaded.snapshot()
+        assert after.store.root_type_view() is not (
+            before.store.root_type_view()
+        )
+        assert after.store.root_type_view() is loaded.store.root_type_view()
 
 
 class TestMigrationChains:
