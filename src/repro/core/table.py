@@ -6,19 +6,25 @@ Each valid subtree becomes a row.  For each keyword path
 appears in more than one root-to-leaf path.  We key columns by their
 *pattern prefix* — the typed path from the root down to the column's node —
 which realizes that dedup rule uniformly across rows.  A path pattern
-alone fixes its columns, so they are worked out once per pattern and
-graph and merged per table.
+alone fixes its column specs and a tree pattern alone fixes its table's
+columns, so both are worked out once per pattern and graph: a tree
+pattern's *plan* (its deduplicated, header-disambiguated columns and the
+row positions that feed each) is shared by every table of that pattern,
+and rendering a table only builds its rows.
 
 Corner case the paper glosses over: two keyword paths can share a pattern
 prefix while binding different nodes in some row (the pattern cannot see
 where paths diverge).  Such cells hold multiple values; we render them
-joined with `` | `` and flag the column as ``multivalued``.
+joined with `` | `` and flag the column as ``multivalued``.  The flag
+is copied on write: plan columns are immutable, and a table that finds
+such a cell swaps a flagged copy into its own column list, so no table
+sees another's flag.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -43,7 +49,7 @@ ColumnSpec = Tuple[str, str, Tuple[int, ...], int]
 PathSpecs = Dict[Tuple[int, ...], Tuple[ColumnSpec, ...]]
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class TableColumn:
     """One column of a table answer.
 
@@ -51,7 +57,8 @@ class TableColumn:
     columns, mirroring Figure 3's "Genre"/"Revenue" headers).
     ``qualified_name`` is the paper's unambiguous
     ``tau(v_{i-1}) alpha(e_i) tau(v_i)`` naming.  ``prefix`` is the interned
-    pattern-prefix key (tuple of alternating type/attr ids).
+    pattern-prefix key (tuple of alternating type/attr ids).  Immutable:
+    every table of a tree pattern shares its plan's columns.
     """
 
     header: str
@@ -143,6 +150,18 @@ class TableAnswer:
         return "\n".join(lines)
 
 
+#: A tree pattern's table less its rows: the columns; per column, the row
+#: position of its first node; and ``(column, positions)`` for each column
+#: below the root that several paths feed.
+TablePlan = Tuple[
+    Tuple[TableColumn, ...],
+    Tuple[int, ...],
+    Tuple[Tuple[int, Tuple[int, ...]], ...],
+]
+#: One graph's table plans, by the tree pattern's path labels.
+TablePlans = Dict[Tuple[Tuple[int, ...], ...], TablePlan]
+
+
 #: Column specs ``(header, qualified, prefix, depth)`` of every path
 #: pattern rendered so far, per graph, keyed by the pattern's labels
 #: (their parity says whether it ends at an edge).  Filled on first
@@ -163,6 +182,32 @@ def path_specs_memo(graph: "KnowledgeGraph") -> PathSpecs:
     memo = _PATH_SPECS.get(graph)
     if memo is None:
         memo = _PATH_SPECS.setdefault(graph, {})
+    return memo
+
+
+#: The most tree patterns whose plans one graph keeps; past it the oldest
+#: plan goes.  Unlike path patterns, tree patterns are combinations, so
+#: their number has no natural cap (a benchmark pass over wiki-800 renders
+#: 1 734 light and 4 606 heavy ones).
+MAX_TABLE_PLANS = 8192
+
+#: Table plans of the tree patterns rendered so far, per graph, keyed by
+#: the patterns' path labels.  Under the rules of ``_PATH_SPECS``: keyed
+#: weakly by the graph, filled on first render, shared by snapshots,
+#: inherited by forked workers, right as the graph grows.  No lock: the
+#: dict's insertion order is its age, and a thread that finds it past
+#: the bound evicts the oldest entries itself.
+_TABLE_PLANS: "weakref.WeakKeyDictionary[KnowledgeGraph, TablePlans]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def table_plans_memo(graph: "KnowledgeGraph") -> TablePlans:
+    """``graph``'s table plans by tree-pattern labels (made empty on
+    first use)."""
+    memo = _TABLE_PLANS.get(graph)
+    if memo is None:
+        memo = _TABLE_PLANS.setdefault(graph, {})
     return memo
 
 
@@ -205,60 +250,89 @@ def _typed_path(prefix: Tuple[int, ...], graph: "KnowledgeGraph") -> str:
     )
 
 
-def _disambiguate_headers(
-    columns: Sequence[TableColumn], graph: "KnowledgeGraph"
-) -> None:
-    """Make the headers unique.  Where short names collide, the columns
-    take their qualified ``tau(v_{i-1}) alpha(e_i) tau(v_i)`` names; where
-    those still collide (the same last hop under different ancestors),
-    the full typed path from the root, which the prefix makes unique."""
+def _unique_headers(
+    specs: Sequence[ColumnSpec], graph: "KnowledgeGraph"
+) -> List[str]:
+    """The columns' headers, made unique.  Where short names collide, the
+    columns take their qualified ``tau(v_{i-1}) alpha(e_i) tau(v_i)``
+    names; where those still collide (the same last hop under different
+    ancestors), the full typed path from the root, which the prefix makes
+    unique."""
+    headers = [spec[0] for spec in specs]
     for fallback in (
-        lambda column: column.qualified_name,
-        lambda column: _typed_path(column.prefix, graph),
+        lambda spec: spec[1],
+        lambda spec: _typed_path(spec[2], graph),
     ):
         counts: Dict[str, int] = {}
-        for column in columns:
-            counts[column.header] = counts.get(column.header, 0) + 1
-        if len(counts) == len(columns):
-            return
-        for column in columns:
-            if counts[column.header] > 1:
-                column.header = fallback(column)
+        for header in headers:
+            counts[header] = counts.get(header, 0) + 1
+        if len(counts) == len(headers):
+            break
+        headers = [
+            fallback(spec) if counts[header] > 1 else header
+            for header, spec in zip(headers, specs)
+        ]
+    return headers
 
 
-def _table_plan(
-    pattern: TreePattern, graph: "KnowledgeGraph"
-) -> Tuple[List[TableColumn], List[List[int]]]:
+def _table_plan(pattern: TreePattern, graph: "KnowledgeGraph") -> TablePlan:
     """The deduplicated columns of a tree pattern, and what feeds them.
 
     Merges the paths' column specs by pattern prefix: a column is created
     the first time its prefix is seen.  A row's nodes, laid end to end in
-    path order, have fixed positions under the pattern, so the second
-    list holds, per column, the positions of every node feeding it.
+    path order, have fixed positions under the pattern, so each column
+    takes the position of its first node, and a column below the root
+    fed by several paths all of its positions (every path of a subtree
+    starts at its root, so only deeper columns can differ between paths).
     """
     memo = path_specs_memo(graph)
-    columns: List[TableColumn] = []
+    specs: List[ColumnSpec] = []
     sources: List[List[int]] = []
     seen: Dict[Tuple[int, ...], int] = {}
-    headers = set()
     position = 0
     for path in pattern.paths:
         path_specs = memo.get(path.labels)
         if path_specs is None:
             path_specs = memo[path.labels] = _path_specs(path, graph)
-        for header, qualified, prefix, depth in path_specs:
-            index = seen.get(prefix)
+        for spec in path_specs:
+            index = seen.get(spec[2])
             if index is None:
-                seen[prefix] = len(columns)
-                columns.append(TableColumn(header, qualified, prefix, depth))
+                seen[spec[2]] = len(specs)
+                specs.append(spec)
                 sources.append([position])
-                headers.add(header)
             else:
                 sources[index].append(position)
             position += 1
-    if len(headers) < len(columns):
-        _disambiguate_headers(columns, graph)
-    return columns, sources
+    columns = tuple(
+        TableColumn(header, qualified, prefix, depth)
+        for header, (_short, qualified, prefix, depth) in zip(
+            _unique_headers(specs, graph), specs
+        )
+    )
+    return (
+        columns,
+        tuple(column_sources[0] for column_sources in sources),
+        tuple(
+            (index, tuple(column_sources))
+            for index, column_sources in enumerate(sources)
+            if len(column_sources) > 1 and specs[index][3]
+        ),
+    )
+
+
+def table_plan(pattern: TreePattern, graph: "KnowledgeGraph") -> TablePlan:
+    """``pattern``'s plan over ``graph``, worked out on its first render."""
+    memo = table_plans_memo(graph)
+    key = tuple([path.labels for path in pattern.paths])
+    plan = memo.get(key)
+    if plan is None:
+        plan = memo.setdefault(key, _table_plan(pattern, graph))
+        while len(memo) > MAX_TABLE_PLANS:
+            try:
+                memo.pop(next(iter(memo)), None)
+            except RuntimeError:  # another thread changed it meanwhile
+                pass
+    return plan
 
 
 def compose_rows(
@@ -281,21 +355,17 @@ def compose_rows(
 
     A column fed by one node takes its text; one fed by several (paths
     sharing a prefix) holds each distinct text once, and is flagged
-    ``multivalued`` when some row binds it to more than one.
+    ``multivalued`` when some row binds it to more than one — in this
+    table's column list only, where a flagged copy replaces the plan's
+    shared column.
     """
-    columns, sources = _table_plan(pattern, graph)
+    plan_columns, firsts, shared = table_plan(pattern, graph)
     node_text = graph.node_text
-    firsts = [column_sources[0] for column_sources in sources]
-    # Every path of a subtree starts at its root, so only deeper columns
-    # fed by several paths can differ between them.
-    shared = [
-        (index, column_sources)
-        for index, column_sources in enumerate(sources)
-        if len(column_sources) > 1 and columns[index].depth
-    ]
+    columns = list(plan_columns)
     answer = TableAnswer(
         pattern=pattern, columns=columns, score=score, total_rows=total_rows
     )
+    table_rows = answer.rows
     for nodes in rows:
         row = [node_text(nodes[position]) for position in firsts]
         for index, column_sources in shared:
@@ -311,9 +381,11 @@ def compose_rows(
                 if value not in values:
                     values.append(value)
             if len(values) > 1:
-                columns[index].multivalued = True
+                column = columns[index]
+                if not column.multivalued:
+                    columns[index] = replace(column, multivalued=True)
                 row[index] = " | ".join(values)
-        answer.rows.append(row)
+        table_rows.append(row)
     return answer
 
 

@@ -368,6 +368,14 @@ class WordRows:
         return views
 
 
+#: The store attributes :meth:`PostingStore._install_views` fills with
+#: the six lazy per-word views of a generation.
+_VIEW_ATTRS = (
+    "_pattern_view", "_root_view", "_root_counts", "_bounds",
+    "_root_type_view",
+)
+
+
 class PostingStore:
     """Columnar, deduplicated storage for all path postings.
 
@@ -462,11 +470,15 @@ class PostingStore:
 
     def __getstate__(self):
         # Locks are not picklable (and a pickled store starts a new life
-        # anyway); everything else round-trips — the lazy view dicts as
-        # plain, fully built ones.  Normal persistence goes through
-        # to_payload/from_payload — this only supports callers that
-        # pickle a whole bundle (e.g. legacy/diagnostic envelopes).
+        # anyway), and the lazy view dicts are rebuilt from the rows by
+        # __setstate__, so neither is pickled: leaving the views out
+        # spares decoding every word only to throw it away.  Normal
+        # persistence goes through to_payload/from_payload — this only
+        # supports callers that pickle a whole bundle (e.g.
+        # legacy/diagnostic envelopes).
         state = self.__dict__.copy()
+        for name in _VIEW_ATTRS:
+            state.pop(name, None)
         state["lock"] = None
         state["_query_memo"] = None  # holds a lock; re-boxed on demand
         return state

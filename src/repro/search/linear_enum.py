@@ -37,6 +37,7 @@ from repro.search.result import (
     SearchStats,
     Stopwatch,
     bind_combos,
+    interned_pattern_key,
     order_answers,
     pattern_from_key,
 )
@@ -130,15 +131,10 @@ def linear_enum_search(
     queue: TopKQueue = TopKQueue(k)
     for key in sorted(aggregates):
         aggregate = aggregates[key]
-        canonical = tuple(
-            (indexes.interner.pattern(pid).labels,
-             indexes.interner.pattern(pid).ends_at_edge)
-            for pid in key
-        )
         queue.push(
             aggregate.value(),
             (key, aggregate.count, trees.get(key, [])),
-            tie_key=canonical,
+            tie_key=interned_pattern_key(indexes.interner, key),
         )
     answers = []
     for score, (key, count, kept) in queue.ranked():

@@ -46,6 +46,7 @@ from repro.search.result import (
     SearchStats,
     Stopwatch,
     bind_combos,
+    interned_pattern_key,
     order_answers,
     pattern_from_key,
 )
@@ -316,15 +317,10 @@ def linear_topk_search(
                 exact = aggregate.value()
                 count = aggregate.count
             if queue.would_accept(exact):
-                canonical = tuple(
-                    (indexes.interner.pattern(pid).labels,
-                     indexes.interner.pattern(pid).ends_at_edge)
-                    for pid in key
-                )
                 queue.push(
                     exact,
                     (key, count, trees, estimate if rate < 1.0 else None),
-                    tie_key=canonical,
+                    tie_key=interned_pattern_key(indexes.interner, key),
                 )
 
     if bounds is not None:

@@ -59,6 +59,7 @@ from repro.search.result import (
     SearchResult,
     SearchStats,
     Stopwatch,
+    interned_pattern_key,
     order_answers,
     pattern_from_key,
 )
@@ -133,15 +134,10 @@ def pattern_enum_search(
             # All path combinations failed the tree-validity check.
             return
         stats.nonempty_patterns += 1
-        canonical = tuple(
-            (indexes.interner.pattern(pid).labels,
-             indexes.interner.pattern(pid).ends_at_edge)
-            for pid in key
-        )
         queue.push(
             aggregate.value(),
             (key, aggregate.count, trees),
-            tie_key=canonical,
+            tie_key=interned_pattern_key(indexes.interner, key),
         )
 
     by_type = context.roots_by_type(indexes.graph)
@@ -197,16 +193,21 @@ def pattern_enum_search(
                     at_pattern[pid].append(root)
             if root_mass is not None:
                 pid_cache = bounds.pid_upper_cache(depth)
+            # Only the descent below fills the queue, and a full queue
+            # stays full: read it once here and again after each descent
+            # until it latches.
+            pruning = root_mass is not None and queue.is_full
             for pid in per_word_patterns[depth]:
-                pruning = root_mass is not None and queue.is_full
-                if pruning and not threshold.admits(
-                    pid_cache.get(pid) or bounds.pid_upper(depth, pid)
-                ):
-                    # No pattern through this path pattern can reach the
-                    # k-th score: the whole product slice dies before its
-                    # roots are even looked at.
-                    stats.prefixes_skipped += suffix_combos[depth + 1]
-                    continue
+                if pruning:
+                    upper = pid_cache.get(pid)
+                    if upper is None:
+                        upper = bounds.pid_upper(depth, pid)
+                    if not threshold.admits(upper):
+                        # No pattern through this path pattern can reach
+                        # the k-th score: the whole product slice dies
+                        # before its roots are even looked at.
+                        stats.prefixes_skipped += suffix_combos[depth + 1]
+                        continue
                 new_roots = at_pattern.get(pid)
                 if new_roots is None:
                     # Every completion of this prefix is an empty pattern;
@@ -242,6 +243,8 @@ def pattern_enum_search(
                             continue
                 root_maps[depth] = pattern_first.roots(words[depth], pid)
                 descend(depth + 1, new_roots)
+                if not pruning and root_mass is not None:
+                    pruning = queue.is_full
 
         descend(0, by_type.get(root_type, ()))
 

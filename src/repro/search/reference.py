@@ -36,6 +36,7 @@ from repro.search.result import (
     SearchResult,
     SearchStats,
     Stopwatch,
+    interned_pattern_key,
     order_answers,
     pattern_from_key,
     pattern_from_labels,
@@ -174,15 +175,10 @@ def reference_pattern_enum_search(
             return
         stats.nonempty_patterns += 1
         key = tuple(pid_combo)
-        canonical = tuple(
-            (indexes.interner.pattern(pid).labels,
-             indexes.interner.pattern(pid).ends_at_edge)
-            for pid in key
-        )
         queue.push(
             aggregate.value(),
             (key, aggregate.count, trees if trees is not None else []),
-            tie_key=canonical,
+            tie_key=interned_pattern_key(indexes.interner, key),
         )
 
     for root_type in sorted(viable_types or ()):
@@ -286,15 +282,10 @@ def reference_linear_enum_search(
     queue: TopKQueue = TopKQueue(k)
     for key in sorted(aggregates):
         aggregate = aggregates[key]
-        canonical = tuple(
-            (indexes.interner.pattern(pid).labels,
-             indexes.interner.pattern(pid).ends_at_edge)
-            for pid in key
-        )
         queue.push(
             aggregate.value(),
             (key, aggregate.count, trees_by_pattern.get(key, [])),
-            tie_key=canonical,
+            tie_key=interned_pattern_key(indexes.interner, key),
         )
     answers = []
     for score, (key, count, trees) in queue.ranked():
@@ -420,15 +411,10 @@ def reference_linear_topk_search(
                 exact = aggregate.value()
                 count = aggregate.count
             if queue.would_accept(exact):
-                canonical = tuple(
-                    (indexes.interner.pattern(pid).labels,
-                     indexes.interner.pattern(pid).ends_at_edge)
-                    for pid in key
-                )
                 queue.push(
                     exact,
                     (key, count, trees, estimate if rate < 1.0 else None),
-                    tie_key=canonical,
+                    tie_key=interned_pattern_key(indexes.interner, key),
                 )
 
     answers = []

@@ -32,6 +32,7 @@ from repro.index.entry import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.index.builder import PathIndexes
+    from repro.index.interner import PatternInterner
     from repro.index.store import PostingStore
 
 #: A valid subtree in its compact index form: one entry per query keyword.
@@ -423,6 +424,17 @@ def bind_answers(
 def canonical_pattern_key(pattern: TreePattern) -> Tuple:
     """Engine-independent sort key for a tree pattern (raw labels)."""
     return tuple((p.labels, p.ends_at_edge) for p in pattern.paths)
+
+
+def interned_pattern_key(
+    interner: "PatternInterner", key: Sequence[PatternId]
+) -> Tuple:
+    """:func:`canonical_pattern_key` of the tree pattern whose path
+    pattern ids are ``key`` — the top-k queues' tie key — reading each
+    id from ``interner`` once."""
+    return tuple(
+        (p.labels, p.ends_at_edge) for p in map(interner.pattern, key)
+    )
 
 
 def _quantize(score: float) -> float:

@@ -345,6 +345,10 @@ class SearchService:
         auto-compaction is checked — off the query path, after the lock
         is released (the compaction itself serializes on the store
         lock, not on the cache-structure lock)."""
+        self._drop_snapshot()
+        self.maybe_compact()
+
+    def _drop_snapshot(self) -> None:
         with self._lock:
             if self._snapshot is not None:
                 self.stats.bump(invalidations=1)
@@ -352,7 +356,6 @@ class SearchService:
             self._results.clear()
             self._contexts.clear()
             self._candidates.clear()
-        self.maybe_compact()
 
     # ----------------------------------------------------------- compaction
 
@@ -361,11 +364,12 @@ class SearchService:
 
         Streams base ⊕ overlay to ``path`` (default: the file the
         service was loaded from) and atomically re-maps the live store
-        (:func:`~repro.index.serialize.compact_indexes`).  The re-map's
-        version bump rides the existing invalidation protocol: the next
-        request re-snapshots and flushes every cache tier, and
-        pool-backed services re-fork their workers from the re-mapped
-        generation — never from a heap copy.  Returns the compaction
+        (:func:`~repro.index.serialize.compact_indexes`).  The serving
+        snapshot and every cache tier are dropped as by
+        :meth:`invalidate`, so nothing here pins the replaced file; the
+        next request re-snapshots, and pool-backed services re-fork
+        their workers from the re-mapped generation — never from a heap
+        copy.  Returns the compaction
         outcome ``{"bytes", "generation", "seconds", "words_copied",
         "words_rebuilt"}``.
         """
@@ -378,6 +382,7 @@ class SearchService:
                 "loaded from a file (pass path=...)"
             )
         outcome = compact_indexes(self.indexes, target)
+        self._drop_snapshot()
         self.stats.bump(compactions=1, compaction_seconds=outcome["seconds"])
         self.stats.compaction_words_copied = outcome["words_copied"]
         self.stats.compaction_words_rebuilt = outcome["words_rebuilt"]

@@ -209,6 +209,14 @@ class PooledSearchService(SearchService):
             if pool is not None:
                 pool.close()
 
+    def compact(self, path=None) -> dict:
+        """:meth:`SearchService.compact`, and the workers forked from the
+        replaced generation are reaped now, not on the next request, so
+        nothing pins the replaced file."""
+        outcome = super().compact(path)
+        self.close()
+        return outcome
+
     def _pool_for(self, snap: PathIndexes) -> ForkWorkerPool:
         """The pool for the serving version (caller holds
         :attr:`_pool_lock`); forked afresh when the store moved."""

@@ -52,7 +52,7 @@ from repro.index.serialize import (
     save_sharded_indexes,
 )
 from repro.index.shards import partition_indexes
-from repro.index.store import OFFSET_TYPECODE
+from repro.index.store import _VIEW_ATTRS, OFFSET_TYPECODE
 from repro.search.baseline import baseline_search
 from repro.search.linear_topk import linear_topk_search
 from repro.search.pattern_enum import pattern_enum_search
@@ -803,6 +803,30 @@ class TestOneMappingPerGeneration:
         live, unlinked = _mappings(path)
         assert len(live) == 1 and not unlinked, (live, unlinked)
 
+    @pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pool"])
+    def test_an_idle_service_lets_go_after_compact(
+        self, wiki_indexes, tmp_path, pooled
+    ):
+        """``compact()`` drops the serving snapshot and the caches built
+        on it, so a service that serves nothing more pins no replaced
+        file."""
+        from repro.search.service import SearchService
+        from repro.serve.pool import PooledSearchService
+
+        path = tmp_path / "wiki.idx"
+        save_indexes(wiki_indexes, path, version=3)
+        if pooled:
+            service = PooledSearchService.from_file(path, processes=2)
+        else:
+            service = SearchService.from_file(path)
+        with service:
+            assert service.search(_query_for(wiki_indexes), k=5).num_answers
+            add_entity(service.indexes, "city", "overlayton idle")
+            service.compact()
+            gc.collect()
+            live, unlinked = _mappings(path)
+            assert len(live) == 1 and not unlinked, (live, unlinked)
+
     def test_a_held_snapshot_pins_its_generation(
         self, wiki_indexes, tmp_path
     ):
@@ -889,6 +913,30 @@ class TestSnapshotsShareTheStoreViews:
             before.store.root_type_view()
         )
         assert after.store.root_type_view() is loaded.store.root_type_view()
+
+
+def _built_view_entries(store):
+    """Words decoded into any of ``store``'s lazy views so far."""
+    views = []
+    for name in _VIEW_ATTRS:
+        value = getattr(store, name)
+        views.extend(value if isinstance(value, tuple) else (value,))
+    return sum(dict.__len__(view) for view in views)
+
+
+class TestPicklingLeavesTheViewsOut:
+    """A pickled store carries its rows, not its decoded views: pickling
+    decodes no word, and the copy rebuilds its views on demand."""
+
+    def test_pickling_a_fresh_store_decodes_nothing(self, wiki_indexes):
+        fresh = build_indexes(wiki_indexes.graph, d=3)
+        assert _built_view_entries(fresh.store) == 0
+        copy = pickle.loads(pickle.dumps(fresh))
+        assert _built_view_entries(fresh.store) == 0
+        assert _built_view_entries(copy.store) == 0
+        query = _query_for(wiki_indexes)
+        assert _all_algorithms(copy, query) == _all_algorithms(fresh, query)
+        assert _built_view_entries(copy.store) > 0
 
 
 class TestMigrationChains:

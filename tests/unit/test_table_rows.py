@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import ast
 import pickle
+import sys
+import threading
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
@@ -25,9 +28,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
+import repro.core.table as table_module
 from repro.core.pattern import PathPattern, TreePattern
 from repro.core.subtree import MatchPath
-from repro.core.table import path_specs_memo
+from repro.core.table import (
+    MAX_TABLE_PLANS,
+    compose_rows,
+    path_specs_memo,
+    table_plans_memo,
+)
 from repro.datasets.example import EXAMPLE_NORMALIZER, example_graph_with_nodes
 from repro.datasets.imdb import ImdbConfig, generate_imdb_graph
 from repro.datasets.wiki import WikiConfig, generate_wiki_graph
@@ -603,6 +612,157 @@ class TestColumnSpecsMemo:
         assert path_specs_memo(indexes.graph)
         save_indexes(indexes, after)
         assert before.read_bytes() == after.read_bytes()
+
+
+def multivalued_second_row():
+    """A two-path pattern over one hand-built graph and two rows of it:
+    the first binds both paths to one node, the second to two."""
+    graph = KnowledgeGraph()
+    root = graph.add_node("R", "root")
+    left = graph.add_node("M", "left")
+    right = graph.add_node("M", "right")
+    graph.add_edge(root, "Via", left)
+    graph.add_edge(root, "Via", right)
+    path = PathPattern(
+        (graph.type_id("R"), graph.attr_id("Via"), graph.type_id("M")), False
+    )
+    rows = [[root, left, root, left], [root, left, root, right]]
+    return graph, TreePattern((path, path)), rows
+
+
+class TestTablePlanMemo:
+    """A tree pattern's columns are worked out once per graph, on first
+    render, live beside the graph, and are shared by its tables, which
+    copy a column on flagging it."""
+
+    def test_empty_after_open_and_shared_with_snapshots(self, tmp_path):
+        path = tmp_path / "example.idx"
+        save_indexes(example_bundle(), path)
+        opened = load_indexes(path)
+        snapshot = opened.snapshot()
+        assert table_plans_memo(opened.graph) is table_plans_memo(
+            snapshot.graph
+        )
+        assert not table_plans_memo(opened.graph)
+        engine = TableAnswerEngine(snapshot.graph, indexes=snapshot)
+        result = engine.search(EXAMPLE_QUERIES[0], k=5)
+        first = result.tables(snapshot.graph)
+        memo = table_plans_memo(opened.graph)
+        assert len(memo) == len(result.answers)
+        again = result.tables(opened.graph, max_rows=1)
+        assert len(memo) == len(result.answers)
+        for one, other in zip(first, again):
+            assert all(
+                a is b for a, b in zip(one.columns, other.columns)
+                if not a.multivalued
+            )
+
+    def test_bounded(self):
+        graph = example_bundle().graph
+        memo = table_plans_memo(graph)
+        paths = [
+            PathPattern((0, attr, node_type), False)
+            for attr in graph.attr_ids()
+            for node_type in graph.type_ids()
+        ]
+        patterns = [
+            TreePattern(combo)
+            for combo in islice(product(paths, repeat=3), MAX_TABLE_PLANS + 50)
+        ]
+        assert len(patterns) == MAX_TABLE_PLANS + 50
+        for pattern in patterns:
+            compose_rows(pattern, (), graph)
+            assert len(memo) <= MAX_TABLE_PLANS
+        assert len(memo) == MAX_TABLE_PLANS
+        keys = [tuple(p.labels for p in pattern.paths) for pattern in patterns]
+        assert keys[49] not in memo and keys[50] in memo  # oldest out
+        assert list(memo) == keys[50:]
+
+    def test_threads_evicting_at_once(self, monkeypatch):
+        """Six threads render through a 16-plan memo, switching every
+        microsecond: the bound holds and every table is the one a lone
+        thread renders."""
+        monkeypatch.setattr(table_module, "MAX_TABLE_PLANS", 16)
+        graph = example_bundle().graph
+        paths = [
+            PathPattern((0, attr, node_type), False)
+            for attr in graph.attr_ids()
+            for node_type in graph.type_ids()
+        ]
+        patterns = [
+            TreePattern(combo) for combo in islice(product(paths, repeat=2), 200)
+        ]
+
+        def render(pattern):
+            table = compose_rows(pattern, (), graph)
+            return [(c.header, c.qualified_name) for c in table.columns]
+
+        expected = [render(pattern) for pattern in patterns]
+        table_plans_memo(graph).clear()
+        failures = []
+        start = threading.Barrier(6)
+
+        def worker(offset):
+            try:
+                start.wait(timeout=60)
+                for i in range(5 * len(patterns)):
+                    j = (i + offset) % len(patterns)
+                    assert render(patterns[j]) == expected[j]
+            except Exception as error:  # reported by the main thread
+                failures.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(offset,))
+                for offset in range(0, 60, 10)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures
+        assert len(table_plans_memo(graph)) <= 16
+
+    def test_saved_bytes_do_not_depend_on_rendering(self, tmp_path):
+        indexes = example_bundle()
+        engine = TableAnswerEngine(indexes.graph, indexes=indexes)
+        results = [engine.search(query, k=5) for query in EXAMPLE_QUERIES]
+        before, after = tmp_path / "before.idx", tmp_path / "after.idx"
+        save_indexes(indexes, before)
+        for result in results:
+            result.tables(indexes.graph)
+        assert table_plans_memo(indexes.graph)
+        save_indexes(indexes, after)
+        assert before.read_bytes() == after.read_bytes()
+
+    def test_columns_are_immutable(self):
+        graph, pattern, rows = multivalued_second_row()
+        (column, _) = compose_rows(pattern, rows, graph).columns
+        with pytest.raises(AttributeError):
+            column.multivalued = True
+        with pytest.raises(AttributeError):
+            column.header = "other"
+
+    @pytest.mark.parametrize("limits", [(None, 1), (1, None)])
+    def test_a_flag_stays_in_its_table(self, limits):
+        graph, pattern, rows = multivalued_second_row()
+        tables = {
+            limit: compose_rows(pattern, rows[:limit], graph)
+            for limit in limits
+        }
+        assert tables[None].rows == [["root", "left"], ["root", "left | right"]]
+        assert [c.multivalued for c in tables[None].columns] == [False, True]
+        assert tables[1].rows == [["root", "left"]]
+        assert [c.multivalued for c in tables[1].columns] == [False, False]
+        ((plan_columns, _firsts, _shared),) = table_plans_memo(graph).values()
+        assert not any(column.multivalued for column in plan_columns)
+        assert tables[1].columns == list(plan_columns)
+        assert tables[None].columns[0] is plan_columns[0]
 
 
 # ------------------------------------------------------------------ counts
