@@ -42,12 +42,6 @@ from repro.core.types import NodeId
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.kg.graph import KnowledgeGraph
 
-#: What a path pattern contributes to every table it appears in, per node
-#: position: ``(header, qualified name, pattern prefix, depth)``.
-ColumnSpec = Tuple[str, str, Tuple[int, ...], int]
-#: One graph's column specs, by path-pattern labels.
-PathSpecs = Dict[Tuple[int, ...], Tuple[ColumnSpec, ...]]
-
 
 @dataclass(frozen=True, slots=True)
 class TableColumn:
@@ -160,9 +154,12 @@ TablePlan = Tuple[
 ]
 #: One graph's table plans, by the tree pattern's path labels.
 TablePlans = Dict[Tuple[Tuple[int, ...], ...], TablePlan]
+#: What a path pattern contributes to every table it appears in: one
+#: column per node position, under its short header.
+PathSpecs = Dict[Tuple[int, ...], Tuple[TableColumn, ...]]
 
 
-#: Column specs ``(header, qualified, prefix, depth)`` of every path
+#: Column specs (the columns under their short headers) of every path
 #: pattern rendered so far, per graph, keyed by the pattern's labels
 #: (their parity says whether it ends at an edge).  Filled on first
 #: render, never warmed; one entry per distinct path pattern, so it needs
@@ -213,8 +210,8 @@ def table_plans_memo(graph: "KnowledgeGraph") -> TablePlans:
 
 def _path_specs(
     path: PathPattern, graph: "KnowledgeGraph"
-) -> Tuple[ColumnSpec, ...]:
-    """One column spec per node position of ``path``, root first.
+) -> Tuple[TableColumn, ...]:
+    """One column per node position of ``path``, root first.
 
     Node positions are prefix lengths 1, 3, 5, ... of the labels; an
     edge-matched path adds its terminal target, keyed by the full labels
@@ -222,7 +219,7 @@ def _path_specs(
     column uniquely).
     """
     labels = path.labels
-    specs: List[ColumnSpec] = []
+    specs: List[TableColumn] = []
     for depth, plen in enumerate(range(1, len(labels) + 1, 2)):
         type_name = graph.type_name(labels[plen - 1])
         if depth == 0:
@@ -232,13 +229,13 @@ def _path_specs(
             prev_type = graph.type_name(labels[plen - 3])
             header = type_name if type_name else attr_name
             qualified = f"{prev_type}.{attr_name}.{type_name}"
-        specs.append((header, qualified, labels[:plen], depth))
+        specs.append(TableColumn(header, qualified, labels[:plen], depth))
     if path.ends_at_edge:
         attr_name = graph.attr_name(labels[-1])
         prev_type = graph.type_name(labels[-2])
-        specs.append(
-            (attr_name, f"{prev_type}.{attr_name}", labels, len(labels) // 2)
-        )
+        specs.append(TableColumn(
+            attr_name, f"{prev_type}.{attr_name}", labels, len(labels) // 2
+        ))
     return tuple(specs)
 
 
@@ -250,29 +247,25 @@ def _typed_path(prefix: Tuple[int, ...], graph: "KnowledgeGraph") -> str:
     )
 
 
-def _unique_headers(
-    specs: Sequence[ColumnSpec], graph: "KnowledgeGraph"
-) -> List[str]:
-    """The columns' headers, made unique.  Where short names collide, the
-    columns take their qualified ``tau(v_{i-1}) alpha(e_i) tau(v_i)``
-    names; where those still collide (the same last hop under different
-    ancestors), the full typed path from the root, which the prefix makes
-    unique."""
-    headers = [spec[0] for spec in specs]
+def _disambiguate_headers(
+    columns: List[TableColumn], graph: "KnowledgeGraph"
+) -> None:
+    """Make the headers unique.  Where short names collide, the columns
+    take their qualified ``tau(v_{i-1}) alpha(e_i) tau(v_i)`` names; where
+    those still collide (the same last hop under different ancestors),
+    the full typed path from the root, which the prefix makes unique."""
     for fallback in (
-        lambda spec: spec[1],
-        lambda spec: _typed_path(spec[2], graph),
+        lambda column: column.qualified_name,
+        lambda column: _typed_path(column.prefix, graph),
     ):
         counts: Dict[str, int] = {}
-        for header in headers:
-            counts[header] = counts.get(header, 0) + 1
-        if len(counts) == len(headers):
-            break
-        headers = [
-            fallback(spec) if counts[header] > 1 else header
-            for header, spec in zip(headers, specs)
-        ]
-    return headers
+        for column in columns:
+            counts[column.header] = counts.get(column.header, 0) + 1
+        if len(counts) == len(columns):
+            return
+        for index, column in enumerate(columns):
+            if counts[column.header] > 1:
+                columns[index] = replace(column, header=fallback(column))
 
 
 def _table_plan(pattern: TreePattern, graph: "KnowledgeGraph") -> TablePlan:
@@ -286,36 +279,34 @@ def _table_plan(pattern: TreePattern, graph: "KnowledgeGraph") -> TablePlan:
     starts at its root, so only deeper columns can differ between paths).
     """
     memo = path_specs_memo(graph)
-    specs: List[ColumnSpec] = []
+    columns: List[TableColumn] = []
     sources: List[List[int]] = []
     seen: Dict[Tuple[int, ...], int] = {}
+    headers = set()
     position = 0
     for path in pattern.paths:
         path_specs = memo.get(path.labels)
         if path_specs is None:
             path_specs = memo[path.labels] = _path_specs(path, graph)
-        for spec in path_specs:
-            index = seen.get(spec[2])
+        for column in path_specs:
+            index = seen.get(column.prefix)
             if index is None:
-                seen[spec[2]] = len(specs)
-                specs.append(spec)
+                seen[column.prefix] = len(columns)
+                columns.append(column)
                 sources.append([position])
+                headers.add(column.header)
             else:
                 sources[index].append(position)
             position += 1
-    columns = tuple(
-        TableColumn(header, qualified, prefix, depth)
-        for header, (_short, qualified, prefix, depth) in zip(
-            _unique_headers(specs, graph), specs
-        )
-    )
+    if len(headers) < len(columns):
+        _disambiguate_headers(columns, graph)
     return (
-        columns,
+        tuple(columns),
         tuple(column_sources[0] for column_sources in sources),
         tuple(
             (index, tuple(column_sources))
             for index, column_sources in enumerate(sources)
-            if len(column_sources) > 1 and specs[index][3]
+            if len(column_sources) > 1 and columns[index].depth
         ),
     )
 
