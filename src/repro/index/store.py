@@ -203,10 +203,6 @@ class LazyWordDict(dict):
     def values(self):
         return [self[word] for word in self.vocab]
 
-    def __reduce__(self):
-        # The build closure does not pickle; every word built does.
-        return (dict, (self.items(),))
-
 
 def derive_leaf_rows(store: "PostingStore", ids, sims) -> LeafRows:
     """Cut one word's *sorted* posting columns into leaf rows.
