@@ -31,10 +31,10 @@ directory, fsynced, atomically renamed over the destination, and the
 directory fsynced — an interrupted save can never leave a truncated or
 corrupt index file behind, and a save that returned survives power loss.
 
-A file holds one store.  Sharding is a serving parameter
-(:mod:`repro.index.shards`: a shard is a set of root types, read from
-that one store), not file content; files that earlier builds wrote with
-K extra shard-store sections still open — the extra sections are
+A file holds one store.  Splitting a query is a serving parameter
+(:mod:`repro.search.sharding`: a slice is a set of root types, read
+from that one store), not file content; files that earlier builds wrote
+with K extra shard-store sections still open — the extra sections are
 ignored.
 """
 
@@ -371,14 +371,9 @@ def save_indexes(
     return _write_index_bytes(_v3_bytes(indexes), path)
 
 
-def save_sharded_indexes(
-    sharded,
-    path: Union[str, Path],
-    version: int = FORMAT_VERSION,
-) -> int:
-    """:func:`save_indexes` of ``sharded.base``: the shard count is a
-    serving parameter, not file content (:mod:`repro.index.shards`)."""
-    return save_indexes(sharded.base, path, version)
+#: A split is a serving parameter, not file content: kept for
+#: ``benchmarks/perf``, which saves through this name.
+save_sharded_indexes = save_indexes
 
 
 # ---------------------------------------------------------------- compaction

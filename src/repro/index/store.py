@@ -63,8 +63,10 @@ from repro.index.delta import ChainColumn
 from repro.index.entry import PathEntry
 from repro.index.interner import PatternInterner
 
-#: Typecodes of the columnar arrays (also the v2 on-disk encoding; see
-#: ``docs/index-format.md``).  ``i`` is a 4-byte C int on every platform
+#: Typecodes of the columnar arrays, and of their on-disk encoding: the
+#: v3 sections (written by :func:`repro.index.serialize._v3_store_sections`,
+#: read back as ``memoryview`` casts) and the v2 payload alike; see
+#: ``docs/index-format.md``.  ``i`` is a 4-byte C int on every platform
 #: CPython supports, capping node/pattern/path ids at 2**31 - 1.
 ID_TYPECODE = "i"
 OFFSET_TYPECODE = "q"
@@ -469,9 +471,10 @@ class PostingStore:
         # anyway), and the lazy view dicts are rebuilt from the rows by
         # __setstate__, so neither is pickled: leaving the views out
         # spares decoding every word only to throw it away.  Normal
-        # persistence goes through to_payload/from_payload — this only
-        # supports callers that pickle a whole bundle (e.g.
-        # legacy/diagnostic envelopes).
+        # persistence writes the columns as bytes: the v3 sections of
+        # serialize._v3_store_sections (to_payload/from_payload for the
+        # v2 envelope) — this only supports callers that pickle a whole
+        # bundle (e.g. legacy/diagnostic envelopes).
         state = self.__dict__.copy()
         for name in _VIEW_ATTRS:
             state.pop(name, None)
@@ -827,12 +830,6 @@ class PostingStore:
     def path_matched_on_edge(self, path_id: int) -> bool:
         return bool(self._moe[path_id])
 
-    def path_sort_key(
-        self, path_id: int
-    ) -> Tuple[Tuple[NodeId, ...], Tuple[AttrId, ...]]:
-        """The paper's "sort paths sequentially" key: (nodes, attrs)."""
-        return (self.path_nodes(path_id), self.path_attrs(path_id))
-
     def make_entry(self, path_id: int, sim: float) -> PathEntry:
         """Reconstruct the flyweight :class:`PathEntry` for one posting."""
         self.entries_materialized += 1
@@ -1076,23 +1073,14 @@ class PostingStore:
         self.finalize()
         return self._bounds
 
-    def form_tree(self, path_ids: Sequence[int]) -> bool:
-        """Store-native :func:`repro.index.entry.entries_form_tree`.
-
-        Operates on the store's columns — no :class:`PathEntry`
-        materialization — with the identical tree-validity rule: all paths
-        share the root, no node acquires two distinct parent edges, and no
-        edge re-enters the root.  A convenience wrapper over
-        :meth:`pairs_checker` (the hot loops' form, and the single
-        implementation of the rule) for id-only callers.
-        """
-        return self.pairs_checker()([(path_id, 0.0) for path_id in path_ids])
-
     def pairs_checker(self, words: Optional[Sequence[str]] = None):
         """A tree-validity predicate over ``(path_id, sim)`` pair combos.
 
-        Same rule as :meth:`form_tree`, specialized for the enumeration
-        loop's native shape: the cross product yields pair combinations,
+        The store-native form of :func:`repro.index.entry.entries_form_tree`
+        — no :class:`PathEntry` materialization — with the identical
+        rule: all paths share the root, no node acquires two distinct
+        parent edges, and no edge re-enters the root.  Shaped for the
+        enumeration loop: the cross product yields pair combinations,
         so no id tuple is built per combination, and the returned closure
         is bound to the query-acceleration columns so the loop pays no
         per-call column lookup.  Fetch once per enumeration run, passing
@@ -1121,26 +1109,6 @@ class PostingStore:
             return True
 
         return form_tree_pairs
-
-    def score_terms(
-        self, path_ids: Sequence[int], sims: Sequence[float]
-    ) -> Tuple[int, float, float]:
-        """Store-native :func:`~repro.index.entry.combination_score_terms`.
-
-        Summed (size, pr, sim) for a subtree given as parallel posting
-        columns (Equations 4-6), skipping entry materialization — in the
-        float order of the enumeration kernel and of the entry-based
-        helper, so scores are bit-identical across the pipelines.
-        """
-        sizes, prs, _edges, _self_invalid = self.path_columns()
-        size = 0
-        pr = 0.0
-        sim = 0.0
-        for path_id, posting_sim in zip(path_ids, sims):
-            size += sizes[path_id]
-            pr += prs[path_id]
-            sim += posting_sim
-        return size, pr, sim
 
     def matched_node(self, path_id: int) -> NodeId:
         """The node whose PageRank is the path's ``pr`` term.
@@ -1437,7 +1405,6 @@ class StoreSnapshot:
     path_pattern = PostingStore.path_pattern
     path_pr = PostingStore.path_pr
     path_matched_on_edge = PostingStore.path_matched_on_edge
-    path_sort_key = PostingStore.path_sort_key
     leaf_entries = PostingStore.leaf_entries
     matched_node = PostingStore.matched_node
     path_columns = PostingStore.path_columns
@@ -1446,8 +1413,6 @@ class StoreSnapshot:
     release_query_columns = PostingStore.release_query_columns
     warm_query_caches = PostingStore.warm_query_caches
     pairs_checker = PostingStore.pairs_checker
-    form_tree = PostingStore.form_tree
-    score_terms = PostingStore.score_terms
     total_path_nodes = PostingStore.total_path_nodes
     dedup_ratio = PostingStore.dedup_ratio
     words = PostingStore.words

@@ -23,6 +23,7 @@ identical id-based loop in :mod:`repro.search.expand`.
 
 from __future__ import annotations
 
+import heapq
 import math
 from itertools import chain
 from typing import (
@@ -133,10 +134,11 @@ class EnumerationContext:
     ) -> "EnumerationContext":
         """This query confined to the root types ``keep_type`` accepts.
 
-        The sub-problem a shard answers (:mod:`repro.index.shards`): the
-        same store, words, root maps and bounds, with the candidate
-        roots, their partition by type and the viable types cut down to
-        the kept types — so every algorithm, unmodified, enumerates
+        The sub-problem one slice of a split answers
+        (:func:`~repro.search.sharding.search_shard`): the same store,
+        words, root maps and bounds, with the candidate roots, their
+        partition by type and the viable types cut down to the kept
+        types — so every algorithm, unmodified, enumerates
         exactly the patterns rooted at those types.  The roots are
         filtered through their grouping by type, which the algorithms
         need anyway, not one call per root; the subtree counts, when
@@ -214,10 +216,9 @@ class EnumerationContext:
         |Paths(w_i, r)|`` over the type's roots (Algorithm 4, line 4) —
         the subtrees the type enumerates, from path counts alone.
 
-        LINEARENUM-TOPK's sampling test reads it, and so does the shard
-        map (:meth:`~repro.index.shards.ShardedIndexes.assign`), as its
-        measure of a type's work.  Built fully before the memoizing
-        assignment, like :meth:`roots_by_type`.
+        LINEARENUM-TOPK's sampling test reads it, and so does the slice
+        map (:meth:`slice_map`), as its measure of a type's work.  Built
+        fully before the memoizing assignment, like :meth:`roots_by_type`.
         """
         counts = self._subtree_counts
         if counts is None:
@@ -236,6 +237,24 @@ class EnumerationContext:
                 counts[root_type] = subtrees
             self._subtree_counts = counts
         return counts
+
+    def slice_map(self, width: int) -> Dict[TypeId, int]:
+        """The query's slice map for a ``width``-way split: each
+        candidate root type → its slice in ``[0, width)``.
+
+        LPT over :meth:`subtree_counts`: types in ``(-N_R, type id)``
+        order, each onto the least-loaded slice, lowest slice id on
+        ties.  A pure function of ``(snapshot, query, width)``, so every
+        worker of a split derives the same map from its own context.
+        """
+        counts = self.subtree_counts()
+        loads = [(0, slice_id) for slice_id in range(width)]
+        slices: Dict[TypeId, int] = {}
+        for root_type in sorted(counts, key=lambda t: (-counts[t], t)):
+            load, slice_id = loads[0]
+            slices[root_type] = slice_id
+            heapq.heapreplace(loads, (load + counts[root_type], slice_id))
+        return slices
 
     def pattern_maps(self, root: NodeId) -> List[RootPatternMap]:
         """``pattern -> postings`` per word at one root.

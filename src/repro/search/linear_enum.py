@@ -32,14 +32,12 @@ from repro.search.context import EnumerationContext, ensure_context
 from repro.search.expand import Pairs, expand_root, join_kernel
 from repro.search.result import (
     EntryCombo,
-    PatternAnswer,
     SearchResult,
     SearchStats,
     Stopwatch,
+    bind_answers,
     bind_combos,
     interned_pattern_key,
-    order_answers,
-    pattern_from_key,
 )
 
 PatternKey = Tuple[PatternId, ...]
@@ -133,21 +131,12 @@ def linear_enum_search(
         aggregate = aggregates[key]
         queue.push(
             aggregate.value(),
-            (key, aggregate.count, trees.get(key, [])),
+            (key, aggregate.count, trees.get(key, []), None),
             tie_key=interned_pattern_key(indexes.interner, key),
         )
-    answers = []
-    for score, (key, count, kept) in queue.ranked():
-        answers.append(
-            PatternAnswer(
-                pattern_key=key,
-                pattern=pattern_from_key(indexes, key),
-                score=score,
-                num_subtrees=count,
-                subtrees=bind_combos(kept, context.store),
-            )
-        )
-    order_answers(answers)
+    answers = bind_answers(
+        [(score, *item) for score, item in queue.ranked()], indexes
+    )
     stats.elapsed_seconds = watch.elapsed()
     return SearchResult(
         query=context.words,

@@ -41,14 +41,11 @@ from repro.search.context import EnumerationContext, ensure_context
 from repro.search.expand import Pairs, expand_root, join_kernel
 from repro.search.expand import join_pattern_roots
 from repro.search.result import (
-    PatternAnswer,
     SearchResult,
     SearchStats,
     Stopwatch,
-    bind_combos,
+    bind_answers,
     interned_pattern_key,
-    order_answers,
-    pattern_from_key,
 )
 
 PatternKey = Tuple[PatternId, ...]
@@ -109,12 +106,11 @@ def linear_topk_search(
     rng = random.Random(seed)
     context = ensure_context(indexes, query, context)
     words = context.words
-    store = context.store
     graph = indexes.graph
 
     stats.candidate_roots = len(context.candidate_roots)
     by_type = context.roots_by_type(graph)
-    join = join_kernel(store, scoring, words)
+    join = join_kernel(context.store, scoring, words)
 
     queue: TopKQueue = TopKQueue(k)
     threshold = TopKThreshold(queue)
@@ -325,19 +321,9 @@ def linear_topk_search(
 
     if bounds is not None:
         threshold.write_stats(stats)
-    answers = []
-    for score, (key, count, trees, estimate) in queue.ranked():
-        answers.append(
-            PatternAnswer(
-                pattern_key=key,
-                pattern=pattern_from_key(indexes, key),
-                score=score,
-                num_subtrees=count,
-                subtrees=bind_combos(trees, store),
-                estimated_score=estimate,
-            )
-        )
-    order_answers(answers)
+    answers = bind_answers(
+        [(score, *item) for score, item in queue.ranked()], indexes
+    )
     stats.elapsed_seconds = watch.elapsed()
     return SearchResult(
         query=words, k=k, d=indexes.d, answers=answers, stats=stats

@@ -54,14 +54,11 @@ from repro.search.context import EnumerationContext, ensure_context
 from repro.scoring.function import PAPER_DEFAULT, ScoringFunction
 from repro.search.expand import join_kernel, join_pattern_roots
 from repro.search.result import (
-    PatternAnswer,
-    bind_combos,
     SearchResult,
     SearchStats,
     Stopwatch,
+    bind_answers,
     interned_pattern_key,
-    order_answers,
-    pattern_from_key,
 )
 
 
@@ -91,9 +88,8 @@ def pattern_enum_search(
     stats = SearchStats(algorithm="pattern_enum")
     context = ensure_context(indexes, query, context)
     words = context.words
-    store = context.store
     pattern_first = indexes.pattern_first
-    join = join_kernel(store, scoring, words)
+    join = join_kernel(context.store, scoring, words)
     m = len(words)
 
     # Root types viable for *all* keywords; equivalent to the paper's loop
@@ -136,7 +132,7 @@ def pattern_enum_search(
         stats.nonempty_patterns += 1
         queue.push(
             aggregate.value(),
-            (key, aggregate.count, trees),
+            (key, aggregate.count, trees, None),
             tie_key=interned_pattern_key(indexes.interner, key),
         )
 
@@ -251,18 +247,9 @@ def pattern_enum_search(
     if bounds is not None:
         threshold.write_stats(stats)
     stats.candidate_roots = len(seen_roots)
-    answers = []
-    for score, (pid_combo_key, count, trees) in queue.ranked():
-        answers.append(
-            PatternAnswer(
-                pattern_key=pid_combo_key,
-                pattern=pattern_from_key(indexes, pid_combo_key),
-                score=score,
-                num_subtrees=count,
-                subtrees=bind_combos(trees, store),
-            )
-        )
-    order_answers(answers)
+    answers = bind_answers(
+        [(score, *item) for score, item in queue.ranked()], indexes
+    )
     stats.elapsed_seconds = watch.elapsed()
     return SearchResult(
         query=words, k=k, d=indexes.d, answers=answers, stats=stats

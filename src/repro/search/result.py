@@ -149,10 +149,12 @@ class ComboRef(Sequence):
 
 class KeptCombo(ComboRef):
     """A :class:`ComboRef` an enumerator kept, so one that passed the
-    store's ``form_tree`` check: its rows read the node columns alone,
-    with no second tree check, in one store call.  Built only by
-    :func:`bind_combos`, from the pair tuples an enumerator's join kernel
-    kept (or a worker sent back), for the answers it returns."""
+    store's tree check
+    (:meth:`~repro.index.store.PostingStore.pairs_checker`): its rows
+    read the node columns alone, with no second tree check, in one
+    store call.  Built only by :func:`bind_combos`, from the pair tuples
+    an enumerator's join kernel kept (or a worker sent back), for the
+    answers it returns."""
 
     __slots__ = ()
 
@@ -404,11 +406,18 @@ def portable_answers(answers: Sequence[PatternAnswer]) -> List[tuple]:
 def bind_answers(
     rows: Sequence[tuple], indexes: "PathIndexes"
 ) -> List[PatternAnswer]:
-    """Undo :func:`portable_answers` against ``indexes`` — the
-    receiver's copy of the bundle the rows were enumerated on, so the
-    combos' path ids are its store's (see :func:`bind_combos`)."""
+    """Ranked ``(score, pattern_key, num_subtrees, combos,
+    estimated_score)`` rows as answers in :func:`order_answers` order.
+
+    How every enumerator builds its answers from its ranked queue, and
+    how the receiver of a pipe undoes :func:`portable_answers`:
+    ``indexes`` is the bundle the rows were enumerated on (or the
+    receiver's copy of it), so the combos' path ids are its store's
+    (see :func:`bind_combos`).  The sort is stable, so rows already in
+    that order keep it.
+    """
     store = indexes.store
-    return [
+    return order_answers([
         PatternAnswer(
             pattern_key=key,
             pattern=pattern_from_key(indexes, key),
@@ -418,7 +427,7 @@ def bind_answers(
             estimated_score=estimated,
         )
         for score, key, count, combos, estimated in rows
-    ]
+    ])
 
 
 def canonical_pattern_key(pattern: TreePattern) -> Tuple:

@@ -1,12 +1,13 @@
 """Splitting one query over free fork-pool workers.
 
 A query's root types are split into ``width`` pattern-disjoint slices
-(:mod:`repro.index.shards` — per query, by longest-processing-time-first
-over each type's subtree count ``N_R``; every slice reads the one
-store), each slice is run by one fork-pool worker that inherited the
-serving snapshot (:func:`search_shard`), and the per-slice top-k lists
-are merged under a single global :class:`~repro.core.topk.TopKQueue`
-with canonical tie keys (:func:`merge_shard_runs`) — answers are
+(:meth:`~repro.search.context.EnumerationContext.slice_map` — per
+query, by longest-processing-time-first over each type's subtree count
+``N_R``; every slice reads the one store), each slice is run by one
+fork-pool worker that inherited the serving snapshot
+(:func:`search_shard`), and the per-slice top-k lists are merged under
+a single global :class:`~repro.core.topk.TopKQueue` with canonical tie
+keys (:func:`merge_shard_runs`) — answers are
 **bit-identical** to the unsplit engine (the differential tests in
 ``tests/search/test_sharding.py`` enforce this for all shardable
 algorithms at several widths).
@@ -20,10 +21,13 @@ the plan whole there.  ``SearchStats.shards_total`` is the width the
 query was split over (0: it ran whole), ``shard_busy_ms`` and
 ``shard_subtrees`` each slice's own time and ``N_R``.
 
-Exactness is inherited from the partition (pattern containment: a whole
-pattern, with every root that contributes to its score, lives in exactly
-one slice — see :mod:`repro.index.shards`) plus one fact: a pattern in
-the global top-k is necessarily in its own slice's local top-k (the
+Exactness is inherited from the partition plus one fact.  The
+partition keeps **patterns whole**: a path pattern's first label is its
+root's type (:func:`repro.index.path_enum.interleaved_labels`), so two
+roots share a pattern only if they share a type, and any map from root
+types to slices puts a pattern, with every root that contributes to its
+score, in exactly one slice (``docs/sharding.md``).  The fact: a pattern
+in the global top-k is necessarily in its own slice's local top-k (the
 slice run faces a subset of the competitors).
 
 Two kinds of plan are never split and run whole, exactly as the plain
@@ -45,7 +49,7 @@ import os
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.topk import TopKQueue, TopKThreshold
-from repro.index.shards import Shard
+from repro.index.builder import PathIndexes
 from repro.search.context import EnumerationContext
 from repro.search.plan import QueryPlan, execute_plan
 from repro.search.result import (
@@ -54,7 +58,6 @@ from repro.search.result import (
     SearchStats,
     canonical_pattern_key,
     order_answers,
-    portable_answers,
 )
 
 DEFAULT_NUM_SHARDS = 4
@@ -107,57 +110,40 @@ def plan_shardable(plan: QueryPlan) -> bool:
 
 
 def search_shard(
-    shard: Shard,
+    bundle: PathIndexes,
     plan: QueryPlan,
+    slice_id: int,
+    width: int,
     context: Optional[EnumerationContext] = None,
 ) -> SearchResult:
-    """Run a plan on one shard: the unmodified algorithm, on the bundle
-    every shard shares, through a context narrowed to the root types the
-    query's shard map (:meth:`~repro.index.shards.ShardedIndexes.assign`)
-    puts in this shard — the one place the shard restriction is applied.
+    """Run a plan on slice ``slice_id`` of a ``width``-way split: the
+    unmodified algorithm, on the one bundle, through a context narrowed
+    to the root types the query's slice map
+    (:meth:`~repro.search.context.EnumerationContext.slice_map`) puts in
+    this slice — the one place the restriction is applied.
 
-    ``context`` is the *whole* query's context on that bundle when the
+    ``context`` is the *whole* query's context on ``bundle`` when the
     caller already has one; absent, it is derived here (the word-set
-    intersection costs a few percent of a shard run, so a worker is
+    intersection costs a few percent of a slice run, so a worker is
     sent the bare plan and derives the map for itself).  The run's
-    ``stats.shard_subtrees`` is the shard's ``N_R``, a 1-tuple.
+    ``stats.shard_subtrees`` is the slice's ``N_R``, a 1-tuple.
     """
-    base = shard.sharded.base
     if context is None:
-        context = EnumerationContext(base, plan.resolved_query())
-    shard_map = shard.sharded.assign(context)
-    shard_id = shard.shard_id
+        context = EnumerationContext(bundle, plan.resolved_query())
+    slices = context.slice_map(width)
     # A type with no candidate root is in no map: it can only yield
-    # empty patterns, and shard 0 checks them, as the unsharded run does.
+    # empty patterns, and slice 0 checks them, as the unsplit run does.
     part = context.restricted_to(
-        lambda root_type: shard_map.get(root_type, 0) == shard_id
+        lambda root_type: slices.get(root_type, 0) == slice_id
     )
-    result = execute_plan(base, plan, context=part)
+    result = execute_plan(bundle, plan, context=part)
     result.stats.shard_subtrees = (sum(part.subtree_counts().values()),)
     return result
 
 
-def execute_shard_plan(
-    shard: Shard, plan: QueryPlan
-) -> Tuple[list, SearchStats]:
-    """:func:`search_shard` with *portable* answers.
-
-    The worker-side (and inline-failover) execution step.  Answers are
-    flattened to plain picklable tuples
-    ``(score, pattern_key, num_subtrees, combos, estimated_score)``
-    (:func:`~repro.search.result.portable_answers`): kept subtrees go
-    as their ``(path_id, sim)`` pairs because a ``ComboRef`` holds a
-    store reference that must not cross the pipe.  Pattern ids and path
-    ids are the serving snapshot's, on both sides of the pipe.
-    """
-    result = search_shard(shard, plan)
-    return portable_answers(result.answers), result.stats
-
-
 def usable_cores() -> int:
-    """Cores this process may run on — the one place a split's width and
-    :func:`~repro.index.shards.partition_indexes` read them from (tests
-    patch it, nothing configures it)."""
+    """Cores this process may run on — the one place a split's width
+    reads them from (tests patch it, nothing configures it)."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - no affinity API (macOS)

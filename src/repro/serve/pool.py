@@ -61,7 +61,6 @@ from typing import List, Optional
 
 from repro.core.errors import SearchError
 from repro.index.builder import PathIndexes
-from repro.index.shards import Shard, ShardedIndexes
 from repro.scoring.function import PAPER_DEFAULT, ScoringFunction
 from repro.search import sharding
 from repro.search.plan import QueryPlan, execute_plan
@@ -85,11 +84,9 @@ def _execute_portable(bundle: PathIndexes, request):
     plan, part = request
     if part is None:
         result = execute_plan(bundle, plan)
-        return portable_answers(result.answers), result.stats
-    shard_id, width = part
-    return sharding.execute_shard_plan(
-        Shard(ShardedIndexes(bundle, width, width), shard_id), plan
-    )
+    else:
+        result = sharding.search_shard(bundle, plan, *part)
+    return portable_answers(result.answers), result.stats
 
 
 class ForkWorkerPool(WorkerPool):

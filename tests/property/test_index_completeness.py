@@ -222,7 +222,8 @@ def test_store_matches_naive_reference(graph, d):
           suppress_health_check=[HealthCheck.too_slow])
 @given(graphs(), st.integers(min_value=1, max_value=3))
 def test_store_native_variants_agree(graph, d):
-    """form_tree/score_terms on ids agree with the PathEntry versions."""
+    """The store's tree check (``pairs_checker``) and score sums over its
+    path columns agree with the PathEntry versions."""
     from itertools import product
 
     from repro.index.entry import combination_score_terms, entries_form_tree
@@ -233,6 +234,8 @@ def test_store_native_variants_agree(graph, d):
     words = sorted(root_first.words())[:2]
     if len(words) < 2:
         return
+    form_tree = store.pairs_checker()
+    sizes, prs, _edges, _self_invalid = store.path_columns()
     maps = [root_first.roots(word) for word in words]
     shared = set(maps[0]) & set(maps[1])
     for root in sorted(shared):
@@ -253,9 +256,13 @@ def test_store_native_variants_agree(graph, d):
                     column[i] for column, i in zip(sim_columns, combo_idx)
                 ]
                 entries = [plist[i] for plist, i in zip(plists, combo_idx)]
-                assert store.form_tree(path_ids) == entries_form_tree(
-                    entries
+                assert form_tree(list(zip(path_ids, sims))) == (
+                    entries_form_tree(entries)
                 )
-                assert store.score_terms(
-                    path_ids, sims
-                ) == combination_score_terms(entries)
+                # Summed in the enumeration kernel's float order.
+                size, pr, sim = 0, 0.0, 0.0
+                for path_id, posting_sim in zip(path_ids, sims):
+                    size += sizes[path_id]
+                    pr += prs[path_id]
+                    sim += posting_sim
+                assert (size, pr, sim) == combination_score_terms(entries)

@@ -23,7 +23,6 @@ import pytest
 from repro.core.errors import SearchError
 from repro.datasets.wiki import WikiConfig, generate_wiki_graph
 from repro.index.builder import build_indexes
-from repro.index.shards import ShardedIndexes
 from repro.search import sharding
 from repro.search.context import EnumerationContext
 from repro.search.plan import plan_search
@@ -130,9 +129,9 @@ class TestWaveLoopInProcess:
                 )
                 total = sum(context.subtree_counts().values())
                 for width in range(1, num_shards + 1):
-                    sharded = ShardedIndexes(wiki_indexes, width, width)
                     runs = [
-                        search_shard(shard, plan) for shard in sharded.shards
+                        search_shard(wiki_indexes, plan, i, width)
+                        for i in range(width)
                     ]
                     merged = merge_shard_runs(
                         plan,

@@ -32,7 +32,7 @@ from repro.index.serialize import (
     save_sharded_indexes,
 )
 from repro.index.incremental import add_entity
-from repro.index.shards import ShardedIndexes, partition_indexes
+from repro.index.shards import partition_indexes
 from repro.index.store import PostingStore
 from repro.kg.graph import KnowledgeGraph
 from repro.search import sharding
@@ -44,14 +44,13 @@ from repro.search.sharding import (
     DEFAULT_NUM_SHARDS,
     SHARDABLE_ALGORITHMS,
     ShardedSearchService,
-    execute_shard_plan,
     merge_shard_runs,
     plan_shardable,
     search_shard,
     split_width,
 )
 from repro.search.workers import WorkerError
-from repro.serve.pool import PooledSearchService
+from repro.serve.pool import PooledSearchService, _execute_portable
 
 ALGORITHMS = ("pattern_enum", "linear_topk", "linear_full", "baseline")
 SHARD_COUNTS = (1, 2, 4, 7)
@@ -139,18 +138,25 @@ def idle_split_width(service, query, **params) -> int:
     return width if width >= 2 else 0
 
 
-def bin_loads(sharded, context, shard_map):
-    """``N_R`` summed per shard under ``shard_map``."""
+def bin_loads(num_slices, context, slices):
+    """``N_R`` summed per slice under the slice map ``slices``."""
     counts = context.subtree_counts()
-    loads = [0] * sharded.num_shards
-    for root_type, shard_id in shard_map.items():
-        loads[shard_id] += counts[root_type]
+    loads = [0] * num_slices
+    for root_type, slice_id in slices.items():
+        loads[slice_id] += counts[root_type]
     return loads
 
 
+def core_width(num_shards, cores, monkeypatch):
+    """The widest split K allows on ``cores`` usable cores, before the
+    query's type count caps it."""
+    patch_cores(monkeypatch, cores)
+    return min(num_shards, sharding.usable_cores())
+
+
 class TestPartition:
-    """The shard map: per query, LPT over the types' ``N_R`` into
-    ``min(K, usable cores)`` shards."""
+    """The slice map: per query, LPT over the types' ``N_R`` into
+    ``width`` slices, ``width`` at most ``min(K, usable cores)``."""
 
     SHARDS_AND_CORES = [(1, 2), (2, 2), (4, 2), (4, 8), (7, 3), (9, 64)]
 
@@ -158,28 +164,25 @@ class TestPartition:
     def test_every_candidate_type_in_one_bin(
         self, wiki_indexes, wiki_queries, monkeypatch, num_shards, cores
     ):
-        patch_cores(monkeypatch, cores)
-        sharded = partition_indexes(wiki_indexes, num_shards)
-        assert sharded.width == min(num_shards, cores)
-        assert sharded.base is wiki_indexes
-        assert sharded.num_shards == num_shards
+        width = core_width(num_shards, cores, monkeypatch)
         for query in wiki_queries:
             context = EnumerationContext(wiki_indexes, query)
-            shard_map = sharded.assign(context)
+            slices = context.slice_map(width)
             by_type = context.roots_by_type(wiki_indexes.graph)
-            assert set(shard_map) == set(by_type)
-            assert set(shard_map.values()) <= set(range(sharded.width))
+            assert set(slices) == set(by_type)
+            assert set(slices.values()) <= set(range(width))
+            assert split_width(num_shards, context) == min(
+                width, len(by_type)
+            )
 
     @pytest.mark.parametrize("num_shards, cores", SHARDS_AND_CORES)
     def test_map_is_a_function_of_snapshot_and_query(
         self, wiki_indexes, wiki_queries, monkeypatch, num_shards, cores
     ):
-        patch_cores(monkeypatch, cores)
+        width = core_width(num_shards, cores, monkeypatch)
         for query in wiki_queries:
             maps = [
-                partition_indexes(wiki_indexes, num_shards).assign(
-                    EnumerationContext(wiki_indexes, query)
-                )
+                EnumerationContext(wiki_indexes, query).slice_map(width)
                 for _ in range(2)
             ]
             assert maps[0] == maps[1]
@@ -188,29 +191,25 @@ class TestPartition:
     def test_lpt_balances_within_the_largest_type(
         self, wiki_indexes, wiki_queries, monkeypatch, num_shards, cores
     ):
-        patch_cores(monkeypatch, cores)
-        sharded = partition_indexes(wiki_indexes, num_shards)
+        width = core_width(num_shards, cores, monkeypatch)
         for query in wiki_queries:
             context = EnumerationContext(wiki_indexes, query)
             counts = context.subtree_counts()
-            loads = bin_loads(sharded, context, sharded.assign(context))
+            loads = bin_loads(num_shards, context, context.slice_map(width))
             assert sum(loads) == sum(counts.values())
-            assert loads[sharded.width:] == [0] * (
-                num_shards - sharded.width
-            )
-            used = loads[: sharded.width]
+            assert loads[width:] == [0] * (num_shards - width)
+            used = loads[:width]
             assert max(used) - min(used) <= max(counts.values(), default=0)
 
     @pytest.mark.parametrize("num_shards, cores", SHARDS_AND_CORES)
     def test_shard_candidates_partition_the_query(
         self, wiki_indexes, wiki_queries, monkeypatch, num_shards, cores
     ):
-        patch_cores(monkeypatch, cores)
-        sharded = partition_indexes(wiki_indexes, num_shards)
+        width = core_width(num_shards, cores, monkeypatch)
         graph = wiki_indexes.graph
         for query in wiki_queries:
             context = EnumerationContext(wiki_indexes, query)
-            shard_map = sharded.assign(context)
+            shard_map = context.slice_map(width)
             parts = [
                 context.restricted_to(
                     lambda t, shard_id=shard_id: shard_map.get(t) == shard_id
@@ -227,6 +226,7 @@ class TestPartition:
     def test_partition_rejects_bad_shard_count(self, wiki_indexes):
         with pytest.raises(PathIndexError, match="num_shards"):
             partition_indexes(wiki_indexes, 0)
+        assert partition_indexes(wiki_indexes, 3) is wiki_indexes
 
 
 @pytest.fixture()
@@ -259,8 +259,7 @@ def rows_of(result):
 def split_in_process(indexes, plan, width):
     """A ``width``-way split run in process: each slice's run, and the
     merge of them all."""
-    sharded = ShardedIndexes(indexes, width, width)
-    runs = [search_shard(shard, plan) for shard in sharded.shards]
+    runs = [search_shard(indexes, plan, i, width) for i in range(width)]
     merged = merge_shard_runs(
         plan,
         [(run.answers, run.stats) for run in runs],
@@ -298,6 +297,40 @@ def typed_graphs(draw):
     return graph
 
 
+class TestSliceMapOnRandomGraphs:
+    """:meth:`EnumerationContext.slice_map` at widths 1 to 5 over random
+    typed graphs: a partition of the candidate types, the same from any
+    fresh context on one snapshot, balanced to within one type."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(graph=typed_graphs(), data=st.data())
+    def test_lpt_slices_every_candidate_type_once(self, graph, data):
+        indexes = build_indexes(graph, d=3)
+        vocab = sorted(indexes.store.words())
+        if not vocab:
+            return
+        query = " ".join(data.draw(
+            st.lists(st.sampled_from(vocab), min_size=1, max_size=2,
+                     unique=True)
+        ))
+        snapshot = indexes.snapshot()
+        for width in range(1, 6):
+            context = EnumerationContext(snapshot, query)
+            slices = context.slice_map(width)
+            by_type = context.roots_by_type(snapshot.graph)
+            assert sorted(slices) == sorted(by_type)
+            assert all(0 <= s < width for s in slices.values())
+            again = EnumerationContext(snapshot, query).slice_map(width)
+            assert again == slices
+            counts = context.subtree_counts()
+            loads = bin_loads(width, context, slices)
+            assert sum(loads) == sum(counts.values())
+            assert max(loads) - min(loads) <= max(
+                counts.values(), default=0
+            )
+
+
 class TestShardsAreSlices:
     """A shard is the set of root types the query's shard map puts in
     it: its run is the unsharded run restricted to those types, on the
@@ -311,7 +344,6 @@ class TestShardsAreSlices:
     def test_shard_runs_are_the_unsharded_run_by_root_type(
         self, wiki_indexes, wiki_queries, num_shards
     ):
-        sharded = partition_indexes(wiki_indexes, num_shards)
         interner = wiki_indexes.interner
         checked = 0
         for algorithm in sorted(SHARDABLE_ALGORITHMS):
@@ -320,14 +352,17 @@ class TestShardsAreSlices:
                     wiki_indexes, query, k=self.ALL, algorithm=algorithm
                 )
                 whole = execute_plan(wiki_indexes, plan)
-                shard_map = sharded.assign(
-                    EnumerationContext(wiki_indexes, plan.resolved_query())
-                )
+                shard_map = EnumerationContext(
+                    wiki_indexes, plan.resolved_query()
+                ).slice_map(num_shards)
                 expected = [{} for _ in range(num_shards)]
                 for key, row in rows_of(whole).items():
                     owner = shard_map[interner.pattern(key[0]).root_type]
                     expected[owner][key] = row
-                runs = [search_shard(shard, plan) for shard in sharded.shards]
+                runs = [
+                    search_shard(wiki_indexes, plan, i, num_shards)
+                    for i in range(num_shards)
+                ]
                 assert [rows_of(run) for run in runs] == expected
                 # Ranked like the unsharded run ranks them.
                 order = [a.pattern_key for a in whole.answers]
@@ -348,10 +383,9 @@ class TestShardsAreSlices:
         plan = plan_search(wiki_indexes, wiki_queries[0], k=5)
         execute_plan(wiki_indexes, plan)  # boxes the query's paths
         before = (store.version, store.words_remerged, store.query_paths_boxed)
-        sharded = partition_indexes(wiki_indexes, 3)
-        assert sharded.base.store is store
-        for shard in sharded.shards:
-            for answer in search_shard(shard, plan).answers:
+        for slice_id in range(3):
+            run = search_shard(wiki_indexes, plan, slice_id, 3)
+            for answer in run.answers:
                 assert {combo._store for combo in answer.subtrees} == {store}
         assert fingerprint(split_in_process(wiki_indexes, plan, 3)[1]) == (
             fingerprint(execute_plan(wiki_indexes, plan))
@@ -421,8 +455,10 @@ class TestShardsAreSlices:
                      unique=True)
         )
         with mock.patch.object(sharding, "usable_cores", lambda: cores):
-            width = partition_indexes(indexes, num_shards).width
-            assert width == min(num_shards, cores)
+            width = min(num_shards, cores)
+            context = EnumerationContext(indexes, " ".join(words))
+            types = len(context.roots_by_type(indexes.graph))
+            assert split_width(num_shards, context) == min(width, types)
             with PooledSearchService(
                 indexes, processes=2, num_shards=num_shards,
                 max_cached_results=0,
@@ -581,15 +617,15 @@ class TestOneStore:
                 ):
                     continue
                 where = f"{path.relative_to(self.SRC)}:{node.name}"
-                if node.name == "assign":
+                if node.name == "slice_map":
                     defined.append(where)
                 if self.calls_in(node, {"restricted_to"}):
                     narrowing.append(where)
-                if self.calls_in(node, {"assign"}):
+                if self.calls_in(node, {"slice_map"}):
                     mapping.append(where)
         assert narrowing == ["search/sharding.py:search_shard"]
         # One map, computed in one function, read by the slice run alone.
-        assert defined == ["index/shards.py:assign"]
+        assert defined == ["search/context.py:slice_map"]
         assert mapping == ["search/sharding.py:search_shard"]
         # ... which hands the narrowed context to the unmodified
         # algorithms: none of them knows about shards.
@@ -701,9 +737,8 @@ class TestShardSubtrees:
                 assert stats.shard_subtrees == ()
                 continue
             split += 1
-            sharded = ShardedIndexes(service.snapshot(), width, width)
             context = EnumerationContext(service.snapshot(), query)
-            loads = bin_loads(sharded, context, sharded.assign(context))
+            loads = bin_loads(width, context, context.slice_map(width))
             assert stats.shard_subtrees == tuple(loads)
             assert len(stats.shard_busy_ms) == width
             assert f"subtrees={list(stats.shard_subtrees)}" in (
@@ -723,13 +758,12 @@ class TestShardSubtrees:
             return real(self, word_index, root)
 
         monkeypatch.setattr(EnumerationContext, "path_count", counting)
-        sharded = partition_indexes(wiki_indexes, 2)
         plan = plan_search(
             wiki_indexes, wiki_queries[0], k=5, algorithm="linear_topk"
         )
         context = EnumerationContext(wiki_indexes, plan.resolved_query())
-        for shard in sharded.shards:
-            search_shard(shard, plan, context)
+        for slice_id in range(2):
+            search_shard(wiki_indexes, plan, slice_id, 2, context)
         assert len(calls) == len(context.candidate_roots) * len(plan.words)
 
 
@@ -871,9 +905,9 @@ class TestWorkerRobustness:
         service = SearchService(small_bundle)
         vocab = sorted(small_bundle.store.words())
         plan = service.plan(" ".join(vocab[:2]), k=5)
-        sharded = partition_indexes(small_bundle, 2)
         portable = [
-            execute_shard_plan(shard, plan)[0] for shard in sharded.shards
+            _execute_portable(small_bundle, (plan, (slice_id, 2)))[0]
+            for slice_id in range(2)
         ]
         merged_keys = sorted(
             key for answers in portable for _, key, _, _, _ in answers
@@ -1050,8 +1084,7 @@ class TestShardedPersistence:
         assert info["kind"] == "single" and info["num_shards"] == 0
         assert [entry["name"] for entry in info["stores"]] == ["base"]
         loaded = partition_indexes(load_indexes(path), 4)
-        assert loaded.num_shards == 4
-        assert loaded.base.num_entries == small_bundle.num_entries
+        assert loaded.num_entries == small_bundle.num_entries
 
     def test_plain_load_returns_base(self, small_bundle, tmp_path):
         path = tmp_path / "kb.sharded.idx"

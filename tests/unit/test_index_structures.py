@@ -294,8 +294,8 @@ class TestPostingStore:
             path_id = store.add_path(nodes, attrs, False, pid_a, 0.5)
             entry = store.make_entry(path_id, 1.0)
             expected = entries_form_tree((entry,))
-            assert store.form_tree([path_id]) == expected, nodes
             checker = store.pairs_checker()
+            assert checker(((path_id, 0.0),)) == expected, nodes
             assert checker(((path_id, 1.0),)) == expected, nodes
 
     def test_form_tree_cache_refreshes_after_append(self):
@@ -303,10 +303,11 @@ class TestPostingStore:
         # columns may not serve stale state across interleaved appends.
         _interner, store, pid_a, _pid_b = self.make_store()
         first = store.add_path((10, 11), (0,), False, pid_a, 0.5)
-        assert store.form_tree([first])
+        assert store.pairs_checker()([(first, 0.0)])
         second = store.append_path((10, 12), (0,), False, pid_a, 0.5)
-        assert store.form_tree([second])
-        assert store.form_tree([first, second])
+        form_tree = store.pairs_checker()
+        assert form_tree([(second, 0.0)])
+        assert form_tree([(first, 0.0), (second, 0.0)])
 
 
 class TestMissesShareNothing:

@@ -988,10 +988,9 @@ class TestMigrationChains:
         v3 = tmp_path / "s3.idx"
         save_sharded_indexes(restored, v3, version=3)
         back = partition_indexes(load_indexes(v3), 2)
-        assert back.num_shards == 2
-        assert isinstance(back.base.store, MappedPostingStore)
+        assert isinstance(back.store, MappedPostingStore)
         query = _query_for(wiki_indexes)
-        assert _all_algorithms(back.base, query) == _all_algorithms(
+        assert _all_algorithms(back, query) == _all_algorithms(
             wiki_indexes, query
         )
 

@@ -46,14 +46,18 @@ from repro.index.incremental import add_entity
 from repro.index.interner import PatternInterner
 from repro.index.mmapstore import MappedPostingStore
 from repro.index.serialize import load_indexes, save_indexes
-from repro.index.shards import ShardedIndexes
 from repro.index.store import PostingStore
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pagerank import uniform_scores
 from repro.search.engine import TableAnswerEngine
-from repro.search.result import ComboRef, KeptCombo, PatternAnswer
+from repro.search.result import (
+    ComboRef,
+    KeptCombo,
+    PatternAnswer,
+    portable_answers,
+)
 from repro.search.service import SearchService
-from repro.search.sharding import ShardedSearchService, execute_shard_plan
+from repro.search.sharding import ShardedSearchService, search_shard
 from repro.serve.pool import PooledSearchService, _execute_portable
 
 ALGORITHMS = ("pattern_enum", "linear_topk", "linear_full", "baseline")
@@ -914,14 +918,12 @@ SRC = Path(repro.__file__).parent
 #: kept pair tuples ...
 KEPT_COMBO_SITES = ["search/result.py:bind_combos"]
 
-#: ... called where the enumerators build their answers from the pairs
-#: their join kernel kept, and where a worker's kept combos are re-bound.
+#: ... called where ranked answers are built — by every top-k
+#: enumerator and for a worker's re-bound reply alike — and where the
+#: full enumeration and the per-root top-k keep subtrees.
 BIND_COMBO_SITES = [
     "search/individual.py:individual_topk",
     "search/linear_enum.py:linear_enum",
-    "search/linear_enum.py:linear_enum_search",
-    "search/linear_topk.py:linear_topk_search",
-    "search/pattern_enum.py:pattern_enum_search",
     "search/result.py:bind_answers",
 ]
 
@@ -953,7 +955,7 @@ def constructions(name):
 
 
 class TestKeptCombos:
-    """What the enumerators keep passed ``form_tree`` and renders from
+    """What the enumerators keep passed ``pairs_checker`` and renders from
     the node column alone; only hand-built combos are checked again."""
 
     def test_built_only_where_enumerators_keep_subtrees(self):
@@ -1065,13 +1067,13 @@ class TestPipeRoundTrip:
 
         monkeypatch.setattr(PostingStore, "__getstate__", refuse)
         snap = wiki_indexes.snapshot()
-        sharded = ShardedIndexes(snap, 2, 2)
         service = SearchService(wiki_indexes)
         for algorithm in ("pattern_enum", "linear_topk", "linear_full"):
             plan = service.plan(self.QUERY, k=10, algorithm=algorithm)
-            replies = [
-                execute_shard_plan(shard, plan) for shard in sharded.shards
-            ]
+            replies = []
+            for slice_id in range(2):
+                run = search_shard(snap, plan, slice_id, 2)
+                replies.append((portable_answers(run.answers), run.stats))
             replies.append(_execute_portable(snap, (plan, (0, 2))))
             replies.append(_execute_portable(snap, (plan, (1, 2))))
             replies.append(_execute_portable(snap, (plan, None)))
